@@ -23,12 +23,13 @@ from .terms import (
     QUANT_PREFIX,
     Atom,
     Compound,
-    Lam,
     Term,
-    Up,
     Var,
+    children,
     free_vars,
     parse_term,
+    subterms,
+    with_children,
 )
 
 MARK = "q?"
@@ -63,21 +64,12 @@ def parse_skeleton(text: str) -> Term:
 def skeleton_leaves(sk: Term) -> List[Leaf]:
     """Marked quantifier leaves in preorder (outer before embedded)."""
     out: List[Leaf] = []
-
-    def go(t: Term) -> None:
+    for t in subterms(sk):
         if _is_mark(t):
             if len(t.args) != 3 or not isinstance(t.args[0], Atom) \
                     or not isinstance(t.args[1], Var):
                 raise BaselineError(f"bad marked leaf {t!r}")
             out.append(Leaf(t.args[0].name, t.args[1], t.args[2]))
-            go(t.args[2])
-        elif isinstance(t, Compound):
-            for a in t.args:
-                go(a)
-        elif isinstance(t, (Lam, Up)):
-            go(t.body)
-
-    go(sk)
     return out
 
 
@@ -85,31 +77,16 @@ def _erase(t: Term) -> Term:
     """Replace every marked leaf by its variable."""
     if _is_mark(t):
         return t.args[1]
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(_erase(a) for a in t.args))
-    if isinstance(t, Lam):
-        return Lam(t.param, _erase(t.body))
-    if isinstance(t, Up):
-        return Up(_erase(t.body))
-    return t
+    return with_children(t, [_erase(k) for k in children(t)])
 
 
-def _hosts(sk: Term) -> dict:
+def _hosts(leaves: List[Leaf]) -> dict:
     """Map each embedded leaf's variable to its innermost host's variable."""
     host = {}
-
-    def go(t: Term, owner: Optional[Var]) -> None:
-        if _is_mark(t):
-            if owner is not None:
-                host[t.args[1]] = owner
-            go(t.args[2], t.args[1])
-        elif isinstance(t, Compound):
-            for a in t.args:
-                go(a, owner)
-        elif isinstance(t, (Lam, Up)):
-            go(t.body, owner)
-
-    go(sk, None)
+    for leaf in leaves:  # preorder: an inner host overwrites an outer one
+        for t in subterms(leaf.restriction):
+            if _is_mark(t):
+                host[t.args[1]] = leaf.var
     return host
 
 
@@ -130,7 +107,7 @@ def enumerate_orderings(sk: Term) -> List[Term]:
         raise ResourceError(
             f"{len(leaves)} quantifiers exceed the limit of {MAX_QUANTIFIERS}")
     core = _erase(sk)
-    host = _hosts(sk)
+    host = _hosts(leaves)
 
     def q(leaf: Leaf, restriction: Term, body: Term) -> Term:
         return Compound(QUANT_PREFIX + leaf.det, (leaf.var, restriction, body))
@@ -158,19 +135,8 @@ def uvc_filter(forms: List[Term]) -> List[Term]:
 
 def nesting_order(form: Term) -> Tuple[str, ...]:
     """Determiners of a scoped form in preorder, outermost first."""
-    out: List[str] = []
-
-    def go(t: Term) -> None:
-        if isinstance(t, Compound):
-            if t.functor.startswith(QUANT_PREFIX):
-                out.append(t.functor[len(QUANT_PREFIX):])
-            for a in t.args:
-                go(a)
-        elif isinstance(t, (Lam, Up)):
-            go(t.body)
-
-    go(form)
-    return tuple(out)
+    return tuple(t.functor[len(QUANT_PREFIX):] for t in subterms(form)
+                 if isinstance(t, Compound) and t.functor.startswith(QUANT_PREFIX))
 
 
 @dataclass(frozen=True)
@@ -209,26 +175,11 @@ def factorial_count(sk: Term) -> int:
     leaf_vars = {leaf.var for leaf in skeleton_leaves(sk)}
 
     def has_mark(t: Term) -> bool:
-        if _is_mark(t):
-            return True
-        if isinstance(t, Compound):
-            return any(has_mark(a) for a in t.args)
-        if isinstance(t, (Lam, Up)):
-            return has_mark(t.body)
-        return False
+        return any(_is_mark(n) for n in subterms(t))
 
     total = 1
-
-    def go(t: Term) -> None:
-        nonlocal total
-        if isinstance(t, Compound):
-            if not _is_mark(t):
-                k = sum(1 for a in t.args if has_mark(a) or a in leaf_vars)
-                total *= math.factorial(k)
-            for a in t.args:
-                go(a)
-        elif isinstance(t, (Lam, Up)):
-            go(t.body)
-
-    go(sk)
+    for t in subterms(sk):
+        if isinstance(t, Compound) and not _is_mark(t):
+            total *= math.factorial(
+                sum(1 for a in t.args if has_mark(a) or a in leaf_vars))
     return total

@@ -16,11 +16,14 @@ from .terms import (
     Term,
     TermError,
     Var,
-    apply,
-    parse_term_at,
     _Cursor,
+    apply,
+    children,
     format_term,
+    parse_term_at,
+    subterms,
     unify,
+    with_children,
 )
 
 SORTS = ("s", "np", "n", "sbar", "comma")
@@ -93,45 +96,15 @@ def unify_cat(a: Category, b: Category, s: Optional[Subst] = None) -> Optional[S
 def cat_vars(cat: Category) -> tuple:
     """Every variable occurring in the category's terms, first-occurrence order
     (lambda parameters included: entries are renamed wholesale)."""
-    seen: list = []
-
-    def walk(t: Term) -> None:
-        from .terms import Atom, Compound, Lam, Up
-
-        if isinstance(t, Var):
-            if t not in seen:
-                seen.append(t)
-        elif isinstance(t, Atom):
-            pass
-        elif isinstance(t, Compound):
-            for a in t.args:
-                walk(a)
-        elif isinstance(t, Lam):
-            walk(t.param)
-            walk(t.body)
-        elif isinstance(t, Up):
-            walk(t.body)
-
-    for at in atomics(cat):
-        walk(at.sem)
-    return tuple(seen)
+    return tuple(dict.fromkeys(
+        n for at in atomics(cat) for n in subterms(at.sem) if isinstance(n, Var)))
 
 
 def rename_vars(cat: Category, mapping: dict) -> Category:
     def ren(t: Term) -> Term:
-        from .terms import Atom, Compound, Lam, Up
-
         if isinstance(t, Var):
             return mapping.get(t, t)
-        if isinstance(t, Atom):
-            return t
-        if isinstance(t, Compound):
-            return Compound(t.functor, tuple(ren(a) for a in t.args))
-        if isinstance(t, Lam):
-            return Lam(ren(t.param), ren(t.body))
-        if isinstance(t, Up):
-            return Up(ren(t.body))
-        raise TermError(f"not a term: {t!r}")
+        return with_children(t, [ren(k) for k in children(t)])
 
     return map_sems(cat, ren)
 

@@ -2,7 +2,8 @@
 
 Commands: parse, readings, derive, compare, corpus.  Exit codes: 0 on
 success, 1 when a sentence has no full-span derivation, 2 for usage,
-lexicon, or unknown-token problems, 3 when a corpus run has mismatches.
+lexicon, unknown-token or malformed data-file problems, 3 when a corpus
+run has mismatches.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ import json
 import re
 import sys
 from importlib import resources
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .baseline import BaselineError, compare, nesting_order, parse_skeleton
 from .categories import CatError, canonical_cat, cat_key, format_cat, parse_cat
 from .chart import ResourceError, count_derivations, derivations, parse, pretty
 from .lexicon import LexiconError, UnknownTokenError, default_lexicon, load_lexicon
-from .readings import NoParseError, readings, scope_profile
-from .terms import format_term
+from .readings import NoParseError, StructuralError, readings, scope_profile
+from .terms import TermError, format_term
 
 _WORD = re.compile(r"[a-z0-9-]+|,")
 
@@ -32,6 +33,37 @@ def tokenize(text: str) -> List[str]:
 def _data_text(name: str) -> str:
     return resources.files("ccgscope").joinpath(f"data/{name}").read_text(
         encoding="utf-8")
+
+
+class DataFileError(Exception):
+    """A malformed line in a corpus or skeleton file."""
+
+
+def read_data(name: str, path: Optional[str], row: Callable) -> list:
+    """row(first, rest) for each line of a tab-separated data file.
+
+    Reads the file at path, or the bundled file name when path is None.
+    Comments (``#`` to end of line) and blank lines are skipped.  A line
+    without a tab, or one row rejects, raises DataFileError naming the
+    file and line number.
+    """
+    if path is None:
+        text = _data_text(name)
+    else:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line:
+            continue
+        try:
+            if "\t" not in line:
+                raise DataFileError("expected two tab-separated fields")
+            out.append(row(*line.split("\t", 1)))
+        except (DataFileError, TermError, BaselineError, CatError) as exc:
+            raise DataFileError(f"{path or name}, line {lineno}: {exc}") from exc
+    return out
 
 
 def _load_lexicon(path: Optional[str]):
@@ -113,17 +145,22 @@ def _cmd_derive(args, lex, out) -> int:
     return 0
 
 
-def _skeleton_table(path: Optional[str]):
-    text = _data_text("corpus.skel") if path is None else \
-        open(path, encoding="utf-8").read()
-    table = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if not line:
-            continue
-        sent, skel = line.split("\t", 1)
-        table[" ".join(tokenize(sent))] = parse_skeleton(skel.strip())
-    return table
+def _skeleton_table(path: Optional[str]) -> dict:
+    return dict(read_data(
+        "corpus.skel", path,
+        lambda sent, skel: (" ".join(tokenize(sent)), parse_skeleton(skel.strip()))))
+
+
+def _corpus_entry(expect: str, text: str) -> tuple:
+    """(expected count, sentence, None, None), or for an UNGRAMMATICAL entry
+    (expect, fragment, category text, category shape)."""
+    if expect != "UNGRAMMATICAL":
+        return expect, text, None, None
+    parts = [part.strip() for part in text.split("⊣")]
+    if len(parts) != 2:
+        raise DataFileError("an UNGRAMMATICAL entry needs 'fragment ⊣ category'")
+    return expect, parts[0], parts[1], _shape(parse_cat(parts[1]))
+
 
 def _cmd_compare(args, lex, out) -> int:
     tokens = tokenize(args.sentence)
@@ -155,23 +192,15 @@ def _cmd_compare(args, lex, out) -> int:
 
 
 def _cmd_corpus(args, lex, out) -> int:
-    text = _data_text("corpus.txt") if args.path is None else \
-        open(args.path, encoding="utf-8").read()
     failures = 0
     rows = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if not line:
-            continue
-        expect, sent = line.split("\t", 1)
-        if expect == "UNGRAMMATICAL":
-            fragment, shape_text = (part.strip() for part in sent.split("⊣"))
-            tokens = tokenize(fragment)
-            chart = parse(tokens, lex)
-            shape = _shape(parse_cat(shape_text))
+    for expect, sent, shape_text, shape in read_data("corpus.txt", args.path,
+                                                     _corpus_entry):
+        if shape is not None:
+            chart = parse(tokenize(sent), lex)
             hits = [it for it in chart.full_span() if _shape(it.cat) == shape]
             ok = not hits
-            rows.append((ok, "none", f"{len(hits)} items", fragment + " ⊣ " + shape_text))
+            rows.append((ok, "none", f"{len(hits)} items", sent + " ⊣ " + shape_text))
         else:
             tokens = tokenize(sent)
             try:
@@ -239,10 +268,8 @@ def main(argv=None) -> int:
     except NoParseError as exc:
         print(f"no parse: {exc}", file=sys.stderr)
         return 1
-    except (UnknownTokenError, BaselineError, CatError, LexiconError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ResourceError, OSError) as exc:
+    except (UnknownTokenError, BaselineError, CatError, LexiconError, TermError,
+            StructuralError, DataFileError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

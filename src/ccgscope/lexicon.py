@@ -22,7 +22,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from .categories import (
     Atomic,
@@ -120,13 +120,15 @@ class Lexicon:
     def __init__(self) -> None:
         self.entries: List[LexEntry] = []
         self._by_first: dict = {}
+        self._keys: set = set()  # (lexeme, cat_key) of every entry
         self._fresh = itertools.count(1)
 
     def add(self, entry: LexEntry) -> None:
         key = (entry.lexeme, cat_key(entry.cat))
-        if any((e.lexeme, cat_key(e.cat)) == key for e in self._by_first.get(entry.lexeme[0], ())):
+        if key in self._keys:
             warnings.warn(f"duplicate lexicon entry for {' '.join(entry.lexeme)!r}")
             return
+        self._keys.add(key)
         self.entries.append(entry)
         self._by_first.setdefault(entry.lexeme[0], []).append(entry)
 

@@ -48,10 +48,13 @@ from .terms import (
     Var,
     apply,
     canonicalize,
+    children,
     format_term,
     free_vars,
     is_quant,
     is_set_form,
+    subterms,
+    with_children,
 )
 
 
@@ -75,30 +78,27 @@ class Reading:
 
 # --- term walking ----------------------------------------------------------
 
-def _walk(t: Term) -> Iterator[Tuple[tuple, Term]]:
+# A path step is the argument index under a compound and a name elsewhere.
+_NAMED_STEPS = {Lam: ("param", "lam"), Up: ("up",)}
+
+
+def _steps(node: Term):
+    """The path step to each of node's children, in children() order."""
+    if isinstance(node, Compound):
+        return range(len(node.args))
+    return _NAMED_STEPS.get(type(node), ())
+
+
+def _walk(t: Term, path: tuple = ()) -> Iterator[Tuple[tuple, Term]]:
     """All (path, node) pairs in preorder."""
-
-    def go(node, path):
-        yield path, node
-        if isinstance(node, Compound):
-            for i, a in enumerate(node.args):
-                yield from go(a, path + (i,))
-        elif isinstance(node, Lam):
-            yield from go(node.body, path + ("lam",))
-        elif isinstance(node, Up):
-            yield from go(node.body, path + ("up",))
-
-    yield from go(t, ())
+    yield path, t
+    for step, kid in zip(_steps(t), children(t)):
+        yield from _walk(kid, path + (step,))
 
 
 def _node_at(t: Term, path: tuple) -> Term:
     for step in path:
-        if isinstance(t, Compound):
-            t = t.args[step]
-        elif isinstance(t, Lam):
-            t = t.body
-        else:
-            t = t.body
+        t = children(t)[_steps(t).index(step)]
     return t
 
 
@@ -124,7 +124,7 @@ def _binds(node: Term, step) -> Optional[Var]:
 
 
 def _has_scope_material(t: Term) -> bool:
-    return any(is_quant(n) or is_set_form(n) for _, n in _walk(t))
+    return any(is_quant(n) or is_set_form(n) for n in subterms(t))
 
 
 # --- promotion site assignment ---------------------------------------------
@@ -291,7 +291,7 @@ def _ordered(wraps: List[_Wrap], node: Term, path: tuple, t: Term) -> List[_Wrap
 
 def normalize(t: Term) -> Term:
     """Promote set forms to scoped quantifiers; alpha-canonical result."""
-    for _, node in _walk(t):
+    for node in subterms(t):
         if is_quant(node) and not isinstance(node.args[0], Var):
             raise StructuralError(
                 "quantifier with a non-variable in its variable position")
@@ -312,16 +312,8 @@ def normalize(t: Term) -> Term:
     def rebuild(node: Term, path: tuple) -> Term:
         if path in replace:
             return replace[path]
-        if isinstance(node, Compound):
-            out: Term = Compound(node.functor,
-                                 tuple(rebuild(a, path + (i,))
-                                       for i, a in enumerate(node.args)))
-        elif isinstance(node, Lam):
-            out = Lam(node.param, rebuild(node.body, path + ("lam",)))
-        elif isinstance(node, Up):
-            out = Up(rebuild(node.body, path + ("up",)))
-        else:
-            out = node
+        out = with_children(node, [rebuild(kid, path + (step,))
+                                   for step, kid in zip(_steps(node), children(node))])
         here = by_site.get(path)
         if here:
             for w in reversed(_ordered(here, node, path, t)):
@@ -338,8 +330,7 @@ def normalize(t: Term) -> Term:
 # --- filters ----------------------------------------------------------------
 
 def _well_formed(t: Term) -> bool:
-    return all(isinstance(n.args[0], Var)
-               for _, n in _walk(t) if is_quant(n))
+    return all(isinstance(n.args[0], Var) for n in subterms(t) if is_quant(n))
 
 
 def _intensional_violation(t: Term) -> bool:
@@ -407,7 +398,7 @@ class Occurrence:
 
 
 def _head_noun(restr: Term, var: Var) -> str:
-    for _, n in _walk(restr):
+    for n in subterms(restr):
         if (isinstance(n, Compound) and not is_quant(n) and not is_set_form(n)
                 and n.args and n.args[0] == var):
             return n.functor

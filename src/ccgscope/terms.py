@@ -78,6 +78,46 @@ def is_set_form(t: Term) -> bool:
     return isinstance(t, Compound) and t.functor.startswith(SET_PREFIX) and len(t.args) == 1
 
 
+def children(t: Term) -> tuple:
+    """Immediate subterms: a compound's arguments, a lambda's parameter and
+    body, the body of up(.); none for variables and atoms."""
+    if isinstance(t, Compound):
+        return t.args
+    if isinstance(t, (Var, Atom)):
+        return ()
+    if isinstance(t, Lam):
+        return (t.param, t.body)
+    if isinstance(t, Up):
+        return (t.body,)
+    raise TermError(f"not a term: {t!r}")
+
+
+def with_children(t: Term, kids) -> Term:
+    """t rebuilt over kids, given in children(t) order."""
+    if isinstance(t, Compound):
+        return Compound(t.functor, tuple(kids))
+    if isinstance(t, Lam):
+        param, body = kids
+        if not isinstance(param, Var):
+            raise TermError(f"lambda parameter {t.param.id} replaced by a non-variable")
+        return Lam(param, body)
+    if isinstance(t, Up):
+        (body,) = kids
+        return Up(body)
+    if isinstance(t, (Var, Atom)):
+        return t
+    raise TermError(f"not a term: {t!r}")
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """Every node of t in preorder, t first."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
 def apply(s: Subst, t: Term, _active: frozenset = frozenset()) -> Term:
     """Apply substitution s to t, chasing bindings to a fixpoint.
 
@@ -92,30 +132,13 @@ def apply(s: Subst, t: Term, _active: frozenset = frozenset()) -> Term:
         return t
     if isinstance(t, Atom):
         return t
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(apply(s, a, _active) for a in t.args))
-    if isinstance(t, Lam):
-        param = apply(s, t.param, _active)
-        if not isinstance(param, Var):
-            raise TermError(f"substitution maps lambda parameter {t.param.id} to non-variable")
-        return Lam(param, apply(s, t.body, _active))
-    if isinstance(t, Up):
-        return Up(apply(s, t.body, _active))
-    raise TermError(f"not a term: {t!r}")
+    return with_children(t, [apply(s, k, _active) for k in children(t)])
 
 
 def occurs(v: Var, t: Term) -> bool:
     if isinstance(t, Var):
         return t == v
-    if isinstance(t, Atom):
-        return False
-    if isinstance(t, Compound):
-        return any(occurs(v, a) for a in t.args)
-    if isinstance(t, Lam):
-        return t.param == v or occurs(v, t.body)
-    if isinstance(t, Up):
-        return occurs(v, t.body)
-    raise TermError(f"not a term: {t!r}")
+    return any(occurs(v, k) for k in children(t))
 
 
 def _bind(s: Subst, v: Var, t: Term) -> Optional[Subst]:
@@ -194,16 +217,12 @@ class Renamer:
             return Var(self.free[t.id])
         if isinstance(t, Atom):
             return t
-        if isinstance(t, Compound):
-            return Compound(t.functor, tuple(self.rename(a, env) for a in t.args))
         if isinstance(t, Lam):
             name = self._next()
             inner = dict(env)
             inner[t.param.id] = name
             return Lam(Var(name), self.rename(t.body, inner))
-        if isinstance(t, Up):
-            return Up(self.rename(t.body, env))
-        raise TermError(f"not a term: {t!r}")
+        return with_children(t, [self.rename(k, env) for k in children(t)])
 
 
 def canonicalize(t: Term) -> Term:
@@ -223,22 +242,15 @@ def free_vars(t: Term) -> tuple:
         if isinstance(t, Var):
             if t not in bound and t not in seen:
                 seen.append(t)
-        elif isinstance(t, Atom):
-            pass
-        elif isinstance(t, Compound):
-            if is_quant(t) and isinstance(t.args[0], Var):
-                inner = bound | {t.args[0]}
-                walk(t.args[1], inner)
-                walk(t.args[2], inner)
-            else:
-                for a in t.args:
-                    walk(a, bound)
         elif isinstance(t, Lam):
             walk(t.body, bound | {t.param})
-        elif isinstance(t, Up):
-            walk(t.body, bound)
+        elif is_quant(t) and isinstance(t.args[0], Var):
+            inner = bound | {t.args[0]}
+            walk(t.args[1], inner)
+            walk(t.args[2], inner)
         else:
-            raise TermError(f"not a term: {t!r}")
+            for k in children(t):
+                walk(k, bound)
 
     walk(t, frozenset())
     return tuple(seen)
@@ -252,23 +264,16 @@ def eta_reduce_sets(t: Term) -> Term:
     """
     if isinstance(t, (Var, Atom)):
         return t
-    if isinstance(t, Compound):
-        args = tuple(eta_reduce_sets(a) for a in t.args)
-        if (
-            t.functor.startswith(SET_PREFIX)
-            and len(args) == 1
-            and isinstance(args[0], Lam)
-            and isinstance(args[0].body, Compound)
-            and len(args[0].body.args) == 1
-            and args[0].body.args[0] == args[0].param
-        ):
-            return Compound(t.functor, (Atom(args[0].body.functor),))
-        return Compound(t.functor, args)
-    if isinstance(t, Lam):
-        return Lam(t.param, eta_reduce_sets(t.body))
-    if isinstance(t, Up):
-        return Up(eta_reduce_sets(t.body))
-    raise TermError(f"not a term: {t!r}")
+    t = with_children(t, [eta_reduce_sets(k) for k in children(t)])
+    if (
+        is_set_form(t)
+        and isinstance(t.args[0], Lam)
+        and isinstance(t.args[0].body, Compound)
+        and len(t.args[0].body.args) == 1
+        and t.args[0].body.args[0] == t.args[0].param
+    ):
+        return Compound(t.functor, (Atom(t.args[0].body.functor),))
+    return t
 
 
 # --- textual syntax ---------------------------------------------------------

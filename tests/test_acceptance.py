@@ -14,7 +14,7 @@ import pytest
 from ccgscope.baseline import compare, factorial_count, nesting_order
 from ccgscope.categories import Atomic, Slash, cat_key, parse_cat
 from ccgscope.chart import count_derivations, derivations, parse, replay
-from ccgscope.cli import _data_text, _shape, _skeleton_table, tokenize
+from ccgscope.cli import _corpus_entry, _shape, _skeleton_table, read_data, tokenize
 from ccgscope.lexicon import default_lexicon
 from ccgscope.readings import normalize, outscopes, readings, scope_profile
 from ccgscope.terms import (
@@ -44,15 +44,9 @@ def lex():
 
 
 def corpus_sentences():
-    out = []
-    for raw in _data_text("corpus.txt").splitlines():
-        line = raw.split("#", 1)[0].rstrip()
-        if not line:
-            continue
-        expect, sent = line.split("\t", 1)
-        if expect != "UNGRAMMATICAL":
-            out.append((int(expect), tokenize(sent)))
-    return out
+    return [(int(expect), tokenize(sent))
+            for expect, sent, _, shape in read_data("corpus.txt", None, _corpus_entry)
+            if shape is None]
 
 
 def test_criterion_1_reading_counts(lex):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ccgscope.cli import main, tokenize
+from ccgscope.cli import _data_text, main, tokenize
 from ccgscope.lexicon import default_lexicon
 from ccgscope.readings import readings
 from ccgscope.terms import canonicalize, parse_term
@@ -81,6 +81,34 @@ def test_missing_skeleton_exits_two(capsys):
     code, _, err = run(capsys, "compare", "john thinks that bill danced")
     assert code == 2
     assert "skeleton" in err
+
+
+FRENCHMEN = "three frenchmen visited five russians"
+
+
+@pytest.mark.parametrize("argv, content, line", [
+    (["corpus", "{}"], f"# counts\n2 {FRENCHMEN}\n", 2),
+    (["corpus", "{}"], "UNGRAMMATICAL\tof three companies touched\n", 1),
+    (["compare", "--skeletons", "{}", FRENCHMEN],
+     f"{FRENCHMEN} visited(q?(three, F, frenchman(F)), q?(five, R, russian(R)))\n", 1),
+    (["compare", "--skeletons", "{}", FRENCHMEN],
+     f"{FRENCHMEN}\tvisited(q?(three, F, frenchman(F)),\n", 1),
+    # A lexical set form directly under up(.) cannot be promoted.
+    (["--lexicon", "{}", "readings", "zz"],
+     _data_text("fragment.lex") + "zz :: s:think(up(s-every(girl)), john)\n", None),
+    # Unification binds a lambda parameter to a constant.
+    (["--lexicon", "{}", "readings", "x john"],
+     "john :: np:john\nx :: s:p(X^f(X))/np:X\n", None),
+])
+def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, line):
+    path = tmp_path / "input"
+    path.write_text(content, encoding="utf-8")
+    code, _, err = run(capsys, *(a.format(path) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if line is not None:
+        assert f"line {line}:" in err
 
 
 # --- parse and derive -------------------------------------------------------------

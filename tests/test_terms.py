@@ -11,11 +11,14 @@ from ccgscope.terms import (
     Var,
     apply,
     canonicalize,
+    children,
     eta_reduce_sets,
     format_term,
     free_vars,
     parse_term,
+    subterms,
     unify,
+    with_children,
 )
 
 
@@ -122,6 +125,17 @@ def rand_term(rng, depth, vars_pool):
     if kind == 4:
         return Up(rand_term(rng, depth - 1, vars_pool))
     return Lam(Var(rng.choice(vars_pool)), rand_term(rng, depth - 1, vars_pool))
+
+
+def test_traversal_rebuilds_and_visits_every_node_once_in_preorder():
+    def preorder(t):
+        return [t] + [n for k in children(t) for n in preorder(k)]
+
+    rng = random.Random(20260814)
+    for _ in range(300):
+        a = rand_term(rng, 4, ["X", "Y", "Z"])
+        assert with_children(a, children(a)) == a
+        assert [id(n) for n in subterms(a)] == [id(n) for n in preorder(a)]
 
 
 def test_unify_random_pairs_produce_unifiers():
