@@ -214,14 +214,17 @@ def _fill_blanks(cat: Category) -> Category:
     return fill(cat)
 
 
-def format_cat(cat: Category, with_sems: bool = True) -> str:
+def format_cat(cat: Category, with_sems: bool = True,
+               renamer: Optional[Renamer] = None) -> str:
+    """Printed form; a renamer shared across the atomic terms prints
+    canonical variable names, as format_cat(canonical_cat(cat)) would."""
     if isinstance(cat, Atomic):
         if with_sems:
-            return f"{cat.sort}:{format_term(cat.sem)}"
+            return f"{cat.sort}:{format_term(cat.sem, renamer)}"
         return cat.sort
 
     def wrap(c: Category) -> str:
-        inner = format_cat(c, with_sems)
+        inner = format_cat(c, with_sems, renamer)
         return f"({inner})" if isinstance(c, Slash) else inner
 
     return f"{wrap(cat.result)}{cat.dir}{wrap(cat.arg)}"
@@ -229,4 +232,4 @@ def format_cat(cat: Category, with_sems: bool = True) -> str:
 
 def cat_key(cat: Category) -> str:
     """Canonical printed form, usable as a variant-equivalence key."""
-    return format_cat(canonical_cat(cat))
+    return format_cat(cat, renamer=Renamer())

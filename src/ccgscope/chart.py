@@ -173,7 +173,7 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
                 covered[p] = True
     for i, ok in enumerate(covered):
         if not ok:
-            raise UnknownTokenError(f"unknown token {tokens[i]!r} at position {i}")
+            raise lexicon.unknown_token(tokens, i)
 
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):

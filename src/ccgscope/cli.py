@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Callable, List, Optional
 
 from .baseline import BaselineError, compare, nesting_order, parse_skeleton
-from .categories import CatError, canonical_cat, cat_key, format_cat, parse_cat
+from .categories import CatError, cat_key, format_cat, parse_cat
 from .chart import ResourceError, count_derivations, derivations, parse, pretty
 from .lexicon import LexiconError, UnknownTokenError, default_lexicon, load_lexicon
 from .readings import NoParseError, StructuralError, readings, scope_profile
@@ -74,7 +74,7 @@ def _load_lexicon(path: Optional[str]):
 
 
 def _shape(cat) -> str:
-    return format_cat(canonical_cat(cat), with_sems=False)
+    return format_cat(cat, with_sems=False)
 
 
 # --- commands ---------------------------------------------------------------
@@ -192,10 +192,12 @@ def _cmd_compare(args, lex, out) -> int:
 
 
 def _cmd_corpus(args, lex, out) -> int:
+    entries = read_data("corpus.txt", args.path, _corpus_entry)
+    if not entries:
+        raise DataFileError(f"{args.path or 'corpus.txt'}: no corpus entries")
     failures = 0
     rows = []
-    for expect, sent, shape_text, shape in read_data("corpus.txt", args.path,
-                                                     _corpus_entry):
+    for expect, sent, shape_text, shape in entries:
         if shape is not None:
             chart = parse(tokenize(sent), lex)
             hits = [it for it in chart.full_span() if _shape(it.cat) == shape]

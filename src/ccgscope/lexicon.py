@@ -145,8 +145,17 @@ class Lexicon:
                 fresh = standardize_apart(entry.cat, self._fresh)
                 matches.append((LexEntry(entry.lexeme, fresh, entry.tag), k))
         if not matches:
-            raise UnknownTokenError(f"unknown token {tokens[i]!r} at position {i}")
+            raise self.unknown_token(tokens, i)
         return matches
+
+    def unknown_token(self, tokens: Tuple[str, ...], i: int) -> UnknownTokenError:
+        """The error for tokens[i] when no entry matches there.  A word with
+        an entry of its own always matches, so any lexeme containing the
+        word is multi-word; the message names them."""
+        word = tokens[i]
+        inside = dict.fromkeys(" ".join(e.lexeme) for e in self.entries if word in e.lexeme)
+        hint = f" (only in {', '.join(map(repr, inside))})" if inside else ""
+        return UnknownTokenError(f"unknown token {word!r} at position {i}{hint}")
 
 
 def load_lexicon(text: str) -> Lexicon:

@@ -2,7 +2,9 @@
 
 Terms are immutable trees: variables, atoms, compounds, single-parameter
 lambdas (written ``X^body``), and the clause-reifying wrapper ``up(body)``.
-Substitutions are plain dicts from Var to Term and are kept idempotent.
+Substitutions are plain dicts from Var to Term in triangular form: unify
+adds one binding at a time and never rewrites earlier values, so a value
+may mention variables bound later; apply follows the chain.
 """
 
 from __future__ import annotations
@@ -118,11 +120,20 @@ def subterms(t: Term) -> Iterator[Term]:
         stack.extend(reversed(children(node)))
 
 
+def walk(s: Subst, t: Term) -> Term:
+    """t with variable bindings in s followed until an unbound variable or a
+    non-variable; subterms are left as they are."""
+    while isinstance(t, Var) and t in s:
+        t = s[t]
+    return t
+
+
 def apply(s: Subst, t: Term, _active: frozenset = frozenset()) -> Term:
     """Apply substitution s to t, chasing bindings to a fixpoint.
 
-    Unifiers produced here are idempotent, but apply also accepts any
-    acyclic dict (a cyclic one raises TermError rather than looping).
+    Unifiers produced here are triangular (a binding's value may mention
+    variables bound later), and apply also accepts any other acyclic dict;
+    a cyclic one raises TermError rather than looping.
     """
     if isinstance(t, Var):
         if t in s:
@@ -135,19 +146,25 @@ def apply(s: Subst, t: Term, _active: frozenset = frozenset()) -> Term:
     return with_children(t, [apply(s, k, _active) for k in children(t)])
 
 
-def occurs(v: Var, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t == v
-    return any(occurs(v, k) for k in children(t))
+def occurs(v: Var, t: Term, s: Subst) -> bool:
+    """Does v occur in t once the bindings in s are followed?"""
+    stack = [t]
+    while stack:
+        t = walk(s, stack.pop())
+        if isinstance(t, Var):
+            if t == v:
+                return True
+        else:
+            stack.extend(children(t))
+    return False
 
 
 def _bind(s: Subst, v: Var, t: Term) -> Optional[Subst]:
-    if isinstance(t, Var) and t == v:
-        return s
-    if occurs(v, t):
+    # v is unbound in s; earlier bindings keep their values, so a binding
+    # made here may leave v inside them for apply to chase.
+    if occurs(v, t, s):
         return None
-    one = {v: t}
-    out = {w: apply(one, u) for w, u in s.items()}
+    out = dict(s)
     out[v] = t
     return out
 
@@ -155,12 +172,14 @@ def _bind(s: Subst, v: Var, t: Term) -> Optional[Subst]:
 def unify(a: Term, b: Term, s: Optional[Subst] = None) -> Optional[Subst]:
     """Most general unifier extending s, or None.  Occurs check is on.
 
-    Variable-variable ties bind the variable with the smaller id.
+    s must be acyclic, as every unifier returned here is.  The result is
+    triangular: read it through apply.  Variable-variable ties bind the
+    variable with the smaller id.
     """
     if s is None:
         s = {}
-    a = apply(s, a)
-    b = apply(s, b)
+    a = walk(s, a)
+    b = walk(s, b)
     if isinstance(a, Var) and isinstance(b, Var):
         if a == b:
             return s
@@ -195,6 +214,9 @@ class Renamer:
 
     Free variables get consistent fresh names in first-occurrence order;
     lambda parameters are renamed at their binding site with shadowing.
+    name and bind are the two steps; rename and format_term both walk a
+    term through them, so a renamed term prints as format_term prints the
+    original with the same renamer.
     """
 
     def __init__(self, prefix: str = "v"):
@@ -206,21 +228,28 @@ class Renamer:
         self.count += 1
         return f"{self.prefix}{self.count}"
 
+    def name(self, v: Var, env: Optional[dict]) -> str:
+        """Canonical name of an occurrence of v under the lambda bindings env."""
+        if env and v.id in env:
+            return env[v.id]
+        if v.id not in self.free:
+            self.free[v.id] = self._next()
+        return self.free[v.id]
+
+    def bind(self, param: Var, env: Optional[dict]) -> tuple:
+        """(fresh name for a lambda parameter, env extended for its body)."""
+        name = self._next()
+        inner = dict(env) if env else {}
+        inner[param.id] = name
+        return name, inner
+
     def rename(self, t: Term, env: Optional[dict] = None) -> Term:
-        if env is None:
-            env = {}
         if isinstance(t, Var):
-            if t.id in env:
-                return Var(env[t.id])
-            if t.id not in self.free:
-                self.free[t.id] = self._next()
-            return Var(self.free[t.id])
+            return Var(self.name(t, env))
         if isinstance(t, Atom):
             return t
         if isinstance(t, Lam):
-            name = self._next()
-            inner = dict(env)
-            inner[t.param.id] = name
+            name, inner = self.bind(t.param, env)
             return Lam(Var(name), self.rename(t.body, inner))
         return with_children(t, [self.rename(k, env) for k in children(t)])
 
@@ -370,15 +399,21 @@ def parse_term(text: str) -> Term:
     return t
 
 
-def format_term(t: Term) -> str:
+def format_term(t: Term, renamer: Optional[Renamer] = None,
+                env: Optional[dict] = None) -> str:
+    """Printed form of t; with a renamer, variables print under their
+    canonical names, as format_term(renamer.rename(t)) would, in one pass."""
     if isinstance(t, Var):
-        return t.id
+        return t.id if renamer is None else renamer.name(t, env)
     if isinstance(t, Atom):
         return t.name
     if isinstance(t, Compound):
-        return f"{t.functor}({', '.join(format_term(a) for a in t.args)})"
+        return f"{t.functor}({', '.join(format_term(a, renamer, env) for a in t.args)})"
     if isinstance(t, Lam):
-        return f"{t.param.id}^{format_term(t.body)}"
+        if renamer is None:
+            return f"{t.param.id}^{format_term(t.body)}"
+        name, inner = renamer.bind(t.param, env)
+        return f"{name}^{format_term(t.body, renamer, inner)}"
     if isinstance(t, Up):
-        return f"up({format_term(t.body)})"
+        return f"up({format_term(t.body, renamer, env)})"
     raise TermError(f"not a term: {t!r}")

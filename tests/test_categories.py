@@ -18,6 +18,9 @@ from ccgscope.categories import (
     subst_cat,
     unify_cat,
 )
+from ccgscope.chart import parse
+from ccgscope.cli import tokenize
+from ccgscope.lexicon import default_lexicon
 from ccgscope.terms import Var, parse_term
 
 
@@ -106,3 +109,19 @@ def test_cat_key_variant_equivalence():
 def test_canonical_cat_shares_renamer_across_atoms():
     cat = parse_cat("(s:saw(X, Y)\\np:X)/np:Y")
     assert format_cat(canonical_cat(cat)) == "(s:saw(v1, v2)\\np:v1)/np:v2"
+
+
+def test_cat_key_equals_printed_canonical_copy():
+    # cat_key prints canonical names in one pass; the two-step form it
+    # replaces is the reference.
+    lex = default_lexicon()
+    cats = [e.cat for e in lex.entries]
+    chart = parse(tokenize("every girl admired, but most boys detested,"
+                           " one of the saxophonists"), lex)
+    cats += [it.cat for it in chart.items.values()]
+    assert len(cats) > 600
+    counter = itertools.count(1)
+    for cat in cats:
+        key = cat_key(cat)
+        assert key == format_cat(canonical_cat(cat))
+        assert cat_key(standardize_apart(cat, counter)) == key

@@ -14,6 +14,7 @@ from ccgscope.chart import (
     pretty,
     replay,
 )
+from ccgscope.cli import _corpus_entry, read_data, tokenize
 from ccgscope.lexicon import UnknownTokenError, default_lexicon
 
 
@@ -174,3 +175,40 @@ def test_pretty_single_leaf(lex):
     chart = parse(["john"], lex)
     tree = next(derivations(chart, chart.full_span()[0]))
     assert pretty(chart, tree) == "john  ::  np:num(john, sg)  [lex]"
+
+
+# Engine facts, pinned on purpose: the size of the packed chart for every
+# bundled corpus entry, as (items, full-span items, backpointers, derivations
+# of the full-span items).  These are not reading counts, which
+# test_acceptance argues from the paper's account; they record how this
+# engine builds its chart, so a change to closure, cell keys or the lexicon
+# that alters the chart shows up here as a visible diff.
+CORPUS_CHART_COUNTS = {
+    "three frenchmen visited five russians": (122, 5, 130, 15),
+    "two representatives of three companies saw most samples": (253, 11, 304, 114),
+    "every dealer shows most customers three cars": (214, 12, 249, 83),
+    "most boys think that every man danced with two women": (232, 16, 287, 207),
+    "john thinks that every man danced with two women": (156, 7, 182, 49),
+    "most boys think that bill danced with two women": (128, 4, 131, 9),
+    "every girl admired, but most boys detested, one of the saxophonists":
+        (233, 8, 245, 20),
+    "most boys think that every man danced with, but doubt that a few boys"
+    " talked to, more than two women": (412, 20, 470, 756),
+    "some student will investigate two dialects of, and collect all interesting"
+    " examples of coordination in, every language": (330, 5, 375, 88),
+    "every dealer shows most customers at most three cars but most mechanics"
+    " every car": (468, 18, 512, 27),
+    "of three companies touched": (61, 0, 62, 0),
+}
+
+
+def test_corpus_chart_counts_are_pinned(lex):
+    got = {}
+    for _, sentence, _, _ in read_data("corpus.txt", None, _corpus_entry):
+        chart = parse(tokenize(sentence), lex)
+        counts = count_derivations(chart)
+        full = chart.full_span()
+        got[sentence] = (len(chart.items), len(full),
+                         sum(len(it.backs) for it in chart.items.values()),
+                         sum(counts[it.id] for it in full))
+    assert got == CORPUS_CHART_COUNTS

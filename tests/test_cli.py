@@ -71,6 +71,14 @@ def test_unknown_token_exits_two(capsys):
     assert "colorless" in err
 
 
+def test_unknown_token_names_multiword_lexemes(capsys):
+    code, _, err = run(capsys, "readings", "every girl danced")
+    assert code == 2
+    assert err == "error: unknown token 'danced' at position 2 (only in 'danced with')\n"
+    code, _, err = run(capsys, "readings", "colorless girl")
+    assert err == "error: unknown token 'colorless' at position 0\n"
+
+
 def test_missing_lexicon_exits_two(capsys):
     code, _, err = run(capsys, "--lexicon", "/no/such/file", "parse", "john")
     assert code == 2
@@ -99,6 +107,8 @@ FRENCHMEN = "three frenchmen visited five russians"
     # Unification binds a lambda parameter to a constant.
     (["--lexicon", "{}", "readings", "x john"],
      "john :: np:john\nx :: s:p(X^f(X))/np:X\n", None),
+    # A corpus file with no entries.
+    (["corpus", "{}"], "# comments only\n\n", None),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, line):
     path = tmp_path / "input"

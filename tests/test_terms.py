@@ -161,6 +161,108 @@ def test_unify_random_pairs_produce_unifiers():
     assert hits > 100
 
 
+def eager_occurs(v, term):
+    if isinstance(term, Var):
+        return term == v
+    return any(eager_occurs(v, k) for k in children(term))
+
+
+def eager_bind(s, v, term):
+    # Oracle: the idempotent form, which rewrites every earlier binding.
+    if isinstance(term, Var) and term == v:
+        return s
+    if eager_occurs(v, term):
+        return None
+    one = {v: term}
+    out = {w: apply(one, u) for w, u in s.items()}
+    out[v] = term
+    return out
+
+
+def eager_unify(a, b, s=None):
+    # Oracle: applies the whole substitution at every step.
+    if s is None:
+        s = {}
+    a = apply(s, a)
+    b = apply(s, b)
+    if isinstance(a, Var) and isinstance(b, Var):
+        if a == b:
+            return s
+        lo, hi = (a, b) if a.id < b.id else (b, a)
+        return eager_bind(s, lo, hi)
+    if isinstance(a, Var):
+        return eager_bind(s, a, b)
+    if isinstance(b, Var):
+        return eager_bind(s, b, a)
+    if isinstance(a, Atom) and isinstance(b, Atom):
+        return s if a.name == b.name else None
+    if isinstance(a, Compound) and isinstance(b, Compound):
+        if a.functor != b.functor or len(a.args) != len(b.args):
+            return None
+        for x, y in zip(a.args, b.args):
+            s = eager_unify(x, y, s)
+            if s is None:
+                return None
+        return s
+    if isinstance(a, Lam) and isinstance(b, Lam):
+        s = eager_unify(a.param, b.param, s)
+        if s is None:
+            return None
+        return eager_unify(a.body, b.body, s)
+    if isinstance(a, Up) and isinstance(b, Up):
+        return eager_unify(a.body, b.body, s)
+    return None
+
+
+def applied(s, term):
+    # Both forms choose the same variables, so the applied terms are equal
+    # as they stand, not only up to renaming.
+    try:
+        return apply(s, term)
+    except TermError:
+        return "lambda parameter bound to a non-variable"
+
+
+def test_triangular_unify_agrees_with_eager_oracle():
+    rng = random.Random(20261018)
+    pool = ["X", "Y", "Z", "W"]
+    compared = 0
+    for _ in range(2000):
+        a = rand_term(rng, 4, pool)
+        b = rand_term(rng, 4, pool)
+        prior = {}
+        if rng.random() < 0.5:
+            prior = unify(Var(rng.choice(pool)), rand_term(rng, 2, ["Y", "W"]))
+            if prior is None:
+                continue
+        try:
+            want = eager_unify(a, b, dict(prior))
+        except TermError:
+            # The eager oracle applies its substitution to the inputs at
+            # every step, which fails once a lambda parameter is bound to
+            # a non-variable; the triangular form meets that only in apply.
+            continue
+        got = unify(a, b, prior)
+        assert (got is None) == (want is None), (a, b, prior)
+        if got is None:
+            continue
+        compared += 1
+        for term in (a, b):
+            assert applied(got, term) == applied(want, term)
+        # Earlier bindings keep their values: only new keys are added.
+        assert all(got[v] == prior[v] for v in prior)
+    assert compared > 200
+
+
+def test_unify_leaves_its_input_substitution_alone():
+    s = {Var("X"): Var("Y")}
+    assert unify(t("f(X, Y)"), t("f(a, b)"), s) is None
+    got = unify(t("f(X, Z)"), t("f(a, g(X))"), s)
+    assert s == {Var("X"): Var("Y")}
+    assert got == {Var("X"): Var("Y"), Var("Y"): Atom("a"), Var("Z"): t("g(X)")}
+    assert apply(got, t("f(X, Z)")) == t("f(a, g(a))")
+
+
 # --- canonical forms --------------------------------------------------------
 
 
