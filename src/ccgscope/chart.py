@@ -5,7 +5,11 @@ can compose into a ditransitive verb; backward composition is degree 1.
 Unconsumed argument slots ride through composition only under
 `passes_through`.  Raising is entirely lexical, so no unary rules appear
 here.  Cells deduplicate by canonicalized category, merging backpointers
-into a packed forest.
+into a packed forest.  Every category's semantics passes through
+eta_reduce_sets first, so cells deduplicate modulo the associativity of
+and/2: the bracketings of a coordination share one item, and an
+n-conjunct cluster keeps its scopings instead of Catalan-many copies.
+Charts larger than MAX_ITEMS items are refused with ResourceError.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ from .lexicon import Lexicon, UnknownTokenError
 from .terms import eta_reduce_sets
 
 MAX_TOKENS = 32
+# Work budget: a chart that would grow past this many items is refused
+# rather than closed.  Ten times the largest chart the bundled corpus, the
+# tests and the benchmark build (a depth-4 PP chain, 1940 items).
+MAX_ITEMS = 20_000
 
 
 class ChartError(Exception):
@@ -155,6 +163,9 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
         key = cat_key(cat)
         item = cell.get(key)
         if item is None:
+            if len(chart.items) >= MAX_ITEMS:
+                raise ResourceError(
+                    f"chart exceeds the {MAX_ITEMS}-item work budget")
             item = Item(len(chart.items) + 1, span, cat, [back])
             chart.items[item.id] = item
             cell[key] = item

@@ -51,6 +51,7 @@ from .terms import (
     children,
     format_term,
     free_vars,
+    is_and,
     is_quant,
     is_set_form,
     subterms,
@@ -110,10 +111,6 @@ def _chain(t: Term, path: tuple) -> List[Tuple[Term, object]]:
         out.append((node, step))
         node = _node_at(node, (step,))
     return out
-
-
-def _is_and(node: Term) -> bool:
-    return isinstance(node, Compound) and node.functor == "and" and len(node.args) == 2
 
 
 def _binds(node: Term, step) -> Optional[Var]:
@@ -177,7 +174,7 @@ def _dependent_site(t, chain, path, free: set) -> tuple:
             break
     assert binder_idx is not None
     below = chain[binder_idx + 1:]
-    if not any(is_quant(n) for n, _ in below) or any(_is_and(n) for n, _ in below):
+    if not any(is_quant(n) for n, _ in below) or any(is_and(n) for n, _ in below):
         return _low_site(chain, path)
     return path[:binder_idx + 1]
 
@@ -356,7 +353,7 @@ def _intensional_violation(t: Term) -> bool:
             continue
         others = any(is_quant(n) and idx != binder_idx
                      for idx, (n, _) in enumerate(chain))
-        coordinated = any(_is_and(n) for n, _ in chain[binder_idx + 1:])
+        coordinated = any(is_and(n) for n, _ in chain[binder_idx + 1:])
         if others or not coordinated:
             return True
     return False

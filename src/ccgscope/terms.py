@@ -10,6 +10,7 @@ may mention variables bound later; apply follows the chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_not
 from typing import Iterator, Optional, Union
 
 
@@ -78,6 +79,11 @@ def is_quant(t: Term) -> bool:
 def is_set_form(t: Term) -> bool:
     """True for set-denoting quantifier terms s-<det>(property)."""
     return isinstance(t, Compound) and t.functor.startswith(SET_PREFIX) and len(t.args) == 1
+
+
+def is_and(t: Term) -> bool:
+    """True for binary conjunctions and(A, B)."""
+    return isinstance(t, Compound) and t.functor == "and" and len(t.args) == 2
 
 
 def children(t: Term) -> tuple:
@@ -286,22 +292,40 @@ def free_vars(t: Term) -> tuple:
 
 
 def eta_reduce_sets(t: Term) -> Term:
-    """Rewrite s-<det>(X^p(X)) to s-<det>(p) everywhere.
+    """Canonical form of a chart semantics, modulo two equivalences.
 
-    The two forms are interchangeable; the reduced one is canonical so that
-    packed chart cells and printed categories agree with the short spelling.
+    s-<det>(X^p(X)) becomes s-<det>(p), and and/2 nests to the left:
+    and(A, and(B, C)) becomes and(and(A, B), C), to a fixpoint.  Both
+    rewrites keep the meaning; the canonical spelling lets a chart cell
+    pack every bracketing of a coordination into one item, and printed
+    categories use the short set form.  Left, because noun-modifier
+    conjunctions are built left-nested, so their forms do not change.
+    Returns t itself when nothing in it is rewritten.
     """
     if isinstance(t, (Var, Atom)):
         return t
-    t = with_children(t, [eta_reduce_sets(k) for k in children(t)])
-    if (
-        is_set_form(t)
-        and isinstance(t.args[0], Lam)
-        and isinstance(t.args[0].body, Compound)
-        and len(t.args[0].body.args) == 1
-        and t.args[0].body.args[0] == t.args[0].param
-    ):
-        return Compound(t.functor, (Atom(t.args[0].body.functor),))
+    kids = children(t)
+    new = [eta_reduce_sets(k) for k in kids]
+    if any(map(is_not, new, kids)):
+        t = with_children(t, new)
+    if not isinstance(t, Compound):
+        return t
+    if is_and(t) and is_and(t.args[1]):
+        # Both arguments are canonical already, so the right one's
+        # conjuncts hang off its left spine and none of them is an and/2.
+        right, tail = t.args[1], []
+        while is_and(right):
+            tail.append(right.args[1])
+            right = right.args[0]
+        t = Compound("and", (t.args[0], right))
+        for conjunct in reversed(tail):
+            t = Compound("and", (t, conjunct))
+        return t
+    if t.functor.startswith(SET_PREFIX) and len(t.args) == 1:
+        lam = t.args[0]
+        if (isinstance(lam, Lam) and isinstance(lam.body, Compound)
+                and lam.body.args == (lam.param,)):
+            return Compound(t.functor, (Atom(lam.body.functor),))
     return t
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from ccgscope import chart as chart_module
 from ccgscope.categories import cat_key, format_cat, canonical_cat, parse_cat
 from ccgscope.chart import (
     ResourceError,
@@ -150,6 +151,16 @@ def test_unknown_token(lex):
 def test_token_limit(lex):
     with pytest.raises(ResourceError):
         parse(["john"] * 33, lex)
+
+
+def test_item_budget(lex, monkeypatch):
+    tokens = "every girl admired one saxophonist".split()
+    size = len(parse(tokens, lex).items)
+    monkeypatch.setattr(chart_module, "MAX_ITEMS", size)
+    assert len(parse(tokens, lex).items) == size
+    monkeypatch.setattr(chart_module, "MAX_ITEMS", size - 1)
+    with pytest.raises(ResourceError, match=f"{size - 1}-item"):
+        parse(tokens, lex)
 
 
 def test_parse_is_deterministic(lex):

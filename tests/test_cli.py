@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ccgscope import chart
 from ccgscope.cli import _data_text, main, tokenize
 from ccgscope.lexicon import default_lexicon
 from ccgscope.readings import readings
@@ -77,6 +78,14 @@ def test_unknown_token_names_multiword_lexemes(capsys):
     assert err == "error: unknown token 'danced' at position 2 (only in 'danced with')\n"
     code, _, err = run(capsys, "readings", "colorless girl")
     assert err == "error: unknown token 'colorless' at position 0\n"
+
+
+def test_item_budget_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(chart, "MAX_ITEMS", 50)
+    code, out, err = run(capsys, "readings", "every girl admired one saxophonist")
+    assert code == 2
+    assert out == ""
+    assert err == "error: chart exceeds the 50-item work budget\n"
 
 
 def test_missing_lexicon_exits_two(capsys):

@@ -15,6 +15,8 @@ from ccgscope.terms import (
     eta_reduce_sets,
     format_term,
     free_vars,
+    is_and,
+    is_set_form,
     parse_term,
     subterms,
     unify,
@@ -110,7 +112,7 @@ def test_unify_through_lambda_and_up():
     assert unify(t("up(a)"), Atom("a")) is None
 
 
-def rand_term(rng, depth, vars_pool):
+def rand_term(rng, depth, vars_pool, functors="fgh"):
     kind = rng.randrange(6 if depth > 0 else 2)
     if kind == 0:
         return Var(rng.choice(vars_pool))
@@ -119,12 +121,12 @@ def rand_term(rng, depth, vars_pool):
     if kind in (2, 3):
         n = rng.randrange(1, 4)
         return Compound(
-            rng.choice("fgh"),
-            tuple(rand_term(rng, depth - 1, vars_pool) for _ in range(n)),
+            rng.choice(functors),
+            tuple(rand_term(rng, depth - 1, vars_pool, functors) for _ in range(n)),
         )
     if kind == 4:
-        return Up(rand_term(rng, depth - 1, vars_pool))
-    return Lam(Var(rng.choice(vars_pool)), rand_term(rng, depth - 1, vars_pool))
+        return Up(rand_term(rng, depth - 1, vars_pool, functors))
+    return Lam(Var(rng.choice(vars_pool)), rand_term(rng, depth - 1, vars_pool, functors))
 
 
 def test_traversal_rebuilds_and_visits_every_node_once_in_preorder():
@@ -317,6 +319,96 @@ def test_eta_reduce_sets():
     assert eta_reduce_sets(kept) == kept
     nested = t("f(s-all(W^example(W)), b)")
     assert eta_reduce_sets(nested) == t("f(s-all(example), b)")
+
+
+def test_eta_reduce_sets_left_nests_and():
+    assert eta_reduce_sets(t("and(a, and(b, and(c, d)))")) \
+        == t("and(and(and(a, b), c), d)")
+    assert eta_reduce_sets(t("and(and(a, b), and(and(c, d), e))")) \
+        == t("and(and(and(and(a, b), c), d), e)")
+    assert eta_reduce_sets(t("f(X^and(p(X), and(q(X), s-a(Y^r(Y)))))")) \
+        == t("f(X^and(and(p(X), q(X)), s-a(r)))")
+    for kept in ["and(a, and(b, c, d))", "and(a, b, and(c, d))",
+                 "or(a, or(b, c))", "and(and(a, b), c)", "and(a, X)"]:
+        assert eta_reduce_sets(t(kept)) == t(kept)
+
+
+def test_eta_reduce_sets_returns_its_input_when_nothing_rewrites():
+    for text in ["q-every(X, man(X), and(and(p(X), up(q(X))), Y^r(Y)))",
+                 "s-two(Y^and(dialect(Y), of(Y, Z)))", "and(a, and(b, c, d))"]:
+        term = t(text)
+        assert eta_reduce_sets(term) is term
+
+
+def eta_reduce_sets_oracle(term):
+    # The set-form rule alone, rebuilding every node: the pass as it was
+    # before and/2 was left-nested.
+    if isinstance(term, (Var, Atom)):
+        return term
+    term = with_children(term, [eta_reduce_sets_oracle(k) for k in children(term)])
+    if (
+        is_set_form(term)
+        and isinstance(term.args[0], Lam)
+        and isinstance(term.args[0].body, Compound)
+        and len(term.args[0].body.args) == 1
+        and term.args[0].body.args[0] == term.args[0].param
+    ):
+        return Compound(term.functor, (Atom(term.args[0].body.functor),))
+    return term
+
+
+def flat_and(term):
+    # Normal form modulo associativity: every and/2 chain as one n-ary node.
+    if is_and(term):
+        parts = []
+        for side in term.args:
+            side = flat_and(side)
+            nary = isinstance(side, Compound) and side.functor == "AND"
+            parts.extend(side.args if nary else [side])
+        return Compound("AND", tuple(parts))
+    return with_children(term, [flat_and(k) for k in children(term)])
+
+
+def rand_lf(rng, depth):
+    # Random terms dense in and/2 chains and eta-reducible set forms.
+    kind = rng.randrange(6 if depth > 0 else 2)
+    if kind == 0:
+        return Var(rng.choice("XY"))
+    if kind == 1:
+        return Atom(rng.choice("abc"))
+    if kind == 2:
+        return Compound("and", (rand_lf(rng, depth - 1), rand_lf(rng, depth - 1)))
+    if kind == 3:
+        v = Var(rng.choice("XY"))
+        return Compound("s-a", (Lam(v, Compound(rng.choice("pq"), (v,))),))
+    if kind == 4:
+        return Compound(rng.choice(["f", "and"]),
+                        tuple(rand_lf(rng, depth - 1) for _ in range(rng.choice([1, 3]))))
+    body = rand_lf(rng, depth - 1)
+    return Up(body) if rng.random() < 0.5 else Lam(Var(rng.choice("XY")), body)
+
+
+def test_eta_reduce_sets_is_canonical_modulo_associativity():
+    rng = random.Random(20261018)
+    fired = {"and": 0, "set": 0, "no and": 0}
+    for _ in range(3000):
+        term = rand_lf(rng, 5)
+        got = eta_reduce_sets(term)
+        assert not any(is_and(n) and is_and(n.args[1]) for n in subterms(got))
+        assert eta_reduce_sets(got) is got
+        old = eta_reduce_sets_oracle(term)
+        assert flat_and(got) == flat_and(old)
+        if not any(is_and(n) for n in subterms(term)):
+            assert got == old
+            fired["no and"] += 1
+        if got == term:
+            assert got is term
+        fired["and"] += got != old
+        fired["set"] += old != term
+    assert min(fired.values()) > 100
+    for _ in range(1000):
+        term = rand_term(rng, 5, ["X", "Y"], ("f", "s-a", "g"))
+        assert eta_reduce_sets(term) == eta_reduce_sets_oracle(term)
 
 
 # --- syntax -----------------------------------------------------------------
