@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 from .chart import ResourceError
 from .lexicon import Lexicon, default_lexicon
-from .readings import Reading, readings, scope_profile
+from .readings import Reading, occurrences, readings, scope_profile
 from .terms import (
     QUANT_PREFIX,
     Atom,
@@ -148,20 +148,46 @@ class CompareReport:
     gap: Tuple[Term, ...]   # UVC-surviving forms no derived reading realizes
 
 
+def _labels(t: Term) -> frozenset:
+    return frozenset(o.label for o in occurrences(t))
+
+
+def _shown(labels: frozenset) -> str:
+    return "{" + ", ".join(sorted(labels)) + "}"
+
+
+def _check_labels(form: Term, derived: List[Reading]) -> None:
+    """Raise BaselineError when the skeleton's quantifiers are not the
+    sentence's: scope profiles name quantifiers by label, so a mismatch
+    would leave every order unrealized."""
+    want = _labels(form)
+    for r in derived:
+        got = _labels(r.term)
+        if got != want:
+            raise BaselineError(
+                f"skeleton quantifiers {_shown(want)} do not match "
+                f"the sentence's {_shown(got)}")
+
+
 def compare(tokens, sk: Term, lexicon: Optional[Lexicon] = None) -> CompareReport:
     """Baseline orders vs derived readings, matched on scope profiles.
 
     A derived reading realizes a baseline form when every scope pair the
     reading asserts also holds in the form; forms realized by no reading
     are the report's gap.  (A reading with residual set forms asserts
-    fewer pairs and may realize several forms.)
+    fewer pairs and may realize several forms.)  Each surviving form and
+    each reading gets its profile computed once, so matching costs one
+    profile per form, not one per (form, reading) pair.  A skeleton whose
+    quantifier labels differ from a reading's does not fit the sentence
+    and raises BaselineError.
     """
     forms = enumerate_orderings(sk)
     survivors = uvc_filter(forms)
     derived = readings(tokens, lexicon or default_lexicon())
+    _check_labels(forms[0], derived)
     profiles = [scope_profile(r.term) for r in derived]
-    gap = [f for f in survivors
-           if not any(p <= scope_profile(f) for p in profiles)]
+    gap = [f for f, fp in zip(survivors, map(scope_profile, survivors))
+           if not any(p <= fp for p in profiles)]
     return CompareReport(tuple(tokens), tuple(forms), tuple(survivors),
                          tuple(derived), tuple(gap))
 

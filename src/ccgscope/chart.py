@@ -235,6 +235,23 @@ def derivations(chart: Chart, item: Item) -> Iterator[tuple]:
                     yield (label, lt, rt, item)
 
 
+def _replay_step(label: str, left: Category, right: Category, item: Item,
+                 counter) -> Category:
+    """Recombine two child categories by label; ChartError unless the result
+    has item's stored key."""
+    lcat = standardize_apart(left, counter)
+    rcat = standardize_apart(right, counter)
+    out = _RULE_FNS[label](lcat, rcat)
+    if out is None:
+        raise ChartError(f"rule {label} failed to replay at {item.span}")
+    out = map_sems(out, eta_reduce_sets)
+    if cat_key(out) != cat_key(item.cat):
+        raise ChartError(
+            f"replayed category differs at {item.span}: "
+            f"{cat_key(out)} vs {cat_key(item.cat)}")
+    return out
+
+
 def replay(tree) -> Category:
     """Recompute a derivation bottom-up, checking each stored category.
 
@@ -247,19 +264,30 @@ def replay(tree) -> Category:
         if t[0] == "lex":
             return t[2].cat
         label, lt, rt, item = t
-        lcat = standardize_apart(go(lt), counter)
-        rcat = standardize_apart(go(rt), counter)
-        out = _RULE_FNS[label](lcat, rcat)
-        if out is None:
-            raise ChartError(f"rule {label} failed to replay at {item.span}")
-        out = map_sems(out, eta_reduce_sets)
-        if cat_key(out) != cat_key(item.cat):
-            raise ChartError(
-                f"replayed category differs at {item.span}: "
-                f"{cat_key(out)} vs {cat_key(item.cat)}")
-        return out
+        return _replay_step(label, go(lt), go(rt), item, counter)
 
     return go(tree)
+
+
+def check_backpointers(chart: Chart) -> None:
+    """Replay every rule backpointer of every item once, from the stored
+    categories of its children.  Raises ChartError on any mismatch.
+
+    This checks every derivation tree of the chart, and more.  At each
+    node, replay(tree) applies the rule to the categories replayed for the
+    children; each of those has its stored child's cat_key, so it is that
+    category up to renaming of variables, and rules and cat_key do not see
+    renaming.  So each node's check in replay is one backpointer's check
+    here, and a tree replays exactly when all its backpointers pass.
+    Items outside the full span are checked too.
+    """
+    counter = itertools.count(1)
+    for item in chart.items.values():
+        for back in item.backs:
+            if back[0] != "lex":
+                label, li, ri = back
+                _replay_step(label, chart.items[li].cat, chart.items[ri].cat,
+                             item, counter)
 
 
 def pretty(chart: Chart, tree) -> str:

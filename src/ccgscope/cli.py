@@ -2,8 +2,8 @@
 
 Commands: parse, readings, derive, compare, corpus.  Exit codes: 0 on
 success, 1 when a sentence has no full-span derivation, 2 for usage,
-lexicon, unknown-token or malformed data-file problems, 3 when a corpus
-run has mismatches.
+lexicon, unknown-token, malformed data-file or mismatched skeleton
+problems, 3 when a corpus run has mismatches.
 """
 
 from __future__ import annotations
@@ -71,6 +71,13 @@ def _load_lexicon(path: Optional[str]):
         return default_lexicon()
     with open(path, encoding="utf-8") as f:
         return load_lexicon(f.read())
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
+    return n
 
 
 def _shape(cat) -> str:
@@ -239,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sentence")
     p = sub.add_parser("derive", help="print derivation trees")
     p.add_argument("sentence")
-    p.add_argument("--max-derivations", type=int, default=10, metavar="N")
+    p.add_argument("--max-derivations", type=_positive_int, default=10, metavar="N")
     p = sub.add_parser("compare", help="quantifier-ordering baseline vs readings")
     p.add_argument("sentence")
     p.add_argument("--skeletons", metavar="PATH",

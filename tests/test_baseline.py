@@ -1,5 +1,6 @@
 import pytest
 
+from ccgscope import baseline
 from ccgscope.baseline import (
     BaselineError,
     compare,
@@ -11,13 +12,21 @@ from ccgscope.baseline import (
     uvc_filter,
 )
 from ccgscope.chart import ResourceError
+from ccgscope.cli import _skeleton_table
 from ccgscope.lexicon import default_lexicon
+from ccgscope.readings import scope_profile
 from ccgscope.terms import free_vars, parse_term
 
 SK_COMPLEX_SUBJ = ("saw(q?(two, R, and(rep(R), of(R, q?(three, C, comp(C))))),"
                    " q?(most, S, samp(S)))")
 SK_DITRANS = ("show(q?(every, D, dlr(D)), q?(most, C, cstmr(C)),"
               " q?(three, T, car(T)))")
+PP_CHAIN_3 = ("every man in one woman in all representatives of three samples"
+              " visited two cars",
+              "visited(q?(every, A, and(man(A), in(A, q?(one, B, and(woman(B),"
+              " in(B, q?(all, C, and(rep(C), of(C, q?(three, D, samp(D))))))))))),"
+              " q?(two, E, car(E)))")
+FRENCHMEN = "three frenchmen visited five russians"
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +125,44 @@ def test_ditransitive_realizes_every_order(lex):
     assert len(report.survivors) == 6
     assert len(report.ccg) == 6
     assert report.gap == ()
+
+
+def all_pairs_gap(report):
+    """The gap by its definition, one profile per (form, reading) pair."""
+    return tuple(f for f in report.survivors
+                 if not any(scope_profile(r.term) <= scope_profile(f)
+                            for r in report.ccg))
+
+
+SKELETON_CASES = list(_skeleton_table(None).items()) \
+    + [(PP_CHAIN_3[0], parse_skeleton(PP_CHAIN_3[1]))]
+
+
+@pytest.mark.parametrize("sentence, sk", SKELETON_CASES,
+                         ids=[key for key, _ in SKELETON_CASES])
+def test_gap_equals_all_pairs_definition(lex, sentence, sk):
+    report = compare(sentence.split(), sk, lex)
+    assert report.gap == all_pairs_gap(report)
+
+
+def test_one_profile_per_form_and_reading(lex, monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return scope_profile(t)
+
+    monkeypatch.setattr(baseline, "scope_profile", counted)
+    tokens = "two representatives of three companies saw most samples".split()
+    report = compare(tokens, parse_skeleton(SK_COMPLEX_SUBJ), lex)
+    assert report.gap  # a gap form is tried against every reading
+    assert len(calls) == len(report.survivors) + len(report.ccg)
+
+
+def test_skeleton_of_another_sentence_rejected(lex):
+    sk = parse_skeleton("visited(q?(every, F, frenchman(F)), q?(two, R, russian(R)))")
+    with pytest.raises(BaselineError, match=r"\{every, two\}.*\{five, three\}"):
+        compare(FRENCHMEN.split(), sk, lex)
 
 
 # --- factorial oracle -----------------------------------------------------------

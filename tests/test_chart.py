@@ -3,9 +3,11 @@ import pytest
 from ccgscope import chart as chart_module
 from ccgscope.categories import cat_key, format_cat, canonical_cat, parse_cat
 from ccgscope.chart import (
+    ChartError,
     ResourceError,
     bwd_apply,
     bwd_compose,
+    check_backpointers,
     count_derivations,
     derivations,
     fwd_apply,
@@ -180,6 +182,22 @@ def test_counts_match_enumeration_and_replay(lex):
         assert len(trees) == counts[item.id] > 0
         for tree in trees:
             replay(tree)
+
+
+def test_backpointer_check_passes_on_every_corpus_chart(lex):
+    for _, sent, _, _ in read_data("corpus.txt", None, _corpus_entry):
+        check_backpointers(parse(tokenize(sent), lex))
+
+
+def test_backpointer_rewired_to_wrong_child_fails_check(lex):
+    chart = parse("three frenchmen visited five russians".split(), lex)
+    item = chart.full_span()[0]
+    label, li, ri = item.backs[0]
+    # Put another item of the left child's span in the left child's place.
+    (wrong, *_) = [it for it in chart.cell(*chart.items[li].span) if it.id != li]
+    item.backs[0] = (label, wrong.id, ri)
+    with pytest.raises(ChartError):
+        check_backpointers(chart)
 
 
 def test_pretty_single_leaf(lex):

@@ -118,6 +118,9 @@ FRENCHMEN = "three frenchmen visited five russians"
      "john :: np:john\nx :: s:p(X^f(X))/np:X\n", None),
     # A corpus file with no entries.
     (["corpus", "{}"], "# comments only\n\n", None),
+    # A skeleton whose quantifiers are not the sentence's.
+    (["compare", "--skeletons", "{}", FRENCHMEN],
+     f"{FRENCHMEN}\tvisited(q?(every, F, frenchman(F)), q?(two, R, russian(R)))\n", None),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, line):
     path = tmp_path / "input"
@@ -144,6 +147,15 @@ def test_derive_respects_display_cap(capsys):
     assert code == 0
     assert out.count("[lex]") == 5
     assert "capped at 1" in out
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_derive_cap_below_one_is_a_usage_error(capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["derive", FRENCHMEN, "--max-derivations", cap])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-derivations" in err and "Traceback" not in err
 
 
 # --- compare ------------------------------------------------------------------------
