@@ -112,9 +112,10 @@ def enumerate_orderings(sk: Term) -> List[Term]:
     def q(leaf: Leaf, restriction: Term, body: Term) -> Term:
         return Compound(QUANT_PREFIX + leaf.det, (leaf.var, restriction, body))
 
+    erased = {leaf.var: _erase(leaf.restriction) for leaf in leaves}
     forms = []
     for order in permutations(leaves):
-        restr = {leaf.var: _erase(leaf.restriction) for leaf in order}
+        restr = dict(erased)  # the folding below rewrites host entries
         pending = list(order)
         for i in range(len(pending) - 1, 0, -1):
             leaf = pending[i]

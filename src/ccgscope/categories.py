@@ -11,13 +11,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 from .terms import (
+    Atom,
     Renamer,
     Subst,
     Term,
     TermError,
     Var,
     _Cursor,
-    apply,
+    apply_reduced,
     children,
     format_term,
     parse_term_at,
@@ -71,7 +72,26 @@ def map_sems(cat: Category, fn: Callable[[Term], Term]) -> Category:
 
 
 def subst_cat(s: Subst, cat: Category) -> Category:
-    return map_sems(cat, lambda t: apply(s, t))
+    """cat under the unifier s, every semantics in canonical chart form
+    (apply_reduced): the one place a rule result is canonicalized.  cat
+    itself, and each subcategory that does not change, is returned as is."""
+    if isinstance(cat, Atomic):
+        sem = apply_reduced(s, cat.sem)
+        return cat if sem is cat.sem else Atomic(cat.sort, sem)
+    result = subst_cat(s, cat.result)
+    arg = subst_cat(s, cat.arg)
+    if result is cat.result and arg is cat.arg:
+        return cat
+    return Slash(cat.dir, result, arg)
+
+
+def cat_shape(cat: Category) -> Union[str, tuple]:
+    """Sort and slash skeleton without terms: the sort of an atomic, and
+    (dir, result shape, arg shape) for a slash.  unify_cat fails on any
+    two categories whose shapes differ."""
+    if isinstance(cat, Atomic):
+        return cat.sort
+    return (cat.dir, cat_shape(cat.result), cat_shape(cat.arg))
 
 
 def unify_cat(a: Category, b: Category, s: Optional[Subst] = None) -> Optional[Subst]:
@@ -100,20 +120,23 @@ def cat_vars(cat: Category) -> tuple:
         n for at in atomics(cat) for n in subterms(at.sem) if isinstance(n, Var)))
 
 
-def rename_vars(cat: Category, mapping: dict) -> Category:
+def standardize_apart(cat: Category, counter) -> Category:
+    """Rename every variable to a fresh one drawn from counter (an iterator
+    of ints), keeping the original name as a readable stem.  One pass:
+    variables draw their numbers on first occurrence, in cat_vars order."""
+    fresh: dict = {}
+
     def ren(t: Term) -> Term:
         if isinstance(t, Var):
-            return mapping.get(t, t)
+            v = fresh.get(t)
+            if v is None:
+                v = fresh[t] = Var(f"{t.id}_{next(counter)}")
+            return v
+        if isinstance(t, Atom):
+            return t
         return with_children(t, [ren(k) for k in children(t)])
 
     return map_sems(cat, ren)
-
-
-def standardize_apart(cat: Category, counter) -> Category:
-    """Rename every variable to a fresh one drawn from counter (an iterator
-    of ints), keeping the original name as a readable stem."""
-    mapping = {v: Var(f"{v.id}_{next(counter)}") for v in cat_vars(cat)}
-    return rename_vars(cat, mapping)
 
 
 def result_atomic(cat: Category) -> Atomic:

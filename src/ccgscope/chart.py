@@ -5,24 +5,33 @@ can compose into a ditransitive verb; backward composition is degree 1.
 Unconsumed argument slots ride through composition only under
 `passes_through`.  Raising is entirely lexical, so no unary rules appear
 here.  Cells deduplicate by canonicalized category, merging backpointers
-into a packed forest.  Every category's semantics passes through
-eta_reduce_sets first, so cells deduplicate modulo the associativity of
-and/2: the bracketings of a coordination share one item, and an
+into a packed forest.  Every category in the chart is in canonical form:
+lexical entries pass through eta_reduce_sets as they enter, and the rules
+build their results with subst_cat, which follows the unifier and
+canonicalizes in one walk.  So cells deduplicate modulo the associativity
+of and/2: the bracketings of a coordination share one item, and an
 n-conjunct cluster keeps its scopings instead of Catalan-many copies.
-Charts larger than MAX_ITEMS items are refused with ResourceError.
+
+Closure visits only pairs whose slash shapes can combine: each completed
+cell is indexed by the shapes its items offer as right-hand partners, and
+each left item looks up the shapes it asks for, so ids and backpointers
+come out as if every pair had been tried.  Charts larger than MAX_ITEMS
+items are refused with ResourceError.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .categories import (
     Atomic,
     Category,
     Slash,
     cat_key,
+    cat_shape,
     map_sems,
     standardize_apart,
     subst_cat,
@@ -52,6 +61,10 @@ class Item:
     span: Tuple[int, int]
     cat: Category
     backs: List[tuple] = field(default_factory=list)
+    shape: Union[str, tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.shape = cat_shape(self.cat)
 
 
 def passes_through(cat: Category) -> bool:
@@ -133,6 +146,54 @@ RULES = (
 _RULE_FNS = dict(RULES)
 
 
+# Every rule unifies one side's argument with the other side or a part of
+# it, and unify_cat fails on categories of different shapes.  So a pair can
+# combine only when:
+#   >   left is X/Y and right has the shape of Y;
+#   >B  left is X/Y and right is Y/Z or (Y/Z)/W, with Z and W passing through;
+#   <   right is X\Y and left has the shape of Y;
+#   <B  left is Y\Z with Z passing through, and right is X\Y.
+# A cell's index files each item under the shapes it offers as the right
+# item: in `over`, its own shape and, for >B, the shapes of its result and
+# its result's result; in `under`, the shape of its \ argument.
+
+
+def _index(items) -> Tuple[dict, dict]:
+    over: dict = {}
+    under: dict = {}
+    for it in items:
+        cat, shape = it.cat, it.shape
+        over.setdefault(shape, []).append(it)
+        if isinstance(cat, Slash):
+            if cat.dir == "\\":
+                under.setdefault(shape[2], []).append(it)
+            elif passes_through(cat.arg):
+                over.setdefault(shape[1], []).append(it)
+                inner = cat.result
+                if (isinstance(inner, Slash) and inner.dir == "/"
+                        and passes_through(inner.arg)):
+                    over.setdefault(shape[1][1], []).append(it)
+    return over, under
+
+
+def _partners(left: Item, over: dict, under: dict) -> List[Item]:
+    """The items of an indexed cell that left may combine with, each once,
+    in id order."""
+    cat, shape = left.cat, left.shape
+    found = [under.get(shape)]
+    if isinstance(cat, Slash):
+        if cat.dir == "/":
+            found.append(over.get(shape[2]))
+        elif passes_through(cat.arg):
+            found.append(under.get(shape[1]))
+    found = [bucket for bucket in found if bucket]
+    if len(found) > 1:
+        # Only a right item filed in both tables can turn up twice.
+        return sorted({it.id: it for bucket in found for it in bucket}.values(),
+                      key=attrgetter("id"))
+    return found[0] if found else []
+
+
 @dataclass
 class Chart:
     tokens: Tuple[str, ...]
@@ -158,7 +219,6 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     chart = Chart(tokens, {}, {})
 
     def add(span, cat, back):
-        cat = map_sems(cat, eta_reduce_sets)
         cell = chart.cells.setdefault(span, {})
         key = cat_key(cat)
         item = cell.get(key)
@@ -179,13 +239,14 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
         except UnknownTokenError:
             continue
         for entry, k in matches:
-            add((i, i + k), entry.cat, ("lex", entry.tag))
+            add((i, i + k), map_sems(entry.cat, eta_reduce_sets), ("lex", entry.tag))
             for p in range(i, i + k):
                 covered[p] = True
     for i, ok in enumerate(covered):
         if not ok:
             raise lexicon.unknown_token(tokens, i)
 
+    indexes: Dict[Tuple[int, int], Tuple[dict, dict]] = {}
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
@@ -194,8 +255,12 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
                 right_cell = chart.cells.get((k, j))
                 if not left_cell or not right_cell:
                     continue
+                # Narrower than (i, j), so complete: index it once.
+                index = indexes.get((k, j))
+                if index is None:
+                    index = indexes[(k, j)] = _index(right_cell.values())
                 for lit in left_cell.values():
-                    for rit in right_cell.values():
+                    for rit in _partners(lit, *index):
                         for label, rule in RULES:
                             out = rule(lit.cat, rit.cat)
                             if out is not None:
@@ -244,7 +309,6 @@ def _replay_step(label: str, left: Category, right: Category, item: Item,
     out = _RULE_FNS[label](lcat, rcat)
     if out is None:
         raise ChartError(f"rule {label} failed to replay at {item.span}")
-    out = map_sems(out, eta_reduce_sets)
     if cat_key(out) != cat_key(item.cat):
         raise ChartError(
             f"replayed category differs at {item.span}: "

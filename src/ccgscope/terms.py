@@ -4,7 +4,8 @@ Terms are immutable trees: variables, atoms, compounds, single-parameter
 lambdas (written ``X^body``), and the clause-reifying wrapper ``up(body)``.
 Substitutions are plain dicts from Var to Term in triangular form: unify
 adds one binding at a time and never rewrites earlier values, so a value
-may mention variables bound later; apply follows the chain.
+may mention variables bound later; apply and apply_reduced follow the
+chain.
 """
 
 from __future__ import annotations
@@ -291,21 +292,32 @@ def free_vars(t: Term) -> tuple:
     return tuple(seen)
 
 
-def eta_reduce_sets(t: Term) -> Term:
-    """Canonical form of a chart semantics, modulo two equivalences.
+def apply_reduced(s: Subst, t: Term) -> Term:
+    """t under the unifier s, in the canonical form of a chart semantics,
+    in one walk.
 
-    s-<det>(X^p(X)) becomes s-<det>(p), and and/2 nests to the left:
-    and(A, and(B, C)) becomes and(and(A, B), C), to a fixpoint.  Both
-    rewrites keep the meaning; the canonical spelling lets a chart cell
-    pack every bracketing of a coordination into one item, and printed
-    categories use the short set form.  Left, because noun-modifier
-    conjunctions are built left-nested, so their forms do not change.
-    Returns t itself when nothing in it is rewritten.
+    Bindings are followed as in walk, and the result is canonical modulo
+    two equivalences: s-<det>(X^p(X)) becomes s-<det>(p), and and/2 nests
+    to the left, and(A, and(B, C)) becoming and(and(A, B), C), to a
+    fixpoint.  Both rewrites keep the meaning; the canonical spelling lets
+    a chart cell pack every bracketing of a coordination into one item, and
+    printed categories use the short set form.  Left, because noun-modifier
+    conjunctions are built left-nested, so their forms do not change.  The
+    result is what applying s and then rewriting would give, and every
+    subterm that does not change is returned as the input object.
+
+    s must be acyclic.  Every unifier unify returns is, by its occurs
+    check; unlike apply, this walk does not test for cycles.  A lambda
+    parameter bound to a non-variable raises TermError, as in apply.
     """
-    if isinstance(t, (Var, Atom)):
+    while isinstance(t, Var):
+        if t not in s:
+            return t
+        t = s[t]
+    if isinstance(t, Atom):
         return t
     kids = children(t)
-    new = [eta_reduce_sets(k) for k in kids]
+    new = [apply_reduced(s, k) for k in kids]
     if any(map(is_not, new, kids)):
         t = with_children(t, new)
     if not isinstance(t, Compound):
@@ -327,6 +339,12 @@ def eta_reduce_sets(t: Term) -> Term:
                 and lam.body.args == (lam.param,)):
             return Compound(t.functor, (Atom(lam.body.functor),))
     return t
+
+
+def eta_reduce_sets(t: Term) -> Term:
+    """Canonical form of a chart semantics: apply_reduced with no bindings.
+    Returns t itself when nothing in it is rewritten."""
+    return apply_reduced({}, t)
 
 
 # --- textual syntax ---------------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from ccgscope import baseline
@@ -15,7 +17,7 @@ from ccgscope.chart import ResourceError
 from ccgscope.cli import _skeleton_table
 from ccgscope.lexicon import default_lexicon
 from ccgscope.readings import scope_profile
-from ccgscope.terms import free_vars, parse_term
+from ccgscope.terms import Compound, free_vars, parse_term
 
 SK_COMPLEX_SUBJ = ("saw(q?(two, R, and(rep(R), of(R, q?(three, C, comp(C))))),"
                    " q?(most, S, samp(S)))")
@@ -27,6 +29,8 @@ PP_CHAIN_3 = ("every man in one woman in all representatives of three samples"
               " in(B, q?(all, C, and(rep(C), of(C, q?(three, D, samp(D))))))))))),"
               " q?(two, E, car(E)))")
 FRENCHMEN = "three frenchmen visited five russians"
+SKELETON_CASES = list(_skeleton_table(None).items()) \
+    + [(PP_CHAIN_3[0], parse_skeleton(PP_CHAIN_3[1]))]
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +89,58 @@ def test_independent_quantifiers_all_survive():
          ("three", "every", "most"), ("three", "most", "every")])
 
 
+def per_order_forms(sk):
+    """The forms with every restriction erased again for each order: the
+    loop as it stood before the erasures were hoisted out of it."""
+    leaves = skeleton_leaves(sk)
+    core = baseline._erase(sk)
+    host = baseline._hosts(leaves)
+
+    def q(leaf, restriction, body):
+        return Compound("q-" + leaf.det, (leaf.var, restriction, body))
+
+    forms = []
+    for order in permutations(leaves):
+        restr = {leaf.var: baseline._erase(leaf.restriction) for leaf in order}
+        pending = list(order)
+        for i in range(len(pending) - 1, 0, -1):
+            leaf = pending[i]
+            h = host.get(leaf.var)
+            if h is not None and pending[i - 1].var == h:
+                restr[h] = q(leaf, restr[leaf.var], restr[h])
+                del pending[i]
+        t = core
+        for leaf in reversed(pending):
+            t = q(leaf, restr[leaf.var], t)
+        forms.append(t)
+    return forms
+
+
+@pytest.mark.parametrize("sk", [sk for _, sk in SKELETON_CASES],
+                         ids=[key for key, _ in SKELETON_CASES])
+def test_forms_equal_per_order_erasure(sk):
+    assert enumerate_orderings(sk) == per_order_forms(sk)
+
+
+def test_each_restriction_is_erased_once(monkeypatch):
+    erase, depth, calls = baseline._erase, [0], []
+
+    def counted(t):
+        # _erase recurses through the module name: count outermost calls.
+        if not depth[0]:
+            calls.append(t)
+        depth[0] += 1
+        try:
+            return erase(t)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(baseline, "_erase", counted)
+    sk = parse_skeleton(PP_CHAIN_3[1])
+    assert len(enumerate_orderings(sk)) == 120
+    assert len(calls) == len(skeleton_leaves(sk)) + 1
+
+
 def test_uvc_filter_idempotent_subset():
     forms = enumerate_orderings(parse_skeleton(SK_COMPLEX_SUBJ))
     once = uvc_filter(forms)
@@ -132,10 +188,6 @@ def all_pairs_gap(report):
     return tuple(f for f in report.survivors
                  if not any(scope_profile(r.term) <= scope_profile(f)
                             for r in report.ccg))
-
-
-SKELETON_CASES = list(_skeleton_table(None).items()) \
-    + [(PP_CHAIN_3[0], parse_skeleton(PP_CHAIN_3[1]))]
 
 
 @pytest.mark.parametrize("sentence, sk", SKELETON_CASES,

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from ccgscope import chart as chart_module
 from ccgscope.categories import (
     Atomic,
     CatError,
@@ -9,8 +11,10 @@ from ccgscope.categories import (
     atomics,
     canonical_cat,
     cat_key,
+    cat_shape,
     cat_vars,
     format_cat,
+    map_sems,
     parse_cat,
     replace_result_sem,
     result_atomic,
@@ -19,9 +23,24 @@ from ccgscope.categories import (
     unify_cat,
 )
 from ccgscope.chart import parse
-from ccgscope.cli import tokenize
+from ccgscope.cli import _corpus_entry, read_data, tokenize
 from ccgscope.lexicon import default_lexicon
-from ccgscope.terms import Var, parse_term
+from ccgscope.terms import (
+    Atom,
+    Compound,
+    Lam,
+    TermError,
+    Var,
+    apply,
+    children,
+    eta_reduce_sets,
+    is_and,
+    parse_term,
+    unify,
+    with_children,
+)
+
+from test_terms import rand_lf, rand_term
 
 
 def test_parse_atomic_with_and_without_sem():
@@ -88,6 +107,13 @@ def test_result_atomic_and_replace():
     assert got == parse_cat("(s:q-most(V, N, S)/np:W)/np:V")
 
 
+def test_cat_shape_drops_terms_only():
+    assert cat_shape(parse_cat("(s:saw(X, Y)\\np:X)/np:Y")) \
+        == ("/", ("\\", "s", "np"), "np")
+    assert cat_shape(parse_cat("np:john")) == "np"
+    assert cat_shape(parse_cat("s/(s\\np)")) != cat_shape(parse_cat("(s/s)\\np"))
+
+
 def test_standardize_apart_disjoint():
     counter = itertools.count(1)
     cat = parse_cat("(s:S\\np:X)/np:Y")
@@ -125,3 +151,119 @@ def test_cat_key_equals_printed_canonical_copy():
         key = cat_key(cat)
         assert key == format_cat(canonical_cat(cat))
         assert cat_key(standardize_apart(cat, counter)) == key
+
+
+def two_pass_standardize_apart(cat, counter):
+    # Oracle: collect the variables first, then rename.
+    mapping = {v: Var(f"{v.id}_{next(counter)}") for v in cat_vars(cat)}
+
+    def ren(t):
+        if isinstance(t, Var):
+            return mapping.get(t, t)
+        return with_children(t, [ren(k) for k in children(t)])
+
+    return map_sems(cat, ren)
+
+
+def test_standardize_apart_names_as_two_passes_would():
+    lex = default_lexicon()
+    ours, theirs = itertools.count(1), itertools.count(1)
+    for entry in lex.entries:
+        got = standardize_apart(entry.cat, ours)
+        assert got == two_pass_standardize_apart(entry.cat, theirs)
+    assert next(ours) == next(theirs)
+
+
+# --- subst_cat: one walk for substitution and canonical form --------------------
+
+
+def rewrite_pass(term):
+    # Oracle: the canonical rewrites as a separate pass over an applied
+    # term, rebuilding bottom-up.
+    if isinstance(term, (Var, Atom)):
+        return term
+    term = with_children(term, [rewrite_pass(k) for k in children(term)])
+    if is_and(term) and is_and(term.args[1]):
+        right, tail = term.args[1], []
+        while is_and(right):
+            tail.append(right.args[1])
+            right = right.args[0]
+        term = Compound("and", (term.args[0], right))
+        for conjunct in reversed(tail):
+            term = Compound("and", (term, conjunct))
+        return term
+    if (isinstance(term, Compound) and term.functor.startswith("s-")
+            and len(term.args) == 1 and isinstance(term.args[0], Lam)):
+        lam = term.args[0]
+        if isinstance(lam.body, Compound) and lam.body.args == (lam.param,):
+            return Compound(term.functor, (Atom(lam.body.functor),))
+    return term
+
+
+def agrees_with_oracle(s, cat):
+    """Compare subst_cat with the oracle, TermError included.  Returns
+    "raised" when both raised, "rewrote" when the rewrites changed the
+    applied category, else "applied"."""
+    try:
+        applied = map_sems(cat, lambda t: apply(s, t))
+    except TermError:
+        with pytest.raises(TermError):
+            subst_cat(s, cat)
+        return "raised"
+    want = map_sems(applied, rewrite_pass)
+    assert subst_cat(s, cat) == want
+    return "applied" if want == applied else "rewrote"
+
+
+def test_subst_cat_agrees_with_apply_then_rewrite_on_random_unifiers():
+    rng = random.Random(20261018)
+    tallies = {"applied": 0, "rewrote": 0, "raised": 0}
+    for draw in range(6000):
+        if draw % 2:
+            a, b = rand_term(rng, 4, ["X", "Y", "Z", "W"], ("f", "and", "s-a")), \
+                rand_term(rng, 4, ["X", "Y", "Z", "W"], ("f", "and", "s-a"))
+        else:
+            a, b = rand_lf(rng, 4), rand_lf(rng, 4)
+        s = unify(a, b)
+        if s is None:
+            continue
+        cat = Slash("/", Atomic("s", a), Atomic("np", b))
+        tallies[agrees_with_oracle(s, cat)] += 1
+    assert tallies["applied"] > 500 and tallies["rewrote"] > 100 and tallies["raised"] > 5
+
+
+def test_subst_cat_raises_where_apply_does():
+    cat = parse_cat("s:f(X)/n:X^p(X)")
+    s = {Var("X"): Atom("a")}
+    with pytest.raises(TermError):
+        apply(s, cat.arg.sem)
+    with pytest.raises(TermError):
+        subst_cat(s, cat)
+
+
+def test_subst_cat_agrees_on_every_corpus_rule_result(monkeypatch):
+    lex = default_lexicon()
+    seen = []
+
+    def checked(s, cat):
+        seen.append(agrees_with_oracle(s, cat))
+        return subst_cat(s, cat)
+
+    monkeypatch.setattr(chart_module, "subst_cat", checked)
+    for _, sentence, _, _ in read_data("corpus.txt", None, _corpus_entry):
+        parse(tokenize(sentence), lex)
+    assert len(seen) > 2000 and "rewrote" in seen and "raised" not in seen
+
+
+def test_subst_cat_returns_canonical_input_itself():
+    lex = default_lexicon()
+    cats = [map_sems(e.cat, eta_reduce_sets) for e in lex.entries]
+    for _, sentence, _, _ in read_data("corpus.txt", None, _corpus_entry):
+        cats += [it.cat for it in parse(tokenize(sentence), lex).items.values()]
+    for cat in cats:
+        assert subst_cat({}, cat) is cat
+    # A binding that reaches one atomic rebuilds only the path to it.
+    cat = parse_cat("(s:saw(X, Y)\\np:X)/np:Y")
+    out = subst_cat({Var("Y"): Atom("b")}, cat)
+    assert out.result.arg is cat.result.arg
+    assert out.arg != cat.arg and out.result.result != cat.result.result

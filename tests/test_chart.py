@@ -1,9 +1,12 @@
 import pytest
 
 from ccgscope import chart as chart_module
-from ccgscope.categories import cat_key, format_cat, canonical_cat, parse_cat
+from ccgscope.categories import cat_key, format_cat, canonical_cat, map_sems, parse_cat
 from ccgscope.chart import (
+    RULES,
+    Chart,
     ChartError,
+    Item,
     ResourceError,
     bwd_apply,
     bwd_compose,
@@ -19,6 +22,10 @@ from ccgscope.chart import (
 )
 from ccgscope.cli import _corpus_entry, read_data, tokenize
 from ccgscope.lexicon import UnknownTokenError, default_lexicon
+from ccgscope.terms import eta_reduce_sets
+
+from test_baseline import PP_CHAIN_3
+from test_coordination import sentence as coordination_sentence
 
 
 def key(text):
@@ -241,3 +248,55 @@ def test_corpus_chart_counts_are_pinned(lex):
                          sum(len(it.backs) for it in chart.items.values()),
                          sum(counts[it.id] for it in full))
     assert got == CORPUS_CHART_COUNTS
+
+
+def all_pairs_parse(tokens, lex):
+    """Oracle: closure that tries every rule on every pair of adjacent
+    items and rewrites every result into canonical form itself."""
+    n = len(tokens)
+    chart = Chart(tuple(tokens), {}, {})
+
+    def add(span, cat, back):
+        cat = map_sems(cat, eta_reduce_sets)
+        cell = chart.cells.setdefault(span, {})
+        key = cat_key(cat)
+        item = cell.get(key)
+        if item is None:
+            item = Item(len(chart.items) + 1, span, cat, [back])
+            chart.items[item.id] = item
+            cell[key] = item
+        elif back not in item.backs:
+            item.backs.append(back)
+
+    for i in range(n):
+        try:
+            matches = lex.lookup(tokens, i)
+        except UnknownTokenError:  # inside a multi-word lexeme
+            continue
+        for entry, k in matches:
+            add((i, i + k), entry.cat, ("lex", entry.tag))
+    for width in range(2, n + 1):
+        for i in range(0, n - width + 1):
+            j = i + width
+            for k in range(i + 1, j):
+                for lit in chart.cells.get((i, k), {}).values():
+                    for rit in chart.cells.get((k, j), {}).values():
+                        for label, rule in RULES:
+                            out = rule(lit.cat, rit.cat)
+                            if out is not None:
+                                add((i, j), out, (label, lit.id, rit.id))
+    return chart
+
+
+def item_sequence(chart):
+    return [(it.id, it.span, cat_key(it.cat), it.backs) for it in chart.items.values()]
+
+
+CLOSURE_CASES = [sent for _, sent, _, _ in read_data("corpus.txt", None, _corpus_entry)] \
+    + [coordination_sentence(case) for case in (1, 2, 3, 4, "rnr")] + [PP_CHAIN_3[0]]
+
+
+@pytest.mark.parametrize("sentence", CLOSURE_CASES)
+def test_shape_paired_closure_builds_the_all_pairs_chart(lex, sentence):
+    tokens = tokenize(sentence)
+    assert item_sequence(parse(tokens, lex)) == item_sequence(all_pairs_parse(tokens, lex))
