@@ -6,17 +6,32 @@ Unconsumed argument slots ride through composition only under
 `passes_through`.  Raising is entirely lexical, so no unary rules appear
 here.  Cells deduplicate by canonicalized category, merging backpointers
 into a packed forest.  Every category in the chart is in canonical form:
-lexical entries pass through eta_reduce_sets as they enter, and the rules
-build their results with subst_cat, which follows the unifier and
-canonicalizes in one walk.  So cells deduplicate modulo the associativity
-of and/2: the bracketings of a coordination share one item, and an
-n-conjunct cluster keeps its scopings instead of Catalan-many copies.
+lexical entries enter in their chart form (LexEntry.chart_cat, computed
+once per entry), and the rules build their results with subst_cat, which
+follows the unifier and canonicalizes in one walk.  So cells deduplicate
+modulo the associativity of and/2: the bracketings of a coordination
+share one item, and an n-conjunct cluster keeps its scopings instead of
+Catalan-many copies.
 
-Closure visits only pairs whose slash shapes can combine: each completed
-cell is indexed by the shapes its items offer as right-hand partners, and
-each left item looks up the shapes it asks for, so ids and backpointers
-come out as if every pair had been tried.  Charts larger than MAX_ITEMS
-items are refused with ResourceError.
+parse runs in two passes.  The first works on shapes alone (cat_shape:
+sorts and slash skeletons, no terms, no unification).  An inside CKY pass
+over the rules stated at shape level (SHAPE_RULES) finds every (span,
+shape) the lexical shapes can build, and an outside pass marks those that
+lie on a shape derivation of some full-span shape.  The second pass,
+closure proper, builds only the lexical and rule items whose (span,
+shape) is marked, and tries only the pairs and rules of the edges into
+marked shapes.  When no shape spans the input, everything is marked and
+the chart is the whole all-pairs chart, so a failed parse keeps every
+constituent.
+
+Why pruning loses nothing: unify_cat fails on any two categories whose
+shapes differ, subst_cat keeps shapes, and passes_through reads shapes
+only.  So every rule success on two items is a SHAPE_RULES result for
+their shapes, and every item of a full-span derivation has a marked (span,
+shape).  Every item some full-span item reaches is built, with all its
+backpointers in the same order as the all-pairs closure would give them,
+so readings, derivations and their order do not change.  Charts larger
+than MAX_ITEMS items are refused with ResourceError.
 """
 
 from __future__ import annotations
@@ -27,23 +42,25 @@ from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .categories import (
-    Atomic,
     Category,
     Slash,
     cat_key,
     cat_shape,
-    map_sems,
     standardize_apart,
     subst_cat,
     unify_cat,
 )
 from .lexicon import Lexicon, UnknownTokenError
-from .terms import eta_reduce_sets
+# Not called here: lexical entries bring their chart form
+# (LexEntry.chart_cat).  perfbench/tracing.py patches this name.
+from .terms import eta_reduce_sets  # noqa: F401
 
 MAX_TOKENS = 32
 # Work budget: a chart that would grow past this many items is refused
-# rather than closed.  Ten times the largest chart the bundled corpus, the
-# tests and the benchmark build (a depth-4 PP chain, 1940 items).
+# rather than closed.  It counts built items only, after pruning.  The
+# largest chart the tests build is a 26-token depth-7 PP chain (8,697
+# items; the all-pairs chart would pass 20,000); the benchmark's largest
+# is a depth-4 PP chain (428 items).
 MAX_ITEMS = 20_000
 
 
@@ -67,22 +84,26 @@ class Item:
         self.shape = cat_shape(self.cat)
 
 
-def passes_through(cat: Category) -> bool:
-    """May this argument slot ride through a composition?
+def shape_passes_through(shape) -> bool:
+    """May an argument slot of this cat_shape ride through a composition?
 
     Allowed: an np, or a predicate spine — a complex category all of
     whose spine arguments are atomic np and whose final result has sort
     s.  Everything else (bare s, sbar, noun modifiers, raised types)
     must be consumed by application before composing further.
     """
-    if isinstance(cat, Atomic):
-        return cat.sort == "np"
-    c = cat
-    while isinstance(c, Slash):
-        if not (isinstance(c.arg, Atomic) and c.arg.sort == "np"):
+    if type(shape) is str:
+        return shape == "np"
+    while type(shape) is tuple:
+        if shape[2] != "np":
             return False
-        c = c.result
-    return isinstance(c, Atomic) and c.sort == "s"
+        shape = shape[1]
+    return shape == "s"
+
+
+def passes_through(cat: Category) -> bool:
+    """shape_passes_through on the category's shape."""
+    return shape_passes_through(cat_shape(cat))
 
 
 def fwd_apply(left: Category, right: Category) -> Optional[Category]:
@@ -146,52 +167,136 @@ RULES = (
 _RULE_FNS = dict(RULES)
 
 
-# Every rule unifies one side's argument with the other side or a part of
-# it, and unify_cat fails on categories of different shapes.  So a pair can
-# combine only when:
-#   >   left is X/Y and right has the shape of Y;
-#   >B  left is X/Y and right is Y/Z or (Y/Z)/W, with Z and W passing through;
-#   <   right is X\Y and left has the shape of Y;
-#   <B  left is Y\Z with Z passing through, and right is X\Y.
-# A cell's index files each item under the shapes it offers as the right
-# item: in `over`, its own shape and, for >B, the shapes of its result and
-# its result's result; in `under`, the shape of its \ argument.
+# The rules at shape level.  unify_cat fails on categories of different
+# shapes, subst_cat keeps shapes and passes_through reads shapes only, so a
+# rule succeeds on two categories only where a row of its here matches
+# their shapes, and its result then has the row's result shape.  A row
+# holds the rule's label, the key a left shape asks for, the key a right
+# shape offers (None: the row does not apply) and the result shape; the
+# shapes match when the two keys are equal.
 
 
-def _index(items) -> Tuple[dict, dict]:
-    over: dict = {}
-    under: dict = {}
-    for it in items:
-        cat, shape = it.cat, it.shape
-        over.setdefault(shape, []).append(it)
-        if isinstance(cat, Slash):
-            if cat.dir == "\\":
-                under.setdefault(shape[2], []).append(it)
-            elif passes_through(cat.arg):
-                over.setdefault(shape[1], []).append(it)
-                inner = cat.result
-                if (isinstance(inner, Slash) and inner.dir == "/"
-                        and passes_through(inner.arg)):
-                    over.setdefault(shape[1][1], []).append(it)
-    return over, under
+def _over(shape) -> bool:
+    return type(shape) is tuple and shape[0] == "/"
 
 
-def _partners(left: Item, over: dict, under: dict) -> List[Item]:
-    """The items of an indexed cell that left may combine with, each once,
-    in id order."""
-    cat, shape = left.cat, left.shape
-    found = [under.get(shape)]
-    if isinstance(cat, Slash):
-        if cat.dir == "/":
-            found.append(over.get(shape[2]))
-        elif passes_through(cat.arg):
-            found.append(under.get(shape[1]))
-    found = [bucket for bucket in found if bucket]
-    if len(found) > 1:
-        # Only a right item filed in both tables can turn up twice.
-        return sorted({it.id: it for bucket in found for it in bucket}.values(),
-                      key=attrgetter("id"))
-    return found[0] if found else []
+def _under(shape) -> bool:
+    return type(shape) is tuple and shape[0] == "\\"
+
+
+def _fwd_arg(left):
+    return left[2] if _over(left) else None
+
+
+def _bwd_arg(right):
+    return right[2] if _under(right) else None
+
+
+def _composed_result(right):
+    # Y/Z, Z passing through, offers Y.
+    return right[1] if _over(right) and shape_passes_through(right[2]) else None
+
+
+def _composed_result_result(right):
+    # (Y/Z)/W, Z and W passing through, offers Y.
+    inner = _composed_result(right)
+    return _composed_result(inner) if inner is not None else None
+
+
+def _bwd_composed_result(left):
+    # Y\Z, Z passing through, asks for Y.
+    return left[1] if _under(left) and shape_passes_through(left[2]) else None
+
+
+SHAPE_RULES = (
+    # X/Y + Y -> X
+    (">", _fwd_arg, lambda right: right, lambda left, right: left[1]),
+    # Y + X\Y -> X
+    ("<", lambda left: left, _bwd_arg, lambda left, right: right[1]),
+    # X/Y + Y/Z -> X/Z
+    (">B", _fwd_arg, _composed_result, lambda left, right: ("/", left[1], right[2])),
+    # X/Y + (Y/Z)/W -> (X/Z)/W
+    (">B", _fwd_arg, _composed_result_result,
+     lambda left, right: ("/", ("/", left[1], right[1][2]), right[2])),
+    # Y\Z + X\Y -> X\Z
+    ("<B", _bwd_composed_result, _bwd_arg, lambda left, right: ("\\", right[1], left[2])),
+)
+
+
+def _index(shapes) -> List[dict]:
+    """Per row of SHAPE_RULES, the given right shapes filed under the key
+    each offers."""
+    index: List[dict] = [{} for _ in SHAPE_RULES]
+    for shape in shapes:
+        for table, (_, _, offer, _) in zip(index, SHAPE_RULES):
+            key = offer(shape)
+            if key is not None:
+                table.setdefault(key, []).append(shape)
+    return index
+
+
+def _partners(left, index: List[dict]) -> Iterator[tuple]:
+    """(right shape, label, result shape) for every row under which the
+    left shape combines with a right shape of the indexed cell."""
+    for table, (label, ask, _, result) in zip(index, SHAPE_RULES):
+        key = ask(left)
+        if key is not None:
+            for right in table.get(key, ()):
+                yield right, label, result(left, right)
+
+
+def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[set, dict]:
+    """The shape backbone of the chart: which constituents can reach a
+    full-span item.
+
+    An inside CKY pass over shapes alone finds every (span, shape) some
+    shape derivation builds from the lexical shapes, with the (split, left
+    shape, right shape, label) edges that build it.  An outside pass then
+    marks each (span, shape) that lies on a shape derivation of a
+    full-span shape (of any shape: every full-span item is output), or
+    every one when no shape spans the input.  Returns the marked (span,
+    shape) pairs and, per (i, j, k), the edges into marked shapes of (i, j)
+    as {left shape: {right shape: labels}}.
+    """
+    inside: Dict[Tuple[int, int], dict] = {
+        span: dict.fromkeys(shapes, ()) for span, shapes in lexical.items()}
+    indexes: Dict[Tuple[int, int], List[dict]] = {}
+    for width in range(2, n + 1):
+        for i in range(0, n - width + 1):
+            j = i + width
+            cell: dict = {}
+            for k in range(i + 1, j):
+                left_cell, right_cell = inside.get((i, k)), inside.get((k, j))
+                if not left_cell or not right_cell:
+                    continue
+                index = indexes.get((k, j))
+                if index is None:
+                    index = indexes[(k, j)] = _index(right_cell)
+                for left in left_cell:
+                    for right, label, out in _partners(left, index):
+                        cell.setdefault(out, []).append((k, left, right, label))
+            if cell:
+                for shape, edges in inside.get((i, j), {}).items():
+                    cell.setdefault(shape, []).extend(edges)
+                inside[(i, j)] = cell
+
+    if inside.get((0, n)):
+        live = {((0, n), shape) for shape in inside[(0, n)]}
+    else:
+        live = {(span, shape) for span, cell in inside.items() for shape in cell}
+    edges: dict = {}
+    for width in range(n, 1, -1):
+        for i in range(0, n - width + 1):
+            span = (i, i + width)
+            for shape, backs in inside.get(span, {}).items():
+                if (span, shape) not in live:
+                    continue
+                for k, left, right, label in backs:
+                    live.add(((i, k), left))
+                    live.add(((k, span[1]), right))
+                    edges.setdefault((i, span[1], k), {}).setdefault(left, {}) \
+                        .setdefault(right, set()).add(label)
+    return live, edges
 
 
 @dataclass
@@ -208,7 +313,10 @@ class Chart:
 
 
 def parse(tokens, lexicon: Lexicon) -> Chart:
-    """Close the chart over the four rules; every token must be covered."""
+    """Close the chart over the four rules; every token must be covered.
+
+    Only the constituents whose (span, shape) _live_edges marks are
+    built, from the edges it keeps."""
     tokens = tuple(tokens)
     if len(tokens) > MAX_TOKENS:
         raise ResourceError(
@@ -233,39 +341,67 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
             item.backs.append(back)
 
     covered = [False] * n
+    lexical = []
     for i in range(n):
         try:
             matches = lexicon.lookup(tokens, i)
         except UnknownTokenError:
             continue
         for entry, k in matches:
-            add((i, i + k), map_sems(entry.cat, eta_reduce_sets), ("lex", entry.tag))
+            lexical.append(((i, i + k), entry))
             for p in range(i, i + k):
                 covered[p] = True
     for i, ok in enumerate(covered):
         if not ok:
             raise lexicon.unknown_token(tokens, i)
 
-    indexes: Dict[Tuple[int, int], Tuple[dict, dict]] = {}
+    shapes: Dict[Tuple[int, int], list] = {}
+    for span, entry in lexical:
+        shapes.setdefault(span, []).append(entry.shape)
+    live, edges = _live_edges(n, shapes)
+    for span, entry in lexical:
+        if (span, entry.shape) in live:
+            add(span, lexicon.fresh(entry.chart_cat), ("lex", entry.tag))
+
+    by_shape: Dict[Tuple[int, int], dict] = {}
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
             for k in range(i + 1, j):
-                left_cell = chart.cells.get((i, k))
-                right_cell = chart.cells.get((k, j))
-                if not left_cell or not right_cell:
+                wanted = edges.get((i, j, k))
+                if not wanted:
                     continue
-                # Narrower than (i, j), so complete: index it once.
-                index = indexes.get((k, j))
-                if index is None:
-                    index = indexes[(k, j)] = _index(right_cell.values())
-                for lit in left_cell.values():
-                    for rit in _partners(lit, *index):
+                # Narrower than (i, j), so complete: group it once.
+                right = by_shape.get((k, j))
+                if right is None:
+                    right = by_shape[(k, j)] = {}
+                    for it in chart.cells.get((k, j), {}).values():
+                        right.setdefault(it.shape, []).append(it)
+                partners: dict = {}
+                for lit in chart.cells.get((i, k), {}).values():
+                    want = wanted.get(lit.shape)
+                    if not want:
+                        continue
+                    found = partners.get(lit.shape)
+                    if found is None:
+                        found = partners[lit.shape] = _item_partners(want, right)
+                    for rit in found:
+                        labels = want[rit.shape]
                         for label, rule in RULES:
-                            out = rule(lit.cat, rit.cat)
-                            if out is not None:
-                                add((i, j), out, (label, lit.id, rit.id))
+                            if label in labels:
+                                out = rule(lit.cat, rit.cat)
+                                if out is not None:
+                                    add((i, j), out, (label, lit.id, rit.id))
     return chart
+
+
+def _item_partners(want: dict, right: dict) -> List[Item]:
+    """The items of a cell, grouped by shape, whose shape is a key of
+    want; each once, in id order."""
+    found = [it for shape in want for it in right.get(shape, ())]
+    if len(want) > 1:
+        found.sort(key=attrgetter("id"))
+    return found
 
 
 def count_derivations(chart: Chart) -> Dict[int, int]:

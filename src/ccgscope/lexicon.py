@@ -21,8 +21,9 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Tuple, Union
 
 from .categories import (
     Atomic,
@@ -30,11 +31,13 @@ from .categories import (
     CatError,
     Slash,
     cat_key,
+    cat_shape,
     cat_vars,
     parse_cat,
     replace_result_sem,
     result_atomic,
     standardize_apart,
+    subst_cat,
 )
 from .terms import Atom, Compound, Lam, TermError, Var
 
@@ -49,9 +52,27 @@ class UnknownTokenError(LexiconError):
 
 @dataclass(frozen=True)
 class LexEntry:
+    """A lexical entry.  Its key, chart form and shape are computed once,
+    on first use, and stored on the entry."""
     lexeme: tuple
     cat: Category
     tag: str
+
+    @cached_property
+    def key(self) -> str:
+        """cat_key(cat)."""
+        return cat_key(self.cat)
+
+    @cached_property
+    def chart_cat(self) -> Category:
+        """cat in chart form, as subst_cat leaves every chart category:
+        set forms eta-reduced and and/2 nested to the left."""
+        return subst_cat({}, self.cat)
+
+    @cached_property
+    def shape(self) -> Union[str, tuple]:
+        """cat_shape(cat), which is chart_cat's shape too."""
+        return cat_shape(self.cat)
 
 
 def _fresh_var(stem: str, taken: set) -> Var:
@@ -80,10 +101,10 @@ def instantiate_raised(lexeme: Tuple[str, ...], num: str, qsym: str, ssym: str,
     seen = set()
 
     def push(cat: Category) -> None:
-        key = cat_key(cat)
-        if key not in seen:
-            seen.add(key)
-            out.append(LexEntry(lexeme, cat, tag))
+        entry = LexEntry(lexeme, cat, tag)
+        if entry.key not in seen:
+            seen.add(entry.key)
+            out.append(entry)
 
     def np_of(sem) -> Atomic:
         return Atomic("np", Compound("num", (sem, Atom(num))))
@@ -124,7 +145,7 @@ class Lexicon:
         self._fresh = itertools.count(1)
 
     def add(self, entry: LexEntry) -> None:
-        key = (entry.lexeme, cat_key(entry.cat))
+        key = (entry.lexeme, entry.key)
         if key in self._keys:
             warnings.warn(f"duplicate lexicon entry for {' '.join(entry.lexeme)!r}")
             return
@@ -133,7 +154,8 @@ class Lexicon:
         self._by_first.setdefault(entry.lexeme[0], []).append(entry)
 
     def lookup(self, tokens: Tuple[str, ...], i: int) -> List[Tuple[LexEntry, int]]:
-        """Entries whose lexeme matches tokens[i:], with variables freshened.
+        """Entries whose lexeme matches tokens[i:], as stored: rename a
+        category's variables with fresh before it meets another's.
 
         Returns (entry, consumed) pairs; raises UnknownTokenError when
         nothing matches at this position.
@@ -142,11 +164,14 @@ class Lexicon:
         for entry in self._by_first.get(tokens[i], ()):
             k = len(entry.lexeme)
             if tuple(tokens[i:i + k]) == entry.lexeme:
-                fresh = standardize_apart(entry.cat, self._fresh)
-                matches.append((LexEntry(entry.lexeme, fresh, entry.tag), k))
+                matches.append((entry, k))
         if not matches:
             raise self.unknown_token(tokens, i)
         return matches
+
+    def fresh(self, cat: Category) -> Category:
+        """cat with every variable renamed apart from all earlier ones."""
+        return standardize_apart(cat, self._fresh)
 
     def unknown_token(self, tokens: Tuple[str, ...], i: int) -> UnknownTokenError:
         """The error for tokens[i] when no entry matches there.  A word with

@@ -1,14 +1,16 @@
-"""Golden-file rendering shared by the generator and the tests.
+"""Golden-file rendering shared by the generator and the tests, and the
+all-pairs closure the tests use as an oracle for the chart.
 
 Each golden names a sentence plus the full-span categories whose first
 derivation it freezes; the rendered text is the pretty printer's output
 for those derivations, blank-line separated, in the listed order.
 """
 
-from ccgscope.categories import cat_key
-from ccgscope.chart import derivations, parse, pretty
+from ccgscope.categories import cat_key, map_sems
+from ccgscope.chart import RULES, Chart, Item, derivations, parse, pretty
 from ccgscope.cli import tokenize
-from ccgscope.lexicon import default_lexicon
+from ccgscope.lexicon import UnknownTokenError, default_lexicon
+from ccgscope.terms import eta_reduce_sets
 
 GOLDENS = {
     "object_subject_scope.txt": (
@@ -48,3 +50,66 @@ def render_golden(name, lexicon=None):
         tree = next(derivations(chart, by_key[key]))
         blocks.append(pretty(chart, tree))
     return "\n\n".join(blocks) + "\n"
+
+
+def all_pairs_parse(tokens, lex):
+    """Oracle: closure that builds every lexical item, tries every rule on
+    every pair of adjacent items and rewrites every result into canonical
+    form itself."""
+    n = len(tokens)
+    chart = Chart(tuple(tokens), {}, {})
+
+    def add(span, cat, back):
+        cat = map_sems(cat, eta_reduce_sets)
+        cell = chart.cells.setdefault(span, {})
+        key = cat_key(cat)
+        item = cell.get(key)
+        if item is None:
+            item = Item(len(chart.items) + 1, span, cat, [back])
+            chart.items[item.id] = item
+            cell[key] = item
+        elif back not in item.backs:
+            item.backs.append(back)
+
+    for i in range(n):
+        try:
+            matches = lex.lookup(tokens, i)
+        except UnknownTokenError:  # inside a multi-word lexeme
+            continue
+        for entry, k in matches:
+            add((i, i + k), lex.fresh(entry.cat), ("lex", entry.tag))
+    for width in range(2, n + 1):
+        for i in range(0, n - width + 1):
+            j = i + width
+            for k in range(i + 1, j):
+                for lit in chart.cells.get((i, k), {}).values():
+                    for rit in chart.cells.get((k, j), {}).values():
+                        for label, rule in RULES:
+                            out = rule(lit.cat, rit.cat)
+                            if out is not None:
+                                add((i, j), out, (label, lit.id, rit.id))
+    return chart
+
+
+def live_items(chart):
+    """The items some full-span item reaches through backpointers, in id
+    order."""
+    seen = set()
+    todo = [it.id for it in chart.full_span()]
+    while todo:
+        i = todo.pop()
+        if i not in seen:
+            seen.add(i)
+            todo += [i for back in chart.items[i].backs if back[0] != "lex"
+                     for i in back[1:]]
+    return [chart.items[i] for i in sorted(seen)]
+
+
+def item_sequence(items):
+    """(span, cat_key, backpointers) of each item, in the given order, with
+    every backpointer's ids replaced by positions in that order."""
+    pos = {it.id: p for p, it in enumerate(items, start=1)}
+    return [(it.span, cat_key(it.cat),
+             [back if back[0] == "lex" else (back[0], pos[back[1]], pos[back[2]])
+              for back in it.backs])
+            for it in items]

@@ -22,7 +22,6 @@ from ccgscope.categories import (
     subst_cat,
     unify_cat,
 )
-from ccgscope.chart import parse
 from ccgscope.cli import _corpus_entry, read_data, tokenize
 from ccgscope.lexicon import default_lexicon
 from ccgscope.terms import (
@@ -40,6 +39,7 @@ from ccgscope.terms import (
     with_children,
 )
 
+from helpers import all_pairs_parse
 from test_terms import rand_lf, rand_term
 
 
@@ -139,11 +139,12 @@ def test_canonical_cat_shares_renamer_across_atoms():
 
 def test_cat_key_equals_printed_canonical_copy():
     # cat_key prints canonical names in one pass; the two-step form it
-    # replaces is the reference.
+    # replaces is the reference.  The all-pairs chart supplies inputs: it
+    # holds every category closure can build, pruned or not.
     lex = default_lexicon()
     cats = [e.cat for e in lex.entries]
-    chart = parse(tokenize("every girl admired, but most boys detested,"
-                           " one of the saxophonists"), lex)
+    chart = all_pairs_parse(tokenize("every girl admired, but most boys detested,"
+                                     " one of the saxophonists"), lex)
     cats += [it.cat for it in chart.items.values()]
     assert len(cats) > 600
     counter = itertools.count(1)
@@ -251,7 +252,7 @@ def test_subst_cat_agrees_on_every_corpus_rule_result(monkeypatch):
 
     monkeypatch.setattr(chart_module, "subst_cat", checked)
     for _, sentence, _, _ in read_data("corpus.txt", None, _corpus_entry):
-        parse(tokenize(sentence), lex)
+        all_pairs_parse(tokenize(sentence), lex)
     assert len(seen) > 2000 and "rewrote" in seen and "raised" not in seen
 
 
@@ -259,7 +260,7 @@ def test_subst_cat_returns_canonical_input_itself():
     lex = default_lexicon()
     cats = [map_sems(e.cat, eta_reduce_sets) for e in lex.entries]
     for _, sentence, _, _ in read_data("corpus.txt", None, _corpus_entry):
-        cats += [it.cat for it in parse(tokenize(sentence), lex).items.values()]
+        cats += [it.cat for it in all_pairs_parse(tokenize(sentence), lex).items.values()]
     for cat in cats:
         assert subst_cat({}, cat) is cat
     # A binding that reaches one atomic rebuilds only the path to it.

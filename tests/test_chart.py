@@ -1,12 +1,9 @@
 import pytest
 
 from ccgscope import chart as chart_module
-from ccgscope.categories import cat_key, format_cat, canonical_cat, map_sems, parse_cat
+from ccgscope.categories import cat_key, format_cat, canonical_cat, parse_cat
 from ccgscope.chart import (
-    RULES,
-    Chart,
     ChartError,
-    Item,
     ResourceError,
     bwd_apply,
     bwd_compose,
@@ -21,9 +18,9 @@ from ccgscope.chart import (
     replay,
 )
 from ccgscope.cli import _corpus_entry, read_data, tokenize
-from ccgscope.lexicon import UnknownTokenError, default_lexicon
-from ccgscope.terms import eta_reduce_sets
+from ccgscope.lexicon import UnknownTokenError, default_lexicon, load_lexicon
 
+from helpers import all_pairs_parse, item_sequence, live_items
 from test_baseline import PP_CHAIN_3
 from test_coordination import sentence as coordination_sentence
 
@@ -220,20 +217,20 @@ def test_pretty_single_leaf(lex):
 # engine builds its chart, so a change to closure, cell keys or the lexicon
 # that alters the chart shows up here as a visible diff.
 CORPUS_CHART_COUNTS = {
-    "three frenchmen visited five russians": (122, 5, 130, 15),
-    "two representatives of three companies saw most samples": (253, 11, 304, 114),
-    "every dealer shows most customers three cars": (214, 12, 249, 83),
-    "most boys think that every man danced with two women": (232, 16, 287, 207),
-    "john thinks that every man danced with two women": (156, 7, 182, 49),
-    "most boys think that bill danced with two women": (128, 4, 131, 9),
+    "three frenchmen visited five russians": (28, 5, 36, 15),
+    "two representatives of three companies saw most samples": (55, 11, 75, 114),
+    "every dealer shows most customers three cars": (63, 12, 98, 83),
+    "most boys think that every man danced with two women": (81, 16, 136, 207),
+    "john thinks that every man danced with two women": (58, 7, 84, 49),
+    "most boys think that bill danced with two women": (30, 4, 33, 9),
     "every girl admired, but most boys detested, one of the saxophonists":
-        (233, 8, 245, 20),
+        (45, 8, 57, 20),
     "most boys think that every man danced with, but doubt that a few boys"
-    " talked to, more than two women": (412, 20, 470, 756),
+    " talked to, more than two women": (116, 20, 170, 756),
     "some student will investigate two dialects of, and collect all interesting"
-    " examples of coordination in, every language": (330, 5, 375, 88),
+    " examples of coordination in, every language": (56, 5, 79, 88),
     "every dealer shows most customers at most three cars but most mechanics"
-    " every car": (468, 18, 512, 27),
+    " every car": (77, 18, 86, 27),
     "of three companies touched": (61, 0, 62, 0),
 }
 
@@ -250,53 +247,82 @@ def test_corpus_chart_counts_are_pinned(lex):
     assert got == CORPUS_CHART_COUNTS
 
 
-def all_pairs_parse(tokens, lex):
-    """Oracle: closure that tries every rule on every pair of adjacent
-    items and rewrites every result into canonical form itself."""
-    n = len(tokens)
-    chart = Chart(tuple(tokens), {}, {})
-
-    def add(span, cat, back):
-        cat = map_sems(cat, eta_reduce_sets)
-        cell = chart.cells.setdefault(span, {})
-        key = cat_key(cat)
-        item = cell.get(key)
-        if item is None:
-            item = Item(len(chart.items) + 1, span, cat, [back])
-            chart.items[item.id] = item
-            cell[key] = item
-        elif back not in item.backs:
-            item.backs.append(back)
-
-    for i in range(n):
-        try:
-            matches = lex.lookup(tokens, i)
-        except UnknownTokenError:  # inside a multi-word lexeme
-            continue
-        for entry, k in matches:
-            add((i, i + k), entry.cat, ("lex", entry.tag))
-    for width in range(2, n + 1):
-        for i in range(0, n - width + 1):
-            j = i + width
-            for k in range(i + 1, j):
-                for lit in chart.cells.get((i, k), {}).values():
-                    for rit in chart.cells.get((k, j), {}).values():
-                        for label, rule in RULES:
-                            out = rule(lit.cat, rit.cat)
-                            if out is not None:
-                                add((i, j), out, (label, lit.id, rit.id))
-    return chart
-
-
-def item_sequence(chart):
-    return [(it.id, it.span, cat_key(it.cat), it.backs) for it in chart.items.values()]
-
-
 CLOSURE_CASES = [sent for _, sent, _, _ in read_data("corpus.txt", None, _corpus_entry)] \
     + [coordination_sentence(case) for case in (1, 2, 3, 4, "rnr")] + [PP_CHAIN_3[0]]
+PP_CHAIN_4 = ("one saxophonist in every boy of one girl of a woman of three"
+              " saxophonists touched a girl")
+
+
+@pytest.fixture(scope="module")
+def oracle(lex):
+    """The all-pairs chart of a sentence, built once per module."""
+    charts = {}
+
+    def get(sentence):
+        if sentence not in charts:
+            charts[sentence] = all_pairs_parse(tokenize(sentence), lex)
+        return charts[sentence]
+    return get
 
 
 @pytest.mark.parametrize("sentence", CLOSURE_CASES)
-def test_shape_paired_closure_builds_the_all_pairs_chart(lex, sentence):
-    tokens = tokenize(sentence)
-    assert item_sequence(parse(tokens, lex)) == item_sequence(all_pairs_parse(tokens, lex))
+def test_shape_paired_closure_builds_the_all_pairs_chart(lex, oracle, sentence):
+    pruned, full = parse(tokenize(sentence), lex), oracle(sentence)
+    if not full.full_span():
+        # Nothing spans the input, so nothing is pruned.
+        assert item_sequence(list(pruned.items.values())) \
+            == item_sequence(list(full.items.values()))
+        return
+    # Every item a full-span item reaches is built, with every
+    # backpointer, in order; what else is built is in the oracle's chart.
+    assert item_sequence(live_items(pruned)) == item_sequence(live_items(full))
+    keys = {(it.span, cat_key(it.cat)) for it in full.items.values()}
+    assert all((it.span, cat_key(it.cat)) in keys for it in pruned.items.values())
+
+
+def test_every_rule_success_is_a_shape_rule_result(oracle):
+    # The soundness of pruning: each term-level combination projects onto
+    # a row of SHAPE_RULES for the two input shapes, with its result shape.
+    successes = 0
+    for chart in map(oracle, CLOSURE_CASES + [PP_CHAIN_4]):
+        for item in chart.items.values():
+            for back in item.backs:
+                if back[0] == "lex":
+                    continue
+                label, li, ri = back
+                left, right = chart.items[li].shape, chart.items[ri].shape
+                results = {(lab, out) for _, lab, out
+                           in chart_module._partners(left, chart_module._index([right]))}
+                assert (label, item.shape) in results
+                successes += 1
+    assert successes > 5000
+
+
+# A depth-7 PP chain, 26 tokens.  The all-pairs chart would exceed
+# MAX_ITEMS; the items that can reach a full-span item fit.
+PP_CHAIN_7 = ("one saxophonist in every boy of one girl of a woman of three"
+              " saxophonists in three boys in every dealer of all russians"
+              " admired a saxophonist")
+
+
+def test_depth_seven_pp_chain_parses_within_the_budget(lex):
+    tokens = tokenize(PP_CHAIN_7)
+    assert len(tokens) == 26
+    chart = parse(tokens, lex)
+    assert chart.full_span() and len(chart.items) <= chart_module.MAX_ITEMS
+    check_backpointers(chart)
+
+
+def test_partners_of_several_shapes_come_in_id_order():
+    # f combines with np (>) and with np/np (>B); the np item's id falls
+    # between the two np/np items', so grouping by shape alone would put
+    # it first.
+    lex = load_lexicon("f :: s:f(A)/np:A\n"
+                       "g :: np:g1/np:C\n"
+                       "g :: np:g2\n"
+                       "g :: np:g3/np:C\n")
+    chart = parse(["f", "g"], lex)
+    assert [rkey(it.cat) for it in chart.full_span()] == \
+        [key("s:f(g1)/np:C"), key("s:f(g2)"), key("s:f(g3)/np:C")]
+    assert item_sequence(list(chart.items.values())) \
+        == item_sequence(list(all_pairs_parse(["f", "g"], lex).items.values()))

@@ -1,6 +1,6 @@
 import pytest
 
-from ccgscope.categories import cat_key, cat_vars, parse_cat
+from ccgscope.categories import cat_key, cat_shape, cat_vars, parse_cat, subst_cat
 from ccgscope.lexicon import (
     LexiconError,
     UnknownTokenError,
@@ -67,13 +67,31 @@ def test_default_lexicon_determiner_family_size():
     assert len(set(keys(every))) == 27
 
 
-def test_lookup_freshens_variables():
+def test_fresh_renames_looked_up_entries_apart():
     lex = default_lexicon()
-    first = lex.lookup(("every", "girl"), 0)
-    second = lex.lookup(("every", "girl"), 0)
-    vs1 = {v.id for e, _ in first for v in cat_vars(e.cat)}
-    vs2 = {v.id for e, _ in second for v in cat_vars(e.cat)}
-    assert vs1 and vs2 and not (vs1 & vs2)
+    matches = lex.lookup(("every", "girl"), 0)
+    first = [lex.fresh(e.cat) for e, _ in matches]
+    second = [lex.fresh(e.cat) for e, _ in matches]
+    vs1 = {v.id for cat in first for v in cat_vars(cat)}
+    vs2 = {v.id for cat in second for v in cat_vars(cat)}
+    vs0 = {v.id for e, _ in matches for v in cat_vars(e.cat)}
+    assert vs1 and vs2 and not (vs1 & vs2) and not (vs0 & (vs1 | vs2))
+    assert [cat_key(cat) for cat in first] == [e.key for e, _ in matches]
+
+
+def test_entries_compile_to_chart_form_once():
+    lex = default_lexicon()
+    for entry in lex.entries:
+        assert entry.key == cat_key(entry.cat)
+        assert entry.shape == cat_shape(entry.cat) == cat_shape(entry.chart_cat)
+        assert subst_cat({}, entry.chart_cat) is entry.chart_cat
+        assert entry.chart_cat is entry.chart_cat
+    # Chart form: set forms eta-reduced and and/2 nested to the left; the
+    # entry keeps its category as written.
+    lex = load_lexicon("p :: np:s-a(X^p(X))\nq :: s:and(a, and(b, c))\n")
+    assert keys(lex.entries) == ["np:s-a(v1^p(v1))", "s:and(a, and(b, c))"]
+    assert [cat_key(e.chart_cat) for e in lex.entries] \
+        == ["np:s-a(p)", "s:and(and(a, b), c)"]
 
 
 def test_multiword_lookup_consumes_whole_lexeme():
