@@ -8,7 +8,7 @@ without an annotation receive distinct fresh variables, left to right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .terms import (
     Atom,
@@ -43,8 +43,9 @@ class Atomic:
         return f"Atomic({self.sort}, {self.sem!r})"
 
 
-@dataclass(frozen=True)
-class Slash:
+class Slash(NamedTuple):
+    """A slash category, and with sorts at its leaves a slash shape
+    (cat_shape): one structure, so the chart's rules read both alike."""
     dir: str  # "/" or "\\"
     result: "Category"
     arg: "Category"
@@ -85,13 +86,13 @@ def subst_cat(s: Subst, cat: Category) -> Category:
     return Slash(cat.dir, result, arg)
 
 
-def cat_shape(cat: Category) -> Union[str, tuple]:
+def cat_shape(cat: Category) -> Union[str, Slash]:
     """Sort and slash skeleton without terms: the sort of an atomic, and
-    (dir, result shape, arg shape) for a slash.  unify_cat fails on any
-    two categories whose shapes differ."""
+    Slash(dir, result shape, arg shape) for a slash.  unify_cat fails on
+    any two categories whose shapes differ."""
     if isinstance(cat, Atomic):
         return cat.sort
-    return (cat.dir, cat_shape(cat.result), cat_shape(cat.arg))
+    return Slash(cat.dir, cat_shape(cat.result), cat_shape(cat.arg))
 
 
 def unify_cat(a: Category, b: Category, s: Optional[Subst] = None) -> Optional[Subst]:

@@ -13,25 +13,31 @@ modulo the associativity of and/2: the bracketings of a coordination
 share one item, and an n-conjunct cluster keeps its scopings instead of
 Catalan-many copies.
 
-parse runs in two passes.  The first works on shapes alone (cat_shape:
-sorts and slash skeletons, no terms, no unification).  An inside CKY pass
-over the rules stated at shape level (SHAPE_RULES) finds every (span,
-shape) the lexical shapes can build, and an outside pass marks those that
-lie on a shape derivation of some full-span shape.  The second pass,
-closure proper, builds only the lexical and rule items whose (span,
-shape) is marked, and tries only the pairs and rules of the edges into
-marked shapes.  When no shape spans the input, everything is marked and
-the chart is the whole all-pairs chart, so a failed parse keeps every
-constituent.
+parse runs in two passes over one statement of the rules: the rows of
+ROWS, which read the Slash tuple that categories and their shapes share.
+The first pass works on shapes alone (cat_shape: sorts and slash
+skeletons, no terms, no unification).  An inside CKY pass over ROWS
+finds every (span, shape) the lexical shapes can build, and an outside
+pass marks those that lie on a shape derivation of some full-span shape.
+The second pass, closure proper, builds only the lexical and rule items
+whose (span, shape) is marked, and tries only the pairs and rules of the
+edges into marked shapes.  When no shape spans the input, everything is
+marked and the chart is the whole all-pairs chart, so a failed parse
+keeps every constituent.
 
-Why pruning loses nothing: unify_cat fails on any two categories whose
-shapes differ, subst_cat keeps shapes, and passes_through reads shapes
-only.  So every rule success on two items is a SHAPE_RULES result for
-their shapes, and every item of a full-span derivation has a marked (span,
-shape).  Every item some full-span item reaches is built, with all its
-backpointers in the same order as the all-pairs closure would give them,
-so readings, derivations and their order do not change.  Charts larger
-than MAX_ITEMS items are refused with ResourceError.
+Why pruning loses nothing: a row reads its operands through slash
+directions, results, arguments and passes_through, which sees sorts and
+slashes only, so its ask, offer and build give on a category's shape
+the shape of what they give on the category.  On categories a row
+succeeds only where unify_cat unifies ask(left) with offer(right), and
+unify_cat fails on any two categories whose shapes differ; its result is
+subst_cat of build(left, right), and subst_cat keeps shapes.  So every
+rule success on two items is the same row's result on their shapes, and
+every item of a full-span derivation has a marked (span, shape).  Every
+item some full-span item reaches is built, with all its backpointers in
+the same order as the all-pairs closure would give them, so readings,
+derivations and their order do not change.  Charts larger than
+MAX_ITEMS items are refused with ResourceError.
 """
 
 from __future__ import annotations
@@ -78,83 +84,109 @@ class Item:
     span: Tuple[int, int]
     cat: Category
     backs: List[tuple] = field(default_factory=list)
-    shape: Union[str, tuple] = field(init=False, repr=False, compare=False)
+    shape: Union[str, Slash] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.shape = cat_shape(self.cat)
 
 
-def shape_passes_through(shape) -> bool:
-    """May an argument slot of this cat_shape ride through a composition?
+def passes_through(x) -> bool:
+    """May an argument slot, a category or a cat_shape, ride through a
+    composition?
 
     Allowed: an np, or a predicate spine — a complex category all of
     whose spine arguments are atomic np and whose final result has sort
     s.  Everything else (bare s, sbar, noun modifiers, raised types)
     must be consumed by application before composing further.
     """
-    if type(shape) is str:
-        return shape == "np"
-    while type(shape) is tuple:
-        if shape[2] != "np":
-            return False
-        shape = shape[1]
-    return shape == "s"
+    if not isinstance(x, Slash):
+        return _sort(x) == "np"
+    while isinstance(x, Slash) and _sort(x.arg) == "np":
+        x = x.result
+    return _sort(x) == "s"
 
 
-def passes_through(cat: Category) -> bool:
-    """shape_passes_through on the category's shape."""
-    return shape_passes_through(cat_shape(cat))
-
-
-def fwd_apply(left: Category, right: Category) -> Optional[Category]:
-    if not (isinstance(left, Slash) and left.dir == "/"):
+def _sort(x) -> Optional[str]:
+    """The sort of an atomic category or shape; None for a slash."""
+    if isinstance(x, Slash):
         return None
-    s = unify_cat(left.arg, right)
-    if s is None:
-        return None
-    return subst_cat(s, left.result)
+    return x if type(x) is str else x.sort
 
 
-def bwd_apply(left: Category, right: Category) -> Optional[Category]:
-    if not (isinstance(right, Slash) and right.dir == "\\"):
-        return None
-    s = unify_cat(right.arg, left)
-    if s is None:
-        return None
-    return subst_cat(s, right.result)
+def _arg(x, dir: str):
+    """x's argument, if x is a slash of direction dir."""
+    return x.arg if isinstance(x, Slash) and x.dir == dir else None
 
 
-def fwd_compose(left: Category, right: Category) -> Optional[Category]:
-    """X/Y + Y/Z -> X/Z; degree 2: X/Y + (Y/Z)/W -> (X/Z)/W."""
-    if not (isinstance(left, Slash) and left.dir == "/"
-            and isinstance(right, Slash) and right.dir == "/"):
-        return None
-    if passes_through(right.arg):
-        s = unify_cat(left.arg, right.result)
-        if s is not None:
-            return Slash("/", subst_cat(s, left.result), subst_cat(s, right.arg))
-        inner = right.result
-        if isinstance(inner, Slash) and inner.dir == "/" and passes_through(inner.arg):
-            s = unify_cat(left.arg, inner.result)
-            if s is not None:
-                return Slash("/",
-                             Slash("/", subst_cat(s, left.result),
-                                   subst_cat(s, inner.arg)),
-                             subst_cat(s, right.arg))
+def _through(x, dir: str):
+    """x's result, if x is a slash of direction dir whose argument passes
+    through."""
+    if isinstance(x, Slash) and x.dir == dir and passes_through(x.arg):
+        return x.result
     return None
 
 
+# The four rules, stated once for categories and shapes alike.  A row is
+# (label, ask, offer, build): ask(left) is the part of the left operand
+# that must match offer(right), the part of the right operand (None: the
+# row does not apply), and build(left, right) is the result before the
+# match is applied.  On shapes a match is equality (_partners); on
+# categories it is unify_cat, and the result is subst_cat of the built
+# category under the unifier (_combine).
+ROWS = (
+    # X/Y + Y -> X
+    (">", lambda left: _arg(left, "/"), lambda right: right,
+     lambda left, right: left.result),
+    # Y + X\Y -> X
+    ("<", lambda left: left, lambda right: _arg(right, "\\"),
+     lambda left, right: right.result),
+    # X/Y + Y/Z -> X/Z
+    (">B", lambda left: _arg(left, "/"), lambda right: _through(right, "/"),
+     lambda left, right: Slash("/", left.result, right.arg)),
+    # X/Y + (Y/Z)/W -> (X/Z)/W
+    (">B", lambda left: _arg(left, "/"),
+     lambda right: _through(_through(right, "/"), "/"),
+     lambda left, right: Slash("/", Slash("/", left.result, right.result.arg),
+                               right.arg)),
+    # Y\Z + X\Y -> X\Z
+    ("<B", lambda left: _through(left, "\\"), lambda right: _arg(right, "\\"),
+     lambda left, right: Slash("\\", right.result, left.arg)),
+)
+
+
+def _combine(label: str, left: Category, right: Category) -> Optional[Category]:
+    """The result of the rule label on two categories, or None.  A rule's
+    rows never match the same pair of shapes, so at most one succeeds."""
+    for row_label, ask, offer, build in ROWS:
+        if row_label != label:
+            continue
+        want, got = ask(left), offer(right)
+        if want is None or got is None:
+            continue
+        s = unify_cat(want, got)
+        if s is not None:
+            return subst_cat(s, build(left, right))
+    return None
+
+
+def fwd_apply(left: Category, right: Category) -> Optional[Category]:
+    """Forward application: the rows of ROWS labelled '>'."""
+    return _combine(">", left, right)
+
+
+def bwd_apply(left: Category, right: Category) -> Optional[Category]:
+    """Backward application: the rows of ROWS labelled '<'."""
+    return _combine("<", left, right)
+
+
+def fwd_compose(left: Category, right: Category) -> Optional[Category]:
+    """Forward composition, degree 1 or 2: the rows of ROWS labelled '>B'."""
+    return _combine(">B", left, right)
+
+
 def bwd_compose(left: Category, right: Category) -> Optional[Category]:
-    """Y\\Z + X\\Y -> X\\Z (degree 1)."""
-    if not (isinstance(left, Slash) and left.dir == "\\"
-            and isinstance(right, Slash) and right.dir == "\\"):
-        return None
-    if not passes_through(left.arg):
-        return None
-    s = unify_cat(right.arg, left.result)
-    if s is None:
-        return None
-    return Slash("\\", subst_cat(s, right.result), subst_cat(s, left.arg))
+    """Backward composition, degree 1: the rows of ROWS labelled '<B'."""
+    return _combine("<B", left, right)
 
 
 RULES = (
@@ -164,71 +196,13 @@ RULES = (
     ("<B", bwd_compose),
 )
 
-_RULE_FNS = dict(RULES)
-
-
-# The rules at shape level.  unify_cat fails on categories of different
-# shapes, subst_cat keeps shapes and passes_through reads shapes only, so a
-# rule succeeds on two categories only where a row of its here matches
-# their shapes, and its result then has the row's result shape.  A row
-# holds the rule's label, the key a left shape asks for, the key a right
-# shape offers (None: the row does not apply) and the result shape; the
-# shapes match when the two keys are equal.
-
-
-def _over(shape) -> bool:
-    return type(shape) is tuple and shape[0] == "/"
-
-
-def _under(shape) -> bool:
-    return type(shape) is tuple and shape[0] == "\\"
-
-
-def _fwd_arg(left):
-    return left[2] if _over(left) else None
-
-
-def _bwd_arg(right):
-    return right[2] if _under(right) else None
-
-
-def _composed_result(right):
-    # Y/Z, Z passing through, offers Y.
-    return right[1] if _over(right) and shape_passes_through(right[2]) else None
-
-
-def _composed_result_result(right):
-    # (Y/Z)/W, Z and W passing through, offers Y.
-    inner = _composed_result(right)
-    return _composed_result(inner) if inner is not None else None
-
-
-def _bwd_composed_result(left):
-    # Y\Z, Z passing through, asks for Y.
-    return left[1] if _under(left) and shape_passes_through(left[2]) else None
-
-
-SHAPE_RULES = (
-    # X/Y + Y -> X
-    (">", _fwd_arg, lambda right: right, lambda left, right: left[1]),
-    # Y + X\Y -> X
-    ("<", lambda left: left, _bwd_arg, lambda left, right: right[1]),
-    # X/Y + Y/Z -> X/Z
-    (">B", _fwd_arg, _composed_result, lambda left, right: ("/", left[1], right[2])),
-    # X/Y + (Y/Z)/W -> (X/Z)/W
-    (">B", _fwd_arg, _composed_result_result,
-     lambda left, right: ("/", ("/", left[1], right[1][2]), right[2])),
-    # Y\Z + X\Y -> X\Z
-    ("<B", _bwd_composed_result, _bwd_arg, lambda left, right: ("\\", right[1], left[2])),
-)
-
 
 def _index(shapes) -> List[dict]:
-    """Per row of SHAPE_RULES, the given right shapes filed under the key
-    each offers."""
-    index: List[dict] = [{} for _ in SHAPE_RULES]
+    """Per row of ROWS, the given right shapes filed under the part each
+    offers."""
+    index: List[dict] = [{} for _ in ROWS]
     for shape in shapes:
-        for table, (_, _, offer, _) in zip(index, SHAPE_RULES):
+        for table, (_, _, offer, _) in zip(index, ROWS):
             key = offer(shape)
             if key is not None:
                 table.setdefault(key, []).append(shape)
@@ -238,11 +212,11 @@ def _index(shapes) -> List[dict]:
 def _partners(left, index: List[dict]) -> Iterator[tuple]:
     """(right shape, label, result shape) for every row under which the
     left shape combines with a right shape of the indexed cell."""
-    for table, (label, ask, _, result) in zip(index, SHAPE_RULES):
+    for table, (label, ask, _, build) in zip(index, ROWS):
         key = ask(left)
         if key is not None:
             for right in table.get(key, ()):
-                yield right, label, result(left, right)
+                yield right, label, build(left, right)
 
 
 def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[set, dict]:
@@ -437,18 +411,18 @@ def derivations(chart: Chart, item: Item) -> Iterator[tuple]:
 
 
 def _replay_step(label: str, left: Category, right: Category, item: Item,
-                 counter) -> Category:
+                 key: str, counter) -> Category:
     """Recombine two child categories by label; ChartError unless the result
-    has item's stored key."""
+    has key, item's stored cat_key."""
     lcat = standardize_apart(left, counter)
     rcat = standardize_apart(right, counter)
-    out = _RULE_FNS[label](lcat, rcat)
+    out = _combine(label, lcat, rcat)
     if out is None:
         raise ChartError(f"rule {label} failed to replay at {item.span}")
-    if cat_key(out) != cat_key(item.cat):
+    got = cat_key(out)
+    if got != key:
         raise ChartError(
-            f"replayed category differs at {item.span}: "
-            f"{cat_key(out)} vs {cat_key(item.cat)}")
+            f"replayed category differs at {item.span}: {got} vs {key}")
     return out
 
 
@@ -464,7 +438,8 @@ def replay(tree) -> Category:
         if t[0] == "lex":
             return t[2].cat
         label, lt, rt, item = t
-        return _replay_step(label, go(lt), go(rt), item, counter)
+        return _replay_step(label, go(lt), go(rt), item, cat_key(item.cat),
+                            counter)
 
     return go(tree)
 
@@ -483,11 +458,14 @@ def check_backpointers(chart: Chart) -> None:
     """
     counter = itertools.count(1)
     for item in chart.items.values():
+        key = None
         for back in item.backs:
             if back[0] != "lex":
+                if key is None:
+                    key = cat_key(item.cat)
                 label, li, ri = back
                 _replay_step(label, chart.items[li].cat, chart.items[ri].cat,
-                             item, counter)
+                             item, key, counter)
 
 
 def pretty(chart: Chart, tree) -> str:

@@ -36,7 +36,8 @@ def _data_text(name: str) -> str:
 
 
 class DataFileError(Exception):
-    """A malformed line in a corpus or skeleton file."""
+    """A malformed line in a corpus or skeleton file, or a user file that
+    is not UTF-8."""
 
 
 def read_data(name: str, path: Optional[str], row: Callable) -> list:
@@ -44,14 +45,10 @@ def read_data(name: str, path: Optional[str], row: Callable) -> list:
 
     Reads the file at path, or the bundled file name when path is None.
     Comments (``#`` to end of line) and blank lines are skipped.  A line
-    without a tab, or one row rejects, raises DataFileError naming the
-    file and line number.
+    without a tab, one row rejects or one nested too deeply to parse
+    raises DataFileError naming the file and line number.
     """
-    if path is None:
-        text = _data_text(name)
-    else:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+    text = _data_text(name) if path is None else _read_file(path)
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -63,14 +60,22 @@ def read_data(name: str, path: Optional[str], row: Callable) -> list:
             out.append(row(*line.split("\t", 1)))
         except (DataFileError, TermError, BaselineError, CatError) as exc:
             raise DataFileError(f"{path or name}, line {lineno}: {exc}") from exc
+        except RecursionError:
+            raise DataFileError(f"{path or name}, line {lineno}: nested too deeply") from None
     return out
 
 
+def _read_file(path: str) -> str:
+    """The text of a user file; DataFileError unless it is UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise DataFileError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _load_lexicon(path: Optional[str]):
-    if path is None:
-        return default_lexicon()
-    with open(path, encoding="utf-8") as f:
-        return load_lexicon(f.read())
+    return default_lexicon() if path is None else load_lexicon(_read_file(path))
 
 
 def _positive_int(text: str) -> int:
@@ -269,7 +274,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         lex = _load_lexicon(args.lexicon)
-    except (OSError, LexiconError) as exc:
+    except (OSError, LexiconError, DataFileError) as exc:
         print(f"lexicon error: {exc}", file=sys.stderr)
         return 2
     try:

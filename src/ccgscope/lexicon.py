@@ -211,6 +211,8 @@ def load_lexicon(text: str) -> Lexicon:
                 raise LexiconError("expected 'lexeme :: category', @tset or @raise")
         except (CatError, TermError, LexiconError) as exc:
             raise LexiconError(f"line {lineno}: {exc}") from exc
+        except RecursionError:
+            raise LexiconError(f"line {lineno}: nested too deeply") from None
     for lineno, lexeme, num, qsym, ssym in raises:
         try:
             if not lexeme:

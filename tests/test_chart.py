@@ -113,6 +113,27 @@ def test_license_blocks_composition_into_raised_argument():
     assert fwd_compose(left, right) is None
 
 
+def test_parse_reaches_the_four_rules_through_rules(lex, monkeypatch):
+    # perfbench/tracing.py counts rule attempts by wrapping chart.RULES.
+    assert [(label, fn.__name__) for label, fn in chart_module.RULES] == [
+        (">", "fwd_apply"), ("<", "bwd_apply"),
+        (">B", "fwd_compose"), ("<B", "bwd_compose")]
+    tokens = tokenize("every dealer shows most customers three cars")
+    plain = item_sequence(list(parse(tokens, lex).items.values()))
+    attempts = dict.fromkeys((label for label, _ in chart_module.RULES), 0)
+
+    def counted(label, fn):
+        def rule(left, right):
+            attempts[label] += 1
+            return fn(left, right)
+        return rule
+
+    monkeypatch.setattr(chart_module, "RULES", tuple(
+        (label, counted(label, fn)) for label, fn in chart_module.RULES))
+    assert item_sequence(list(parse(tokens, lex).items.values())) == plain
+    assert all(count > 0 for count in attempts.values()), attempts
+
+
 # --- parsing --------------------------------------------------------------
 
 def test_parse_single_name(lex):
@@ -191,6 +212,23 @@ def test_counts_match_enumeration_and_replay(lex):
 def test_backpointer_check_passes_on_every_corpus_chart(lex):
     for _, sent, _, _ in read_data("corpus.txt", None, _corpus_entry):
         check_backpointers(parse(tokenize(sent), lex))
+
+
+def test_backpointer_check_keys_each_item_once(lex, monkeypatch):
+    # One cat_key per replayed result, and one per item that has a rule
+    # backpointer for its stored category.
+    chart = parse("every dealer shows most customers three cars".split(), lex)
+    rules = [[back for back in it.backs if back[0] != "lex"]
+             for it in chart.items.values()]
+    calls = []
+
+    def counted(cat):
+        calls.append(cat)
+        return cat_key(cat)
+
+    monkeypatch.setattr(chart_module, "cat_key", counted)
+    check_backpointers(chart)
+    assert len(calls) == sum(map(len, rules)) + sum(1 for backs in rules if backs)
 
 
 def test_backpointer_rewired_to_wrong_child_fails_check(lex):
@@ -282,7 +320,7 @@ def test_shape_paired_closure_builds_the_all_pairs_chart(lex, oracle, sentence):
 
 def test_every_rule_success_is_a_shape_rule_result(oracle):
     # The soundness of pruning: each term-level combination projects onto
-    # a row of SHAPE_RULES for the two input shapes, with its result shape.
+    # the shape-level result of a row of ROWS on the two input shapes.
     successes = 0
     for chart in map(oracle, CLOSURE_CASES + [PP_CHAIN_4]):
         for item in chart.items.values():

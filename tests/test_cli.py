@@ -122,6 +122,13 @@ FRENCHMEN = "three frenchmen visited five russians"
     # A skeleton whose quantifiers are not the sentence's.
     (["compare", "--skeletons", "{}", FRENCHMEN],
      f"{FRENCHMEN}\tvisited(q?(every, F, frenchman(F)), q?(two, R, russian(R)))\n", None),
+    # Nesting deeper than the parsers recurse.
+    pytest.param(["compare", "--skeletons", "{}", FRENCHMEN],
+                 f"{FRENCHMEN}\t" + "f(" * 3000 + "a" + ")" * 3000 + "\n", 1,
+                 id="deep-skeleton"),
+    pytest.param(["corpus", "{}"],
+                 "UNGRAMMATICAL\tx ⊣ " + "(" * 3000 + "np" + ")" * 3000 + "\n", 1,
+                 id="deep-corpus-category"),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, line):
     path = tmp_path / "input"
@@ -132,6 +139,26 @@ def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, li
     assert "Traceback" not in err
     if line is not None:
         assert f"line {line}:" in err
+
+
+@pytest.mark.parametrize("argv, data", [
+    pytest.param(["corpus", "{}"], b"\xff\xfe bad\n", id="corpus-bytes"),
+    pytest.param(["--lexicon", "{}", "parse", "john"], b"john :: np:john \xff\n",
+                 id="lexicon-bytes"),
+    pytest.param(["compare", "--skeletons", "{}", FRENCHMEN], b"\xfe\n",
+                 id="skeleton-bytes"),
+    pytest.param(["--lexicon", "{}", "parse", "x"],
+                 ("x :: " + "(" * 3000 + "np" + ")" * 3000 + "\n").encode(),
+                 id="deep-lexicon-category"),
+])
+def test_unreadable_user_file_is_a_one_line_error(tmp_path, capsys, argv, data):
+    # Bytes that are not UTF-8, or nesting deeper than the parsers recurse.
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    code, _, err = run(capsys, *(a.format(path) for a in argv))
+    assert code == 2
+    assert "error: " in err and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # --- parse and derive -------------------------------------------------------------
