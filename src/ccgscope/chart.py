@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .categories import (
@@ -337,7 +336,6 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
         if (span, entry.shape) in live:
             add(span, lexicon.fresh(entry.chart_cat), ("lex", entry.tag))
 
-    by_shape: Dict[Tuple[int, int], dict] = {}
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
@@ -345,37 +343,21 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
                 wanted = edges.get((i, j, k))
                 if not wanted:
                     continue
-                # Narrower than (i, j), so complete: group it once.
-                right = by_shape.get((k, j))
-                if right is None:
-                    right = by_shape[(k, j)] = {}
-                    for it in chart.cells.get((k, j), {}).values():
-                        right.setdefault(it.shape, []).append(it)
-                partners: dict = {}
+                # Both cells hold their items in id order, so backpointers
+                # arrive in the order the all-pairs closure gives them.
                 for lit in chart.cells.get((i, k), {}).values():
                     want = wanted.get(lit.shape)
                     if not want:
                         continue
-                    found = partners.get(lit.shape)
-                    if found is None:
-                        found = partners[lit.shape] = _item_partners(want, right)
-                    for rit in found:
-                        labels = want[rit.shape]
-                        for label, rule in RULES:
-                            if label in labels:
-                                out = rule(lit.cat, rit.cat)
-                                if out is not None:
-                                    add((i, j), out, (label, lit.id, rit.id))
+                    for rit in chart.cells.get((k, j), {}).values():
+                        labels = want.get(rit.shape)
+                        if labels:
+                            for label, rule in RULES:
+                                if label in labels:
+                                    out = rule(lit.cat, rit.cat)
+                                    if out is not None:
+                                        add((i, j), out, (label, lit.id, rit.id))
     return chart
-
-
-def _item_partners(want: dict, right: dict) -> List[Item]:
-    """The items of a cell, grouped by shape, whose shape is a key of
-    want; each once, in id order."""
-    found = [it for shape in want for it in right.get(shape, ())]
-    if len(want) > 1:
-        found.sort(key=attrgetter("id"))
-    return found
 
 
 def count_derivations(chart: Chart) -> Dict[int, int]:

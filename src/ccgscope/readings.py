@@ -12,10 +12,12 @@ one canonical reading.  Placement rules:
   intervenes below the binder (or when the intervening material is a
   coordination); otherwise directly below the binder.
 - Structurally identical occurrences distributed over a coordination
-  are promoted jointly at their smallest common compound when no
-  quantifier or up(.) boundary separates it from them, unless every
-  occurrence sits beside an intensional argument under an outer
-  quantifier, in which case each occurrence is handled on its own.
+  are promoted jointly at the and/2 where they part when no quantifier
+  or up(.) boundary separates it from them, unless every occurrence sits
+  beside an intensional argument under an outer quantifier, in which
+  case each occurrence is handled on its own.  Joint promotion happens
+  only across the conjuncts of an and/2: identical occurrences that part
+  anywhere else are separate noun phrases, each promoted on its own.
 - An occurrence beside an up(.) argument that still carries scope
   material stays in place (a set-form residue): promoting it would
   assert an order against material trapped in the intensional argument.
@@ -90,33 +92,34 @@ def _steps(node: Term):
     return _NAMED_STEPS.get(type(node), ())
 
 
-def _walk(t: Term, path: tuple = ()) -> Iterator[Tuple[tuple, Term]]:
-    """All (path, node) pairs in preorder."""
-    yield path, t
-    for step, kid in zip(_steps(t), children(t)):
-        yield from _walk(kid, path + (step,))
-
-
-def _node_at(t: Term, path: tuple) -> Term:
-    for step in path:
-        t = children(t)[_steps(t).index(step)]
-    return t
-
-
-def _chain(t: Term, path: tuple) -> List[Tuple[Term, object]]:
-    """(ancestor node, step taken) pairs from the root down to path."""
-    out = []
-    node = t
-    for step in path:
-        out.append((node, step))
-        node = _node_at(node, (step,))
-    return out
+def _walk(t: Term) -> Iterator[Tuple[tuple, Term, tuple]]:
+    """All (path, node, chain) triples in preorder, where chain holds the
+    (ancestor, step) pairs from t down to node."""
+    stack = [((), t, ())]
+    while stack:
+        path, node, chain = stack.pop()
+        yield path, node, chain
+        stack.extend(reversed([(path + (step,), kid, chain + ((node, step),))
+                               for step, kid in zip(_steps(node), children(node))]))
 
 
 def _binds(node: Term, step) -> Optional[Var]:
     """The variable node makes visible along this step, if any."""
     if is_quant(node) and isinstance(node.args[0], Var) and step in (1, 2):
         return node.args[0]
+    return None
+
+
+def _visible(chain: tuple) -> set:
+    """The variables bound along chain."""
+    return {v for n, s in chain if (v := _binds(n, s)) is not None}
+
+
+def _binder_index(chain: tuple, free: set) -> Optional[int]:
+    """Position in chain of the innermost binder of a variable in free."""
+    for idx in range(len(chain) - 1, -1, -1):
+        if _binds(*chain[idx]) in free:
+            return idx
     return None
 
 
@@ -131,12 +134,12 @@ class _Wrap:
     site: tuple
     det: str
     var: Var
-    arg_path: tuple       # path of the argument subtree used as restriction
+    restriction: tuple    # (path, node, chain) of the argument used as restriction
     occ_paths: Tuple[tuple, ...]
     order: int            # preorder rank of the first occurrence
 
 
-def _low_site(chain: List[Tuple[Term, object]], path: tuple) -> tuple:
+def _low_site(chain: tuple, path: tuple) -> tuple:
     """Innermost enclosing compound; promotion never exits an up(.)."""
     for idx in range(len(chain) - 1, -1, -1):
         node = chain[idx][0]
@@ -147,7 +150,7 @@ def _low_site(chain: List[Tuple[Term, object]], path: tuple) -> tuple:
     raise StructuralError("set form with no enclosing compound")
 
 
-def _float_position(chain: List[Tuple[Term, object]]) -> bool:
+def _float_position(chain: tuple) -> bool:
     if not chain:
         return False
     node, step = chain[-1]
@@ -157,7 +160,7 @@ def _float_position(chain: List[Tuple[Term, object]]) -> bool:
                for i, a in enumerate(node.args) if i != step)
 
 
-def _single_site(t, chain, path) -> Optional[tuple]:
+def _single_site(chain: tuple, path: tuple) -> Optional[tuple]:
     """Site for one closed occurrence; None means it stays in place."""
     if any(isinstance(n, Up) for n, _ in chain):
         return _low_site(chain, path)
@@ -166,12 +169,8 @@ def _single_site(t, chain, path) -> Optional[tuple]:
     return _low_site(chain, path)
 
 
-def _dependent_site(t, chain, path, free: set) -> tuple:
-    binder_idx = None
-    for idx in range(len(chain) - 1, -1, -1):
-        if _binds(*chain[idx]) in free:
-            binder_idx = idx
-            break
+def _dependent_site(chain: tuple, path: tuple, free: set) -> tuple:
+    binder_idx = _binder_index(chain, free)
     assert binder_idx is not None
     below = chain[binder_idx + 1:]
     if not any(is_quant(n) for n, _ in below) or any(is_and(n) for n, _ in below):
@@ -180,22 +179,26 @@ def _dependent_site(t, chain, path, free: set) -> tuple:
 
 
 def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var]]:
-    occ_list = [(path, node) for path, node in _walk(t) if is_set_form(node)]
-    rank = {path: i for i, (path, _) in enumerate(occ_list)}
+    occ_list = [(path, node, chain) for path, node, chain in _walk(t)
+                if is_set_form(node)]
+    rank = {path: i for i, (path, _, _) in enumerate(occ_list)}
+    chains = {path: chain for path, _, chain in occ_list}
     groups: Dict[Term, List[tuple]] = {}
-    for path, node in occ_list:
+    for path, node, _ in occ_list:
         groups.setdefault(node, []).append(path)
 
     fresh = itertools.count(1)
     wraps: List[_Wrap] = []
     replace: Dict[tuple, Var] = {}
 
-    def promote(det, paths, site):
+    def promote(node, paths, site):
         var = Var(f"_q{next(fresh)}")
         for p in paths:
             replace[p] = var
-        wraps.append(_Wrap(site, det, var, paths[0] + (0,), tuple(paths),
-                           min(rank[p] for p in paths)))
+        first = paths[0]
+        wraps.append(_Wrap(site, node.functor[len(SET_PREFIX):], var,
+                           (first + (0,), node.args[0], chains[first] + ((node, 0),)),
+                           tuple(paths), min(rank[p] for p in paths)))
 
     # Joint promotion keeps only the first copy's subtree; occurrences of
     # other tokens inside a discarded copy have identical twins inside the
@@ -215,22 +218,17 @@ def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var]]:
         paths = [p for p in paths if alive(p)]
         if not paths:
             continue
-        det = node.functor[len(SET_PREFIX):]
-        chains = {p: _chain(t, p) for p in paths}
-        bound_free = {}
-        for p in paths:
-            fv = set(free_vars(node.args[0]))
-            visible = {v for n, s in chains[p] if (v := _binds(n, s)) is not None}
-            bound_free[p] = fv & visible
+        fv = set(free_vars(node.args[0]))
+        bound_free = {p: fv & _visible(chains[p]) for p in paths}
 
-        if any(bound_free[p] for p in paths):
+        if any(bound_free.values()):
             for p in paths:
                 if bound_free[p]:
-                    site = _dependent_site(t, chains[p], p, bound_free[p])
+                    site = _dependent_site(chains[p], p, bound_free[p])
                 else:
-                    site = _single_site(t, chains[p], p)
+                    site = _single_site(chains[p], p)
                 if site is not None:
-                    promote(det, [p], site)
+                    promote(node, [p], site)
             continue
 
         if len(paths) >= 2:
@@ -240,35 +238,34 @@ def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var]]:
                 while n < min(len(prefix), len(p)) and prefix[n] == p[n]:
                     n += 1
                 prefix = prefix[:n]
-            while prefix and not isinstance(_node_at(t, prefix), Compound):
-                prefix = prefix[:-1]
-            sca_chain = _chain(t, prefix)
-            dominated = any(is_quant(n) for n, _ in sca_chain)
-            if dominated and all(_float_position(chains[p]) for p in paths):
+            # Equal set forms are copies of one shared argument when they
+            # part at the and/2 that distributes it; parting anywhere else,
+            # they are separate noun phrases.  (No copy contains another, a
+            # term never being its own proper subterm, so every path runs
+            # past prefix.)
+            chain = chains[paths[0]]
+            dominated = any(is_quant(n) for n, _ in chain[:len(prefix)])
+            if not is_and(chain[len(prefix)][0]):
+                pass  # separate noun phrases: handle one by one
+            elif dominated and all(_float_position(chains[p]) for p in paths):
                 pass  # every copy floats beside an up(.): handle one by one
-            else:
-                blocked = False
-                for p in paths:
-                    between = chains[p][len(prefix) + 1:]
-                    if any(is_quant(n) or isinstance(n, Up) for n, _ in between):
-                        blocked = True
-                        break
-                if not blocked:
-                    promote(det, paths, prefix)
-                    dead.extend(paths[1:])
-                    continue
+            elif not any(is_quant(n) or isinstance(n, Up)
+                         for p in paths for n, _ in chains[p][len(prefix) + 1:]):
+                promote(node, paths, prefix)
+                dead.extend(paths[1:])
+                continue
 
         for p in paths:
-            site = _single_site(t, chains[p], p)
+            site = _single_site(chains[p], p)
             if site is not None:
-                promote(det, [p], site)
+                promote(node, [p], site)
 
     return wraps, replace
 
 
 # --- phase 2: rebuild -------------------------------------------------------
 
-def _ordered(wraps: List[_Wrap], node: Term, path: tuple, t: Term) -> List[_Wrap]:
+def _ordered(wraps: List[_Wrap], node: Term, path: tuple, chain: tuple) -> List[_Wrap]:
     """Outermost-first order of the quantifiers wrapped at one site."""
     direct = {}
     for w in wraps:
@@ -278,7 +275,7 @@ def _ordered(wraps: List[_Wrap], node: Term, path: tuple, t: Term) -> List[_Wrap
             direct[id(w)] = min(pos)
     flip = False
     if len(direct) >= 2 and isinstance(node, Compound):
-        visible = {v for n, s in _chain(t, path) if (v := _binds(n, s)) is not None}
+        visible = _visible(chain)
         for a, b in itertools.combinations(sorted(direct.values()), 2):
             if any(isinstance(node.args[k], Var) and node.args[k] in visible
                    for k in range(a + 1, b)):
@@ -288,10 +285,9 @@ def _ordered(wraps: List[_Wrap], node: Term, path: tuple, t: Term) -> List[_Wrap
 
 def normalize(t: Term) -> Term:
     """Promote set forms to scoped quantifiers; alpha-canonical result."""
-    for node in subterms(t):
-        if is_quant(node) and not isinstance(node.args[0], Var):
-            raise StructuralError(
-                "quantifier with a non-variable in its variable position")
+    if not _well_formed(t):
+        raise StructuralError(
+            "quantifier with a non-variable in its variable position")
 
     wraps, replace = _assign_sites(t)
     by_site: Dict[tuple, List[_Wrap]] = {}
@@ -299,25 +295,25 @@ def normalize(t: Term) -> Term:
         by_site.setdefault(w.site, []).append(w)
 
     def restriction(w: _Wrap) -> Term:
-        body = rebuild(_node_at(t, w.arg_path), w.arg_path)
+        body = rebuild(*w.restriction)
         if isinstance(body, Lam):
             return apply({body.param: w.var}, body.body)
         if isinstance(body, Atom):
             return Compound(body.name, (w.var,))
         raise StructuralError(f"unpromotable restriction {format_term(body)}")
 
-    def rebuild(node: Term, path: tuple) -> Term:
+    def rebuild(path: tuple, node: Term, chain: tuple) -> Term:
         if path in replace:
             return replace[path]
-        out = with_children(node, [rebuild(kid, path + (step,))
+        out = with_children(node, [rebuild(path + (step,), kid, chain + ((node, step),))
                                    for step, kid in zip(_steps(node), children(node))])
         here = by_site.get(path)
         if here:
-            for w in reversed(_ordered(here, node, path, t)):
+            for w in reversed(_ordered(here, node, path, chain)):
                 out = Compound(QUANT_PREFIX + w.det, (w.var, restriction(w), out))
         return out
 
-    result = rebuild(t, ())
+    result = rebuild((), t, ())
     if free_vars(t) == () and free_vars(result):
         raise StructuralError(
             f"promotion left variables unbound in {format_term(result)}")
@@ -337,18 +333,13 @@ def _intensional_violation(t: Term) -> bool:
     binder sits immediately on a coordination of such arguments and no
     other quantifier intervenes above the up(.).
     """
-    for path, node in _walk(t):
+    for _, node, chain in _walk(t):
         if not isinstance(node, Up):
             continue
         free = set(free_vars(node.body))
         if not free:
             continue
-        chain = _chain(t, path)
-        binder_idx = None
-        for idx in range(len(chain) - 1, -1, -1):
-            if _binds(*chain[idx]) in free:
-                binder_idx = idx
-                break
+        binder_idx = _binder_index(chain, free)
         if binder_idx is None:
             continue
         others = any(is_quant(n) and idx != binder_idx
@@ -404,7 +395,7 @@ def _head_noun(restr: Term, var: Var) -> str:
 
 def occurrences(t: Term) -> List[Occurrence]:
     found = []
-    for path, node in _walk(t):
+    for path, node, _ in _walk(t):
         if is_quant(node) and isinstance(node.args[0], Var):
             det = node.functor[len(QUANT_PREFIX):]
             found.append((det, _head_noun(node.args[1], node.args[0]), path, "q"))
@@ -436,32 +427,26 @@ def _resolve(occs: List[Occurrence], name: str) -> List[Occurrence]:
     return hits
 
 
+def _in_scope(outer: tuple, inner: tuple) -> bool:
+    """Does the path inner lie in the restriction or body of the quantifier
+    at the path outer?"""
+    k = len(outer)
+    return len(inner) > k and inner[:k] == outer and inner[k] in (1, 2)
+
+
 def outscopes(reading, d1: str, d2: str) -> bool:
     """Does some d1 quantifier contain a d2 occurrence in its scope?"""
     t = reading.term if isinstance(reading, Reading) else reading
     occs = occurrences(t)
     for o1 in _resolve(occs, d1):
-        if o1.kind != "q":
-            continue
-        for o2 in _resolve(occs, d2):
-            if o2.path == o1.path:
-                continue
-            k = len(o1.path)
-            if len(o2.path) > k and o2.path[:k] == o1.path and o2.path[k] in (1, 2):
-                return True
+        if o1.kind == "q" and any(_in_scope(o1.path, o2.path)
+                                  for o2 in _resolve(occs, d2)):
+            return True
     return False
 
 
 def scope_profile(t: Term) -> frozenset:
     """All (outer label, inner label) pairs ordered by containment."""
     occs = occurrences(t)
-    prof = set()
-    for o1 in occs:
-        if o1.kind != "q":
-            continue
-        k = len(o1.path)
-        for o2 in occs:
-            if o2.path != o1.path and len(o2.path) > k \
-                    and o2.path[:k] == o1.path and o2.path[k] in (1, 2):
-                prof.add((o1.label, o2.label))
-    return frozenset(prof)
+    return frozenset((o1.label, o2.label) for o1 in occs if o1.kind == "q"
+                     for o2 in occs if _in_scope(o1.path, o2.path))

@@ -1,17 +1,34 @@
+import itertools
+import random
+
 import pytest
 
+from ccgscope.categories import atomics
 from ccgscope.chart import parse
 from ccgscope.lexicon import default_lexicon
 from ccgscope.readings import (
     NoParseError,
     ReadingError,
     StructuralError,
+    _steps,
+    _walk,
     normalize,
+    occurrences,
     outscopes,
     readings,
     scope_profile,
 )
-from ccgscope.terms import canonicalize, format_term, free_vars, parse_term
+from ccgscope.terms import (
+    canonicalize,
+    children,
+    format_term,
+    free_vars,
+    parse_term,
+    subterms,
+)
+
+from test_acceptance import corpus_sentences
+from test_terms import rand_lf, rand_term
 
 
 def norm(text):
@@ -27,6 +44,28 @@ def lex():
     return default_lexicon()
 
 
+# --- the walk ---------------------------------------------------------------
+
+def test_walk_yields_each_node_with_its_path_and_ancestor_chain(lex):
+    def child(node, step):
+        return children(node)[list(_steps(node)).index(step)]
+
+    rng = random.Random(20261019)
+    sample = [rand_term(rng, 4, ["X", "Y", "Z"]) for _ in range(300)]
+    sample += [rand_lf(rng, 5) for _ in range(300)]
+    sample += [at.sem for _, tokens in corpus_sentences()
+               for it in parse(tokens, lex).full_span() for at in atomics(it.cat)]
+    for t in sample:
+        walked = list(_walk(t))
+        assert [id(node) for _, node, _ in walked] == [id(n) for n in subterms(t)]
+        for path, node, chain in walked:
+            assert tuple(step for _, step in chain) == path
+            assert not chain or chain[0][0] is t
+            hops = [child(a, step) for a, step in chain]
+            assert all(h is a for h, (a, _) in zip(hops, chain[1:]))
+            assert (hops[-1] if hops else t) is node
+
+
 # --- promotion of set forms -------------------------------------------------
 
 def test_promotes_set_form_in_place():
@@ -39,6 +78,13 @@ def test_joint_promotion_across_conjunction():
                " detested(s-most(boy), Y)))")
     assert got == ("q-one(v1, sax(v1), and(q-every(v2, girl(v2), admired(v2, v1)),"
                    " q-most(v3, boy(v3), detested(v3, v1))))")
+
+
+def test_identical_set_forms_outside_a_coordination_stay_two_quantifiers():
+    # Two noun phrases that happen to read alike are two quantifiers, not
+    # one shared argument: only copies parted by an and/2 promote jointly.
+    got = norm("admired(s-every(girl), s-every(girl))")
+    assert got == "q-every(v1, girl(v1), q-every(v2, girl(v2), admired(v1, v2)))"
 
 
 def test_no_set_forms_is_canonicalize_only():
@@ -124,6 +170,19 @@ def test_plain_transitive_two_readings(lex):
     }
 
 
+def test_identical_noun_phrases_keep_both_scopings(lex):
+    # Each noun phrase brings its own quantifier, so a transitive verb with
+    # two quantified arguments has the same two scopings as "three
+    # frenchmen visited five russians", even when the two read alike.
+    rs = readings("every girl admired every girl".split(), lex)
+    assert len(rs) == 2
+    assert {format_term(r.term) for r in rs} == {
+        "q-every(v1, girl(v1), q-every(v2, girl(v2), admired(v1, v2)))",
+        "q-every(v1, girl(v1), q-every(v2, girl(v2), admired(v2, v1)))",
+    }
+    assert sum(r.multiplicity for r in rs) == 15
+
+
 def test_embedded_clause_filter_keeps_opaque_and_wide(lex):
     rs = readings("john thinks that every man danced with two women".split(), lex)
     assert len(rs) == 2
@@ -190,3 +249,16 @@ def test_cluster_conjunct_orders_scope_independently(lex):
     for r in rs:
         assert not (outscopes(r, "most-cstmr", "every-dlr")
                     and outscopes(r, "every-dlr", "three"))
+
+
+def test_outscopes_agrees_with_scope_profile(lex):
+    pairs = inside = 0
+    for _, tokens in corpus_sentences():
+        for r in readings(tokens, lex):
+            profile = scope_profile(r.term)
+            labels = {o.label for o in occurrences(r.term)}
+            for a, b in itertools.product(sorted(labels), repeat=2):
+                assert outscopes(r, a, b) == ((a, b) in profile), (tokens, a, b)
+                pairs += 1
+                inside += (a, b) in profile
+    assert pairs > 250 and inside > 50
