@@ -38,6 +38,27 @@ item some full-span item reaches is built, with all its backpointers in
 the same order as the all-pairs closure would give them, so readings,
 derivations and their order do not change.  Charts larger than
 MAX_ITEMS items are refused with ResourceError.
+
+The grammar has one constraint beyond unification: a quantifier
+q-<det>(V, R, B) binds a variable.  A rule fails, as it does when
+unify_cat fails, when its result would bind a quantifier's variable to a
+non-variable: subst_cat (terms.apply_reduced) raises QuantifierSlotError
+while it builds the result, and _combine returns None.  Such a
+constituent has no interpretation, and substitution never turns its slot
+back into a variable, so every item built from it carries the ill-formed
+quantifier too, unless some functor discards the semantics holding it.
+The check runs in the walk that builds every rule result, so parse,
+replay and check_backpointers agree on it.
+
+Why this loses no reading of the bundled fragment: in fragment.lex the
+argument semantics a functor discards are number variables (bound only
+to numbers and to each other), comma:C, and at the last argument of the
+cluster coordinators but/and the verb slot's S, Y and Z, which the two
+conjunct clusters have already threaded into P and Q.  None of these
+discards a quantifier.  The tests compare the readings, multiplicities
+and order with those of an all-pairs closure that keeps the ill-formed
+constituents.  A user lexicon can discard one, as x :: s:ok/s:Q does;
+there the derivations through it are gone (see README).
 """
 
 from __future__ import annotations
@@ -59,6 +80,7 @@ from .lexicon import Lexicon, UnknownTokenError
 # Not called here: lexical entries bring their chart form
 # (LexEntry.chart_cat).  perfbench/tracing.py patches this name.
 from .terms import eta_reduce_sets  # noqa: F401
+from .terms import QuantifierSlotError
 
 MAX_TOKENS = 32
 # Work budget: a chart that would grow past this many items is refused
@@ -155,7 +177,9 @@ ROWS = (
 
 def _combine(label: str, left: Category, right: Category) -> Optional[Category]:
     """The result of the rule label on two categories, or None.  A rule's
-    rows never match the same pair of shapes, so at most one succeeds."""
+    rows never match the same pair of shapes, so at most one succeeds.
+    A rule also fails when its result would bind a quantifier's variable
+    to a non-variable (subst_cat raises QuantifierSlotError)."""
     for row_label, ask, offer, build in ROWS:
         if row_label != label:
             continue
@@ -164,7 +188,10 @@ def _combine(label: str, left: Category, right: Category) -> Optional[Category]:
             continue
         s = unify_cat(want, got)
         if s is not None:
-            return subst_cat(s, build(left, right))
+            try:
+                return subst_cat(s, build(left, right))
+            except QuantifierSlotError:
+                return None
     return None
 
 

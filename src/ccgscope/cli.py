@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from importlib import resources
@@ -278,7 +279,16 @@ def main(argv=None) -> int:
         print(f"lexicon error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _DISPATCH[args.command](args, lex, sys.stdout)
+        code = _DISPATCH[args.command](args, lex, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (ccgscope derive ... | head): output
+        # ends here.  Point stdout at devnull so the flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except NoParseError as exc:
         print(f"no parse: {exc}", file=sys.stderr)
         return 1

@@ -435,14 +435,13 @@ def _in_scope(outer: tuple, inner: tuple) -> bool:
 
 
 def outscopes(reading, d1: str, d2: str) -> bool:
-    """Does some d1 quantifier contain a d2 occurrence in its scope?"""
+    """Does some d1 quantifier contain a d2 occurrence in its scope?
+    ReadingError when either name matches no occurrence."""
     t = reading.term if isinstance(reading, Reading) else reading
     occs = occurrences(t)
-    for o1 in _resolve(occs, d1):
-        if o1.kind == "q" and any(_in_scope(o1.path, o2.path)
-                                  for o2 in _resolve(occs, d2)):
-            return True
-    return False
+    outer, inner = _resolve(occs, d1), _resolve(occs, d2)
+    return any(o1.kind == "q" and _in_scope(o1.path, o2.path)
+               for o1 in outer for o2 in inner)
 
 
 def scope_profile(t: Term) -> frozenset:

@@ -19,6 +19,10 @@ class TermError(Exception):
     """Raised for malformed terms or unparseable term text."""
 
 
+class QuantifierSlotError(TermError):
+    """A substitution bound a quantifier's variable slot to a non-variable."""
+
+
 @dataclass(frozen=True)
 class Var:
     id: str
@@ -309,6 +313,11 @@ def apply_reduced(s: Subst, t: Term) -> Term:
     s must be acyclic.  Every unifier unify returns is, by its occurs
     check; unlike apply, this walk does not test for cycles.  A lambda
     parameter bound to a non-variable raises TermError, as in apply.
+    Unlike apply, a quantifier q-<det>(V, R, B) whose variable V the walk
+    replaces by a non-variable raises QuantifierSlotError: no term binds
+    that slot back to a variable, so nothing built from the result can be
+    read.  Only the replacement is refused; a quantifier that holds a
+    non-variable in t, or in a value of s, already is returned as it is.
     """
     while isinstance(t, Var):
         if t not in s:
@@ -319,6 +328,8 @@ def apply_reduced(s: Subst, t: Term) -> Term:
     kids = children(t)
     new = [apply_reduced(s, k) for k in kids]
     if any(map(is_not, new, kids)):
+        if isinstance(kids[0], Var) and not isinstance(new[0], Var) and is_quant(t):
+            raise QuantifierSlotError(f"{t.functor} would bind a non-variable")
         t = with_children(t, new)
     if not isinstance(t, Compound):
         return t

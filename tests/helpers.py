@@ -6,11 +6,12 @@ derivation it freezes; the rendered text is the pretty printer's output
 for those derivations, blank-line separated, in the listed order.
 """
 
-from ccgscope.categories import cat_key, map_sems
-from ccgscope.chart import RULES, Chart, Item, derivations, parse, pretty
+from ccgscope.categories import atomics, cat_key, map_sems, unify_cat
+from ccgscope.chart import ROWS, Chart, Item, derivations, parse, pretty
 from ccgscope.cli import tokenize
 from ccgscope.lexicon import UnknownTokenError, default_lexicon
-from ccgscope.terms import eta_reduce_sets
+from ccgscope.readings import _well_formed
+from ccgscope.terms import apply, eta_reduce_sets
 
 GOLDENS = {
     "object_subject_scope.txt": (
@@ -52,10 +53,24 @@ def render_golden(name, lexicon=None):
     return "\n\n".join(blocks) + "\n"
 
 
+def all_pairs_combinations(left, right):
+    """(label, result) for every row of ROWS that combines two categories,
+    built without the chart's rule walk: unify, apply the unifier, then
+    rewrite into canonical form.  Quantifiers over non-variables are kept."""
+    for label, ask, offer, build in ROWS:
+        want, got = ask(left), offer(right)
+        if want is None or got is None:
+            continue
+        s = unify_cat(want, got)
+        if s is not None:
+            yield label, map_sems(build(left, right), lambda t: apply(s, t))
+
+
 def all_pairs_parse(tokens, lex):
-    """Oracle: closure that builds every lexical item, tries every rule on
+    """Oracle: closure that builds every lexical item, tries every row on
     every pair of adjacent items and rewrites every result into canonical
-    form itself."""
+    form itself.  It prunes nothing, so it keeps the constituents whose
+    quantifiers bind non-variables."""
     n = len(tokens)
     chart = Chart(tuple(tokens), {}, {})
 
@@ -84,11 +99,23 @@ def all_pairs_parse(tokens, lex):
             for k in range(i + 1, j):
                 for lit in chart.cells.get((i, k), {}).values():
                     for rit in chart.cells.get((k, j), {}).values():
-                        for label, rule in RULES:
-                            out = rule(lit.cat, rit.cat)
-                            if out is not None:
-                                add((i, j), out, (label, lit.id, rit.id))
+                        for label, out in all_pairs_combinations(lit.cat, rit.cat):
+                            add((i, j), out, (label, lit.id, rit.id))
     return chart
+
+
+def well_formed_part(chart):
+    """The chart's items whose every semantics readings._well_formed
+    accepts, keeping only the backpointers between such items."""
+    items = {i: it for i, it in chart.items.items()
+             if all(_well_formed(at.sem) for at in atomics(it.cat))}
+    part = Chart(chart.tokens, {}, {})
+    for i, it in items.items():
+        backs = [back for back in it.backs
+                 if back[0] == "lex" or (back[1] in items and back[2] in items)]
+        part.items[i] = Item(i, it.span, it.cat, backs)
+        part.cells.setdefault(it.span, {})[cat_key(it.cat)] = part.items[i]
+    return part
 
 
 def live_items(chart):

@@ -24,10 +24,12 @@ from ccgscope.categories import (
 )
 from ccgscope.cli import _corpus_entry, read_data, tokenize
 from ccgscope.lexicon import default_lexicon
+from ccgscope.readings import _well_formed
 from ccgscope.terms import (
     Atom,
     Compound,
     Lam,
+    QuantifierSlotError,
     TermError,
     Var,
     apply,
@@ -202,16 +204,28 @@ def rewrite_pass(term):
     return term
 
 
+def well_formed_cat(cat):
+    return all(_well_formed(at.sem) for at in atomics(cat))
+
+
 def agrees_with_oracle(s, cat):
     """Compare subst_cat with the oracle, TermError included.  Returns
-    "raised" when both raised, "rewrote" when the rewrites changed the
-    applied category, else "applied"."""
+    "raised" when both raised, "pruned" when subst_cat refused a
+    quantifier over a non-variable, "rewrote" when the rewrites changed
+    the applied category, else "applied".  Every quantifier in cat and in
+    the values of s must bind a variable, so one that binds a non-variable
+    after apply is one the substitution made."""
+    assert well_formed_cat(cat) and all(map(_well_formed, s.values()))
     try:
         applied = map_sems(cat, lambda t: apply(s, t))
     except TermError:
         with pytest.raises(TermError):
             subst_cat(s, cat)
         return "raised"
+    if not well_formed_cat(applied):
+        with pytest.raises(QuantifierSlotError):
+            subst_cat(s, cat)
+        return "pruned"
     want = map_sems(applied, rewrite_pass)
     assert subst_cat(s, cat) == want
     return "applied" if want == applied else "rewrote"
@@ -234,6 +248,30 @@ def test_subst_cat_agrees_with_apply_then_rewrite_on_random_unifiers():
     assert tallies["applied"] > 500 and tallies["rewrote"] > 100 and tallies["raised"] > 5
 
 
+def test_subst_cat_refuses_exactly_the_quantifiers_a_substitution_spoils():
+    # A random term dense in quantifiers, under a unifier that binds each
+    # variable of the pool to a small random term, leaves it unbound or
+    # ties it to another.
+    rng = random.Random(20261018)
+    pool = ["X", "Y", "Z", "W"]
+
+    def scoped(depth):
+        if depth == 0 or rng.random() < 0.2:
+            return rng.choice([Var(rng.choice(pool)), Atom("a")])
+        if rng.random() < 0.5:
+            return Compound("q-a", (Var(rng.choice(pool)), scoped(depth - 1),
+                                    scoped(depth - 1)))
+        return Compound("f", tuple(scoped(depth - 1) for _ in range(rng.randrange(1, 3))))
+
+    tallies = {"applied": 0, "rewrote": 0, "raised": 0, "pruned": 0}
+    for _ in range(2000):
+        values = tuple(rand_term(rng, 1, pool) for _ in pool)
+        s = unify(Compound("g", tuple(map(Var, pool))), Compound("g", values))
+        if s is not None:
+            tallies[agrees_with_oracle(s, Atomic("s", scoped(4)))] += 1
+    assert tallies["applied"] > 100 and tallies["pruned"] > 100, tallies
+
+
 def test_subst_cat_raises_where_apply_does():
     cat = parse_cat("s:f(X)/n:X^p(X)")
     s = {Var("X"): Atom("a")}
@@ -252,12 +290,20 @@ def test_subst_cat_agrees_on_every_corpus_rule_result(monkeypatch):
         return subst_cat(s, cat)
 
     monkeypatch.setattr(chart_module, "subst_cat", checked)
-    # One subst_cat per rule result: the corpus alone gives 1,835.
+    # Every rule success of the all-pairs closure on well-formed operands,
+    # recombined through the chart's rules: one subst_cat each.  The
+    # corpus alone gives 1,803 (of 1,835 successes).
     sentences = [sent for _, sent, _, _ in read_data("corpus.txt", None, _corpus_entry)] \
         + [coordination_sentence(case) for case in (1, 2, "rnr")]
     for sentence in sentences:
-        all_pairs_parse(tokenize(sentence), lex)
-    assert len(seen) > 2000 and "rewrote" in seen and "raised" not in seen
+        oracle = all_pairs_parse(tokenize(sentence), lex)
+        for item in oracle.items.values():
+            for label, *kids in (back for back in item.backs if back[0] != "lex"):
+                left, right = (oracle.items[i].cat for i in kids)
+                if well_formed_cat(left) and well_formed_cat(right):
+                    chart_module._combine(label, left, right)
+    assert len(seen) > 2000 and "rewrote" in seen and "pruned" in seen \
+        and "raised" not in seen
 
 
 def test_subst_cat_returns_canonical_input_itself():

@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+import sys
 
 import pytest
 
@@ -58,6 +61,19 @@ def test_readings_json_round_trips(capsys):
             assert len(pair) == 2
 
 
+def test_rules_build_no_quantifier_over_a_non_variable(tmp_path, capsys):
+    # "every smiled" would bind every's variable to j; only the derivation
+    # that composes "x every" first, and so never builds that constituent,
+    # is left.
+    path = tmp_path / "user.lex"
+    path.write_text("every :: s:q-every(X, girl(X), P)/(s:P\\np:X)\n"
+                    "smiled :: s:smiled(j)\\np:j\n"
+                    "x :: s:ok/s:Q\n")
+    code, out, _ = run(capsys, "--lexicon", str(path), "readings", "x every smiled")
+    assert code == 0
+    assert out == "1 readings of: x every smiled\n  x1  ok\n"
+
+
 # --- exit codes -----------------------------------------------------------------
 
 def test_unparseable_sentence_exits_one(capsys):
@@ -99,6 +115,30 @@ def test_missing_skeleton_exits_two(capsys):
     code, _, err = run(capsys, "compare", "john thinks that bill danced")
     assert code == 2
     assert "skeleton" in err
+
+
+def test_closed_output_pipe_exits_zero_quietly(tmp_path, capsys, monkeypatch):
+    # As in `ccgscope derive ... | head -1` once head has exited.
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as f:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(f.fileno()))
+        code = main(["derive", "every girl admired one saxophonist"])
+        # The flush at exit now writes to devnull.
+        assert os.path.samestat(os.fstat(f.fileno()), os.stat(os.devnull))
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 FRENCHMEN = "three frenchmen visited five russians"

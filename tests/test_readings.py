@@ -241,6 +241,14 @@ def test_unknown_determiner_name_raises():
         outscopes(t, "every", "most")
 
 
+@pytest.mark.parametrize("outer", ["every", "most"])
+def test_unknown_inner_name_raises_whatever_the_outer_name_holds(outer):
+    # "most" names only a residual set form, which scopes over nothing.
+    t = parse_term("think(up(q-every(M, man(M), danced(M, a))), s-most(boy))")
+    with pytest.raises(ReadingError):
+        outscopes(t, outer, "nosuch")
+
+
 def test_cluster_conjunct_orders_scope_independently(lex):
     tokens = ("every dealer shows most customers at most three cars"
               " but most mechanics every car").split()

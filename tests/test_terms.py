@@ -6,10 +6,12 @@ from ccgscope.terms import (
     Atom,
     Compound,
     Lam,
+    QuantifierSlotError,
     TermError,
     Up,
     Var,
     apply,
+    apply_reduced,
     canonicalize,
     children,
     eta_reduce_sets,
@@ -71,6 +73,25 @@ def test_apply_lambda_param_must_stay_var():
     s = {Var("X"): Atom("a")}
     with pytest.raises(TermError):
         apply(s, Lam(Var("X"), t("p(X)")))
+
+
+def test_apply_reduced_refuses_to_make_a_quantifier_over_a_non_variable():
+    body = t("q-every(X, girl(X), smiled(X))")
+    with pytest.raises(QuantifierSlotError):
+        apply_reduced({Var("X"): Atom("j")}, body)
+    # Also through a chain of bindings and inside a bound value.
+    with pytest.raises(QuantifierSlotError):
+        apply_reduced({Var("S"): body, Var("X"): Var("Y"), Var("Y"): t("s-a(b)")},
+                      t("f(S)"))
+    # A variable for a variable is fine, and so is a quantifier that
+    # already held a non-variable: only the substitution's doing is refused.
+    assert apply_reduced({Var("X"): Var("Y")}, body) == t("q-every(Y, girl(Y), smiled(Y))")
+    spoilt = t("q-every(j, girl(j), smiled(j))")
+    assert apply_reduced({Var("Z"): Atom("a")}, t("f(Z, q-every(j, girl(j), smiled(j)))")) \
+        == t("f(a, q-every(j, girl(j), smiled(j)))")
+    assert eta_reduce_sets(spoilt) is spoilt
+    # apply, the plain substitution, builds it.
+    assert apply({Var("X"): Atom("j")}, body) == spoilt
 
 
 # --- unification ------------------------------------------------------------
