@@ -48,7 +48,10 @@ constituent has no interpretation, and substitution never turns its slot
 back into a variable, so every item built from it carries the ill-formed
 quantifier too, unless some functor discards the semantics holding it.
 The check runs in the walk that builds every rule result, so parse,
-replay and check_backpointers agree on it.
+replay and check_backpointers agree on it.  load_lexicon refuses a
+written category that holds such a quantifier, so no item of a chart
+built from a loaded lexicon holds one, and the readings layer does not
+look for one.
 
 Why this loses no reading of the bundled fragment: in fragment.lex the
 argument semantics a functor discards are number variables (bound only

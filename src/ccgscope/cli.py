@@ -13,6 +13,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from importlib import resources
 from typing import Callable, List, Optional
 
@@ -76,7 +77,16 @@ def _read_file(path: str) -> str:
 
 
 def _load_lexicon(path: Optional[str]):
-    return default_lexicon() if path is None else load_lexicon(_read_file(path))
+    """The lexicon at path, or the bundled one.  Each warning the load
+    raises, such as a duplicate entry, goes to stderr as one line
+    ``warning: <message>``; under ``-W error`` too, it stays a warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return default_lexicon() if path is None else load_lexicon(_read_file(path))
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 def _positive_int(text: str) -> int:

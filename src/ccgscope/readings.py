@@ -57,6 +57,7 @@ from .terms import (
     is_quant,
     is_set_form,
     subterms,
+    unbound_quantifier,
     with_children,
 )
 
@@ -323,7 +324,7 @@ def normalize(t: Term) -> Term:
 # --- filters ----------------------------------------------------------------
 
 def _well_formed(t: Term) -> bool:
-    return all(isinstance(n.args[0], Var) for n in subterms(t) if is_quant(n))
+    return unbound_quantifier(t) is None
 
 
 def _intensional_violation(t: Term) -> bool:
@@ -353,6 +354,16 @@ def _intensional_violation(t: Term) -> bool:
 # --- readings ---------------------------------------------------------------
 
 def readings_from_chart(chart: Chart) -> List[Reading]:
+    """The canonical readings of the chart's full-span s items, each with
+    the number of derivations behind it, sorted by printed form.
+
+    No quantifier over a non-variable is looked for here: a chart built
+    from a loaded lexicon holds none.  load_lexicon refuses every written
+    category that holds one, a raised entry's quantifier binds a fresh
+    variable, and the rules refuse to build one (terms.apply_reduced).
+    A chart from a lexicon assembled by hand, around load_lexicon, may
+    hold one; normalize then raises StructuralError.
+    """
     full = [it for it in chart.full_span()
             if isinstance(it.cat, Atomic) and it.cat.sort == "s"]
     if not full:
@@ -361,7 +372,7 @@ def readings_from_chart(chart: Chart) -> List[Reading]:
     groups: Dict[Term, int] = {}
     for item in full:
         lf = item.cat.sem
-        if not _well_formed(lf) or _intensional_violation(lf):
+        if _intensional_violation(lf):
             continue
         canon = normalize(lf)
         groups[canon] = groups.get(canon, 0) + counts[item.id]

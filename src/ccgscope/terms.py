@@ -131,6 +131,14 @@ def subterms(t: Term) -> Iterator[Term]:
         stack.extend(reversed(children(node)))
 
 
+def unbound_quantifier(t: Term) -> Optional[Compound]:
+    """The first quantifier in t, in preorder, whose variable slot holds a
+    non-variable; None when t has none.  Such a quantifier binds nothing,
+    so no reading can be read from a term that holds one."""
+    return next((n for n in subterms(t) if is_quant(n) and not isinstance(n.args[0], Var)),
+                None)
+
+
 def walk(s: Subst, t: Term) -> Term:
     """t with variable bindings in s followed until an unbound variable or a
     non-variable; subterms are left as they are."""

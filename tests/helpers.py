@@ -1,17 +1,29 @@
-"""Golden-file rendering shared by the generator and the tests, and the
-all-pairs closure the tests use as an oracle for the chart.
+"""Golden-file rendering shared by the generator and the tests, the
+all-pairs closure the tests use as an oracle for the chart, and the
+entry-by-entry lexicon load they use as an oracle for load_lexicon.
 
 Each golden names a sentence plus the full-span categories whose first
 derivation it freezes; the rendered text is the pretty printer's output
 for those derivations, blank-line separated, in the listed order.
 """
 
-from ccgscope.categories import atomics, cat_key, map_sems, unify_cat
+from ccgscope.categories import (
+    Atomic,
+    Slash,
+    atomics,
+    cat_key,
+    cat_vars,
+    map_sems,
+    parse_cat,
+    replace_result_sem,
+    result_atomic,
+    unify_cat,
+)
 from ccgscope.chart import ROWS, Chart, Item, derivations, parse, pretty
 from ccgscope.cli import tokenize
-from ccgscope.lexicon import UnknownTokenError, default_lexicon
+from ccgscope.lexicon import LexEntry, UnknownTokenError, _split_top, default_lexicon
 from ccgscope.readings import _well_formed
-from ccgscope.terms import apply, eta_reduce_sets
+from ccgscope.terms import Atom, Compound, Lam, Var, apply, eta_reduce_sets
 
 GOLDENS = {
     "object_subject_scope.txt": (
@@ -140,3 +152,79 @@ def item_sequence(items):
              [back if back[0] == "lex" else (back[0], pos[back[1]], pos[back[2]])
               for back in it.backs])
             for it in items]
+
+
+# --- the entry-by-entry lexicon load, the oracle for load_lexicon ---------
+
+def oracle_raised(lexeme, num, qsym, ssym, tset):
+    """One @raise family expanded entry by entry: the per-type work done
+    for every family, and a key for every entry, checked against a seen
+    set of the family's keys."""
+    tag = " ".join(lexeme)
+    out, seen = [], set()
+
+    def push(cat):
+        entry = LexEntry(lexeme, cat, tag)
+        if entry.key not in seen:
+            seen.add(entry.key)
+            out.append(entry)
+
+    def np_of(sem):
+        return Atomic("np", Compound("num", (sem, Atom(num))))
+
+    def fresh(stem, taken):
+        n = 2
+        name = stem
+        while name in taken:
+            name = f"{stem}{n}"
+            n += 1
+        return Var(name)
+
+    push(Slash("/", np_of(Compound(ssym, (Var("N"),))), Atomic("n", Var("N"))))
+    for t in tset:
+        taken = {v.id for v in cat_vars(t)}
+        nv = fresh("N", taken)
+        np_narrow = np_of(Compound(ssym, (nv,)))
+        push(Slash("/", Slash("/", t, Slash("\\", t, np_narrow)), Atomic("n", nv)))
+        push(Slash("/", Slash("\\", t, Slash("/", t, np_narrow)), Atomic("n", nv)))
+        if result_atomic(t).sort != "s":
+            continue
+        vv = fresh("V", taken)
+        t_out = replace_result_sem(t, Compound(qsym, (vv, nv, result_atomic(t).sem)))
+        np_wide = np_of(vv)
+        n_prop = Atomic("n", Lam(vv, nv))
+        push(Slash("/", Slash("/", t_out, Slash("\\", t, np_wide)), n_prop))
+        push(Slash("/", Slash("\\", t_out, Slash("/", t, np_wide)), n_prop))
+    return out
+
+
+def oracle_load(text):
+    """(entries, warning messages) of a well-formed lexicon text, loaded
+    with a (lexeme, key) set over every entry: a later variant of an entry
+    of the same lexeme is dropped with a warning naming its line."""
+    entries, warned, keys = [], [], set()
+    tset, raises = [], []
+
+    def add(lineno, entry):
+        if (entry.lexeme, entry.key) in keys:
+            warned.append(f"line {lineno}: duplicate lexicon entry for"
+                          f" {entry.tag!r} dropped: {entry.key}")
+        else:
+            keys.add((entry.lexeme, entry.key))
+            entries.append(entry)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("@tset"):
+            tset = [parse_cat(part) for part in _split_top(line[len("@tset"):])]
+        elif line.startswith("@raise"):
+            fields = line.split()
+            raises.append((lineno, tuple(fields[1:-3]), *fields[-3:]))
+        elif line:
+            lhs, rhs = line.split("::", 1)
+            lexeme = tuple(lhs.split())
+            add(lineno, LexEntry(lexeme, parse_cat(rhs.strip()), " ".join(lexeme)))
+    for lineno, lexeme, num, qsym, ssym in raises:
+        for entry in oracle_raised(lexeme, num, qsym, ssym, tset):
+            add(lineno, entry)
+    return entries, warned

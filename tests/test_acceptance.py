@@ -80,12 +80,18 @@ def test_criterion_2_scope_order_exclusions(lex):
     for r in rs:
         assert not (outscopes(r, "two", "most") and outscopes(r, "most", "three"))
         assert not (outscopes(r, "three", "most") and outscopes(r, "most", "two"))
+    # Two readings: the verb takes the coordinated cluster as one
+    # constituent, the noun phrases inside each conjunct compose in a fixed
+    # order, and the one free choice is the subject's: raised over the
+    # coordination or composed into the verb and distributed into each
+    # conjunct.  Which determiner heads a noun phrase plays no part in that
+    # choice, so "at most three", with symbols of its own, keeps both.
     cluster = readings(tokenize(CLUSTER), lex)
-    assert len(cluster) == 2  # regression value, computed by the engine
+    assert len(cluster) == 2
     for r in cluster:
         assert not (outscopes(r, "most-cstmr", "every-dlr")
-                    and outscopes(r, "every-dlr", "three"))
-        assert not (outscopes(r, "three", "every-dlr")
+                    and outscopes(r, "every-dlr", "at-most-three"))
+        assert not (outscopes(r, "at-most-three", "every-dlr")
                     and outscopes(r, "every-dlr", "most-cstmr"))
 
 

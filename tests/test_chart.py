@@ -1,7 +1,7 @@
 import pytest
 
 from ccgscope import chart as chart_module
-from ccgscope.categories import cat_key, format_cat, canonical_cat, parse_cat
+from ccgscope.categories import atomics, cat_key, format_cat, canonical_cat, parse_cat
 from ccgscope.chart import (
     ChartError,
     ResourceError,
@@ -19,7 +19,7 @@ from ccgscope.chart import (
 )
 from ccgscope.cli import _corpus_entry, read_data, tokenize
 from ccgscope.lexicon import UnknownTokenError, default_lexicon, load_lexicon
-from ccgscope.readings import NoParseError, readings_from_chart
+from ccgscope.readings import NoParseError, _well_formed, readings_from_chart
 
 from helpers import all_pairs_parse, item_sequence, live_items, well_formed_part
 from test_baseline import PP_CHAIN_3
@@ -342,8 +342,15 @@ def readings_or_no_parse(chart):
 def test_pruned_chart_gives_the_all_pairs_readings(lex, oracle, sentence):
     # Same terms, multiplicities and order: no reading of the bundled
     # fragment needs a constituent whose quantifier binds a non-variable.
+    # readings_from_chart expects a chart without such constituents, so the
+    # oracle's are dropped here; no derivation of a well-formed full-span
+    # item runs through one, so its multiplicity is the whole oracle's.
+    full = oracle(sentence)
+    part = well_formed_part(full)
+    counts, part_counts = count_derivations(full), count_derivations(part)
+    assert all(part_counts[it.id] == counts[it.id] for it in part.full_span())
     got = readings_or_no_parse(parse(tokenize(sentence), lex))
-    assert got == readings_or_no_parse(oracle(sentence))
+    assert got == readings_or_no_parse(part)
 
 
 def test_every_rule_success_is_a_shape_rule_result(oracle):
@@ -377,6 +384,21 @@ def test_depth_seven_pp_chain_parses_within_the_budget(lex):
     chart = parse(tokens, lex)
     assert chart.full_span() and len(chart.items) <= chart_module.MAX_ITEMS
     check_backpointers(chart)
+
+
+# Clause embedding three deep, as the benchmark's embedding family builds it.
+EMBEDDING_3 = ("most boys think that every man thinks that two women doubt that"
+               " a girl saw john")
+
+
+@pytest.mark.parametrize("sentence", CLOSURE_CASES + [PP_CHAIN_4, PP_CHAIN_7, EMBEDDING_3])
+def test_every_chart_item_is_well_formed(lex, sentence):
+    # What lets readings_from_chart skip the check: the lexicon holds no
+    # quantifier over a non-variable, and no rule builds one.
+    chart = parse(tokenize(sentence), lex)
+    assert chart.items
+    for item in chart.items.values():
+        assert all(_well_formed(at.sem) for at in atomics(item.cat)), cat_key(item.cat)
 
 
 def test_partners_of_several_shapes_come_in_id_order():

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -72,6 +73,41 @@ def test_rules_build_no_quantifier_over_a_non_variable(tmp_path, capsys):
     code, out, _ = run(capsys, "--lexicon", str(path), "readings", "x every smiled")
     assert code == 0
     assert out == "1 readings of: x every smiled\n  x1  ok\n"
+
+
+def test_duplicate_entry_is_one_warning_line(tmp_path, capsys):
+    path = tmp_path / "user.lex"
+    path.write_text("x :: s:ok\nx :: s:ok\n")
+    code, out, err = run(capsys, "--lexicon", str(path), "readings", "x")
+    assert code == 0
+    assert out == "1 readings of: x\n  x1  ok\n"
+    assert err == "warning: line 2: duplicate lexicon entry for 'x' dropped: s:ok\n"
+
+
+def test_ill_formed_entry_is_a_lexicon_error(tmp_path, capsys):
+    path = tmp_path / "user.lex"
+    path.write_text("x :: s:q-every(j, girl(j), smiled(j))\n")
+    code, out, err = run(capsys, "--lexicon", str(path), "readings", "x")
+    assert (code, out) == (2, "")
+    assert err == "lexicon error: line 1: quantifier q-every binds the non-variable j\n"
+
+
+@pytest.mark.parametrize("text, code, err", [
+    ("x :: s:ok\nx :: s:ok\n", 0,
+     "warning: line 2: duplicate lexicon entry for 'x' dropped: s:ok\n"),
+    ("x :: s:q-every(j, girl(j), smiled(j))\n", 2,
+     "lexicon error: line 1: quantifier q-every binds the non-variable j\n")])
+def test_lexicon_messages_stay_one_line_with_warnings_as_errors(tmp_path, text, code, err):
+    # A fresh process, as a user runs it: -W error must not turn the
+    # warning into a traceback.
+    path = tmp_path / "user.lex"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(chart.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "ccgscope.cli",
+                           "--lexicon", str(path), "readings", "x"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (code, err)
 
 
 # --- exit codes -----------------------------------------------------------------

@@ -1,13 +1,21 @@
+import random
+import warnings
+
 import pytest
 
+from ccgscope import lexicon as lexicon_module
 from ccgscope.categories import cat_key, cat_shape, cat_vars, parse_cat, subst_cat
+from ccgscope.cli import _data_text
 from ccgscope.lexicon import (
     LexiconError,
     UnknownTokenError,
+    _split_top,
     default_lexicon,
     instantiate_raised,
     load_lexicon,
 )
+
+from helpers import oracle_load
 
 
 def keys(entries):
@@ -125,9 +133,142 @@ def test_unknown_token():
 
 
 def test_duplicate_entry_warns_and_keeps_first():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         lex = load_lexicon("john :: np:num(john,sg)\njohn :: np:num(john,sg)\n")
     assert len(lex.entries) == 1
+    assert [str(w.message) for w in caught] \
+        == ["line 2: duplicate lexicon entry for 'john' dropped: np:num(john, sg)"]
+
+
+def test_variant_types_add_nothing_to_a_family():
+    # s:A\np:B is a variant of s\np, n:N\n:M of n\n: the type set keeps
+    # the first of each, so the family is that of s\np and n\n.
+    def family(types):
+        return keys(instantiate_raised(("every",), "sg", "q-every", "s-every",
+                                       [parse_cat(t) for t in types]))
+    assert family([r"s\np", r"s:A\np:B", r"n\n", r"n:N\n:M"]) == family([r"s\np", r"n\n"])
+    assert len(family([r"s\np", r"n\n"])) == 1 + 4 + 2
+
+
+def test_raised_entry_equal_to_a_written_one_is_dropped_with_its_line():
+    text = ("@tset s\\np\n"
+            "every :: np:num(s-every(N),sg)/n:N\n"
+            "@raise every sg q-every s-every\n")
+    with pytest.warns(UserWarning) as caught:
+        lex = load_lexicon(text)
+    assert len(lex.entries) == 5
+    assert [str(w.message) for w in caught] == [
+        "line 3: duplicate lexicon entry for 'every' dropped: np:num(s-every(v1), sg)/n:v1"]
+
+
+def test_one_lexeme_twice_with_equal_shapes_keeps_both_non_variants():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lex = load_lexicon("x :: np:a/n:N\nx :: np:b/n:N\nx :: np:A/n:B\n")
+    assert keys(lex.entries) == ["np:a/n:v1", "np:b/n:v1", "np:v1/n:v2"]
+
+
+def test_ill_formed_written_category_is_refused_with_its_line():
+    with pytest.raises(LexiconError,
+                       match="^line 2: quantifier q-every binds the non-variable j$"):
+        load_lexicon("john :: np:num(john,sg)\n"
+                     "x :: s:q-every(j, girl(j), smiled(j))\n")
+    with pytest.raises(LexiconError, match="^line 1: quantifier q-a binds"):
+        load_lexicon("@tset s, s:q-a(b, c, P)\\np\n")
+    # A quantifier over a variable, at any depth, is fine.
+    load_lexicon("x :: s:think(up(q-a(X, c(X), d(X))), j)\n@tset s:q-a(Y, c(Y), P)\\np\n")
+
+
+def test_type_set_error_keeps_the_line_of_the_first_raise():
+    text = ("@tset s:and(P,Q)\\np\n"
+            "@raise every sg q-every s-every\n"
+            "@raise most pl q-most s-most\n")
+    with pytest.raises(LexiconError, match="^line 2: type set entry"):
+        load_lexicon(text)
+
+
+def test_default_lexicon_keys_only_its_types(monkeypatch):
+    # Structural gate on the load's cost.  One key per @tset type, to
+    # deduplicate the type set (7 types); none per entry: no family is
+    # keyed, and no lexeme is declared twice with entries of one shape
+    # (each noun's two entries are n and n/(n\n)).
+    calls = []
+
+    def counted(cat):
+        calls.append(cat)
+        return cat_key(cat)
+    monkeypatch.setattr(lexicon_module, "cat_key", counted)
+    assert len(default_lexicon().entries) == 431
+    assert len(calls) == 7
+
+
+def entry_rows(entries):
+    return [(e.lexeme, e.key, e.tag, e.cat, e.chart_cat) for e in entries]
+
+
+def test_load_agrees_with_entry_by_entry_oracle_on_the_bundled_lexicon():
+    entries, warned = oracle_load(_data_text("fragment.lex"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lex = default_lexicon()
+    assert warned == []
+    assert entry_rows(lex.entries) == entry_rows(entries)
+
+
+# Pools for generated lexicons: variant and duplicate types (s:A\np:B is
+# s\np, n:N\n:M is n\n), determiners of one and two words, and written
+# entries that equal raised ones or share a lexeme and a shape.
+GEN_TYPES = [r"s", r"s\np", r"s:A\np:B", r"s/np", r"(s\np)/np", r"(s:S\np:X)/np:Y",
+             r"s/(s\np)", r"n\n", r"n:N\n:M", r"s:P\np:num(X,sg)"]
+GEN_RAISES = ["every sg q-every s-every", "most pl q-most s-most",
+              "a few pl q-few s-few", "few pl q-few s-few"]
+GEN_WRITTEN = ["every :: np:num(s-every(N),sg)/n:N",
+               r"every :: ((s:A\np:B)/((s:A\np:B)\np:num(s-every(N),sg)))/n:N",
+               r"most :: ((s:q-most(V,N,A)\np:B)/((s:A\np:B)\np:num(V,pl)))/n:V^N",
+               "a few :: n:X^few(X)", "x :: np:a", "x :: np:b", "x :: np:A",
+               "x :: np:B", "x :: s:ok/np:N", "x :: s:ok/np:M"]
+
+
+def generated_lexicon(seed):
+    rng = random.Random(seed)
+    lines = [f"@tset {', '.join(rng.choices(GEN_TYPES, k=rng.randrange(8)))}"
+             for _ in range(rng.randrange(1, 3))]
+    lines += [f"@raise {r}" for r in rng.choices(GEN_RAISES, k=rng.randrange(1, 5))]
+    lines += rng.choices(GEN_WRITTEN, k=rng.randrange(6))
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def covered_cases(text, entries, warned):
+    """Which of the cases the generated lexicons must cover this one has."""
+    lines = text.splitlines()
+    tsets = [_split_top(line[len("@tset"):]) for line in lines if line.startswith("@tset")]
+    raises = [line for line in lines if line.startswith("@raise")]
+    written = {cat_key(parse_cat(line.split("::")[1])) for line in lines if "::" in line}
+    x_shapes = [e.shape for e in entries if e.lexeme == ("x",)]
+    return {case for case, hit in [
+        ("variant types", any(len({cat_key(parse_cat(t)) for t in ts}) < len(set(ts))
+                              for ts in tsets)),
+        ("repeated raise", len(set(raises)) < len(raises)),
+        ("written equals raised", any(
+            lines[int(w.split(":")[0][len("line "):]) - 1].startswith("@raise")
+            and w.split("dropped: ")[1] in written for w in warned)),
+        ("equal shapes", len(set(x_shapes)) < len(x_shapes))] if hit}
+
+
+def test_load_agrees_with_entry_by_entry_oracle_on_generated_lexicons():
+    covered = set()
+    for seed in range(60):
+        text = generated_lexicon(seed)
+        entries, warned = oracle_load(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            lex = load_lexicon(text)
+        assert entry_rows(lex.entries) == entry_rows(entries), text
+        assert [str(w.message) for w in caught] == warned, text
+        covered |= covered_cases(text, entries, warned)
+    assert covered == {"variant types", "repeated raise", "written equals raised",
+                       "equal shapes"}
 
 
 def test_error_reports_line_number():

@@ -256,7 +256,7 @@ def test_cluster_conjunct_orders_scope_independently(lex):
     assert len(rs) == 2
     for r in rs:
         assert not (outscopes(r, "most-cstmr", "every-dlr")
-                    and outscopes(r, "every-dlr", "three"))
+                    and outscopes(r, "every-dlr", "at-most-three"))
 
 
 def test_outscopes_agrees_with_scope_profile(lex):
