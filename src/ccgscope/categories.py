@@ -7,11 +7,11 @@ without an annotation receive distinct fresh variables, left to right.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .terms import (
-    Atom,
     Renamer,
     Subst,
     Term,
@@ -19,12 +19,10 @@ from .terms import (
     Var,
     _Cursor,
     apply_reduced,
-    children,
     format_term,
     parse_term_at,
     subterms,
     unify,
-    with_children,
 )
 
 SORTS = ("s", "np", "n", "sbar", "comma")
@@ -116,7 +114,7 @@ def unify_cat(a: Category, b: Category, s: Optional[Subst] = None) -> Optional[S
 
 def cat_vars(cat: Category) -> tuple:
     """Every variable occurring in the category's terms, first-occurrence order
-    (lambda parameters included: entries are renamed wholesale)."""
+    (lambda parameters included, as the Renamer treats them)."""
     return tuple(dict.fromkeys(
         n for at in atomics(cat) for n in subterms(at.sem) if isinstance(n, Var)))
 
@@ -125,19 +123,7 @@ def standardize_apart(cat: Category, counter) -> Category:
     """Rename every variable to a fresh one drawn from counter (an iterator
     of ints), keeping the original name as a readable stem.  One pass:
     variables draw their numbers on first occurrence, in cat_vars order."""
-    fresh: dict = {}
-
-    def ren(t: Term) -> Term:
-        if isinstance(t, Var):
-            v = fresh.get(t)
-            if v is None:
-                v = fresh[t] = Var(f"{t.id}_{next(counter)}")
-            return v
-        if isinstance(t, Atom):
-            return t
-        return with_children(t, [ren(k) for k in children(t)])
-
-    return map_sems(cat, ren)
+    return map_sems(cat, Renamer(lambda stem: f"{stem}_{next(counter)}").rename)
 
 
 def result_atomic(cat: Category) -> Atomic:
@@ -152,12 +138,10 @@ def replace_result_sem(cat: Category, sem: Term) -> Category:
     return Slash(cat.dir, replace_result_sem(cat.result, sem), cat.arg)
 
 
-def canonical_cat(cat: Category, renamer: Optional[Renamer] = None) -> Category:
-    """Alpha-canonical copy; a shared Renamer keeps identities across the
-    atomic terms, so two categories are variants iff canonicals are equal."""
-    if renamer is None:
-        renamer = Renamer()
-    return map_sems(cat, lambda t: renamer.rename(t))
+def canonical_cat(cat: Category) -> Category:
+    """Canonical copy: one Renamer across the atomic terms, so two
+    categories are variants iff their canonical copies are equal."""
+    return map_sems(cat, Renamer().rename)
 
 
 # --- textual syntax ---------------------------------------------------------
@@ -218,24 +202,9 @@ def _part(cur: _Cursor) -> Category:
 
 
 def _fill_blanks(cat: Category) -> Category:
-    used = {v.id for v in cat_vars(cat) if v.id}
-    counter = [0]
-
-    def fresh() -> Var:
-        while True:
-            counter[0] += 1
-            name = f"V{counter[0]}"
-            if name not in used:
-                return Var(name)
-
-    def fill(c: Category) -> Category:
-        if isinstance(c, Atomic):
-            if c.sem == _BLANK:
-                return Atomic(c.sort, fresh())
-            return c
-        return Slash(c.dir, fill(c.result), fill(c.arg))
-
-    return fill(cat)
+    used = {v.id for v in cat_vars(cat)}
+    fresh = (Var(f"V{n}") for n in itertools.count(1) if f"V{n}" not in used)
+    return map_sems(cat, lambda sem: next(fresh) if sem is _BLANK else sem)
 
 
 def format_cat(cat: Category, with_sems: bool = True,
@@ -255,5 +224,7 @@ def format_cat(cat: Category, with_sems: bool = True,
 
 
 def cat_key(cat: Category) -> str:
-    """Canonical printed form, usable as a variant-equivalence key."""
+    """The printed canonical copy (format_cat(canonical_cat(cat))), in one
+    pass: two categories have the same key iff they are variants.  Chart
+    cells, replay and duplicate lexicon entries are keyed by it."""
     return format_cat(cat, renamer=Renamer())

@@ -391,23 +391,17 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
 
 
 def count_derivations(chart: Chart) -> Dict[int, int]:
-    """Derivation count per item id over the packed forest."""
-    memo: Dict[int, int] = {}
-
-    def count(i: int) -> int:
-        if i not in memo:
-            total = 0
-            for back in chart.items[i].backs:
-                if back[0] == "lex":
-                    total += 1
-                else:
-                    total += count(back[1]) * count(back[2])
-            memo[i] = total
-        return memo[i]
-
-    for i in chart.items:
-        count(i)
-    return memo
+    """Derivation count per item id over the packed forest.  A rule
+    backpointer names two items of smaller widths, which closure built
+    before the item, so their ids are smaller: one pass in id order finds
+    both counts ready."""
+    counts: Dict[int, int] = {}
+    for i in sorted(chart.items):
+        total = 0
+        for back in chart.items[i].backs:
+            total += 1 if back[0] == "lex" else counts[back[1]] * counts[back[2]]
+        counts[i] = total
+    return counts
 
 
 def derivations(chart: Chart, item: Item) -> Iterator[tuple]:
@@ -441,8 +435,8 @@ def _replay_step(label: str, left: Category, right: Category, item: Item,
 def replay(tree) -> Category:
     """Recompute a derivation bottom-up, checking each stored category.
 
-    Children are standardized apart before combining, exactly as lookup
-    freshens lexical entries.  Raises ChartError on any mismatch.
+    Children are standardized apart before combining, as Lexicon.fresh
+    renames lexical entries for parse.  Raises ChartError on any mismatch.
     """
     counter = itertools.count(1)
 

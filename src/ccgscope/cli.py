@@ -3,7 +3,7 @@
 Commands: parse, readings, derive, compare, corpus.  Exit codes: 0 on
 success, 1 when a sentence has no full-span derivation, 2 for usage,
 lexicon, unknown-token, malformed data-file or mismatched skeleton
-problems, 3 when a corpus run has mismatches.
+problems and terms nested too deeply, 3 when a corpus run has mismatches.
 """
 
 from __future__ import annotations
@@ -305,6 +305,9 @@ def main(argv=None) -> int:
     except (UnknownTokenError, BaselineError, CatError, LexiconError, TermError,
             StructuralError, DataFileError, ResourceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"error: {args.command}: a term is nested too deeply", file=sys.stderr)
         return 2
 
 

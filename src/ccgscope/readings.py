@@ -285,7 +285,7 @@ def _ordered(wraps: List[_Wrap], node: Term, path: tuple, chain: tuple) -> List[
 
 
 def normalize(t: Term) -> Term:
-    """Promote set forms to scoped quantifiers; alpha-canonical result."""
+    """Promote set forms to scoped quantifiers; result in canonical form (canonicalize)."""
     if not _well_formed(t):
         raise StructuralError(
             "quantifier with a non-variable in its variable position")

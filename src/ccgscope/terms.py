@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_not
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 class TermError(Exception):
@@ -50,9 +50,11 @@ class Compound:
 
 @dataclass(frozen=True)
 class Lam:
-    # The parameter is a binding occurrence; renaming is handled by
-    # canonicalize, while unify/apply treat it like an ordinary argument
-    # slot (entries are standardized apart, so capture cannot arise).
+    # Only free_vars and the normalizer read the parameter as a binder.
+    # Everything else (unify, apply, the Renamer) treats it as a variable
+    # like any other, so a lexical entry can share it with the rest of its
+    # category: a determiner's noun parameter is its quantifier variable.
+    # Entries are standardized apart, so no capture arises.
     param: Var
     body: "Term"
 
@@ -229,52 +231,48 @@ def unify(a: Term, b: Term, s: Optional[Subst] = None) -> Optional[Subst]:
 
 
 class Renamer:
-    """Stateful canonical renamer shared across several terms.
+    """Consistent renaming of variables, shared across several terms.
 
-    Free variables get consistent fresh names in first-occurrence order;
-    lambda parameters are renamed at their binding site with shadowing.
-    name and bind are the two steps; rename and format_term both walk a
-    term through them, so a renamed term prints as format_term prints the
-    original with the same renamer.
+    One rule: each variable, a lambda parameter too, gets one new name for
+    all its occurrences, drawn from fresh(old id) when the walk first
+    meets it, in children order.  By default fresh gives the canonical
+    names v1, v2, ...  rename and format_term both take names from name,
+    so a renamed term prints as format_term prints the original with the
+    same renamer.  Names and renamed variables are kept apart so that
+    printing, the hot path of cat_key, makes no Var.
     """
 
-    def __init__(self, prefix: str = "v"):
-        self.prefix = prefix
-        self.count = 0
-        self.free: dict = {}
+    def __init__(self, fresh: Optional[Callable[[str], str]] = None):
+        self.fresh = fresh or self._canonical
+        self.names: dict = {}  # old Var.id -> new name
+        self.vars: dict = {}   # old Var.id -> renamed Var, made once by rename
 
-    def _next(self) -> str:
-        self.count += 1
-        return f"{self.prefix}{self.count}"
+    def _canonical(self, stem: str) -> str:
+        return f"v{len(self.names) + 1}"
 
-    def name(self, v: Var, env: Optional[dict]) -> str:
-        """Canonical name of an occurrence of v under the lambda bindings env."""
-        if env and v.id in env:
-            return env[v.id]
-        if v.id not in self.free:
-            self.free[v.id] = self._next()
-        return self.free[v.id]
+    def name(self, v: Var) -> str:
+        """The new name of v."""
+        new = self.names.get(v.id)
+        if new is None:
+            new = self.names[v.id] = self.fresh(v.id)
+        return new
 
-    def bind(self, param: Var, env: Optional[dict]) -> tuple:
-        """(fresh name for a lambda parameter, env extended for its body)."""
-        name = self._next()
-        inner = dict(env) if env else {}
-        inner[param.id] = name
-        return name, inner
-
-    def rename(self, t: Term, env: Optional[dict] = None) -> Term:
+    def rename(self, t: Term) -> Term:
         if isinstance(t, Var):
-            return Var(self.name(t, env))
+            new = self.vars.get(t.id)
+            if new is None:
+                new = self.vars[t.id] = Var(self.name(t))
+            return new
         if isinstance(t, Atom):
             return t
-        if isinstance(t, Lam):
-            name, inner = self.bind(t.param, env)
-            return Lam(Var(name), self.rename(t.body, inner))
-        return with_children(t, [self.rename(k, env) for k in children(t)])
+        return with_children(t, [self.rename(k) for k in children(t)])
 
 
 def canonicalize(t: Term) -> Term:
-    """Alpha-canonical form: two terms are variants iff canonical forms are equal."""
+    """Canonical form: every variable, lambda parameters included, renamed
+    v1, v2, ... in first-occurrence order.  Two terms are variants (equal
+    up to a one-to-one renaming of variables) iff their canonical forms are
+    equal."""
     return Renamer().rename(t)
 
 
@@ -460,21 +458,17 @@ def parse_term(text: str) -> Term:
     return t
 
 
-def format_term(t: Term, renamer: Optional[Renamer] = None,
-                env: Optional[dict] = None) -> str:
-    """Printed form of t; with a renamer, variables print under their
-    canonical names, as format_term(renamer.rename(t)) would, in one pass."""
+def format_term(t: Term, renamer: Optional[Renamer] = None) -> str:
+    """Printed form of t; with a renamer, variables print under their new
+    names, as format_term(renamer.rename(t)) would, in one pass."""
     if isinstance(t, Var):
-        return t.id if renamer is None else renamer.name(t, env)
+        return t.id if renamer is None else renamer.name(t)
     if isinstance(t, Atom):
         return t.name
     if isinstance(t, Compound):
-        return f"{t.functor}({', '.join(format_term(a, renamer, env) for a in t.args)})"
+        return f"{t.functor}({', '.join(format_term(a, renamer) for a in t.args)})"
     if isinstance(t, Lam):
-        if renamer is None:
-            return f"{t.param.id}^{format_term(t.body)}"
-        name, inner = renamer.bind(t.param, env)
-        return f"{name}^{format_term(t.body, renamer, inner)}"
+        return f"{format_term(t.param, renamer)}^{format_term(t.body, renamer)}"
     if isinstance(t, Up):
-        return f"up({format_term(t.body, renamer, env)})"
+        return f"up({format_term(t.body, renamer)})"
     raise TermError(f"not a term: {t!r}")

@@ -135,6 +135,15 @@ def test_cat_key_variant_equivalence():
     assert cat_key(a) == "(s:v1\\np:v2)/np:v3"
 
 
+def test_cat_key_names_a_lambda_parameter_as_any_variable():
+    # The noun's parameter is the quantifier's variable in the first
+    # category, and unrelated to it in the second: they are not variants.
+    a = parse_cat("np:X/n:X^p(X)")
+    b = parse_cat("np:Y/n:X^p(X)")
+    assert cat_key(a) == "np:v1/n:v1^p(v1)"
+    assert cat_key(b) == "np:v1/n:v2^p(v2)"
+
+
 def test_canonical_cat_shares_renamer_across_atoms():
     cat = parse_cat("(s:saw(X, Y)\\np:X)/np:Y")
     assert format_cat(canonical_cat(cat)) == "(s:saw(v1, v2)\\np:v1)/np:v2"

@@ -300,6 +300,15 @@ PP_CHAIN_4 = ("one saxophonist in every boy of one girl of a woman of three"
               " saxophonists touched a girl")
 
 
+@pytest.mark.parametrize("sentence", CLOSURE_CASES)
+def test_rule_backpointers_name_items_built_earlier(lex, sentence):
+    # count_derivations counts in one pass in id order, which needs every
+    # child of a rule backpointer to have a smaller id than its parent.
+    chart = parse(tokenize(sentence), lex)
+    assert all(child < item.id for item in chart.items.values()
+               for back in item.backs if back[0] != "lex" for child in back[1:])
+
+
 @pytest.fixture(scope="module")
 def oracle(lex):
     """The all-pairs chart of a sentence, built once per module."""

@@ -205,6 +205,11 @@ FRENCHMEN = "three frenchmen visited five russians"
     pytest.param(["corpus", "{}"],
                  "UNGRAMMATICAL\tx ⊣ " + "(" * 3000 + "np" + ")" * 3000 + "\n", 1,
                  id="deep-corpus-category"),
+    # A term that the rules nest deeper than the printer recurses: each x
+    # wraps its argument in 20 more f(.).
+    pytest.param(["--lexicon", "{}", "readings", "x " * 20 + "ok"],
+                 "x :: s:" + "f(" * 20 + "X" + ")" * 20 + "/s:X\nok :: s:ok\n", None,
+                 id="deep-term-in-a-command"),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, line):
     path = tmp_path / "input"

@@ -168,6 +168,20 @@ def test_one_lexeme_twice_with_equal_shapes_keeps_both_non_variants():
     assert keys(lex.entries) == ["np:a/n:v1", "np:b/n:v1", "np:v1/n:v2"]
 
 
+def test_entries_that_differ_only_in_a_lambda_parameter_are_both_kept():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lex = load_lexicon("x :: np:X/n:X^p(X)\nx :: np:Y/n:X^p(X)\n")
+    assert keys(lex.entries) == ["np:v1/n:v1^p(v1)", "np:v1/n:v2^p(v2)"]
+
+
+def test_wide_determiner_key_shows_the_noun_variable_as_the_quantifier_variable():
+    every = [e.key for e in default_lexicon().entries if e.lexeme == ("every",)]
+    wide = [k for k in every if "q-every" in k]
+    assert wide and all(k.endswith("/n:v1^v2") for k in wide)
+    assert r"(s:q-every(v1, v2, v3)/(s:v3\np:num(v1, sg)))/n:v1^v2" in wide
+
+
 def test_ill_formed_written_category_is_refused_with_its_line():
     with pytest.raises(LexiconError,
                        match="^line 2: quantifier q-every binds the non-variable j$"):

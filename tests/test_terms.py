@@ -304,8 +304,10 @@ def test_canonicalize_detects_variants():
 
 
 def test_canonicalize_lambda_shadowing():
+    # A lambda parameter is renamed like any other variable: one name for
+    # every occurrence, as unify and apply read it.
     got = canonicalize(t("X^f(X, X^g(X), X)"))
-    assert got == t("v1^f(v1, v2^g(v2), v1)")
+    assert got == t("v1^f(v1, v1^g(v1), v1)")
 
 
 def test_canonicalize_idempotent():
