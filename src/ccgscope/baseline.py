@@ -2,23 +2,26 @@
 
 A skeleton is a term whose quantified argument positions are marked
 leaves q?(det, V, restriction); restrictions may embed further marked
-leaves (complex NPs).  `enumerate_orderings` realizes every linear order
-of the marked quantifiers as a nested q-<det> form, and `uvc_filter`
-keeps the closed ones (the unbound variable constraint).  `compare`
-relates the surviving forms to the readings the grammar actually
-derives for the same sentence.
+leaves (complex NPs).  The baseline is the traditional method: every
+linear order of the marked quantifiers as a nested q-<det> form, less the
+forms that leave a variable unbound (the unbound variable constraint).
+`enumerate_orderings` counts the orders and generates only the closed
+ones (Orderings), and `uvc_filter` checks each form it is given.
+`compare` relates the surviving forms to the readings the grammar
+actually derives for the same sentence.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import permutations
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .chart import ResourceError
 from .lexicon import Lexicon, default_lexicon
-from .readings import Reading, occurrences, readings, scope_profile
+from .readings import Occurrence, Reading, occurrences, profile_of, readings
 from .terms import (
     QUANT_PREFIX,
     Atom,
@@ -33,7 +36,10 @@ from .terms import (
 )
 
 MARK = "q?"
-MAX_QUANTIFIERS = 8
+# Work budget: compare builds the forms of at most this many closed orders
+# (8!, the most forms an 8-quantifier skeleton has) and refuses a skeleton
+# with more, with ResourceError, before it builds any.
+MAX_SURVIVORS = 40_320
 
 
 class BaselineError(Exception):
@@ -90,47 +96,147 @@ def _hosts(leaves: List[Leaf]) -> dict:
     return host
 
 
-def enumerate_orderings(sk: Term) -> List[Term]:
-    """One scoped form per linear order of the marked quantifiers.
+class Orderings:
+    """Every linear order of a skeleton's marked quantifiers as a nested
+    q-<det> form: counted at once, built on demand.
 
     Quantifiers are applied in sequence, outermost last, each carrying its
     own (erased) restriction.  A quantifier whose leaf sits inside another
     leaf's restriction is still open for application right when its host's
     turn comes, so when it immediately follows the host in the order its
     q-form lands inside the host's restriction; in every other position it
-    joins the top-level nest around the predicate core.  Nothing is
-    filtered here: orders that leave a cross-leaf variable unbound are
-    emitted too.
-    """
-    leaves = skeleton_leaves(sk)
-    if len(leaves) > MAX_QUANTIFIERS:
-        raise ResourceError(
-            f"{len(leaves)} quantifiers exceed the limit of {MAX_QUANTIFIERS}")
-    core = _erase(sk)
-    host = _hosts(leaves)
+    joins the top-level nest around the predicate core.
 
-    def q(leaf: Leaf, restriction: Term, body: Term) -> Term:
+    len() is the number of orders, n!.  Iterating builds every order's
+    form, closed or not, in itertools.permutations order.  closed() builds
+    only the closed orders' forms, in that same order.
+    """
+
+    def __init__(self, sk: Term):
+        self._leaves = skeleton_leaves(sk)
+        # len() must be an index-sized int; no 32-token sentence has this
+        # many quantifiers.
+        if math.factorial(len(self._leaves)) > sys.maxsize:
+            raise ResourceError(f"{len(self._leaves)} quantifiers have too many orders to count")
+        self._core = _erase(sk)
+        self._erased = [_erase(leaf.restriction) for leaf in self._leaves]
+        index = {leaf.var: i for i, leaf in enumerate(self._leaves)}
+        host = _hosts(self._leaves)
+        self._host = [index.get(host.get(leaf.var), -1) for leaf in self._leaves]
+
+    def __len__(self) -> int:
+        return math.factorial(len(self._leaves))
+
+    def __iter__(self) -> Iterator[Term]:
+        return map(self._form, permutations(range(len(self._leaves))))
+
+    def closed(self) -> Iterator[Term]:
+        """The closed orders' forms.  Every closed order is found before the
+        first form is built, so a ResourceError comes before any form."""
+        yield from map(self._form, self._closed_orders())
+
+    def _q(self, i: int, restriction: Term, body: Term) -> Term:
+        leaf = self._leaves[i]
         return Compound(QUANT_PREFIX + leaf.det, (leaf.var, restriction, body))
 
-    erased = {leaf.var: _erase(leaf.restriction) for leaf in leaves}
-    forms = []
-    for order in permutations(leaves):
-        restr = dict(erased)  # the folding below rewrites host entries
+    def _form(self, order: Tuple[int, ...]) -> Term:
+        """The form of one order, given as leaf indices."""
+        restr = list(self._erased)  # the folding below rewrites host entries
         pending = list(order)
         for i in range(len(pending) - 1, 0, -1):
-            leaf = pending[i]
-            h = host.get(leaf.var)
-            if h is not None and pending[i - 1].var == h:
-                restr[h] = q(leaf, restr[leaf.var], restr[h])
+            guest, h = pending[i], pending[i - 1]
+            if self._host[guest] == h:
+                restr[h] = self._q(guest, restr[guest], restr[h])
                 del pending[i]
-        t = core
-        for leaf in reversed(pending):
-            t = q(leaf, restr[leaf.var], t)
-        forms.append(t)
-    return forms
+        t = self._core
+        for i in reversed(pending):
+            t = self._q(i, restr[i], t)
+        return t
+
+    def _closed_orders(self) -> List[Tuple[int, ...]]:
+        """The closed orders as leaf-index tuples, in permutations order.
+
+        Orders grow one leaf at a time, and a prefix is cut as soon as a
+        variable it places can no longer be bound.  A form is a nest of
+        runs: a leaf right after its innermost host folds into the host's
+        restriction and continues its run; any other leaf heads a run.  A
+        variable free in the core is bound exactly when its leaf heads a
+        run.  One free in leaf y's erased restriction is bound exactly when
+        its leaf comes before y and heads a run or shares y's run, or comes
+        right after y and folds into it.  Where variables occur only at
+        their leaves, that says: an embedded quantifier binds its variable
+        exactly when it comes before its innermost host or right after it.
+        So at most one of a host's guests may come right after it, and no
+        guest later.  Each check runs when the later of the two leaves it
+        relates is placed.
+
+        ResourceError when there are more than MAX_SURVIVORS closed orders,
+        or when the search tries more than n * MAX_SURVIVORS extensions,
+        which no skeleton of 8 or fewer quantifiers can need (e * 8! tries
+        at most).
+        """
+        n, host = len(self._leaves), self._host
+        core = n
+        leaf_of = {leaf.var: i for i, leaf in enumerate(self._leaves)}
+        needs: List[set] = [set() for _ in range(n)]  # regions each must bind
+        for region, term in enumerate(self._erased + [self._core]):
+            for v in free_vars(term):
+                if v not in leaf_of:
+                    return []  # no quantifier binds it: every order is open
+                if leaf_of[v] != region:
+                    needs[leaf_of[v]].add(region)
+        needed_by = [[x for x in range(n) if y in needs[x]] for y in range(n)]
+        placed, head, run = [False] * n, [False] * n, [0] * n
+        order: List[int] = []
+        found: List[Tuple[int, ...]] = []
+        tries = n * MAX_SURVIVORS
+
+        def extend() -> None:
+            nonlocal tries
+            k = len(order)
+            if k == n:
+                if len(found) == MAX_SURVIVORS:
+                    raise ResourceError(
+                        f"{n} quantifiers have more than {MAX_SURVIVORS} closed orders")
+                found.append(tuple(order))
+                return
+            pred = order[-1] if order else None
+            # A leaf still unplaced that must bind in pred's restriction
+            # can only come next.  This cut only comes early: the checks
+            # below refuse the same orders once that leaf is placed.
+            due = [x for x in needed_by[pred] if not placed[x]] if order else None
+            for e in due or range(n):
+                if placed[e]:
+                    continue
+                tries -= 1
+                if tries < 0:
+                    raise ResourceError(f"the closed orders of {n} quantifiers take "
+                                        f"more than {n * MAX_SURVIVORS} steps to find")
+                folds = host[e] == pred
+                if any(folds if y == core else placed[y] and not (folds and y == pred)
+                       for y in needs[e]):
+                    continue
+                r = run[pred] if folds else k
+                if not all(head[x] or run[x] == r for x in needed_by[e] if placed[x]):
+                    continue
+                placed[e], head[e], run[e] = True, not folds, r
+                order.append(e)
+                extend()
+                order.pop()
+                placed[e] = False
+
+        extend()
+        return found
 
 
-def uvc_filter(forms: List[Term]) -> List[Term]:
+def enumerate_orderings(sk: Term) -> Orderings:
+    """Every linear order of the marked quantifiers, counted (see
+    Orderings).  Nothing is built or filtered here."""
+    return Orderings(sk)
+
+
+def uvc_filter(forms: Iterable[Term]) -> List[Term]:
+    """The closed forms among forms."""
     return [f for f in forms if not free_vars(f)]
 
 
@@ -143,27 +249,28 @@ def nesting_order(form: Term) -> Tuple[str, ...]:
 @dataclass(frozen=True)
 class CompareReport:
     tokens: Tuple[str, ...]
-    enumerated: Tuple[Term, ...]
+    enumerated: Orderings   # only its len(), n!, is read outside this module
     survivors: Tuple[Term, ...]
     ccg: Tuple[Reading, ...]
     gap: Tuple[Term, ...]   # UVC-surviving forms no derived reading realizes
 
 
-def _labels(t: Term) -> frozenset:
-    return frozenset(o.label for o in occurrences(t))
+def _labels(occs: List[Occurrence]) -> frozenset:
+    return frozenset(o.label for o in occs)
 
 
 def _shown(labels: frozenset) -> str:
     return "{" + ", ".join(sorted(labels)) + "}"
 
 
-def _check_labels(form: Term, derived: List[Reading]) -> None:
+def _check_labels(form: Term, derived: List[List[Occurrence]]) -> None:
     """Raise BaselineError when the skeleton's quantifiers are not the
     sentence's: scope profiles name quantifiers by label, so a mismatch
-    would leave every order unrealized."""
-    want = _labels(form)
-    for r in derived:
-        got = _labels(r.term)
+    would leave every order unrealized.  derived holds each reading's
+    occurrences."""
+    want = _labels(occurrences(form))
+    for occs in derived:
+        got = _labels(occs)
         if got != want:
             raise BaselineError(
                 f"skeleton quantifiers {_shown(want)} do not match "
@@ -173,23 +280,26 @@ def _check_labels(form: Term, derived: List[Reading]) -> None:
 def compare(tokens, sk: Term, lexicon: Optional[Lexicon] = None) -> CompareReport:
     """Baseline orders vs derived readings, matched on scope profiles.
 
-    A derived reading realizes a baseline form when every scope pair the
-    reading asserts also holds in the form; forms realized by no reading
-    are the report's gap.  (A reading with residual set forms asserts
-    fewer pairs and may realize several forms.)  Each surviving form and
-    each reading gets its profile computed once, so matching costs one
-    profile per form, not one per (form, reading) pair.  A skeleton whose
-    quantifier labels differ from a reading's does not fit the sentence
-    and raises BaselineError.
+    The orders are counted, and only the closed ones are built (see
+    Orderings); uvc_filter checks each of those.  A derived reading
+    realizes a baseline form when every scope pair the reading asserts
+    also holds in the form; forms realized by no reading are the report's
+    gap.  (A reading with residual set forms asserts fewer pairs and may
+    realize several forms.)  Each surviving form and each reading is
+    walked for its occurrences once, so matching costs one profile per
+    form, not one per (form, reading) pair.  A skeleton whose quantifier
+    labels differ from a reading's does not fit the sentence and raises
+    BaselineError; the check reads the form of the first order.
     """
     forms = enumerate_orderings(sk)
-    survivors = uvc_filter(forms)
+    survivors = uvc_filter(forms.closed())
     derived = readings(tokens, lexicon or default_lexicon())
-    _check_labels(forms[0], derived)
-    profiles = [scope_profile(r.term) for r in derived]
-    gap = [f for f, fp in zip(survivors, map(scope_profile, survivors))
+    derived_occs = [occurrences(r.term) for r in derived]
+    _check_labels(next(iter(forms)), derived_occs)
+    profiles = [profile_of(occs) for occs in derived_occs]
+    gap = [f for f, fp in zip(survivors, (profile_of(occurrences(f)) for f in survivors))
            if not any(p <= fp for p in profiles)]
-    return CompareReport(tuple(tokens), tuple(forms), tuple(survivors),
+    return CompareReport(tuple(tokens), forms, tuple(survivors),
                          tuple(derived), tuple(gap))
 
 

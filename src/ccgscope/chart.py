@@ -226,23 +226,35 @@ RULES = (
 )
 
 
-def _index(shapes) -> List[dict]:
+def _asks(shape) -> tuple:
+    """The shape's ask under each row of ROWS, as a left operand."""
+    return tuple(ask(shape) for _, ask, _, _ in ROWS)
+
+
+def _offers(shape) -> tuple:
+    """The shape's offer under each row of ROWS, as a right operand."""
+    return tuple(offer(shape) for _, _, offer, _ in ROWS)
+
+
+def _index(shapes, offers: dict) -> List[dict]:
     """Per row of ROWS, the given right shapes filed under the part each
-    offers."""
+    offers.  offers maps a shape to its _offers, and gains the missing."""
     index: List[dict] = [{} for _ in ROWS]
     for shape in shapes:
-        for table, (_, _, offer, _) in zip(index, ROWS):
-            key = offer(shape)
+        keys = offers.get(shape)
+        if keys is None:
+            keys = offers[shape] = _offers(shape)
+        for table, key in zip(index, keys):
             if key is not None:
                 table.setdefault(key, []).append(shape)
     return index
 
 
-def _partners(left, index: List[dict]) -> Iterator[tuple]:
+def _partners(left, asks: tuple, index: List[dict]) -> Iterator[tuple]:
     """(right shape, label, result shape) for every row under which the
-    left shape combines with a right shape of the indexed cell."""
-    for table, (label, ask, _, build) in zip(index, ROWS):
-        key = ask(left)
+    left shape, whose _asks are asks, combines with a right shape of the
+    indexed cell."""
+    for table, key, (label, _, _, build) in zip(index, asks, ROWS):
         if key is not None:
             for right in table.get(key, ()):
                 yield right, label, build(left, right)
@@ -264,6 +276,9 @@ def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[set, dict
     inside: Dict[Tuple[int, int], dict] = {
         span: dict.fromkeys(shapes, ()) for span, shapes in lexical.items()}
     indexes: Dict[Tuple[int, int], List[dict]] = {}
+    # Each shape's asks and offers, computed once per call.
+    asks: dict = {}
+    offers: dict = {}
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
@@ -274,9 +289,12 @@ def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[set, dict
                     continue
                 index = indexes.get((k, j))
                 if index is None:
-                    index = indexes[(k, j)] = _index(right_cell)
+                    index = indexes[(k, j)] = _index(right_cell, offers)
                 for left in left_cell:
-                    for right, label, out in _partners(left, index):
+                    keys = asks.get(left)
+                    if keys is None:
+                        keys = asks[left] = _asks(left)
+                    for right, label, out in _partners(left, keys, index):
                         cell.setdefault(out, []).append((k, left, right, label))
             if cell:
                 for shape, edges in inside.get((i, j), {}).items():

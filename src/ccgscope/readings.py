@@ -457,6 +457,10 @@ def outscopes(reading, d1: str, d2: str) -> bool:
 
 def scope_profile(t: Term) -> frozenset:
     """All (outer label, inner label) pairs ordered by containment."""
-    occs = occurrences(t)
+    return profile_of(occurrences(t))
+
+
+def profile_of(occs: List[Occurrence]) -> frozenset:
+    """The scope profile of the term whose occurrences occs are."""
     return frozenset((o1.label, o2.label) for o1 in occs if o1.kind == "q"
                      for o2 in occs if _in_scope(o1.path, o2.path))

@@ -1,11 +1,14 @@
 """Golden-file rendering shared by the generator and the tests, the
 all-pairs closure the tests use as an oracle for the chart, and the
-entry-by-entry lexicon load they use as an oracle for load_lexicon.
+entry-by-entry lexicon load they use as an oracle for load_lexicon, and
+seeded PP chains and clause embeddings with their quantifier skeletons.
 
 Each golden names a sentence plus the full-span categories whose first
 derivation it freezes; the rendered text is the pretty printer's output
 for those derivations, blank-line separated, in the listed order.
 """
+
+import random
 
 from ccgscope.categories import (
     Atomic,
@@ -228,3 +231,57 @@ def oracle_load(text):
         for entry in oracle_raised(lexeme, num, qsym, ssym, tset):
             add(lineno, entry)
     return entries, warned
+
+
+# Noun phrases for seeded PP chains and clause embeddings: (words, number,
+# determiner symbol, noun predicate).  No two share a (determiner, noun)
+# label, so the quantifiers of a sentence built from them stay distinct.
+NOUN_PHRASES = [
+    ("one saxophonist", "sg", "one", "sax"), ("every boy", "sg", "every", "boy"),
+    ("one girl", "sg", "one", "girl"), ("a woman", "sg", "a", "woman"),
+    ("three saxophonists", "pl", "three", "sax"), ("three boys", "pl", "three", "boy"),
+    ("every dealer", "sg", "every", "dlr"), ("all russians", "pl", "all", "russian"),
+    ("a saxophonist", "sg", "a", "sax"), ("two women", "pl", "two", "woman"),
+    ("most cars", "pl", "most", "car"), ("five samples", "pl", "five", "samp"),
+]
+TRANSITIVES = ["admired", "visited", "saw", "detested"]
+EMBEDDERS = {"sg": [("thinks", "think")], "pl": [("think", "think"), ("doubt", "doubt")]}
+
+
+def _leaf(np, var, restriction=None):
+    _, _, det, pred = np
+    return f"q?({det}, {var}, {restriction or f'{pred}({var})'})"
+
+
+def pp_chain(depth, seed):
+    """(sentence, skeleton text) of DET N (P DET N)^depth VERB DET N, each
+    PP on the noun before it: depth + 2 quantifiers, each of the chain's
+    noun phrases hosting the next."""
+    rng = random.Random(seed)
+    nps = rng.sample(NOUN_PHRASES, depth + 2)
+    preps = [rng.choice(["of", "in"]) for _ in range(depth)]
+    verb = rng.choice(TRANSITIVES)
+    chain, obj = nps[:-1], nps[-1]
+    inner = _leaf(chain[-1], f"X{depth}")
+    for i in range(depth - 1, -1, -1):
+        inner = _leaf(chain[i], f"X{i}",
+                      f"and({chain[i][3]}(X{i}), {preps[i]}(X{i}, {inner}))")
+    words = [chain[0][0]] + [f"{p} {np[0]}" for p, np in zip(preps, chain[1:])]
+    sentence = " ".join(words + [verb, obj[0]])
+    return sentence, f"{verb}({inner}, {_leaf(obj, 'Y')})"
+
+
+def embedding(depth, seed):
+    """(sentence, skeleton text) of (DET N EMBED that)^depth DET N VERB DET
+    N: depth + 2 quantifiers, none inside another's restriction."""
+    rng = random.Random(seed)
+    nps = rng.sample(NOUN_PHRASES, depth + 2)
+    subj, obj = nps[depth], nps[depth + 1]
+    verb = rng.choice(TRANSITIVES)
+    sentence = f"{subj[0]} {verb} {obj[0]}"
+    sk = f"{verb}({_leaf(subj, 'S')}, {_leaf(obj, 'O')})"
+    for i in range(depth - 1, -1, -1):
+        words, pred = rng.choice(EMBEDDERS[nps[i][1]])
+        sentence = f"{nps[i][0]} {words} that {sentence}"
+        sk = f"{pred}(up({sk}), {_leaf(nps[i], f'E{i}')})"
+    return sentence, sk

@@ -1,3 +1,5 @@
+import math
+import random
 from itertools import permutations
 
 import pytest
@@ -14,10 +16,12 @@ from ccgscope.baseline import (
     uvc_filter,
 )
 from ccgscope.chart import ResourceError
-from ccgscope.cli import _skeleton_table
+from ccgscope.cli import _skeleton_table, tokenize
 from ccgscope.lexicon import default_lexicon
-from ccgscope.readings import scope_profile
-from ccgscope.terms import Compound, free_vars, parse_term
+from ccgscope.readings import occurrences, scope_profile
+from ccgscope.terms import Atom, Compound, Lam, Var, free_vars, parse_term
+
+from helpers import embedding, pp_chain
 
 SK_COMPLEX_SUBJ = ("saw(q?(two, R, and(rep(R), of(R, q?(three, C, comp(C))))),"
                    " q?(most, S, samp(S)))")
@@ -33,9 +37,33 @@ SKELETON_CASES = list(_skeleton_table(None).items()) \
     + [(PP_CHAIN_3[0], parse_skeleton(PP_CHAIN_3[1]))]
 
 
+FAMILY_CASES = [(f"pp_chain.d{d}.s{seed}", parse_skeleton(pp_chain(d, seed)[1]))
+                for d in range(1, 6) for seed in (1, 2, 3)] \
+    + [(f"embedding.d{d}.s{seed}", parse_skeleton(embedding(d, seed)[1]))
+       for d in range(1, 4) for seed in (1, 2, 3)]
+
+
 @pytest.fixture(scope="module")
 def lex():
     return default_lexicon()
+
+
+def count_builds(monkeypatch):
+    """The orders, as leaf-index tuples, whose forms Orderings builds from
+    now on."""
+    built, form = [], baseline.Orderings._form
+
+    def counted(self, order):
+        built.append(order)
+        return form(self, order)
+
+    monkeypatch.setattr(baseline.Orderings, "_form", counted)
+    return built
+
+
+def permute_and_filter(sk):
+    """The traditional method: every order's form, then the closed ones."""
+    return [f for f in enumerate_orderings(sk) if not free_vars(f)]
 
 
 # --- enumeration ------------------------------------------------------------
@@ -53,10 +81,31 @@ def test_enumerates_factorially_many_forms():
     assert len(enumerate_orderings(four)) == 24
 
 
-def test_too_many_quantifiers_rejected():
+def test_too_many_quantifiers_rejected(monkeypatch):
+    # Nine independent quantifiers: all 9! orders are closed, more than
+    # MAX_SURVIVORS = 8!.  compare refuses them before it builds a form,
+    # and before it parses the sentence.
+    built = count_builds(monkeypatch)
     args = ", ".join(f"q?(d{i}, X{i}, n{i}(X{i}))" for i in range(9))
     with pytest.raises(ResourceError):
+        compare(FRENCHMEN.split(), parse_skeleton(f"p({args})"))
+    assert built == []
+
+
+def test_searches_past_the_budget_rejected(monkeypatch):
+    # A and B each name the other's variable in their restriction, so no
+    # order binds both.  The search learns that only after trying orders of
+    # the other ten quantifiers, and stops at 12 * MAX_SURVIVORS tries.
+    built = count_builds(monkeypatch)
+    args = ", ".join(["q?(a, A, and(na(A), r(B)))", "q?(b, B, and(nb(B), r(A)))"]
+                     + [f"q?(d{i}, X{i}, n{i}(X{i}))" for i in range(10)])
+    with pytest.raises(ResourceError, match="steps"):
+        list(enumerate_orderings(parse_skeleton(f"p({args})")).closed())
+    # 21! orders do not fit len().
+    args = ", ".join(f"q?(d{i}, X{i}, n{i}(X{i}))" for i in range(21))
+    with pytest.raises(ResourceError, match="count"):
         enumerate_orderings(parse_skeleton(f"p({args})"))
+    assert built == []
 
 
 def test_separated_embedded_quantifier_leaves_variable_free():
@@ -81,7 +130,7 @@ def test_adjacent_embedded_quantifier_wraps_host_restriction():
 
 
 def test_independent_quantifiers_all_survive():
-    forms = enumerate_orderings(parse_skeleton(SK_DITRANS))
+    forms = list(enumerate_orderings(parse_skeleton(SK_DITRANS)))
     assert uvc_filter(forms) == forms
     assert sorted(nesting_order(f) for f in forms) == sorted(
         [("every", "most", "three"), ("every", "three", "most"),
@@ -119,7 +168,7 @@ def per_order_forms(sk):
 @pytest.mark.parametrize("sk", [sk for _, sk in SKELETON_CASES],
                          ids=[key for key, _ in SKELETON_CASES])
 def test_forms_equal_per_order_erasure(sk):
-    assert enumerate_orderings(sk) == per_order_forms(sk)
+    assert list(enumerate_orderings(sk)) == per_order_forms(sk)
 
 
 def test_each_restriction_is_erased_once(monkeypatch):
@@ -139,6 +188,111 @@ def test_each_restriction_is_erased_once(monkeypatch):
     sk = parse_skeleton(PP_CHAIN_3[1])
     assert len(enumerate_orderings(sk)) == 120
     assert len(calls) == len(skeleton_leaves(sk)) + 1
+
+
+# --- generating the closed orders -------------------------------------------
+
+@pytest.mark.parametrize("sk", [sk for _, sk in SKELETON_CASES + FAMILY_CASES],
+                         ids=[key for key, _ in SKELETON_CASES + FAMILY_CASES])
+def test_closed_orders_equal_permute_and_filter(sk):
+    assert list(enumerate_orderings(sk).closed()) == permute_and_filter(sk)
+
+
+def random_skeleton(rng, n):
+    """A skeleton of n quantifiers, each leaf's restriction hosting a random
+    set of later leaves.  Some restrictions or the core also name another
+    leaf's variable (as in "every man with a dog that bit him"), bind one
+    under a lambda, or name a variable no leaf binds."""
+    xs = [Var(f"X{i}") for i in range(n)]
+    host = [None] + [rng.choice([None] + list(range(i))) for i in range(1, n)]
+
+    def conj(parts):
+        t = parts[0]
+        for part in parts[1:]:
+            t = Compound("and", (t, part))
+        return t
+
+    def extra(parts):
+        roll = rng.random()
+        if roll < 0.3:
+            parts.append(Compound("ref", (rng.choice(xs),)))
+        elif roll < 0.38:
+            x = rng.choice(xs)
+            parts.append(Lam(x, Compound("lam", (x,))))
+        elif roll < 0.4:
+            parts.append(Compound("ref", (Var("Z"),)))
+        return parts
+
+    def leaf(i):
+        parts = [Compound(f"n{i}", (xs[i],))]
+        parts += [Compound(f"p{j}", (xs[i], leaf(j))) for j in range(n) if host[j] == i]
+        return Compound(baseline.MARK, (Atom(f"d{i}"), xs[i], conj(extra(parts))))
+
+    return Compound("p", tuple(extra([leaf(i) for i in range(n) if host[i] is None])))
+
+
+def test_closed_orders_on_random_skeletons():
+    crowded = 0  # skeletons with a host of two or more guests
+    for seed in range(300):
+        rng = random.Random(seed)
+        # Every 20th has 7 quantifiers: 5,040 forms for the oracle to build.
+        sk = random_skeleton(rng, 7 if seed % 20 == 0 else rng.randint(1, 6))
+        hosts = list(baseline._hosts(skeleton_leaves(sk)).values())
+        crowded += any(hosts.count(h) > 1 for h in hosts)
+        assert list(enumerate_orderings(sk).closed()) == permute_and_filter(sk), seed
+    assert crowded > 50
+
+
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_pp_chain_survivor_count_law(depth):
+    # A depth-d chain has d + 1 noun phrases, each hosting the next, and an
+    # object: d + 2 quantifiers.  A guest binds its variable only before its
+    # host or right after it.  Each of the d host links folds (guest right
+    # after host) or not (guest's block before host's), so the blocks come
+    # in a forced order: 2^d orders of the chain.  The object goes into any
+    # of the d + 2 gaps except the f inside folded pairs.
+    law = sum(math.comb(depth, f) * (depth + 2 - f) for f in range(depth + 1))
+    assert law == (depth + 4) * 2 ** (depth - 1)
+    for seed in (1, 2, 3):
+        forms = enumerate_orderings(parse_skeleton(pp_chain(depth, seed)[1]))
+        assert len(forms) == math.factorial(depth + 2)
+        assert len(list(forms.closed())) == law
+
+
+@pytest.mark.parametrize("depth", range(1, 4))
+def test_every_embedding_order_is_closed(depth):
+    # No quantifier of an embedding sits in another's restriction.
+    for seed in (1, 2, 3):
+        forms = enumerate_orderings(parse_skeleton(embedding(depth, seed)[1]))
+        assert len(list(forms.closed())) == len(forms) == math.factorial(depth + 2)
+
+
+def test_compare_builds_one_form_per_closed_order(lex, monkeypatch):
+    cases = SKELETON_CASES + [(sentence, parse_skeleton(sk)) for sentence, sk
+                              in (pp_chain(d, 1) for d in range(1, 6))]
+    built = count_builds(monkeypatch)
+    for sentence, sk in cases:
+        closed = len(permute_and_filter(sk))
+        built.clear()
+        report = compare(tokenize(sentence), sk, lex)
+        assert len(report.survivors) == closed
+        # The closed orders, each once, then the first order for the
+        # label check.
+        n = len(skeleton_leaves(sk))
+        assert len(set(built[:-1])) == len(built) - 1 == closed, sentence
+        assert built[-1] == tuple(range(n))
+
+
+def test_depth_seven_pp_chain_compares(lex):
+    # 9 quantifiers: more than the 8 compare used to accept.
+    sentence, sk = pp_chain(7, 1)
+    report = compare(tokenize(sentence), parse_skeleton(sk), lex)
+    assert len(report.enumerated) == math.factorial(9)
+    assert len(report.survivors) == (7 + 4) * 2 ** 6
+    profiles = [scope_profile(r.term) for r in report.ccg]
+    assert report.gap == tuple(f for f, fp in zip(report.survivors,
+                                                  map(scope_profile, report.survivors))
+                               if not any(p <= fp for p in profiles))
 
 
 def test_uvc_filter_idempotent_subset():
@@ -198,17 +352,20 @@ def test_gap_equals_all_pairs_definition(lex, sentence, sk):
 
 
 def test_one_profile_per_form_and_reading(lex, monkeypatch):
+    # One occurrences walk per survivor and per reading, plus one for the
+    # form the label check reads; the label check and the profiles of the
+    # readings share theirs.
     calls = []
 
     def counted(t):
         calls.append(t)
-        return scope_profile(t)
+        return occurrences(t)
 
-    monkeypatch.setattr(baseline, "scope_profile", counted)
+    monkeypatch.setattr(baseline, "occurrences", counted)
     tokens = "two representatives of three companies saw most samples".split()
     report = compare(tokens, parse_skeleton(SK_COMPLEX_SUBJ), lex)
     assert report.gap  # a gap form is tried against every reading
-    assert len(calls) == len(report.survivors) + len(report.ccg)
+    assert len(calls) == len(report.survivors) + len(report.ccg) + 1
 
 
 def test_skeleton_of_another_sentence_rejected(lex):

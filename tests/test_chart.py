@@ -373,8 +373,9 @@ def test_every_rule_success_is_a_shape_rule_result(oracle):
                     continue
                 label, li, ri = back
                 left, right = chart.items[li].shape, chart.items[ri].shape
+                index = chart_module._index([right], {})
                 results = {(lab, out) for _, lab, out
-                           in chart_module._partners(left, chart_module._index([right]))}
+                           in chart_module._partners(left, chart_module._asks(left), index)}
                 assert (label, item.shape) in results
                 successes += 1
     assert successes > 5000
