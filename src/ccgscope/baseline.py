@@ -255,12 +255,13 @@ class CompareReport:
     gap: Tuple[Term, ...]   # UVC-surviving forms no derived reading realizes
 
 
-def _labels(occs: List[Occurrence]) -> frozenset:
-    return frozenset(o.label for o in occs)
+def _labels(occs: List[Occurrence]) -> tuple:
+    # A multiset: each label as often as a quantifier carries it.
+    return tuple(sorted(o.label for o in occs))
 
 
-def _shown(labels: frozenset) -> str:
-    return "{" + ", ".join(sorted(labels)) + "}"
+def _shown(labels: tuple) -> str:
+    return "{" + ", ".join(labels) + "}"
 
 
 def _check_labels(form: Term, derived: List[List[Occurrence]]) -> None:

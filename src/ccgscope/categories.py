@@ -19,7 +19,7 @@ from .terms import (
     Var,
     _Cursor,
     apply_reduced,
-    format_term,
+    format_pieces,
     parse_term_at,
     subterms,
     unify,
@@ -210,17 +210,35 @@ def _fill_blanks(cat: Category) -> Category:
 def format_cat(cat: Category, with_sems: bool = True,
                renamer: Optional[Renamer] = None) -> str:
     """Printed form; a renamer shared across the atomic terms prints
-    canonical variable names, as format_cat(canonical_cat(cat)) would."""
-    if isinstance(cat, Atomic):
-        if with_sems:
-            return f"{cat.sort}:{format_term(cat.sem, renamer)}"
-        return cat.sort
-
-    def wrap(c: Category) -> str:
-        inner = format_cat(c, with_sems, renamer)
-        return f"({inner})" if isinstance(c, Slash) else inner
-
-    return f"{wrap(cat.result)}{cat.dir}{wrap(cat.arg)}"
+    canonical variable names, as format_cat(canonical_cat(cat)) would.
+    Iterative: an explicit stack lays out the category's sorts, slashes,
+    parentheses and terms last piece first, which is the stack
+    format_pieces prints from, in one pass."""
+    pieces: list = []
+    stack = [cat]
+    pop, push, add = stack.pop, stack.append, pieces.append
+    while stack:
+        c = pop()
+        kind = type(c)
+        if kind is str:
+            add(c)
+        elif kind is Atomic:
+            if with_sems:
+                add(c.sem)
+                add(c.sort + ":")
+            else:
+                add(c.sort)
+        else:
+            # The argument pops first, as pieces is the printed form
+            # backwards; a Slash part goes inside parentheses.
+            for part in (c.result, c.dir, c.arg):
+                if type(part) is Slash:
+                    push("(")
+                    push(part)
+                    push(")")
+                else:
+                    push(part)
+    return format_pieces(pieces, renamer)
 
 
 def cat_key(cat: Category) -> str:

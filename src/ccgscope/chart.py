@@ -11,7 +11,10 @@ once per entry), and the rules build their results with subst_cat, which
 follows the unifier and canonicalizes in one walk.  So cells deduplicate
 modulo the associativity of and/2: the bracketings of a coordination
 share one item, and an n-conjunct cluster keeps its scopings instead of
-Catalan-many copies.
+Catalan-many copies.  The walk returns at once every subterm whose
+recorded variables the unifier leaves unbound (terms.apply_reduced), so
+a rule result costs the part of its operands that the unifier reaches,
+not the whole of them.
 
 parse runs in two passes over one statement of the rules: the rows of
 ROWS, which read the Slash tuple that categories and their shapes share.

@@ -6,13 +6,27 @@ Substitutions are plain dicts from Var to Term in triangular form: unify
 adds one binding at a time and never rewrites earlier values, so a value
 may mention variables bound later; apply and apply_reduced follow the
 chain.
+
+Records.  A compound, lambda or up(.) term may carry a record, varset:
+the frozenset of the variables that occur in it, lambda parameters
+included.  apply_reduced writes it, once, on every such term it returns,
+from the records of the term's children; an atom's record is empty
+(class-wide), and every other term's is None until then.  The invariant:
+a recorded term is canonical (apply_reduced with no bindings returns it
+as is), and each of its children is recorded or a variable.  Records are
+a class attribute, not a field, so equality, hashing and repr ignore
+them, and building a term costs nothing extra.  Two walks skip by them:
+apply_reduced returns a recorded term that its unifier does not reach,
+and occurs reads a recorded term's variables instead of its nodes.
+Unrecorded terms (parser output, renamed copies, the normalizer's forms)
+are walked node by node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_not
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, ClassVar, Iterator, Optional, Union
 
 
 class TermError(Exception):
@@ -34,6 +48,7 @@ class Var:
 @dataclass(frozen=True)
 class Atom:
     name: str
+    varset: ClassVar[frozenset] = frozenset()
 
     def __repr__(self) -> str:
         return f"Atom({self.name})"
@@ -43,6 +58,7 @@ class Atom:
 class Compound:
     functor: str
     args: tuple
+    varset: ClassVar[Optional[frozenset]] = None
 
     def __repr__(self) -> str:
         return f"Compound({self.functor}, {list(self.args)})"
@@ -57,6 +73,7 @@ class Lam:
     # Entries are standardized apart, so no capture arises.
     param: Var
     body: "Term"
+    varset: ClassVar[Optional[frozenset]] = None
 
     def __repr__(self) -> str:
         return f"Lam({self.param.id}, {self.body!r})"
@@ -65,6 +82,7 @@ class Lam:
 @dataclass(frozen=True)
 class Up:
     body: "Term"
+    varset: ClassVar[Optional[frozenset]] = None
 
     def __repr__(self) -> str:
         return f"Up({self.body!r})"
@@ -168,15 +186,26 @@ def apply(s: Subst, t: Term, _active: frozenset = frozenset()) -> Term:
 
 
 def occurs(v: Var, t: Term, s: Subst) -> bool:
-    """Does v occur in t once the bindings in s are followed?"""
+    """Does v occur in t once the bindings in s are followed?
+
+    s must be acyclic.  A recorded subterm is answered from its record: v
+    occurs in it literally iff v is in the record (and then occurs once
+    bindings are followed iff s leaves v unbound: a bound v is replaced
+    wherever it stands).  Otherwise v can only come in through a variable
+    of the record that s binds, so the walk follows those alone, as it
+    would reach them node by node."""
     stack = [t]
     while stack:
         t = walk(s, stack.pop())
         if isinstance(t, Var):
             if t == v:
                 return True
-        else:
+        elif t.varset is None:
             stack.extend(children(t))
+        elif v in t.varset:
+            return v not in s
+        else:
+            stack.extend(s.keys() & t.varset)
     return False
 
 
@@ -324,12 +353,20 @@ def apply_reduced(s: Subst, t: Term) -> Term:
     that slot back to a variable, so nothing built from the result can be
     read.  Only the replacement is refused; a quantifier that holds a
     non-variable in t, or in a value of s, already is returned as it is.
+
+    Every compound, lambda and up(.) term returned is recorded (see the
+    module docstring): the walk writes its record from its children's,
+    which it has just returned.  A recorded t whose variables s leaves
+    all unbound is returned at once: it is canonical, so the walk would
+    rewrite nothing in it, and s reaches none of its variables, so every
+    subterm would come back as the input object.  So a rule result costs
+    the part of its operands that the unifier reaches.
     """
     while isinstance(t, Var):
         if t not in s:
             return t
         t = s[t]
-    if isinstance(t, Atom):
+    if isinstance(t, Atom) or (t.varset is not None and s.keys().isdisjoint(t.varset)):
         return t
     kids = children(t)
     new = [apply_reduced(s, k) for k in kids]
@@ -338,7 +375,7 @@ def apply_reduced(s: Subst, t: Term) -> Term:
             raise QuantifierSlotError(f"{t.functor} would bind a non-variable")
         t = with_children(t, new)
     if not isinstance(t, Compound):
-        return t
+        return _recorded(t)
     if is_and(t) and is_and(t.args[1]):
         # Both arguments are canonical already, so the right one's
         # conjuncts hang off its left spine and none of them is an and/2.
@@ -346,15 +383,33 @@ def apply_reduced(s: Subst, t: Term) -> Term:
         while is_and(right):
             tail.append(right.args[1])
             right = right.args[0]
-        t = Compound("and", (t.args[0], right))
+        t = _recorded(Compound("and", (t.args[0], right)))
         for conjunct in reversed(tail):
-            t = Compound("and", (t, conjunct))
+            t = _recorded(Compound("and", (t, conjunct)))
         return t
     if t.functor.startswith(SET_PREFIX) and len(t.args) == 1:
         lam = t.args[0]
         if (isinstance(lam, Lam) and isinstance(lam.body, Compound)
                 and lam.body.args == (lam.param,)):
-            return Compound(t.functor, (Atom(lam.body.functor),))
+            return _recorded(Compound(t.functor, (Atom(lam.body.functor),)))
+    return _recorded(t)
+
+
+def _recorded(t: Term) -> Term:
+    # t is canonical and its children are recorded or variables: write
+    # the union of their records as t's.  A single child that is not a
+    # variable lends t its own record.
+    kids = t.args if type(t) is Compound else children(t)
+    if len(kids) == 1 and type(kids[0]) is not Var:
+        object.__setattr__(t, "varset", kids[0].varset)
+        return t
+    varset = set()
+    for k in kids:
+        if type(k) is Var:
+            varset.add(k)
+        else:
+            varset |= k.varset
+    object.__setattr__(t, "varset", frozenset(varset))
     return t
 
 
@@ -461,14 +516,60 @@ def parse_term(text: str) -> Term:
 def format_term(t: Term, renamer: Optional[Renamer] = None) -> str:
     """Printed form of t; with a renamer, variables print under their new
     names, as format_term(renamer.rename(t)) would, in one pass."""
-    if isinstance(t, Var):
-        return t.id if renamer is None else renamer.name(t)
-    if isinstance(t, Atom):
-        return t.name
-    if isinstance(t, Compound):
-        return f"{t.functor}({', '.join(format_term(a, renamer) for a in t.args)})"
-    if isinstance(t, Lam):
-        return f"{format_term(t.param, renamer)}^{format_term(t.body, renamer)}"
-    if isinstance(t, Up):
-        return f"up({format_term(t.body, renamer)})"
-    raise TermError(f"not a term: {t!r}")
+    return format_pieces([t], renamer)
+
+
+def format_pieces(stack: list, renamer: Optional[Renamer] = None) -> str:
+    """The printed form of the terms and plain strings on stack, taken from
+    its end: format_term(t, renamer) is format_pieces([t], renamer).
+    Iterative, so any depth prints: the stack takes each compound's
+    arguments and the punctuation between them, and every piece is
+    appended to one list.  Variables are named as they are popped, in
+    children order, as a recursive printer would.  stack is consumed."""
+    out: list = []
+    pop, push, append = stack.pop, stack.append, out.append
+    name = None if renamer is None else renamer.name
+    while stack:
+        t = pop()
+        kind = type(t)
+        if kind is str:
+            append(t)
+        elif kind is Var:
+            append(t.id if name is None else name(t))
+        elif kind is Compound:
+            # Leading variable and atom arguments print at once; the rest
+            # go on the stack, with the punctuation between them.
+            append(t.functor)
+            append("(")
+            args, i = t.args, 0
+            for a in args:
+                if type(a) is Var:
+                    append(a.id if name is None else name(a))
+                elif type(a) is Atom:
+                    append(a.name)
+                else:
+                    break
+                i += 1
+                if i < len(args):
+                    append(", ")
+            if i == len(args):
+                append(")")
+                continue
+            push(")")
+            for j in range(len(args) - 1, i, -1):
+                push(args[j])
+                push(", ")
+            push(args[i])
+        elif kind is Atom:
+            append(t.name)
+        elif kind is Lam:
+            push(t.body)
+            push("^")
+            push(t.param)
+        elif kind is Up:
+            append("up(")
+            push(")")
+            push(t.body)
+        else:
+            raise TermError(f"not a term: {t!r}")
+    return "".join(out)

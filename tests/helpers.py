@@ -1,7 +1,8 @@
 """Golden-file rendering shared by the generator and the tests, the
 all-pairs closure the tests use as an oracle for the chart, and the
 entry-by-entry lexicon load they use as an oracle for load_lexicon, and
-seeded PP chains and clause embeddings with their quantifier skeletons.
+seeded PP chains and clause embeddings with their quantifier skeletons,
+and record-free copies of terms.
 
 Each golden names a sentence plus the full-span categories whose first
 derivation it freezes; the rendered text is the pretty printer's output
@@ -26,7 +27,7 @@ from ccgscope.chart import ROWS, Chart, Item, derivations, parse, pretty
 from ccgscope.cli import tokenize
 from ccgscope.lexicon import LexEntry, UnknownTokenError, _split_top, default_lexicon
 from ccgscope.readings import _well_formed
-from ccgscope.terms import Atom, Compound, Lam, Var, apply, eta_reduce_sets
+from ccgscope.terms import Atom, Compound, Lam, Var, apply, children, eta_reduce_sets, with_children
 
 GOLDENS = {
     "object_subject_scope.txt": (
@@ -285,3 +286,11 @@ def embedding(depth, seed):
         sentence = f"{nps[i][0]} {words} that {sentence}"
         sk = f"{pred}(up({sk}), {_leaf(nps[i], f'E{i}')})"
     return sentence, sk
+
+
+def unrecorded(t):
+    """A structural copy of t that carries no record, so every walk over it
+    goes node by node."""
+    if isinstance(t, (Var, Atom)):
+        return t
+    return with_children(t, [unrecorded(k) for k in children(t)])

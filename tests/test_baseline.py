@@ -374,6 +374,19 @@ def test_skeleton_of_another_sentence_rejected(lex):
         compare(FRENCHMEN.split(), sk, lex)
 
 
+def test_skeleton_with_an_extra_quantifier_of_a_known_label_rejected(lex):
+    # Labels are compared as multisets: the sentence has two every-man
+    # quantifiers, the skeleton three.
+    sk = parse_skeleton("saw(q?(every, X, man(X)),"
+                        " q?(every, Y, and(man(Y), of(Y, q?(every, Z, man(Z))))))")
+    with pytest.raises(BaselineError) as err:
+        compare("every man saw every man".split(), sk, lex)
+    assert str(err.value) == ("skeleton quantifiers {every-man, every-man, every-man}"
+                              " do not match the sentence's {every-man, every-man}")
+    two = parse_skeleton("saw(q?(every, X, man(X)), q?(every, Y, man(Y)))")
+    assert len(compare("every man saw every man".split(), two, lex).ccg) == 2
+
+
 # --- factorial oracle -----------------------------------------------------------
 
 def test_factorial_count_over_argument_slots():

@@ -36,12 +36,14 @@ from ccgscope.terms import (
     children,
     eta_reduce_sets,
     is_and,
+    occurs,
     parse_term,
     unify,
+    walk,
     with_children,
 )
 
-from helpers import all_pairs_parse
+from helpers import all_pairs_parse, unrecorded
 from test_coordination import sentence as coordination_sentence
 from test_terms import rand_lf, rand_term
 
@@ -240,9 +242,9 @@ def agrees_with_oracle(s, cat):
     return "applied" if want == applied else "rewrote"
 
 
-def test_subst_cat_agrees_with_apply_then_rewrite_on_random_unifiers():
+def random_unifiers():
+    """(a, b, unify(a, b)) for each of 6,000 seeded draws that unify."""
     rng = random.Random(20261018)
-    tallies = {"applied": 0, "rewrote": 0, "raised": 0}
     for draw in range(6000):
         if draw % 2:
             a, b = rand_term(rng, 4, ["X", "Y", "Z", "W"], ("f", "and", "s-a")), \
@@ -250,11 +252,51 @@ def test_subst_cat_agrees_with_apply_then_rewrite_on_random_unifiers():
         else:
             a, b = rand_lf(rng, 4), rand_lf(rng, 4)
         s = unify(a, b)
-        if s is None:
-            continue
+        if s is not None:
+            yield a, b, s
+
+
+def test_subst_cat_agrees_with_apply_then_rewrite_on_random_unifiers():
+    tallies = {"applied": 0, "rewrote": 0, "raised": 0}
+    for a, b, s in random_unifiers():
         cat = Slash("/", Atomic("s", a), Atomic("np", b))
         tallies[agrees_with_oracle(s, cat)] += 1
     assert tallies["applied"] > 500 and tallies["rewrote"] > 100 and tallies["raised"] > 5
+
+
+def record_free_occurs(v, term, s):
+    # Oracle: the node-by-node walk, which reads no record.
+    stack = [term]
+    while stack:
+        term = walk(s, stack.pop())
+        if isinstance(term, Var):
+            if term == v:
+                return True
+        else:
+            stack.extend(children(term))
+    return False
+
+
+def test_occurs_agrees_with_the_record_free_walk_on_random_unifiers():
+    # The draws above, and their chart forms, which are recorded, under
+    # their own unifier and under the chart forms' unifier, whose values
+    # are recorded too.  Every variable of the pool is asked about, bound
+    # or not.
+    pool = [Var(x) for x in "XYZW"]
+    tallies = {True: 0, False: 0, "recorded": 0}
+    for a, b, s in random_unifiers():
+        ra, rb = eta_reduce_sets(a), eta_reduce_sets(b)
+        rs = unify(ra, rb)
+        assert rs == unify(unrecorded(ra), unrecorded(rb))
+        for unifier in (s, rs or {}):
+            for term in (a, b, ra, rb, *unifier.values()):
+                tallies["recorded"] += not isinstance(term, (Var, Atom)) \
+                    and term.varset is not None
+                for v in pool:
+                    want = record_free_occurs(v, term, unifier)
+                    assert occurs(v, term, unifier) == want, (v, term, unifier)
+                    tallies[want] += 1
+    assert min(tallies.values()) > 3000, tallies
 
 
 def test_subst_cat_refuses_exactly_the_quantifiers_a_substitution_spoils():

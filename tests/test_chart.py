@@ -1,7 +1,7 @@
 import pytest
 
 from ccgscope import chart as chart_module
-from ccgscope.categories import atomics, cat_key, format_cat, canonical_cat, parse_cat
+from ccgscope.categories import atomics, cat_key, format_cat, canonical_cat, map_sems, parse_cat
 from ccgscope.chart import (
     ChartError,
     ResourceError,
@@ -20,8 +20,17 @@ from ccgscope.chart import (
 from ccgscope.cli import _corpus_entry, read_data, tokenize
 from ccgscope.lexicon import UnknownTokenError, default_lexicon, load_lexicon
 from ccgscope.readings import NoParseError, _well_formed, readings_from_chart
+from ccgscope.terms import Atom, Compound, Lam, TermError, Var, children, is_and, is_set_form, subterms
 
-from helpers import all_pairs_parse, item_sequence, live_items, well_formed_part
+from helpers import (
+    all_pairs_parse,
+    embedding,
+    item_sequence,
+    live_items,
+    pp_chain,
+    unrecorded,
+    well_formed_part,
+)
 from test_baseline import PP_CHAIN_3
 from test_coordination import sentence as coordination_sentence
 
@@ -424,3 +433,81 @@ def test_partners_of_several_shapes_come_in_id_order():
         [key("s:f(g1)/np:C"), key("s:f(g2)"), key("s:f(g3)/np:C")]
     assert item_sequence(list(chart.items.values())) \
         == item_sequence(list(all_pairs_parse(["f", "g"], lex).items.values()))
+
+
+# --- term records -----------------------------------------------------------
+
+RECORD_CASES = [sent for _, sent, _, _ in read_data("corpus.txt", None, _corpus_entry)] \
+    + [pp_chain(depth, seed)[0] for depth in range(1, 6) for seed in (1, 2, 3)] \
+    + [embedding(depth, seed)[0] for depth in range(1, 4) for seed in (1, 2, 3)]
+
+
+def record_free_vars(term, memo):
+    # Oracle: the variables among term's subterms, computed bottom-up
+    # without reading a record; memo is keyed by node, as chart items
+    # share subterms.
+    got = memo.get(id(term))
+    if got is None:
+        if isinstance(term, Var):
+            got = frozenset([term])
+        else:
+            got = frozenset().union(*(record_free_vars(k, memo) for k in children(term)))
+        memo[id(term)] = got
+    return got
+
+
+def rewritable(node):
+    # The two rewrites of apply_reduced, tested at node alone.
+    if is_and(node) and is_and(node.args[1]):
+        return True
+    return (is_set_form(node) and isinstance(node.args[0], Lam)
+            and isinstance(node.args[0].body, Compound)
+            and node.args[0].body.args == (node.args[0].param,))
+
+
+def test_every_recorded_chart_term_holds_the_record_invariant(lex):
+    # A record names exactly the variables among the term's subterms; a
+    # recorded term's children are recorded, variables or atoms; and no
+    # recorded term can be rewritten, so each is canonical.
+    for sentence in RECORD_CASES:
+        chart, memo, recorded = parse(tokenize(sentence), lex), {}, 0
+        for item in chart.items.values():
+            for at in atomics(item.cat):
+                for node in subterms(at.sem):
+                    if isinstance(node, (Var, Atom)) or node.varset is None:
+                        continue
+                    recorded += 1
+                    assert node.varset == record_free_vars(node, memo), sentence
+                    assert all(isinstance(k, Var) or k.varset is not None
+                               for k in children(node)), sentence
+                    assert not rewritable(node), sentence
+        assert recorded > 0, sentence
+
+
+def test_rule_results_do_not_depend_on_records(lex, monkeypatch):
+    # Each rule application's subst_cat, on the chart's operands (recorded
+    # where a rule built them) and on unrecorded copies of the operands
+    # and of the unifier's values: equal results, or the same error.
+    subst_cat, tallies = chart_module.subst_cat, {"built": 0, "raised": 0}
+
+    def outcome(s, cat):
+        try:
+            return subst_cat(s, cat)
+        except TermError as exc:
+            return exc
+
+    def checked(s, cat):
+        want = outcome({v: unrecorded(u) for v, u in s.items()}, map_sems(cat, unrecorded))
+        got = outcome(s, cat)
+        if isinstance(got, TermError):
+            assert (type(got), str(got)) == (type(want), str(want))
+            tallies["raised"] += 1
+            raise got
+        assert got == want and cat_key(got) == cat_key(want)
+        tallies["built"] += 1
+        return got
+
+    monkeypatch.setattr(chart_module, "subst_cat", checked)
+    for sentence in RECORD_CASES:
+        parse(tokenize(sentence), lex)
+    assert tallies["built"] > 10000 and tallies["raised"] > 5, tallies

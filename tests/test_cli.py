@@ -178,6 +178,11 @@ def test_closed_output_pipe_exits_zero_quietly(tmp_path, capsys, monkeypatch):
 
 
 FRENCHMEN = "three frenchmen visited five russians"
+EVERY_MAN = "every man saw every man"
+EVERY_MAN_THREE_LEAVES = ("saw(q?(every, X, man(X)),"
+                          " q?(every, Y, and(man(Y), of(Y, q?(every, Z, man(Z))))))")
+# Each x applies f 20 times to its argument.
+DEEP_TERM_LEXICON = "x :: s:" + "f(" * 20 + "X" + ")" * 20 + "/s:X\nok :: s:ok\n"
 
 
 @pytest.mark.parametrize("argv, content, line", [
@@ -198,6 +203,9 @@ FRENCHMEN = "three frenchmen visited five russians"
     # A skeleton whose quantifiers are not the sentence's.
     (["compare", "--skeletons", "{}", FRENCHMEN],
      f"{FRENCHMEN}\tvisited(q?(every, F, frenchman(F)), q?(two, R, russian(R)))\n", None),
+    # One quantifier more than the sentence has, under a label it has.
+    (["compare", "--skeletons", "{}", EVERY_MAN],
+     f"{EVERY_MAN}\t{EVERY_MAN_THREE_LEAVES}\n", None),
     # Nesting deeper than the parsers recurse.
     pytest.param(["compare", "--skeletons", "{}", FRENCHMEN],
                  f"{FRENCHMEN}\t" + "f(" * 3000 + "a" + ")" * 3000 + "\n", 1,
@@ -205,11 +213,10 @@ FRENCHMEN = "three frenchmen visited five russians"
     pytest.param(["corpus", "{}"],
                  "UNGRAMMATICAL\tx ⊣ " + "(" * 3000 + "np" + ")" * 3000 + "\n", 1,
                  id="deep-corpus-category"),
-    # A term that the rules nest deeper than the printer recurses: each x
-    # wraps its argument in 20 more f(.).
-    pytest.param(["--lexicon", "{}", "readings", "x " * 20 + "ok"],
-                 "x :: s:" + "f(" * 20 + "X" + ")" * 20 + "/s:X\nok :: s:ok\n", None,
-                 id="deep-term-in-a-command"),
+    # A term that the rules nest deeper than normalization recurses: each
+    # x wraps its argument in 20 more f(.), 620 in all.
+    pytest.param(["--lexicon", "{}", "readings", "x " * 31 + "ok"],
+                 DEEP_TERM_LEXICON, None, id="deep-term-in-a-command"),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, line):
     path = tmp_path / "input"
@@ -220,6 +227,16 @@ def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, li
     assert "Traceback" not in err
     if line is not None:
         assert f"line {line}:" in err
+
+
+def test_a_deeply_nested_term_gives_its_reading(tmp_path, capsys):
+    # The rules build f applied 400 times to ok.  A rule walks only what
+    # its unifier reaches, and printing and keying take no recursion.
+    path = tmp_path / "deep.lex"
+    path.write_text(DEEP_TERM_LEXICON, encoding="utf-8")
+    code, out, err = run(capsys, "--lexicon", str(path), "readings", "x " * 20 + "ok")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [f"  x1  {'f(' * 400}ok{')' * 400}"]
 
 
 @pytest.mark.parametrize("argv, data", [

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ccgscope import terms
 from ccgscope.terms import (
     Atom,
     Compound,
@@ -92,6 +93,46 @@ def test_apply_reduced_refuses_to_make_a_quantifier_over_a_non_variable():
     assert eta_reduce_sets(spoilt) is spoilt
     # apply, the plain substitution, builds it.
     assert apply({Var("X"): Atom("j")}, body) == spoilt
+
+
+def test_apply_reduced_skips_a_recorded_subterm_its_unifier_does_not_reach(monkeypatch):
+    walked = []
+    real = terms.apply_reduced
+
+    def counted(s, term):
+        walked.append(term)
+        return real(s, term)
+
+    monkeypatch.setattr(terms, "apply_reduced", counted)
+    term = eta_reduce_sets(t("f(g(X, h(Y)), k(Z))"))
+    assert term.varset == {Var("X"), Var("Y"), Var("Z")}
+    assert term.args[0].varset == {Var("X"), Var("Y")}
+    walked.clear()
+    got = counted({Var("Z"): Atom("a")}, term)
+    assert got == t("f(g(X, h(Y)), k(a))")
+    assert got.args[0] is term.args[0]
+    assert walked == [term, term.args[0], term.args[1], Var("Z")]
+    assert got.varset == {Var("X"), Var("Y")} and got.args[1].varset == frozenset()
+    # A binding the record does not name returns the recorded term itself.
+    assert counted({Var("W"): Atom("a")}, term) is term
+    # Unrecorded, the same term is walked node by node.
+    walked.clear()
+    assert counted({Var("Z"): Atom("a")}, t("f(g(X, h(Y)), k(Z))")) == got
+    assert len(walked) == 7
+
+
+def test_an_unrecorded_non_canonical_term_is_still_rewritten():
+    term = t("f(and(a, and(b, X)), s-a(Y^p(Y)), up(Z))")
+    for _ in range(2):
+        assert apply_reduced({Var("X"): Atom("c")}, term) \
+            == t("f(and(and(a, b), c), s-a(p), up(Z))")
+        assert eta_reduce_sets(term) == t("f(and(and(a, b), X), s-a(p), up(Z))")
+    # Only what the walk returned is recorded: the canonical subterms.
+    assert term.varset is None and term.args[0].varset is None
+    assert term.args[1].varset is None
+    assert term.args[0].args[1].varset == {Var("X")}
+    assert term.args[1].args[0].varset == {Var("Y")}
+    assert term.args[2].varset == {Var("Z")}
 
 
 # --- unification ------------------------------------------------------------
