@@ -168,7 +168,10 @@ class Orderings:
         exactly when it comes before its innermost host or right after it.
         So at most one of a host's guests may come right after it, and no
         guest later.  Each check runs when the later of the two leaves it
-        relates is placed.
+        relates is placed.  Where no leaf has a host and every leaf's
+        variable is free in the core alone (independent quantifiers, clause
+        embeddings), every order is closed, and they are returned without
+        the search.
 
         ResourceError when there are more than MAX_SURVIVORS closed orders,
         or when the search tries more than n * MAX_SURVIVORS extensions,
@@ -185,6 +188,12 @@ class Orderings:
                     return []  # no quantifier binds it: every order is open
                 if leaf_of[v] != region:
                     needs[leaf_of[v]].add(region)
+        if all(h < 0 for h in host) and all(need <= {core} for need in needs):
+            # Nothing folds and nothing cuts: every order is closed.
+            if math.factorial(n) > MAX_SURVIVORS:
+                raise ResourceError(
+                    f"{n} quantifiers have more than {MAX_SURVIVORS} closed orders")
+            return list(permutations(range(n)))
         needed_by = [[x for x in range(n) if y in needs[x]] for y in range(n)]
         placed, head, run = [False] * n, [False] * n, [0] * n
         order: List[int] = []

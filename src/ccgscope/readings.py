@@ -28,6 +28,16 @@ At one predication, promoted quantifiers nest leftmost-argument
 outermost, except when a bound variable sits between two promoted
 argument positions (then the order flips, keeping the binder adjacent
 to the position it licenses).
+
+What one full-span form costs: the filter (_intensional_violation) scans
+it for up(.) and walks it with ancestor chains only when it holds one;
+normalize walks it once with ancestor chains (_walk, in _assign_sites,
+which also refuses a quantifier over a non-variable), takes the free
+variables of a set form's restriction only when some quantifier above
+one of its occurrences binds a variable, rebuilds only the paths down to
+the promoted occurrences and their sites (every other subterm is kept as
+it is), takes the free variables of the result when something was
+promoted, and ends in one canonicalize.
 """
 
 from __future__ import annotations
@@ -46,19 +56,17 @@ from .terms import (
     Compound,
     Lam,
     Term,
+    TermError,
     Up,
     Var,
     apply,
     canonicalize,
-    children,
     format_term,
     free_vars,
     is_and,
     is_quant,
     is_set_form,
     subterms,
-    unbound_quantifier,
-    with_children,
 )
 
 
@@ -82,26 +90,30 @@ class Reading:
 
 # --- term walking ----------------------------------------------------------
 
-# A path step is the argument index under a compound and a name elsewhere.
-_NAMED_STEPS = {Lam: ("param", "lam"), Up: ("up",)}
-
-
-def _steps(node: Term):
-    """The path step to each of node's children, in children() order."""
-    if isinstance(node, Compound):
-        return range(len(node.args))
-    return _NAMED_STEPS.get(type(node), ())
-
-
 def _walk(t: Term) -> Iterator[Tuple[tuple, Term, tuple]]:
     """All (path, node, chain) triples in preorder, where chain holds the
-    (ancestor, step) pairs from t down to node."""
+    (ancestor, step) pairs from t down to node.  A path step is the
+    argument index under a compound, "param" or "lam" under a lambda and
+    "up" under up(.).  Iterative, so any depth walks: each node's children
+    go on the stack last first, as format_pieces pushes them."""
     stack = [((), t, ())]
+    pop, push = stack.pop, stack.append
     while stack:
-        path, node, chain = stack.pop()
-        yield path, node, chain
-        stack.extend(reversed([(path + (step,), kid, chain + ((node, step),))
-                               for step, kid in zip(_steps(node), children(node))]))
+        entry = pop()
+        yield entry
+        path, node, chain = entry
+        kind = type(node)
+        if kind is Compound:
+            args = node.args
+            for i in range(len(args) - 1, -1, -1):
+                push((path + (i,), args[i], chain + ((node, i),)))
+        elif kind is Lam:
+            push((path + ("lam",), node.body, chain + ((node, "lam"),)))
+            push((path + ("param",), node.param, chain + ((node, "param"),)))
+        elif kind is Up:
+            push((path + ("up",), node.body, chain + ((node, "up"),)))
+        elif kind is not Var and kind is not Atom:
+            raise TermError(f"not a term: {node!r}")
 
 
 def _binds(node: Term, step) -> Optional[Var]:
@@ -180,8 +192,18 @@ def _dependent_site(chain: tuple, path: tuple, free: set) -> tuple:
 
 
 def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var]]:
-    occ_list = [(path, node, chain) for path, node, chain in _walk(t)
-                if is_set_form(node)]
+    """Where each set form is promoted, and the variable that replaces
+    each promoted occurrence.  StructuralError for a quantifier over a
+    non-variable comes from the walk, so before any other."""
+    occ_list = []
+    for entry in _walk(t):
+        node = entry[1]
+        if type(node) is Compound:
+            if is_set_form(node):
+                occ_list.append(entry)
+            elif is_quant(node) and type(node.args[0]) is not Var:
+                raise StructuralError(
+                    "quantifier with a non-variable in its variable position")
     rank = {path: i for i, (path, _, _) in enumerate(occ_list)}
     chains = {path: chain for path, _, chain in occ_list}
     groups: Dict[Term, List[tuple]] = {}
@@ -219,8 +241,12 @@ def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var]]:
         paths = [p for p in paths if alive(p)]
         if not paths:
             continue
-        fv = set(free_vars(node.args[0]))
-        bound_free = {p: fv & _visible(chains[p]) for p in paths}
+        # The restriction's free variables matter only where some binder
+        # is visible.
+        bound_free = {p: _visible(chains[p]) for p in paths}
+        if any(bound_free.values()):
+            fv = free_vars(node.args[0])
+            bound_free = {p: visible.intersection(fv) for p, visible in bound_free.items()}
 
         if any(bound_free.values()):
             for p in paths:
@@ -286,14 +312,17 @@ def _ordered(wraps: List[_Wrap], node: Term, path: tuple, chain: tuple) -> List[
 
 def normalize(t: Term) -> Term:
     """Promote set forms to scoped quantifiers; result in canonical form (canonicalize)."""
-    if not _well_formed(t):
-        raise StructuralError(
-            "quantifier with a non-variable in its variable position")
-
     wraps, replace = _assign_sites(t)
     by_site: Dict[tuple, List[_Wrap]] = {}
     for w in wraps:
         by_site.setdefault(w.site, []).append(w)
+    # The paths rebuild must enter: those of a replaced occurrence or a
+    # site, and their prefixes.  Every other subterm comes back as it is.
+    touched = set()
+    for p in itertools.chain(replace, by_site):
+        while p not in touched:
+            touched.add(p)
+            p = p[:-1]
 
     def restriction(w: _Wrap) -> Term:
         body = rebuild(*w.restriction)
@@ -306,8 +335,18 @@ def normalize(t: Term) -> Term:
     def rebuild(path: tuple, node: Term, chain: tuple) -> Term:
         if path in replace:
             return replace[path]
-        out = with_children(node, [rebuild(path + (step,), kid, chain + ((node, step),))
-                                   for step, kid in zip(_steps(node), children(node))])
+        if path not in touched:
+            return node
+        # A touched node is an ancestor of a set form: a compound, a
+        # lambda or an up(.).
+        kind = type(node)
+        if kind is Compound:
+            out = Compound(node.functor, tuple([
+                rebuild(path + (i,), a, chain + ((node, i),)) for i, a in enumerate(node.args)]))
+        elif kind is Lam:
+            out = Lam(node.param, rebuild(path + ("lam",), node.body, chain + ((node, "lam"),)))
+        else:
+            out = Up(rebuild(path + ("up",), node.body, chain + ((node, "up"),)))
         here = by_site.get(path)
         if here:
             for w in reversed(_ordered(here, node, path, chain)):
@@ -315,7 +354,8 @@ def normalize(t: Term) -> Term:
         return out
 
     result = rebuild((), t, ())
-    if free_vars(t) == () and free_vars(result):
+    # Untouched, the result is t: nothing was promoted, so nothing unbound.
+    if result is not t and free_vars(result) and not free_vars(t):
         raise StructuralError(
             f"promotion left variables unbound in {format_term(result)}")
     return canonicalize(result)
@@ -323,8 +363,22 @@ def normalize(t: Term) -> Term:
 
 # --- filters ----------------------------------------------------------------
 
-def _well_formed(t: Term) -> bool:
-    return unbound_quantifier(t) is None
+def _holds_up(t: Term) -> bool:
+    """Does t hold an up(.) node?  A plain stack scan, with no path, chain
+    or generator step per node: most forms hold none, and the filter's
+    chain walk costs several times more."""
+    stack = [t]
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        kind = type(node)
+        if kind is Compound:
+            extend(node.args)
+        elif kind is Up:
+            return True
+        elif kind is Lam:
+            stack.append(node.body)
+    return False
 
 
 def _intensional_violation(t: Term) -> bool:
@@ -332,10 +386,13 @@ def _intensional_violation(t: Term) -> bool:
 
     Binding into an intensional argument is tolerated only when the
     binder sits immediately on a coordination of such arguments and no
-    other quantifier intervenes above the up(.).
+    other quantifier intervenes above the up(.).  A form without up(.) is
+    answered by a scan that builds no path.
     """
+    if not _holds_up(t):
+        return False
     for _, node, chain in _walk(t):
-        if not isinstance(node, Up):
+        if type(node) is not Up:
             continue
         free = set(free_vars(node.body))
         if not free:
@@ -407,7 +464,9 @@ def _head_noun(restr: Term, var: Var) -> str:
 def occurrences(t: Term) -> List[Occurrence]:
     found = []
     for path, node, _ in _walk(t):
-        if is_quant(node) and isinstance(node.args[0], Var):
+        if type(node) is not Compound:
+            continue
+        if is_quant(node) and type(node.args[0]) is Var:
             det = node.functor[len(QUANT_PREFIX):]
             found.append((det, _head_noun(node.args[1], node.args[0]), path, "q"))
         elif is_set_form(node):

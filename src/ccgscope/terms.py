@@ -309,25 +309,34 @@ def free_vars(t: Term) -> tuple:
     """Free variables in first-occurrence order.
 
     Lam binds its parameter; a q-<det>(V, R, B) node binds V within R and B.
-    Set-forms s-<det>(p) bind nothing.
+    Set-forms s-<det>(p) bind nothing.  Iterative, so any depth walks: the
+    stack holds each subterm still to visit with the variables bound
+    above it, children last first.
     """
-    seen: list = []
-
-    def walk(t: Term, bound: frozenset) -> None:
-        if isinstance(t, Var):
-            if t not in bound and t not in seen:
-                seen.append(t)
-        elif isinstance(t, Lam):
-            walk(t.body, bound | {t.param})
-        elif is_quant(t) and isinstance(t.args[0], Var):
-            inner = bound | {t.args[0]}
-            walk(t.args[1], inner)
-            walk(t.args[2], inner)
-        else:
-            for k in children(t):
-                walk(k, bound)
-
-    walk(t, frozenset())
+    seen: dict = {}  # insertion-ordered: the free variables met so far
+    stack = [(t, frozenset())]
+    pop, push = stack.pop, stack.append
+    while stack:
+        t, bound = pop()
+        kind = type(t)
+        if kind is Var:
+            if t not in bound:
+                seen[t] = None
+        elif kind is Compound:
+            args = t.args
+            if is_quant(t) and type(args[0]) is Var:
+                bound = bound | {args[0]}
+                push((args[2], bound))
+                push((args[1], bound))
+            else:
+                for i in range(len(args) - 1, -1, -1):
+                    push((args[i], bound))
+        elif kind is Lam:
+            push((t.body, bound | {t.param}))
+        elif kind is Up:
+            push((t.body, bound))
+        elif kind is not Atom:
+            raise TermError(f"not a term: {t!r}")
     return tuple(seen)
 
 

@@ -2,13 +2,16 @@
 all-pairs closure the tests use as an oracle for the chart, and the
 entry-by-entry lexicon load they use as an oracle for load_lexicon, and
 seeded PP chains and clause embeddings with their quantifier skeletons,
-and record-free copies of terms.
+and record-free copies of terms, and the node-by-node walks of the
+readings layer and of free_vars, the oracles for the walks that replaced
+them.
 
 Each golden names a sentence plus the full-span categories whose first
 derivation it freezes; the rendered text is the pretty printer's output
 for those derivations, blank-line separated, in the listed order.
 """
 
+import itertools
 import random
 
 from ccgscope.categories import (
@@ -26,8 +29,37 @@ from ccgscope.categories import (
 from ccgscope.chart import ROWS, Chart, Item, derivations, parse, pretty
 from ccgscope.cli import tokenize
 from ccgscope.lexicon import LexEntry, UnknownTokenError, _split_top, default_lexicon
-from ccgscope.readings import _well_formed
-from ccgscope.terms import Atom, Compound, Lam, Var, apply, children, eta_reduce_sets, with_children
+from ccgscope.readings import (
+    Occurrence,
+    StructuralError,
+    _binder_index,
+    _dependent_site,
+    _float_position,
+    _head_noun,
+    _ordered,
+    _single_site,
+    _visible,
+    _Wrap,
+)
+from ccgscope.terms import (
+    QUANT_PREFIX,
+    SET_PREFIX,
+    Atom,
+    Compound,
+    Lam,
+    Up,
+    Var,
+    apply,
+    canonicalize,
+    children,
+    eta_reduce_sets,
+    format_term,
+    is_and,
+    is_quant,
+    is_set_form,
+    unbound_quantifier,
+    with_children,
+)
 
 GOLDENS = {
     "object_subject_scope.txt": (
@@ -120,11 +152,16 @@ def all_pairs_parse(tokens, lex):
     return chart
 
 
+def well_formed(t):
+    """Does every quantifier in t bind a variable?"""
+    return unbound_quantifier(t) is None
+
+
 def well_formed_part(chart):
-    """The chart's items whose every semantics readings._well_formed
-    accepts, keeping only the backpointers between such items."""
+    """The chart's items whose every semantics is well_formed, keeping
+    only the backpointers between such items."""
     items = {i: it for i, it in chart.items.items()
-             if all(_well_formed(at.sem) for at in atomics(it.cat))}
+             if all(well_formed(at.sem) for at in atomics(it.cat))}
     part = Chart(chart.tokens, {}, {})
     for i, it in items.items():
         backs = [back for back in it.backs
@@ -294,3 +331,208 @@ def unrecorded(t):
     if isinstance(t, (Var, Atom)):
         return t
     return with_children(t, [unrecorded(k) for k in children(t)])
+
+
+# --- the node-by-node walks of the readings layer, the oracles for it -----
+#
+# These are the readings layer's walks as they were before each full-span
+# form was walked once: a walk that builds every node's child list, a
+# normalizer that checks quantifier slots in a walk of its own, takes every
+# set-form group's free variables, rebuilds every node and takes the free
+# variables of its input and result, and a recursive free_vars.
+
+_ORACLE_STEPS = {Lam: ("param", "lam"), Up: ("up",)}
+
+
+def oracle_steps(node):
+    """The path step to each of node's children, in children() order."""
+    if isinstance(node, Compound):
+        return range(len(node.args))
+    return _ORACLE_STEPS.get(type(node), ())
+
+
+def oracle_walk(t):
+    """All (path, node, chain) triples in preorder."""
+    stack = [((), t, ())]
+    while stack:
+        path, node, chain = stack.pop()
+        yield path, node, chain
+        stack.extend(reversed([(path + (step,), kid, chain + ((node, step),))
+                               for step, kid in zip(oracle_steps(node), children(node))]))
+
+
+def oracle_free_vars(t):
+    """Free variables in first-occurrence order, by recursion."""
+    seen = []
+
+    def walk(t, bound):
+        if isinstance(t, Var):
+            if t not in bound and t not in seen:
+                seen.append(t)
+        elif isinstance(t, Lam):
+            walk(t.body, bound | {t.param})
+        elif is_quant(t) and isinstance(t.args[0], Var):
+            inner = bound | {t.args[0]}
+            walk(t.args[1], inner)
+            walk(t.args[2], inner)
+        else:
+            for k in children(t):
+                walk(k, bound)
+
+    walk(t, frozenset())
+    return tuple(seen)
+
+
+def oracle_assign_sites(t):
+    occ_list = [(path, node, chain) for path, node, chain in oracle_walk(t)
+                if is_set_form(node)]
+    rank = {path: i for i, (path, _, _) in enumerate(occ_list)}
+    chains = {path: chain for path, _, chain in occ_list}
+    groups = {}
+    for path, node, _ in occ_list:
+        groups.setdefault(node, []).append(path)
+
+    fresh = itertools.count(1)
+    wraps = []
+    replace = {}
+
+    def promote(node, paths, site):
+        var = Var(f"_q{next(fresh)}")
+        for p in paths:
+            replace[p] = var
+        first = paths[0]
+        wraps.append(_Wrap(site, node.functor[len(SET_PREFIX):], var,
+                           (first + (0,), node.args[0], chains[first] + ((node, 0),)),
+                           tuple(paths), min(rank[p] for p in paths)))
+
+    dead = []
+
+    def alive(p):
+        return not any(len(p) > len(d) and p[:len(d)] == d for d in dead)
+
+    ordered_groups = sorted(
+        groups.items(),
+        key=lambda kv: (min(len(p) for p in kv[1]), min(rank[p] for p in kv[1])))
+
+    for node, paths in ordered_groups:
+        paths = [p for p in paths if alive(p)]
+        if not paths:
+            continue
+        fv = set(oracle_free_vars(node.args[0]))
+        bound_free = {p: fv & _visible(chains[p]) for p in paths}
+
+        if any(bound_free.values()):
+            for p in paths:
+                if bound_free[p]:
+                    site = _dependent_site(chains[p], p, bound_free[p])
+                else:
+                    site = _single_site(chains[p], p)
+                if site is not None:
+                    promote(node, [p], site)
+            continue
+
+        if len(paths) >= 2:
+            prefix = paths[0]
+            for p in paths[1:]:
+                n = 0
+                while n < min(len(prefix), len(p)) and prefix[n] == p[n]:
+                    n += 1
+                prefix = prefix[:n]
+            chain = chains[paths[0]]
+            dominated = any(is_quant(n) for n, _ in chain[:len(prefix)])
+            if not is_and(chain[len(prefix)][0]):
+                pass
+            elif dominated and all(_float_position(chains[p]) for p in paths):
+                pass
+            elif not any(is_quant(n) or isinstance(n, Up)
+                         for p in paths for n, _ in chains[p][len(prefix) + 1:]):
+                promote(node, paths, prefix)
+                dead.extend(paths[1:])
+                continue
+
+        for p in paths:
+            site = _single_site(chains[p], p)
+            if site is not None:
+                promote(node, [p], site)
+
+    return wraps, replace
+
+
+def oracle_normalize(t):
+    if not well_formed(t):
+        raise StructuralError(
+            "quantifier with a non-variable in its variable position")
+
+    wraps, replace = oracle_assign_sites(t)
+    by_site = {}
+    for w in wraps:
+        by_site.setdefault(w.site, []).append(w)
+
+    def restriction(w):
+        body = rebuild(*w.restriction)
+        if isinstance(body, Lam):
+            return apply({body.param: w.var}, body.body)
+        if isinstance(body, Atom):
+            return Compound(body.name, (w.var,))
+        raise StructuralError(f"unpromotable restriction {format_term(body)}")
+
+    def rebuild(path, node, chain):
+        if path in replace:
+            return replace[path]
+        out = with_children(node, [rebuild(path + (step,), kid, chain + ((node, step),))
+                                   for step, kid in zip(oracle_steps(node), children(node))])
+        here = by_site.get(path)
+        if here:
+            for w in reversed(_ordered(here, node, path, chain)):
+                out = Compound(QUANT_PREFIX + w.det, (w.var, restriction(w), out))
+        return out
+
+    result = rebuild((), t, ())
+    if oracle_free_vars(t) == () and oracle_free_vars(result):
+        raise StructuralError(
+            f"promotion left variables unbound in {format_term(result)}")
+    return canonicalize(result)
+
+
+def oracle_intensional_violation(t):
+    for _, node, chain in oracle_walk(t):
+        if not isinstance(node, Up):
+            continue
+        free = set(oracle_free_vars(node.body))
+        if not free:
+            continue
+        binder_idx = _binder_index(chain, free)
+        if binder_idx is None:
+            continue
+        others = any(is_quant(n) and idx != binder_idx
+                     for idx, (n, _) in enumerate(chain))
+        coordinated = any(is_and(n) for n, _ in chain[binder_idx + 1:])
+        if others or not coordinated:
+            return True
+    return False
+
+
+def oracle_occurrences(t):
+    found = []
+    for path, node, _ in oracle_walk(t):
+        if is_quant(node) and isinstance(node.args[0], Var):
+            det = node.functor[len(QUANT_PREFIX):]
+            found.append((det, _head_noun(node.args[1], node.args[0]), path, "q"))
+        elif is_set_form(node):
+            det = node.functor[len(SET_PREFIX):]
+            arg = node.args[0]
+            if isinstance(arg, Atom):
+                noun = arg.name
+            elif isinstance(arg, Lam):
+                noun = _head_noun(arg.body, arg.param)
+            else:
+                noun = "?"
+            found.append((det, noun, path, "s"))
+    counts = {}
+    for det, _, _, _ in found:
+        counts[det] = counts.get(det, 0) + 1
+    out = []
+    for det, noun, path, kind in found:
+        label = det if counts[det] == 1 else f"{det}-{noun}"
+        out.append(Occurrence(label, det, noun, path, kind))
+    return out

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from itertools import permutations
@@ -265,6 +266,27 @@ def test_every_embedding_order_is_closed(depth):
     for seed in (1, 2, 3):
         forms = enumerate_orderings(parse_skeleton(embedding(depth, seed)[1]))
         assert len(list(forms.closed())) == len(forms) == math.factorial(depth + 2)
+
+
+def test_embeddings_take_the_closed_orders_without_the_search(monkeypatch):
+    # No leaf of an embedding has a host, and each leaf's variable is free
+    # in the core alone, so _closed_orders returns permutations(range(n))
+    # at once; the search itself never calls permutations.  A PP chain
+    # takes the search.
+    calls = []
+
+    def counted(indices):
+        calls.append(len(indices))
+        return permutations(indices)
+
+    monkeypatch.setattr(baseline, "permutations", counted)
+    for depth, seed in itertools.product((1, 2, 3), (1, 2, 3)):
+        n = depth + 2
+        orders = baseline.Orderings(parse_skeleton(embedding(depth, seed)[1]))._closed_orders()
+        assert calls == [n] and orders == list(permutations(range(n)))
+        calls.clear()
+    baseline.Orderings(parse_skeleton(pp_chain(2, 1)[1]))._closed_orders()
+    assert calls == []
 
 
 def test_compare_builds_one_form_per_closed_order(lex, monkeypatch):

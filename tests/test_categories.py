@@ -24,7 +24,6 @@ from ccgscope.categories import (
 )
 from ccgscope.cli import _corpus_entry, read_data, tokenize
 from ccgscope.lexicon import default_lexicon
-from ccgscope.readings import _well_formed
 from ccgscope.terms import (
     Atom,
     Compound,
@@ -43,7 +42,7 @@ from ccgscope.terms import (
     with_children,
 )
 
-from helpers import all_pairs_parse, unrecorded
+from helpers import all_pairs_parse, unrecorded, well_formed
 from test_coordination import sentence as coordination_sentence
 from test_terms import rand_lf, rand_term
 
@@ -216,7 +215,7 @@ def rewrite_pass(term):
 
 
 def well_formed_cat(cat):
-    return all(_well_formed(at.sem) for at in atomics(cat))
+    return all(well_formed(at.sem) for at in atomics(cat))
 
 
 def agrees_with_oracle(s, cat):
@@ -226,7 +225,7 @@ def agrees_with_oracle(s, cat):
     the applied category, else "applied".  Every quantifier in cat and in
     the values of s must bind a variable, so one that binds a non-variable
     after apply is one the substitution made."""
-    assert well_formed_cat(cat) and all(map(_well_formed, s.values()))
+    assert well_formed_cat(cat) and all(map(well_formed, s.values()))
     try:
         applied = map_sems(cat, lambda t: apply(s, t))
     except TermError:

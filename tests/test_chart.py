@@ -19,7 +19,7 @@ from ccgscope.chart import (
 )
 from ccgscope.cli import _corpus_entry, read_data, tokenize
 from ccgscope.lexicon import UnknownTokenError, default_lexicon, load_lexicon
-from ccgscope.readings import NoParseError, _well_formed, readings_from_chart
+from ccgscope.readings import NoParseError, readings_from_chart
 from ccgscope.terms import Atom, Compound, Lam, TermError, Var, children, is_and, is_set_form, subterms
 
 from helpers import (
@@ -29,6 +29,7 @@ from helpers import (
     live_items,
     pp_chain,
     unrecorded,
+    well_formed,
     well_formed_part,
 )
 from test_baseline import PP_CHAIN_3
@@ -417,7 +418,7 @@ def test_every_chart_item_is_well_formed(lex, sentence):
     chart = parse(tokenize(sentence), lex)
     assert chart.items
     for item in chart.items.values():
-        assert all(_well_formed(at.sem) for at in atomics(item.cat)), cat_key(item.cat)
+        assert all(well_formed(at.sem) for at in atomics(item.cat)), cat_key(item.cat)
 
 
 def test_partners_of_several_shapes_come_in_id_order():

@@ -3,31 +3,48 @@ import random
 
 import pytest
 
-from ccgscope.categories import atomics
-from ccgscope.chart import parse
+from ccgscope.categories import Atomic, atomics
+from ccgscope.chart import count_derivations, parse
+from ccgscope.cli import tokenize
 from ccgscope.lexicon import default_lexicon
 from ccgscope.readings import (
     NoParseError,
     ReadingError,
     StructuralError,
-    _steps,
+    _intensional_violation,
     _walk,
     normalize,
     occurrences,
     outscopes,
     readings,
+    readings_from_chart,
     scope_profile,
 )
 from ccgscope.terms import (
+    Atom,
+    Compound,
+    Lam,
+    Up,
+    Var,
     canonicalize,
-    children,
     format_term,
     free_vars,
+    is_set_form,
     parse_term,
     subterms,
 )
 
+from helpers import (
+    embedding,
+    oracle_free_vars,
+    oracle_intensional_violation,
+    oracle_normalize,
+    oracle_occurrences,
+    pp_chain,
+)
 from test_acceptance import corpus_sentences
+from test_categories import random_unifiers
+from test_coordination import sentence as coordination_sentence
 from test_terms import rand_lf, rand_term
 
 
@@ -47,8 +64,15 @@ def lex():
 # --- the walk ---------------------------------------------------------------
 
 def test_walk_yields_each_node_with_its_path_and_ancestor_chain(lex):
+    # A compound's children are stepped to by argument index, the others'
+    # by name; any other pairing is a KeyError.
+    named = {(Lam, "param"): lambda n: n.param, (Lam, "lam"): lambda n: n.body,
+             (Up, "up"): lambda n: n.body}
+
     def child(node, step):
-        return children(node)[list(_steps(node)).index(step)]
+        if isinstance(node, Compound) and isinstance(step, int):
+            return node.args[step]
+        return named[type(node), step](node)
 
     rng = random.Random(20261019)
     sample = [rand_term(rng, 4, ["X", "Y", "Z"]) for _ in range(300)]
@@ -270,3 +294,126 @@ def test_outscopes_agrees_with_scope_profile(lex):
                 pairs += 1
                 inside += (a, b) in profile
     assert pairs > 250 and inside > 50
+
+
+# --- the walks agree with their node-by-node oracles --------------------------
+
+AGREEMENT_CASES = [" ".join(tokens) for _, tokens in corpus_sentences()] \
+    + [pp_chain(depth, seed)[0] for depth in range(1, 7) for seed in (1, 2, 3)] \
+    + [embedding(depth, seed)[0] for depth in range(1, 5) for seed in (1, 2, 3)] \
+    + [coordination_sentence(k) for k in (1, 2, 3)]
+
+
+def oracle_readings_from_chart(chart):
+    """readings_from_chart with the oracle filter and normalizer."""
+    counts = count_derivations(chart)
+    groups = {}
+    for item in chart.full_span():
+        if isinstance(item.cat, Atomic) and item.cat.sort == "s" \
+                and not oracle_intensional_violation(item.cat.sem):
+            canon = oracle_normalize(item.cat.sem)
+            groups[canon] = groups.get(canon, 0) + counts[item.id]
+    return sorted(groups.items(), key=lambda kv: format_term(kv[0]))
+
+
+def test_the_readings_layer_agrees_with_its_node_by_node_oracles(lex):
+    # Readings, multiplicities and their order; the filter's verdict on
+    # every full-span form; occurrence lists and free variables of every
+    # form and reading.
+    tallies = {"forms": 0, "violators": 0, "readings": 0, "set forms": 0}
+    for sentence in AGREEMENT_CASES:
+        chart = parse(tokenize(sentence), lex)
+        got = readings_from_chart(chart)
+        want = oracle_readings_from_chart(chart)
+        assert [(r.term, r.multiplicity) for r in got] == want, sentence
+        forms = [it.cat.sem for it in chart.full_span()
+                 if isinstance(it.cat, Atomic) and it.cat.sort == "s"]
+        for t in forms:
+            violates = _intensional_violation(t)
+            assert violates == oracle_intensional_violation(t), format_term(t)
+            tallies["violators"] += violates
+            tallies["set forms"] += any(map(is_set_form, subterms(t)))
+        for t in forms + [r.term for r in got]:
+            assert occurrences(t) == oracle_occurrences(t), format_term(t)
+            assert free_vars(t) == oracle_free_vars(t), format_term(t)
+        tallies["forms"] += len(forms)
+        tallies["readings"] += len(got)
+    assert tallies["violators"] > 500 and tallies["readings"] > 1000, tallies
+    assert tallies["set forms"] > 1000, tallies
+
+
+def test_normalize_agrees_with_its_oracle_on_random_scoped_terms():
+    # Quantifiers, set forms, lambdas and up(.) in every arrangement,
+    # ill-formed ones included: equal results, or the same StructuralError.
+    rng = random.Random(20261019)
+
+    def scoped(depth):
+        kind = rng.randrange(7 if depth > 0 else 2)
+        if kind == 0:
+            return Var(rng.choice("XYZ"))
+        if kind == 1:
+            return Atom(rng.choice("abc"))
+        if kind == 2:
+            return Compound("q-a", (Var(rng.choice("XYZ")), scoped(depth - 1), scoped(depth - 1)))
+        if kind == 3:
+            v = Var(rng.choice("XYZ"))
+            return Compound(rng.choice(["s-a", "s-b"]), (rng.choice(
+                [Atom("p"), Lam(v, Compound("p", (v, scoped(depth - 1))))]),))
+        if kind == 4:
+            return Up(scoped(depth - 1))
+        if kind == 5:
+            return Lam(Var(rng.choice("XYZ")), scoped(depth - 1))
+        return Compound(rng.choice(["f", "and"]),
+                        tuple(scoped(depth - 1) for _ in range(rng.choice([1, 2, 3]))))
+
+    def outcome(fn, t):
+        try:
+            return fn(t)
+        except StructuralError as e:
+            return str(e)
+
+    tallies = {"normalized": 0, "refused": 0, "promoted": 0}
+    for _ in range(3000):
+        t = scoped(5)
+        got = outcome(normalize, t)
+        assert got == outcome(oracle_normalize, t), format_term(t)
+        assert free_vars(t) == oracle_free_vars(t)
+        assert occurrences(t) == oracle_occurrences(t)
+        tallies["refused" if isinstance(got, str) else "normalized"] += 1
+        tallies["promoted"] += not isinstance(got, str) and got != canonicalize(t)
+    assert min(tallies.values()) > 300, tallies
+
+
+@pytest.mark.parametrize("text, message", [
+    ("q-every(john, man(john), walks(john))",
+     "quantifier with a non-variable in its variable position"),
+    ("walks(s-two(dog), q-every(john, man(john), walks(john)))",
+     "quantifier with a non-variable in its variable position"),
+    ("think(up(s-every(man)))", "set form directly under an up(.) argument"),
+    ("s-every(man)", "set form with no enclosing compound"),
+    ("walks(s-every(f(a)))", "unpromotable restriction f(a)"),
+    ("walks(s-two(s-every(man)))", "unpromotable restriction _q2"),
+    ("f(X^s-a(Y^p(Y, X)))",
+     "promotion left variables unbound in q-a(_q1, p(_q1, X), f(X^_q1))"),
+])
+def test_structural_errors_match_the_oracle(text, message):
+    # The quantifier-slot check runs in the site walk, and still comes
+    # before any other error.
+    for fn in (normalize, oracle_normalize):
+        with pytest.raises(StructuralError) as raised:
+            fn(parse_term(text))
+        assert str(raised.value) == message
+
+
+def test_free_vars_agrees_with_its_oracle_on_random_unifiers():
+    for a, b, s in random_unifiers():
+        for t in (a, b, *s.values()):
+            assert free_vars(t) == oracle_free_vars(t)
+
+
+def test_free_vars_and_the_walk_take_any_depth():
+    deep = Var("X")
+    for i in range(5000):
+        deep = Compound("f", (deep, Atom("a"))) if i % 2 else Lam(Var(f"Y{i}"), deep)
+    assert free_vars(deep) == (Var("X"),)
+    assert sum(1 for _ in _walk(deep)) == 10001  # two nodes a level, and X
