@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: parse, readings, derive, compare, corpus.  Exit codes: 0 on
-success, 1 when a sentence has no full-span derivation, 2 for usage,
+success, 1 when a sentence has no full-span derivation, 2 for usage
+(--json with derive or corpus, which print text only, included),
 lexicon, unknown-token, malformed data-file or mismatched skeleton
 problems and terms nested too deeply, 3 when a corpus run has mismatches.
 """
@@ -281,8 +282,15 @@ _DISPATCH = {
 }
 
 
+# Commands whose output has no JSON form: --json with one is a usage error.
+_TEXT_ONLY = ("derive", "corpus")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.json and args.command in _TEXT_ONLY:
+        print(f"error: {args.command} has no --json output", file=sys.stderr)
+        return 2
     try:
         lex = _load_lexicon(args.lexicon)
     except (OSError, LexiconError, DataFileError) as exc:

@@ -7,26 +7,46 @@ adds one binding at a time and never rewrites earlier values, so a value
 may mention variables bound later; apply and apply_reduced follow the
 chain.
 
+Representation.  Var is a NamedTuple, (id,).  Compound, Lam and Up each
+subclass a NamedTuple of their fields, (functor, args), (param, body)
+and (body,), where args is a plain tuple of terms; the subclass has no
+__slots__, so an instance can hold a record (below) outside the tuple.
+Atom is a frozen dataclass, not a tuple.  So equality and hashing are
+the tuple's, in C: the chart's cells and the unifier's dicts look terms
+up without a Python call per node, except at atoms.
+
+Equality is exact: two terms are equal iff they are the same tree with
+the same node types.  Tuple equality ignores the class, so this rests on
+the layouts being type-distinct.  The one-field layouts are Var's (str,)
+and Up's (term,); a string never equals a term.  The two-field layouts
+are Compound's (str, tuple) and Lam's (Var, term); a string never equals
+a Var.  An atom is equal only to an atom: Atom("v1") != Var("v1").  A
+compound's args are compared only with another compound's args, a tuple
+of terms against a tuple of terms.  So by induction on the tree, equal
+terms have equal node types and fields all the way down, and the record,
+outside the tuple, plays no part.  Equal terms hash alike, as tuples do.
+(A term does equal a plain tuple of its fields, Var("X") == ("X",); no
+term holds a plain tuple where a term belongs.)
+
 Records.  A compound, lambda or up(.) term may carry a record, varset:
 the frozenset of the variables that occur in it, lambda parameters
 included.  apply_reduced writes it, once, on every such term it returns,
 from the records of the term's children; an atom's record is empty
-(class-wide), and every other term's is None until then.  The invariant:
-a recorded term is canonical (apply_reduced with no bindings returns it
-as is), and each of its children is recorded or a variable.  Records are
-a class attribute, not a field, so equality, hashing and repr ignore
-them, and building a term costs nothing extra.  Two walks skip by them:
-apply_reduced returns a recorded term that its unifier does not reach,
-and occurs reads a recorded term's variables instead of its nodes.
-Unrecorded terms (parser output, renamed copies, the normalizer's forms)
-are walked node by node.
+(class-wide), and every other term's is None (class-wide) until then.
+The invariant: a recorded term is canonical (apply_reduced with no
+bindings returns it as is), and each of its children is recorded or a
+variable.  Records live in the instance's __dict__, outside the tuple,
+so equality, hashing and repr ignore them, and building a term costs
+nothing extra.  Two walks skip by them: apply_reduced returns a recorded
+term that its unifier does not reach, and occurs reads a recorded term's
+variables instead of its nodes.  Unrecorded terms (parser output, renamed
+copies, the normalizer's forms) are walked node by node.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_not
-from typing import Callable, ClassVar, Iterator, Optional, Union
+from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Union
 
 
 class TermError(Exception):
@@ -37,8 +57,7 @@ class QuantifierSlotError(TermError):
     """A substitution bound a quantifier's variable slot to a non-variable."""
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     id: str
 
     def __repr__(self) -> str:
@@ -54,34 +73,44 @@ class Atom:
         return f"Atom({self.name})"
 
 
-@dataclass(frozen=True)
-class Compound:
+# The fields of the three inner node types.  Each type subclasses its
+# fields without __slots__, so an instance can hold a record (varset)
+# outside the tuple, where equality and hashing do not see it.
+
+class _CompoundFields(NamedTuple):
     functor: str
     args: tuple
+
+
+class _LamFields(NamedTuple):
+    param: Var
+    body: "Term"
+
+
+class _UpFields(NamedTuple):
+    body: "Term"
+
+
+class Compound(_CompoundFields):
     varset: ClassVar[Optional[frozenset]] = None
 
     def __repr__(self) -> str:
         return f"Compound({self.functor}, {list(self.args)})"
 
 
-@dataclass(frozen=True)
-class Lam:
+class Lam(_LamFields):
     # Only free_vars and the normalizer read the parameter as a binder.
     # Everything else (unify, apply, the Renamer) treats it as a variable
     # like any other, so a lexical entry can share it with the rest of its
     # category: a determiner's noun parameter is its quantifier variable.
     # Entries are standardized apart, so no capture arises.
-    param: Var
-    body: "Term"
     varset: ClassVar[Optional[frozenset]] = None
 
     def __repr__(self) -> str:
         return f"Lam({self.param.id}, {self.body!r})"
 
 
-@dataclass(frozen=True)
-class Up:
-    body: "Term"
+class Up(_UpFields):
     varset: ClassVar[Optional[frozenset]] = None
 
     def __repr__(self) -> str:
@@ -287,14 +316,85 @@ class Renamer:
         return new
 
     def rename(self, t: Term) -> Term:
-        if isinstance(t, Var):
-            new = self.vars.get(t.id)
+        """t with every variable renamed; a new term, atoms shared.
+
+        Iterative, so any depth renames: an inner node goes back on the
+        stack under a _REBUILD mark and its children, last first, so the
+        children pop, and their variables are named, in children order.
+        Each finished subterm goes on out; the mark pops once the node's
+        children are all there, and the node is rebuilt over them."""
+        vars, name = self.vars, self.name
+        if type(t) is Var:
+            new = vars.get(t.id)
             if new is None:
-                new = self.vars[t.id] = Var(self.name(t))
+                new = vars[t.id] = Var(name(t))
             return new
-        if isinstance(t, Atom):
-            return t
-        return with_children(t, [self.rename(k) for k in children(t)])
+        out: list = []
+        stack = [t]
+        pop, push, emit = stack.pop, stack.append, out.append
+        while stack:
+            t = pop()
+            kind = type(t)
+            if kind is Var:
+                new = vars.get(t.id)
+                if new is None:
+                    new = vars[t.id] = Var(name(t))
+                emit(new)
+            elif kind is Atom:
+                emit(t)
+            elif t is _REBUILD:
+                t = pop()
+                kind = type(t)
+                if kind is Compound:
+                    n = len(t.args)
+                    args = tuple(out[len(out) - n:])
+                    del out[len(out) - n:]
+                    emit(Compound(t.functor, args))
+                elif kind is Lam:
+                    body = out.pop()
+                    out[-1] = Lam(out[-1], body)
+                else:
+                    out[-1] = Up(out[-1])
+            elif kind is Compound:
+                # Leading variable and atom arguments are renamed at once;
+                # a compound of leaves is rebuilt at once.
+                args, i = t.args, 0
+                for a in args:
+                    if type(a) is Var:
+                        new = vars.get(a.id)
+                        if new is None:
+                            new = vars[a.id] = Var(name(a))
+                        emit(new)
+                    elif type(a) is Atom:
+                        emit(a)
+                    else:
+                        break
+                    i += 1
+                n = len(args)
+                if i == n:
+                    args = tuple(out[len(out) - n:])
+                    del out[len(out) - n:]
+                    emit(Compound(t.functor, args))
+                    continue
+                push(t)
+                push(_REBUILD)
+                for j in range(n - 1, i - 1, -1):
+                    push(args[j])
+            elif kind is Lam:
+                push(t)
+                push(_REBUILD)
+                push(t.body)
+                push(t.param)
+            elif kind is Up:
+                push(t)
+                push(_REBUILD)
+                push(t.body)
+            else:
+                raise TermError(f"not a term: {t!r}")
+        return out[0]
+
+
+_REBUILD = object()  # Renamer.rename's mark: rebuild the node below it
 
 
 def canonicalize(t: Term) -> Term:
@@ -410,7 +510,7 @@ def _recorded(t: Term) -> Term:
     # variable lends t its own record.
     kids = t.args if type(t) is Compound else children(t)
     if len(kids) == 1 and type(kids[0]) is not Var:
-        object.__setattr__(t, "varset", kids[0].varset)
+        t.varset = kids[0].varset
         return t
     varset = set()
     for k in kids:
@@ -418,7 +518,7 @@ def _recorded(t: Term) -> Term:
             varset.add(k)
         else:
             varset |= k.varset
-    object.__setattr__(t, "varset", frozenset(varset))
+    t.varset = frozenset(varset)
     return t
 
 

@@ -2,9 +2,9 @@
 all-pairs closure the tests use as an oracle for the chart, and the
 entry-by-entry lexicon load they use as an oracle for load_lexicon, and
 seeded PP chains and clause embeddings with their quantifier skeletons,
-and record-free copies of terms, and the node-by-node walks of the
-readings layer and of free_vars, the oracles for the walks that replaced
-them.
+record-free copies of terms, a type-tagged oracle for term equality, and
+the node-by-node walks of the readings layer and of free_vars, the
+oracles for the walks that replaced them.
 
 Each golden names a sentence plus the full-span categories whose first
 derivation it freezes; the rendered text is the pretty printer's output
@@ -331,6 +331,24 @@ def unrecorded(t):
     if isinstance(t, (Var, Atom)):
         return t
     return with_children(t, [unrecorded(k) for k in children(t)])
+
+
+def tagged(t):
+    """The oracle for term equality: t as nested plain tuples, each node
+    tagged with its type's name, built from the fields alone.  Two terms
+    should be equal exactly when their tagged forms are."""
+    kind = type(t)
+    if kind is Var:
+        return ("Var", t.id)
+    if kind is Atom:
+        return ("Atom", t.name)
+    if kind is Compound:
+        return ("Compound", t.functor, tuple(tagged(a) for a in t.args))
+    if kind is Lam:
+        return ("Lam", tagged(t.param), tagged(t.body))
+    if kind is Up:
+        return ("Up", tagged(t.body))
+    raise TypeError(f"not a term: {t!r}")
 
 
 # --- the node-by-node walks of the readings layer, the oracles for it -----

@@ -1,7 +1,17 @@
+from collections import Counter
+
 import pytest
 
 from ccgscope import chart as chart_module
-from ccgscope.categories import atomics, cat_key, format_cat, canonical_cat, map_sems, parse_cat
+from ccgscope.categories import (
+    Slash,
+    atomics,
+    canonical_cat,
+    cat_key,
+    format_cat,
+    map_sems,
+    parse_cat,
+)
 from ccgscope.chart import (
     ChartError,
     ResourceError,
@@ -28,6 +38,7 @@ from helpers import (
     item_sequence,
     live_items,
     pp_chain,
+    tagged,
     unrecorded,
     well_formed,
     well_formed_part,
@@ -311,10 +322,10 @@ PP_CHAIN_4 = ("one saxophonist in every boy of one girl of a woman of three"
 
 
 @pytest.mark.parametrize("sentence", CLOSURE_CASES)
-def test_rule_backpointers_name_items_built_earlier(lex, sentence):
+def test_rule_backpointers_name_items_built_earlier(chart_of, sentence):
     # count_derivations counts in one pass in id order, which needs every
     # child of a rule backpointer to have a smaller id than its parent.
-    chart = parse(tokenize(sentence), lex)
+    chart = chart_of(sentence)
     assert all(child < item.id for item in chart.items.values()
                for back in item.backs if back[0] != "lex" for child in back[1:])
 
@@ -332,12 +343,12 @@ def oracle(lex):
 
 
 @pytest.mark.parametrize("sentence", CLOSURE_CASES)
-def test_shape_paired_closure_builds_the_all_pairs_chart(lex, oracle, sentence):
+def test_shape_paired_closure_builds_the_all_pairs_chart(chart_of, oracle, sentence):
     # The oracle keeps constituents whose quantifiers bind non-variables;
     # the rules refuse to build them.  Its well-formed part keeps only the
     # backpointers between well-formed items, so a well-formed item that
     # needed an ill-formed one would show here as a lost backpointer.
-    pruned, full = parse(tokenize(sentence), lex), well_formed_part(oracle(sentence))
+    pruned, full = chart_of(sentence), well_formed_part(oracle(sentence))
     if not full.full_span():
         # Nothing spans the input, so no shape is pruned.
         assert item_sequence(list(pruned.items.values())) \
@@ -358,7 +369,7 @@ def readings_or_no_parse(chart):
 
 
 @pytest.mark.parametrize("sentence", CLOSURE_CASES + [PP_CHAIN_4])
-def test_pruned_chart_gives_the_all_pairs_readings(lex, oracle, sentence):
+def test_pruned_chart_gives_the_all_pairs_readings(chart_of, oracle, sentence):
     # Same terms, multiplicities and order: no reading of the bundled
     # fragment needs a constituent whose quantifier binds a non-variable.
     # readings_from_chart expects a chart without such constituents, so the
@@ -368,7 +379,7 @@ def test_pruned_chart_gives_the_all_pairs_readings(lex, oracle, sentence):
     part = well_formed_part(full)
     counts, part_counts = count_derivations(full), count_derivations(part)
     assert all(part_counts[it.id] == counts[it.id] for it in part.full_span())
-    got = readings_or_no_parse(parse(tokenize(sentence), lex))
+    got = readings_or_no_parse(chart_of(sentence))
     assert got == readings_or_no_parse(part)
 
 
@@ -398,10 +409,9 @@ PP_CHAIN_7 = ("one saxophonist in every boy of one girl of a woman of three"
               " admired a saxophonist")
 
 
-def test_depth_seven_pp_chain_parses_within_the_budget(lex):
-    tokens = tokenize(PP_CHAIN_7)
-    assert len(tokens) == 26
-    chart = parse(tokens, lex)
+def test_depth_seven_pp_chain_parses_within_the_budget(chart_of):
+    assert len(tokenize(PP_CHAIN_7)) == 26
+    chart = chart_of(PP_CHAIN_7)
     assert chart.full_span() and len(chart.items) <= chart_module.MAX_ITEMS
     check_backpointers(chart)
 
@@ -412,10 +422,10 @@ EMBEDDING_3 = ("most boys think that every man thinks that two women doubt that"
 
 
 @pytest.mark.parametrize("sentence", CLOSURE_CASES + [PP_CHAIN_4, PP_CHAIN_7, EMBEDDING_3])
-def test_every_chart_item_is_well_formed(lex, sentence):
+def test_every_chart_item_is_well_formed(chart_of, sentence):
     # What lets readings_from_chart skip the check: the lexicon holds no
     # quantifier over a non-variable, and no rule builds one.
-    chart = parse(tokenize(sentence), lex)
+    chart = chart_of(sentence)
     assert chart.items
     for item in chart.items.values():
         assert all(well_formed(at.sem) for at in atomics(item.cat)), cat_key(item.cat)
@@ -466,12 +476,12 @@ def rewritable(node):
             and node.args[0].body.args == (node.args[0].param,))
 
 
-def test_every_recorded_chart_term_holds_the_record_invariant(lex):
+def test_every_recorded_chart_term_holds_the_record_invariant(chart_of):
     # A record names exactly the variables among the term's subterms; a
     # recorded term's children are recorded, variables or atoms; and no
     # recorded term can be rewritten, so each is canonical.
     for sentence in RECORD_CASES:
-        chart, memo, recorded = parse(tokenize(sentence), lex), {}, 0
+        chart, memo, recorded = chart_of(sentence), {}, 0
         for item in chart.items.values():
             for at in atomics(item.cat):
                 for node in subterms(at.sem):
@@ -512,3 +522,107 @@ def test_rule_results_do_not_depend_on_records(lex, monkeypatch):
     for sentence in RECORD_CASES:
         parse(tokenize(sentence), lex)
     assert tallies["built"] > 10000 and tallies["raised"] > 5, tallies
+
+
+# --- cell keys ----------------------------------------------------------------
+
+KEYING_CASES = RECORD_CASES + [coordination_sentence(k) for k in (1, 2, 3)]
+
+
+def tagged_cat(cat):
+    # The oracle for category equality, from the term oracle.
+    if isinstance(cat, Slash):
+        return ("Slash", cat.dir, tagged_cat(cat.result), tagged_cat(cat.arg))
+    return ("Atomic", cat.sort, tagged(cat.sem))
+
+
+def keying_tallies(sentences, lex, monkeypatch):
+    """Parse each sentence with cat_key and the rules wrapped, check the
+    keying law on each chart, and return the totals.
+
+    The law: a rule result equal to a category keyed in its cell goes to
+    that category's item without a cat_key call; every other result is
+    keyed once, and then entered for later lookups whether it made an item
+    or was a variant duplicate.  So cat_key runs once per item and once per
+    variant duplicate, and a result that was looked up lands on the item
+    cat_key would have given it.  Equality is judged by the type-tagged
+    oracle, not by the terms' own."""
+    calls, results = Counter(), []
+
+    def counted(cat):
+        calls["cat_key"] += 1
+        return cat_key(cat)
+
+    def recorded(label, fn):
+        def rule(left, right):
+            out = fn(left, right)
+            if out is not None:
+                results.append((label, left, right, out))
+            return out
+        return rule
+
+    monkeypatch.setattr(chart_module, "cat_key", counted)
+    monkeypatch.setattr(chart_module, "RULES", tuple(
+        (label, recorded(label, fn)) for label, fn in chart_module.RULES))
+    totals = Counter()
+    for sentence in sentences:
+        calls.clear()
+        results.clear()
+        chart = parse(tokenize(sentence), lex)
+        made = calls["cat_key"]
+        items = chart.items.values()
+        by_cat = {id(it.cat): it for it in items}
+        # Every lexical entry made an item, so only rule results duplicate.
+        lexical = [it for it in items if it.backs[0][0] == "lex"]
+        assert sum(back[0] == "lex" for it in items for back in it.backs) == len(lexical)
+        keyed = {}     # span -> tagged forms of the categories keyed there
+        keys = {}      # span -> their keys
+        variants = {}  # span -> tagged forms of its variant duplicates
+        for it in lexical:
+            keyed.setdefault(it.span, set()).add(tagged_cat(it.cat))
+            keys.setdefault(it.span, set()).add(cat_key(it.cat))
+        tally = Counter()
+        for label, left, right, out in results:
+            li, ri = by_cat[id(left)], by_cat[id(right)]
+            assert li.cat is left and ri.cat is right
+            span, back = (li.span[0], ri.span[1]), (label, li.id, ri.id)
+            (item,) = [it for it in chart.cell(*span) if back in it.backs]
+            key, form = cat_key(out), tagged_cat(out)
+            assert key == cat_key(item.cat), sentence
+            if form in keyed.setdefault(span, set()):
+                tally["equal"] += 1
+                tally["equal to a variant"] += form in variants.get(span, ())
+            elif key in keys.setdefault(span, set()):
+                tally["variant"] += 1
+                variants.setdefault(span, set()).add(form)
+            else:
+                tally["new"] += 1
+            keyed[span].add(form)
+            keys[span].add(key)
+        assert tally["new"] == len(chart.items) - len(lexical), sentence
+        assert made == len(chart.items) + tally["variant"], sentence
+        tally.update({"items": len(chart.items), "cat_key calls": made})
+        del tally["new"]
+        totals.update(tally)
+    return dict(totals)
+
+
+def test_parse_keys_only_new_items_and_variant_duplicates(lex, monkeypatch):
+    # Engine facts, pinned on purpose: the items built over KEYING_CASES,
+    # and the rule results that duplicate an item, split into those equal
+    # to a category already keyed in their cell and the variants of one.
+    # None of these sentences gives a result equal to a variant duplicate;
+    # the next test does.
+    assert keying_tallies(KEYING_CASES, lex, monkeypatch) == {
+        "items": 8749, "equal": 7835, "equal to a variant": 0, "variant": 241,
+        "cat_key calls": 8990}
+
+
+def test_a_result_equal_to_a_variant_duplicate_is_looked_up(monkeypatch):
+    # In the cell of "x x e", the lexical item np:x(x(e(D))) comes first.
+    # x + (x e) then gives a variant of it, with e's variable, and
+    # (x x) + e a result equal to that variant, found without a key.
+    lex = load_lexicon("x :: np:x(A)/np:A\ne :: np:e(B)\nx x e :: np:x(x(e(D)))\n")
+    assert keying_tallies(["x x e"], lex, monkeypatch) == {
+        "items": 6, "equal": 1, "equal to a variant": 1, "variant": 1,
+        "cat_key calls": 7}

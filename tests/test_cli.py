@@ -181,8 +181,10 @@ FRENCHMEN = "three frenchmen visited five russians"
 EVERY_MAN = "every man saw every man"
 EVERY_MAN_THREE_LEAVES = ("saw(q?(every, X, man(X)),"
                           " q?(every, Y, and(man(Y), of(Y, q?(every, Z, man(Z))))))")
-# Each x applies f 20 times to its argument.
+# Each x applies f 20 times to its argument; e puts its argument in the
+# restriction of a set form, which normalization promotes.
 DEEP_TERM_LEXICON = "x :: s:" + "f(" * 20 + "X" + ")" * 20 + "/s:X\nok :: s:ok\n"
+DEEP_RESTRICTION_LEXICON = DEEP_TERM_LEXICON + "e :: s:p(s-e(Y^g(Y, S)))/s:S\n"
 
 
 @pytest.mark.parametrize("argv, content, line", [
@@ -213,10 +215,11 @@ DEEP_TERM_LEXICON = "x :: s:" + "f(" * 20 + "X" + ")" * 20 + "/s:X\nok :: s:ok\n
     pytest.param(["corpus", "{}"],
                  "UNGRAMMATICAL\tx ⊣ " + "(" * 3000 + "np" + ")" * 3000 + "\n", 1,
                  id="deep-corpus-category"),
-    # A term that the rules nest deeper than normalization recurses: each
-    # x wraps its argument in 20 more f(.), 620 in all.
-    pytest.param(["--lexicon", "{}", "readings", "x " * 31 + "ok"],
-                 DEEP_TERM_LEXICON, None, id="deep-term-in-a-command"),
+    # A restriction that the rules nest deeper than normalization recurses
+    # when it promotes the set form: each x wraps its argument in 20 more
+    # f(.), 600 in all.
+    pytest.param(["--lexicon", "{}", "readings", "e " + "x " * 30 + "ok"],
+                 DEEP_RESTRICTION_LEXICON, None, id="deep-term-in-a-command"),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, line):
     path = tmp_path / "input"
@@ -230,13 +233,16 @@ def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, li
 
 
 def test_a_deeply_nested_term_gives_its_reading(tmp_path, capsys):
-    # The rules build f applied 400 times to ok.  A rule walks only what
-    # its unifier reaches, and printing and keying take no recursion.
+    # The rules build f applied 20 times per x to ok, up to 620 times in
+    # the 32 tokens allowed.  A rule walks only what its unifier reaches,
+    # and printing, keying and renaming take no recursion.
     path = tmp_path / "deep.lex"
     path.write_text(DEEP_TERM_LEXICON, encoding="utf-8")
-    code, out, err = run(capsys, "--lexicon", str(path), "readings", "x " * 20 + "ok")
-    assert (code, err) == (0, "")
-    assert out.splitlines()[1:] == [f"  x1  {'f(' * 400}ok{')' * 400}"]
+    for xs in (20, 31):
+        code, out, err = run(capsys, "--lexicon", str(path), "readings", "x " * xs + "ok")
+        assert (code, err) == (0, "")
+        depth = 20 * xs
+        assert out.splitlines()[1:] == [f"  x1  {'f(' * depth}ok{')' * depth}"]
 
 
 @pytest.mark.parametrize("argv, data", [
@@ -273,6 +279,16 @@ def test_derive_respects_display_cap(capsys):
     assert code == 0
     assert out.count("[lex]") == 5
     assert "capped at 1" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json", "derive", "every girl admired one saxophonist"],
+    ["--json", "corpus"],
+], ids=["derive", "corpus"])
+def test_json_with_a_text_only_command_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[1]} has no --json output\n"
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])

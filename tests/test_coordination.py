@@ -6,9 +6,7 @@ whose every line the CLI benchmark parses.
 
 import pytest
 
-from ccgscope.chart import check_backpointers, count_derivations, derivations, parse
-from ccgscope.cli import tokenize
-from ccgscope.lexicon import default_lexicon
+from ccgscope.chart import check_backpointers, count_derivations, derivations
 from ccgscope.readings import readings_from_chart, scope_profile
 from ccgscope.terms import Compound, is_and, is_quant, subterms
 
@@ -24,11 +22,6 @@ RNR = "every girl admired , but most boys detested , one saxophonist"
 # wide one), and of the right-node-raising sentence.  Packing merges
 # bracketings into one item, so the counts sum over them but do not change.
 DERIVATIONS = {1: 3, 2: 6, 3: 15, 4: 42, "rnr": 20}
-
-
-@pytest.fixture(scope="module")
-def lex():
-    return default_lexicon()
 
 
 def sentence(case):
@@ -52,7 +45,7 @@ def holds(t, functor, pred):
 
 
 @pytest.mark.parametrize("case", [1, 2, 3, 4, "rnr"])
-def test_coordination_has_two_scopings_whatever_its_length(lex, case):
+def test_coordination_has_two_scopings_whatever_its_length(chart_of, case):
     # In the paper's account the surface constituents fix the scopings.  In
     # an argument cluster the verb takes the whole coordinated cluster as
     # one constituent, and the two noun phrases inside each conjunct compose
@@ -63,7 +56,7 @@ def test_coordination_has_two_scopings_whatever_its_length(lex, case):
     # same choice.  So two readings with two scope profiles, for any number
     # of conjuncts: how "and" brackets is no scope choice, since and is
     # associative.
-    chart = parse(tokenize(sentence(case)), lex)
+    chart = chart_of(sentence(case))
     rs = readings_from_chart(chart)
     assert len(rs) == 2
     assert len({scope_profile(r.term) for r in rs}) == 2

@@ -5,7 +5,6 @@ import pytest
 
 from ccgscope.categories import Atomic, atomics
 from ccgscope.chart import count_derivations, parse
-from ccgscope.cli import tokenize
 from ccgscope.lexicon import default_lexicon
 from ccgscope.readings import (
     NoParseError,
@@ -45,7 +44,7 @@ from helpers import (
 from test_acceptance import corpus_sentences
 from test_categories import random_unifiers
 from test_coordination import sentence as coordination_sentence
-from test_terms import rand_lf, rand_term
+from test_terms import rand_lf, rand_scoped, rand_term
 
 
 def norm(text):
@@ -316,13 +315,13 @@ def oracle_readings_from_chart(chart):
     return sorted(groups.items(), key=lambda kv: format_term(kv[0]))
 
 
-def test_the_readings_layer_agrees_with_its_node_by_node_oracles(lex):
+def test_the_readings_layer_agrees_with_its_node_by_node_oracles(chart_of):
     # Readings, multiplicities and their order; the filter's verdict on
     # every full-span form; occurrence lists and free variables of every
     # form and reading.
     tallies = {"forms": 0, "violators": 0, "readings": 0, "set forms": 0}
     for sentence in AGREEMENT_CASES:
-        chart = parse(tokenize(sentence), lex)
+        chart = chart_of(sentence)
         got = readings_from_chart(chart)
         want = oracle_readings_from_chart(chart)
         assert [(r.term, r.multiplicity) for r in got] == want, sentence
@@ -347,25 +346,6 @@ def test_normalize_agrees_with_its_oracle_on_random_scoped_terms():
     # ill-formed ones included: equal results, or the same StructuralError.
     rng = random.Random(20261019)
 
-    def scoped(depth):
-        kind = rng.randrange(7 if depth > 0 else 2)
-        if kind == 0:
-            return Var(rng.choice("XYZ"))
-        if kind == 1:
-            return Atom(rng.choice("abc"))
-        if kind == 2:
-            return Compound("q-a", (Var(rng.choice("XYZ")), scoped(depth - 1), scoped(depth - 1)))
-        if kind == 3:
-            v = Var(rng.choice("XYZ"))
-            return Compound(rng.choice(["s-a", "s-b"]), (rng.choice(
-                [Atom("p"), Lam(v, Compound("p", (v, scoped(depth - 1))))]),))
-        if kind == 4:
-            return Up(scoped(depth - 1))
-        if kind == 5:
-            return Lam(Var(rng.choice("XYZ")), scoped(depth - 1))
-        return Compound(rng.choice(["f", "and"]),
-                        tuple(scoped(depth - 1) for _ in range(rng.choice([1, 2, 3]))))
-
     def outcome(fn, t):
         try:
             return fn(t)
@@ -374,7 +354,7 @@ def test_normalize_agrees_with_its_oracle_on_random_scoped_terms():
 
     tallies = {"normalized": 0, "refused": 0, "promoted": 0}
     for _ in range(3000):
-        t = scoped(5)
+        t = rand_scoped(rng, 5)
         got = outcome(normalize, t)
         assert got == outcome(oracle_normalize, t), format_term(t)
         assert free_vars(t) == oracle_free_vars(t)

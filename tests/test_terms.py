@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,8 @@ from ccgscope.terms import (
     unify,
     with_children,
 )
+
+from helpers import tagged, unrecorded
 
 
 def t(text):
@@ -452,6 +455,29 @@ def rand_lf(rng, depth):
     return Up(body) if rng.random() < 0.5 else Lam(Var(rng.choice("XY")), body)
 
 
+def rand_scoped(rng, depth):
+    """Quantifiers, set forms, lambdas and up(.) in every arrangement,
+    ill-formed ones included."""
+    kind = rng.randrange(7 if depth > 0 else 2)
+    if kind == 0:
+        return Var(rng.choice("XYZ"))
+    if kind == 1:
+        return Atom(rng.choice("abc"))
+    if kind == 2:
+        return Compound("q-a", (Var(rng.choice("XYZ")), rand_scoped(rng, depth - 1),
+                                rand_scoped(rng, depth - 1)))
+    if kind == 3:
+        v = Var(rng.choice("XYZ"))
+        return Compound(rng.choice(["s-a", "s-b"]), (rng.choice(
+            [Atom("p"), Lam(v, Compound("p", (v, rand_scoped(rng, depth - 1))))]),))
+    if kind == 4:
+        return Up(rand_scoped(rng, depth - 1))
+    if kind == 5:
+        return Lam(Var(rng.choice("XYZ")), rand_scoped(rng, depth - 1))
+    return Compound(rng.choice(["f", "and"]),
+                    tuple(rand_scoped(rng, depth - 1) for _ in range(rng.choice([1, 2, 3]))))
+
+
 def test_eta_reduce_sets_is_canonical_modulo_associativity():
     rng = random.Random(20261018)
     fired = {"and": 0, "set": 0, "no and": 0}
@@ -473,6 +499,85 @@ def test_eta_reduce_sets_is_canonical_modulo_associativity():
     for _ in range(1000):
         term = rand_term(rng, 5, ["X", "Y"], ("f", "s-a", "g"))
         assert eta_reduce_sets(term) == eta_reduce_sets_oracle(term)
+
+
+# --- equality and hashing ---------------------------------------------------
+
+def retyped(t, target):
+    """A copy of t whose node number target, in preorder, changes type but
+    keeps its fields: a variable and an atom of one name swap, a lambda
+    X^b becomes the compound X(b), up(b) the compound up(b), which prints
+    alike, and a compound f(a, ...) becomes the lambda f^a.  Nodes are
+    built directly, so a lambda parameter may become an atom."""
+    count = itertools.count()
+
+    def go(n):
+        kind, here = type(n), next(count) == target
+        if kind is Var:
+            return Atom(n.id) if here else n
+        if kind is Atom:
+            return Var(n.name) if here else n
+        if kind is Lam:
+            param, body = go(n.param), go(n.body)
+            return Compound(param.id, (body,)) if here else Lam(param, body)
+        if kind is Up:
+            body = go(n.body)
+            return Compound("up", (body,)) if here else Up(body)
+        args = tuple(go(a) for a in n.args)
+        if here:
+            return Lam(Var(n.functor), args[0]) if args else Atom(n.functor)
+        return Compound(n.functor, args)
+    return go(t)
+
+
+def test_term_equality_is_exact():
+    # Over the random terms of every generator, paired with a node-for-node
+    # copy, a copy with one node retyped, a small random term and the
+    # previous sample: two terms are equal exactly when their type-tagged
+    # forms are, equal terms hash alike, and a record changes neither.
+    rng = random.Random(20261019)
+    tallies = dict.fromkeys(["equal", "unequal", "retyped", "recorded"], 0)
+    previous = Var("X")
+    for _ in range(500):
+        for a in (rand_term(rng, 4, ["X", "Y", "Z"]), rand_lf(rng, 4), rand_scoped(rng, 4)):
+            copy = unrecorded(a)
+            others = [copy, retyped(a, rng.randrange(sum(1 for _ in subterms(a)))),
+                      rand_term(rng, 1, ["X", "Y"], "f"), previous]
+            for b in others:
+                same = tagged(a) == tagged(b)
+                assert (a == b) is same and (a != b) is not same, (a, b)
+                if same:
+                    assert hash(a) == hash(b), (a, b)
+                tallies["equal" if same else "unequal"] += 1
+            tallies["retyped"] += tagged(others[1]) != tagged(a)
+            try:
+                recorded = eta_reduce_sets(a)
+            except TermError:
+                recorded = a  # a lambda parameter holds a non-variable
+            if type(recorded) in (Compound, Lam, Up):
+                # A record, and a record that names the wrong variables,
+                # change neither equality nor hash.
+                bare = unrecorded(recorded)
+                assert recorded.varset is not None and bare.varset is None
+                assert recorded == bare and hash(recorded) == hash(bare)
+                bare.varset = frozenset([Var("W")])
+                assert bare == unrecorded(recorded) and hash(bare) == hash(recorded)
+                tallies["recorded"] += 1
+            previous = a
+    assert min(tallies.values()) > 500, tallies
+
+
+def test_equal_layouts_of_different_types_are_unequal():
+    # The tuple layouts differ by type: a variable holds a string where
+    # up(.) holds a term, and a compound a string where a lambda holds a
+    # variable.  An atom is no tuple at all.
+    assert Var("v1") != Atom("v1") and Atom("v1") != Var("v1")
+    assert len({Var("v1"), Atom("v1")}) == 2
+    assert Up(Var("X")) != Var("X")
+    assert Up(Atom("a")) != Compound("up", (Atom("a"),))
+    lam = Lam(Var("X"), Compound("p", (Var("X"),)))
+    assert Compound("X", (lam.body,)) != lam and lam != Compound("X", (lam.body,))
+    assert Compound("X", lam.body) != lam
 
 
 # --- syntax -----------------------------------------------------------------
