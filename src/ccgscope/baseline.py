@@ -30,6 +30,7 @@ from .terms import (
     Var,
     children,
     free_vars,
+    is_quant,
     parse_term,
     subterms,
     with_children,
@@ -251,8 +252,7 @@ def uvc_filter(forms: Iterable[Term]) -> List[Term]:
 
 def nesting_order(form: Term) -> Tuple[str, ...]:
     """Determiners of a scoped form in preorder, outermost first."""
-    return tuple(t.functor[len(QUANT_PREFIX):] for t in subterms(form)
-                 if isinstance(t, Compound) and t.functor.startswith(QUANT_PREFIX))
+    return tuple(t.functor[len(QUANT_PREFIX):] for t in subterms(form) if is_quant(t))
 
 
 @dataclass(frozen=True)

@@ -162,7 +162,7 @@ class TypeSet:
 
 
 def instantiate_raised(lexeme: Tuple[str, ...], num: str, qsym: str, ssym: str,
-                       tset: Union[TypeSet, Iterable[Category]]) -> List[LexEntry]:
+                       tset: TypeSet) -> List[LexEntry]:
     """All determiner entries for one @raise declaration.
 
     Order: plain entry first, then per type T (declaration order) the
@@ -174,8 +174,6 @@ def instantiate_raised(lexeme: Tuple[str, ...], num: str, qsym: str, ssym: str,
     """
     if num not in ("sg", "pl"):
         raise LexiconError(f"number must be sg or pl, not {num!r}")
-    if not isinstance(tset, TypeSet):
-        tset = TypeSet(tset)
     tag = " ".join(lexeme)
     number = Atom(num)
 

@@ -34,10 +34,10 @@ it for up(.) and walks it with ancestor chains only when it holds one;
 normalize walks it once with ancestor chains (_walk, in _assign_sites,
 which also refuses a quantifier over a non-variable), takes the free
 variables of a set form's restriction only when some quantifier above
-one of its occurrences binds a variable, rebuilds only the paths down to
-the promoted occurrences and their sites (every other subterm is kept as
-it is), takes the free variables of the result when something was
-promoted, and ends in one canonicalize.
+one of its occurrences binds a variable, rebuilds only the ancestors of
+the promoted occurrences, substitutes into each restriction past the
+recorded subterms that lack its parameter, takes the free variables of
+the result when something was promoted, and ends in one canonicalize.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .terms import (
     TermError,
     Up,
     Var,
-    apply,
+    apply_reduced,
     canonicalize,
     format_term,
     free_vars,
@@ -147,7 +147,7 @@ class _Wrap:
     site: tuple
     det: str
     var: Var
-    restriction: tuple    # (path, node, chain) of the argument used as restriction
+    restriction: tuple    # (path, node) of the argument used as restriction
     occ_paths: Tuple[tuple, ...]
     order: int            # preorder rank of the first occurrence
 
@@ -191,10 +191,10 @@ def _dependent_site(chain: tuple, path: tuple, free: set) -> tuple:
     return path[:binder_idx + 1]
 
 
-def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var]]:
-    """Where each set form is promoted, and the variable that replaces
-    each promoted occurrence.  StructuralError for a quantifier over a
-    non-variable comes from the walk, so before any other."""
+def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var], Dict[tuple, tuple]]:
+    """Where each set form is promoted, the variable that replaces each
+    promoted occurrence, and each occurrence's chain.  StructuralError for
+    a quantifier over a non-variable comes from the walk, so first."""
     occ_list = []
     for entry in _walk(t):
         node = entry[1]
@@ -218,9 +218,8 @@ def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var]]:
         var = Var(f"_q{next(fresh)}")
         for p in paths:
             replace[p] = var
-        first = paths[0]
         wraps.append(_Wrap(site, node.functor[len(SET_PREFIX):], var,
-                           (first + (0,), node.args[0], chains[first] + ((node, 0),)),
+                           (paths[0] + (0,), node.args[0]),
                            tuple(paths), min(rank[p] for p in paths)))
 
     # Joint promotion keeps only the first copy's subtree; occurrences of
@@ -287,7 +286,7 @@ def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var]]:
             if site is not None:
                 promote(node, [p], site)
 
-    return wraps, replace
+    return wraps, replace, chains
 
 
 # --- phase 2: rebuild -------------------------------------------------------
@@ -311,49 +310,52 @@ def _ordered(wraps: List[_Wrap], node: Term, path: tuple, chain: tuple) -> List[
 
 
 def normalize(t: Term) -> Term:
-    """Promote set forms to scoped quantifiers; result in canonical form (canonicalize)."""
-    wraps, replace = _assign_sites(t)
+    """Promote set forms to scoped quantifiers; result in canonical form (canonicalize).
+
+    t is a full-span chart form, so canonical (rule results are built by
+    apply_reduced, lexical items are renamed copies of LexEntry.chart_cat),
+    and there a restriction's apply_reduced gives what terms.apply would:
+    the parameter becomes a fresh _q<n> variable, so the eta and and/2
+    rewrites find nothing new; nothing binds a quantifier slot or a lambda
+    parameter to a non-variable; records skip only what lacks the parameter.
+    """
+    wraps, replace, chains = _assign_sites(t)
     by_site: Dict[tuple, List[_Wrap]] = {}
     for w in wraps:
         by_site.setdefault(w.site, []).append(w)
-    # The paths rebuild must enter: those of a replaced occurrence or a
-    # site, and their prefixes.  Every other subterm comes back as it is.
-    touched = set()
-    for p in itertools.chain(replace, by_site):
-        while p not in touched:
-            touched.add(p)
-            p = p[:-1]
-
-    def restriction(w: _Wrap) -> Term:
-        body = rebuild(*w.restriction)
-        if isinstance(body, Lam):
-            return apply({body.param: w.var}, body.body)
-        if isinstance(body, Atom):
-            return Compound(body.name, (w.var,))
-        raise StructuralError(f"unpromotable restriction {format_term(body)}")
-
-    def rebuild(path: tuple, node: Term, chain: tuple) -> Term:
+    # Every ancestor of a replaced occurrence, every site among them, with
+    # its chain.  They are rebuilt deepest first; the rest is kept as is.
+    above: Dict[tuple, Tuple[Term, tuple]] = {}
+    for p in replace:
+        for i in range(len(p) - 1, -1, -1):
+            if p[:i] in above:
+                break
+            above[p[:i]] = (chains[p][i][0], chains[p][:i])
+    built: Dict[tuple, Term] = dict(replace)
+    for path in sorted(above, key=len, reverse=True):
         if path in replace:
-            return replace[path]
-        if path not in touched:
-            return node
-        # A touched node is an ancestor of a set form: a compound, a
-        # lambda or an up(.).
+            continue
+        node, chain = above[path]
         kind = type(node)
         if kind is Compound:
             out = Compound(node.functor, tuple([
-                rebuild(path + (i,), a, chain + ((node, i),)) for i, a in enumerate(node.args)]))
+                built.get(path + (i,), a) for i, a in enumerate(node.args)]))
         elif kind is Lam:
-            out = Lam(node.param, rebuild(path + ("lam",), node.body, chain + ((node, "lam"),)))
+            out = Lam(node.param, built.get(path + ("lam",), node.body))
         else:
-            out = Up(rebuild(path + ("up",), node.body, chain + ((node, "up"),)))
-        here = by_site.get(path)
-        if here:
-            for w in reversed(_ordered(here, node, path, chain)):
-                out = Compound(QUANT_PREFIX + w.det, (w.var, restriction(w), out))
-        return out
+            out = Up(built.get(path + ("up",), node.body))
+        for w in reversed(_ordered(by_site.get(path, []), node, path, chain)):
+            body = built.get(*w.restriction)
+            if isinstance(body, Lam):
+                body = apply_reduced({body.param: w.var}, body.body)
+            elif isinstance(body, Atom):
+                body = Compound(body.name, (w.var,))
+            else:
+                raise StructuralError(f"unpromotable restriction {format_term(body)}")
+            out = Compound(QUANT_PREFIX + w.det, (w.var, body, out))
+        built[path] = out
 
-    result = rebuild((), t, ())
+    result = built.get((), t)
     # Untouched, the result is t: nothing was promoted, so nothing unbound.
     if result is not t and free_vars(result) and not free_vars(t):
         raise StructuralError(

@@ -5,7 +5,8 @@ lambdas (written ``X^body``), and the clause-reifying wrapper ``up(body)``.
 Substitutions are plain dicts from Var to Term in triangular form: unify
 adds one binding at a time and never rewrites earlier values, so a value
 may mention variables bound later; apply and apply_reduced follow the
-chain.
+chain.  apply, plain substitution, is the reference reading of a unifier;
+the engine substitutes only through apply_reduced.
 
 Representation.  Var is a NamedTuple, (id,).  Compound, Lam and Up each
 subclass a NamedTuple of their fields, (functor, args), (param, body)
@@ -294,9 +295,9 @@ class Renamer:
     One rule: each variable, a lambda parameter too, gets one new name for
     all its occurrences, drawn from fresh(old id) when the walk first
     meets it, in children order.  By default fresh gives the canonical
-    names v1, v2, ...  rename and format_term both take names from name,
-    so a renamed term prints as format_term prints the original with the
-    same renamer.  Names and renamed variables are kept apart so that
+    names v1, v2, ...  rename and format_pieces both take names from name,
+    so a renamed term prints as format_pieces prints the original with
+    the same renamer.  Names and renamed variables are kept apart so that
     printing, the hot path of cat_key, makes no Var.
     """
 
@@ -622,15 +623,14 @@ def parse_term(text: str) -> Term:
     return t
 
 
-def format_term(t: Term, renamer: Optional[Renamer] = None) -> str:
-    """Printed form of t; with a renamer, variables print under their new
-    names, as format_term(renamer.rename(t)) would, in one pass."""
-    return format_pieces([t], renamer)
+def format_term(t: Term) -> str:
+    """Printed form of t."""
+    return format_pieces([t])
 
 
 def format_pieces(stack: list, renamer: Optional[Renamer] = None) -> str:
     """The printed form of the terms and plain strings on stack, taken from
-    its end: format_term(t, renamer) is format_pieces([t], renamer).
+    its end: format_term(t) is format_pieces([t]).
     Iterative, so any depth prints: the stack takes each compound's
     arguments and the punctuation between them, and every piece is
     appended to one list.  Variables are named as they are popped, in

@@ -121,6 +121,13 @@ def test_separated_embedded_quantifier_leaves_variable_free():
     assert nesting_order(open_forms[0]) == ("two", "most", "three")
 
 
+def test_nesting_order_names_only_quantifiers():
+    # A restriction's q-samp(S) holds a q- functor but is no quantifier.
+    report = compare(tokenize("two representatives of three companies saw most samples"),
+                     parse_skeleton(SK_COMPLEX_SUBJ.replace("samp(S)", "q-samp(S)")))
+    assert [nesting_order(f) for f in report.gap] == [("three", "most", "two")]
+
+
 def test_adjacent_embedded_quantifier_wraps_host_restriction():
     forms = enumerate_orderings(parse_skeleton(SK_COMPLEX_SUBJ))
     wrapped = parse_term(

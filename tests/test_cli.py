@@ -182,9 +182,10 @@ EVERY_MAN = "every man saw every man"
 EVERY_MAN_THREE_LEAVES = ("saw(q?(every, X, man(X)),"
                           " q?(every, Y, and(man(Y), of(Y, q?(every, Z, man(Z))))))")
 # Each x applies f 20 times to its argument; e puts its argument in the
-# restriction of a set form, which normalization promotes.
-DEEP_TERM_LEXICON = "x :: s:" + "f(" * 20 + "X" + ")" * 20 + "/s:X\nok :: s:ok\n"
-DEEP_RESTRICTION_LEXICON = DEEP_TERM_LEXICON + "e :: s:p(s-e(Y^g(Y, S)))/s:S\n"
+# restriction of a set form, and d is a set form: normalization promotes
+# both.
+DEEP_TERM_LEXICON = ("x :: s:" + "f(" * 20 + "X" + ")" * 20 + "/s:X\nok :: s:ok\n"
+                     "e :: s:p(s-e(Y^g(Y, S)))/s:S\nd :: s:p(s-e(girl))\n")
 
 
 @pytest.mark.parametrize("argv, content, line", [
@@ -215,11 +216,12 @@ DEEP_RESTRICTION_LEXICON = DEEP_TERM_LEXICON + "e :: s:p(s-e(Y^g(Y, S)))/s:S\n"
     pytest.param(["corpus", "{}"],
                  "UNGRAMMATICAL\tx ⊣ " + "(" * 3000 + "np" + ")" * 3000 + "\n", 1,
                  id="deep-corpus-category"),
-    # A restriction that the rules nest deeper than normalization recurses
-    # when it promotes the set form: each x wraps its argument in 20 more
-    # f(.), 600 in all.
-    pytest.param(["--lexicon", "{}", "readings", "e " + "x " * 30 + "ok"],
-                 DEEP_RESTRICTION_LEXICON, None, id="deep-term-in-a-command"),
+    # A set form promoted out of a restriction that the rules nest deeper
+    # than substitution recurses: each x wraps its argument in 20 more
+    # f(.), 600 in all, and the restriction's path down to d's set form is
+    # rebuilt, so the substitution into it walks that path.
+    pytest.param(["--lexicon", "{}", "readings", "e " + "x " * 30 + "d"],
+                 DEEP_TERM_LEXICON, None, id="deep-term-in-a-command"),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, line):
     path = tmp_path / "input"
@@ -235,14 +237,24 @@ def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, li
 def test_a_deeply_nested_term_gives_its_reading(tmp_path, capsys):
     # The rules build f applied 20 times per x to ok, up to 620 times in
     # the 32 tokens allowed.  A rule walks only what its unifier reaches,
-    # and printing, keying and renaming take no recursion.
+    # and printing, keying and renaming take no recursion.  Normalization
+    # rebuilds the path down to a set form without recursion, and its
+    # substitution into a restriction skips a deep subterm that lacks the
+    # restriction's variable.
     path = tmp_path / "deep.lex"
     path.write_text(DEEP_TERM_LEXICON, encoding="utf-8")
-    for xs in (20, 31):
-        code, out, err = run(capsys, "--lexicon", str(path), "readings", "x " * xs + "ok")
+
+    def f(n, inner):
+        return "f(" * n + inner + ")" * n
+
+    for tokens, reading in [
+            ("x " * 20 + "ok", f(400, "ok")),
+            ("x " * 31 + "ok", f(620, "ok")),
+            ("e " + "x " * 30 + "ok", f"q-e(v1, g(v1, {f(600, 'ok')}), p(v1))"),
+            ("x " * 31 + "d", f(620, "q-e(v1, girl(v1), p(v1))"))]:
+        code, out, err = run(capsys, "--lexicon", str(path), "readings", tokens)
         assert (code, err) == (0, "")
-        depth = 20 * xs
-        assert out.splitlines()[1:] == [f"  x1  {'f(' * depth}ok{')' * depth}"]
+        assert out.splitlines()[1:] == [f"  x1  {reading}"]
 
 
 @pytest.mark.parametrize("argv, data", [

@@ -8,6 +8,7 @@ from ccgscope.categories import cat_key, cat_shape, cat_vars, parse_cat, subst_c
 from ccgscope.cli import _data_text
 from ccgscope.lexicon import (
     LexiconError,
+    TypeSet,
     UnknownTokenError,
     _split_top,
     default_lexicon,
@@ -25,7 +26,7 @@ def keys(entries):
 def test_family_over_verb_phrase_type():
     # Hand-expanded family for one determiner over the single type s\np.
     got = keys(instantiate_raised(("every",), "sg", "q-every", "s-every",
-                                  [parse_cat(r"s\np")]))
+                                  TypeSet([parse_cat(r"s\np")])))
     want = [
         "np:num(s-every(N),sg)/n:N",
         r"((s:A\np:B)/((s:A\np:B)\np:num(s-every(N),sg)))/n:N",
@@ -38,7 +39,7 @@ def test_family_over_verb_phrase_type():
 
 def test_wide_backward_over_raised_subject_type():
     got = keys(instantiate_raised(("three",), "pl", "q-three", "s-three",
-                                  [parse_cat(r"s/(s\np)")]))
+                                  TypeSet([parse_cat(r"s/(s\np)")])))
     wide_bwd = cat_key(parse_cat(
         r"((s:q-three(V,N,A)/(s:B\np:C))\((s:A/(s:B\np:C))/np:num(V,pl)))/n:V^N"))
     assert wide_bwd == got[-1]
@@ -46,25 +47,25 @@ def test_wide_backward_over_raised_subject_type():
 
 def test_no_wide_entries_for_noun_modifier_type():
     got = keys(instantiate_raised(("three",), "pl", "q-three", "s-three",
-                                  [parse_cat(r"n\n")]))
+                                  TypeSet([parse_cat(r"n\n")])))
     assert len(got) == 3
     assert not any("q-three" in k for k in got)
 
 
 def test_empty_type_set_gives_plain_entry_only():
-    got = keys(instantiate_raised(("five",), "pl", "q-five", "s-five", []))
+    got = keys(instantiate_raised(("five",), "pl", "q-five", "s-five", TypeSet(())))
     assert got == [cat_key(parse_cat("np:num(s-five(N),pl)/n:N"))]
 
 
 def test_bad_number_rejected():
     with pytest.raises(LexiconError):
-        instantiate_raised(("five",), "dual", "q-five", "s-five", [])
+        instantiate_raised(("five",), "dual", "q-five", "s-five", TypeSet(()))
 
 
 def test_non_variable_result_semantics_rejected():
     with pytest.raises(LexiconError):
         instantiate_raised(("x",), "sg", "q-x", "s-x",
-                           [parse_cat(r"s:and(P,Q)\np:X")])
+                           TypeSet([parse_cat(r"s:and(P,Q)\np:X")]))
 
 
 def test_default_lexicon_determiner_family_size():
@@ -145,7 +146,7 @@ def test_variant_types_add_nothing_to_a_family():
     # the first of each, so the family is that of s\np and n\n.
     def family(types):
         return keys(instantiate_raised(("every",), "sg", "q-every", "s-every",
-                                       [parse_cat(t) for t in types]))
+                                       TypeSet(parse_cat(t) for t in types)))
     assert family([r"s\np", r"s:A\np:B", r"n\n", r"n:N\n:M"]) == family([r"s\np", r"n\n"])
     assert len(family([r"s\np", r"n\n"])) == 1 + 4 + 2
 
