@@ -3,6 +3,32 @@
 Syntax: slashes are left-associative, parentheses override, and a term
 annotation ``:term`` may follow an atomic sort only.  Atomics written
 without an annotation receive distinct fresh variables, left to right.
+
+Keys.  cat_key is a category's identity up to renaming of variables: a
+tuple of tokens, the category's nodes in preorder (a slash's result
+before its argument, a lambda's parameter before its body), each node
+its class (Atomic, Slash, Var, Atom, Compound, Lam, Up) followed by its
+fields: a sort, a slash direction, a variable's number (in first-
+occurrence order, from 1), an atom's name, a compound's functor and
+arity.  The tuple decodes uniquely.  Read left to right, the token where
+a node begins is a class, and the class fixes what follows: how many
+fields, then how many child nodes (one term under an atomic, two
+categories under a slash, arity many terms under a compound, two under
+a lambda, one under up(.), none under a variable or an atom).  So the
+tree is rebuilt one node at a time, and the tokens fall into nodes one
+way only.  A name never stands where a node begins, whatever it spells:
+the atom v1 is (Atom, "v1") and a variable is (Var, n); a functor np is
+read as a functor, never as a sort; g(f(a), b) and g(f(a, b)) differ in
+f's arity.
+
+So keys are equal iff the categories are variants.  If a one-to-one
+renaming takes a onto b, the walk meets the same nodes in the same order
+in both, each variable of a first where its image is first met in b, so
+the numbers and the keys agree.  If the keys agree, both decode to one
+tree, so a and b differ only in their variables, and sending a's
+variable numbered n to b's numbered n is a one-to-one renaming of a onto
+b.  The printed canonical copy, cat_text, is not a key: an atom v1
+prints as the first canonical variable does.
 """
 
 from __future__ import annotations
@@ -12,10 +38,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .terms import (
+    Atom,
+    Compound,
+    Lam,
     Renamer,
     Subst,
     Term,
     TermError,
+    Up,
     Var,
     _Cursor,
     apply_reduced,
@@ -241,8 +271,51 @@ def format_cat(cat: Category, with_sems: bool = True,
     return format_pieces(pieces, renamer)
 
 
-def cat_key(cat: Category) -> str:
+def cat_text(cat: Category) -> str:
     """The printed canonical copy (format_cat(canonical_cat(cat))), in one
-    pass: two categories have the same key iff they are variants.  Chart
-    cells, replay and duplicate lexicon entries are keyed by it."""
+    pass.  For display: the CLI's parse and derive output, chart.pretty,
+    lexicon messages and ChartError text.  It is no identity, as an atom
+    v1 prints as a variable does; the chart and the lexicon compare
+    cat_key."""
     return format_cat(cat, renamer=Renamer())
+
+
+def cat_key(cat: Category) -> tuple:
+    """The identity of cat up to renaming of variables (module docstring):
+    two categories have equal keys iff they are variants.  Chart cells,
+    replay and duplicate lexicon entries compare it.  One iterative walk
+    that builds no text."""
+    out: list = []
+    numbers: dict = {}  # Var.id -> first-occurrence number
+    stack = [cat]
+    pop, push, extend, emit = stack.pop, stack.append, stack.extend, out.append
+    while stack:
+        t = pop()
+        kind = type(t)
+        emit(kind)
+        if kind is Var:
+            n = numbers.get(t.id)
+            if n is None:
+                n = numbers[t.id] = len(numbers) + 1
+            emit(n)
+        elif kind is Compound:
+            emit(t.functor)
+            emit(len(t.args))
+            extend(reversed(t.args))
+        elif kind is Atom:
+            emit(t.name)
+        elif kind is Atomic:
+            emit(t.sort)
+            push(t.sem)
+        elif kind is Slash:
+            emit(t.dir)
+            push(t.arg)
+            push(t.result)
+        elif kind is Lam:
+            push(t.body)
+            push(t.param)
+        elif kind is Up:
+            push(t.body)
+        else:
+            raise TermError(f"not a term: {t!r}")
+    return tuple(out)

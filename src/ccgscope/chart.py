@@ -16,8 +16,9 @@ recorded variables the unifier leaves unbound (terms.apply_reduced), so
 a rule result costs the part of its operands that the unifier reaches,
 not the whole of them.
 
-Keys.  A cell maps cat_key, the printed canonical copy, to its item, so
-variants share one item; Chart.cells keeps that shape.  Printing is a
+Keys.  A cell maps cat_key, a tuple that encodes the canonical copy
+node by node with each node's type, to its item, so variants share one
+item and nothing else does; Chart.cells keeps that shape.  Keying is a
 walk over the whole category, and most rule results duplicate an item,
 nearly all of them equal as terms to a category the cell already holds.
 So add first looks a result up by the category itself, in a dict local
@@ -29,6 +30,8 @@ is entered too.  A chart costs one cat_key per item plus one per variant
 duplicate.  Over the corpus and the test families (test_chart's
 KEYING_CASES) that is 8,990 keys for 8,749 items, where keying every
 result took 16,825: 7,835 results were equal duplicates and 241 variants.
+The key builds no text: cat_text prints a category for pretty, the CLI
+and error messages, and nothing compares printed text.
 
 parse runs in two passes over one statement of the rules: the rows of
 ROWS, which read the Slash tuple that categories and their shapes share.
@@ -92,6 +95,7 @@ from .categories import (
     Slash,
     cat_key,
     cat_shape,
+    cat_text,
     standardize_apart,
     subst_cat,
     unify_cat,
@@ -107,7 +111,7 @@ MAX_TOKENS = 32
 # rather than closed.  It counts built items only, after pruning.  The
 # largest chart the tests build is a 26-token depth-7 PP chain (8,697
 # items; the all-pairs chart would pass 20,000); the benchmark's largest
-# is a depth-4 PP chain (428 items).
+# is a depth-3 clause embedding (515 items, nested_scope at seeds 1-3).
 MAX_ITEMS = 20_000
 
 
@@ -340,7 +344,7 @@ def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[set, dict
 @dataclass
 class Chart:
     tokens: Tuple[str, ...]
-    cells: Dict[Tuple[int, int], Dict[str, Item]]
+    cells: Dict[Tuple[int, int], Dict[tuple, Item]]
     items: Dict[int, Item]
 
     def cell(self, i: int, j: int) -> List[Item]:
@@ -459,7 +463,7 @@ def derivations(chart: Chart, item: Item) -> Iterator[tuple]:
 
 
 def _replay_step(label: str, left: Category, right: Category, item: Item,
-                 key: str, counter) -> Category:
+                 key: tuple, counter) -> Category:
     """Recombine two child categories by label; ChartError unless the result
     has key, item's stored cat_key."""
     lcat = standardize_apart(left, counter)
@@ -467,10 +471,9 @@ def _replay_step(label: str, left: Category, right: Category, item: Item,
     out = _combine(label, lcat, rcat)
     if out is None:
         raise ChartError(f"rule {label} failed to replay at {item.span}")
-    got = cat_key(out)
-    if got != key:
-        raise ChartError(
-            f"replayed category differs at {item.span}: {got} vs {key}")
+    if cat_key(out) != key:
+        raise ChartError(f"replayed category differs at {item.span}:"
+                         f" {cat_text(out)} vs {cat_text(item.cat)}")
     return out
 
 
@@ -526,7 +529,7 @@ def pretty(chart: Chart, tree) -> str:
         label = t[0]
         lines.append("%s%s  ::  %s  [%s]"
                      % ("  " * depth, " ".join(chart.tokens[i:j]),
-                        cat_key(item.cat), label))
+                        cat_text(item.cat), label))
         if label != "lex":
             go(t[1], depth + 1)
             go(t[2], depth + 1)

@@ -19,7 +19,7 @@ from importlib import resources
 from typing import Callable, List, Optional
 
 from .baseline import BaselineError, compare, nesting_order, parse_skeleton
-from .categories import CatError, cat_key, format_cat, parse_cat
+from .categories import CatError, cat_text, format_cat, parse_cat
 from .chart import ResourceError, count_derivations, derivations, parse, pretty
 from .lexicon import LexiconError, UnknownTokenError, default_lexicon, load_lexicon
 from .readings import NoParseError, StructuralError, readings, scope_profile
@@ -101,22 +101,29 @@ def _shape(cat) -> str:
     return format_cat(cat, with_sems=False)
 
 
+def _printed_items(chart) -> list:
+    """(printed category, item) for each full-span item, in printed order;
+    items that print alike keep their chart order."""
+    return sorted(((cat_text(it.cat), it) for it in chart.full_span()),
+                  key=lambda pair: pair[0])
+
+
 # --- commands ---------------------------------------------------------------
 
 def _cmd_parse(args, lex, out) -> int:
     tokens = tokenize(args.sentence)
     chart = parse(tokens, lex)
-    items = sorted(chart.full_span(), key=lambda it: cat_key(it.cat))
+    items = _printed_items(chart)
     counts = count_derivations(chart)
     if args.json:
         doc = {"sentence": args.sentence, "tokens": tokens,
-               "items": [{"cat": cat_key(it.cat), "derivations": counts[it.id]}
-                         for it in items]}
+               "items": [{"cat": text, "derivations": counts[it.id]}
+                         for text, it in items]}
         print(json.dumps(doc, indent=2), file=out)
     else:
         print(" ".join(tokens), file=out)
-        for it in items:
-            print(f"  {cat_key(it.cat)}  [{counts[it.id]} derivations]", file=out)
+        for text, it in items:
+            print(f"  {text}  [{counts[it.id]} derivations]", file=out)
     if not items:
         print("no full-span constituent", file=sys.stderr)
         return 1
@@ -153,12 +160,12 @@ def _cmd_readings(args, lex, out) -> int:
 def _cmd_derive(args, lex, out) -> int:
     tokens = tokenize(args.sentence)
     chart = parse(tokens, lex)
-    items = sorted(chart.full_span(), key=lambda it: cat_key(it.cat))
+    items = _printed_items(chart)
     if not items:
         print("no full-span constituent", file=sys.stderr)
         return 1
     shown = 0
-    for it in items:
+    for _, it in items:
         for tree in derivations(chart, it):
             if shown >= args.max_derivations:
                 print(f"... display capped at {args.max_derivations}", file=out)

@@ -70,6 +70,7 @@ from .categories import (
     atomics,
     cat_key,
     cat_shape,
+    cat_text,
     cat_vars,
     parse_cat,
     replace_result_sem,
@@ -97,7 +98,7 @@ class LexEntry:
     tag: str
 
     @cached_property
-    def key(self) -> str:
+    def key(self) -> tuple:
         """cat_key(cat)."""
         return cat_key(self.cat)
 
@@ -155,7 +156,8 @@ class TypeSet:
             wide = None
             if core.sort == "s":
                 if not isinstance(core.sem, Var):
-                    raise LexiconError(f"type set entry {key} has a non-variable result")
+                    raise LexiconError(
+                        f"type set entry {cat_text(t)} has a non-variable result")
                 wide = (_fresh_var("V", taken), core.sem)
             out.append(RaisedType(t, _fresh_var("N", taken), wide))
         return tuple(out)
@@ -232,7 +234,7 @@ class Lexicon:
                 if any(e.shape == entry.shape and e.key == entry.key for e in earlier):
                     where = "" if line is None else f"line {line}: "
                     warnings.warn(f"{where}duplicate lexicon entry for"
-                                  f" {entry.tag!r} dropped: {entry.key}")
+                                  f" {entry.tag!r} dropped: {cat_text(entry.cat)}")
                 else:
                     kept.append(entry)
             entries = kept

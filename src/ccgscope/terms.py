@@ -298,7 +298,7 @@ class Renamer:
     names v1, v2, ...  rename and format_pieces both take names from name,
     so a renamed term prints as format_pieces prints the original with
     the same renamer.  Names and renamed variables are kept apart so that
-    printing, the hot path of cat_key, makes no Var.
+    printing a canonical copy (categories.cat_text) makes no Var.
     """
 
     def __init__(self, fresh: Optional[Callable[[str], str]] = None):
@@ -479,7 +479,11 @@ def apply_reduced(s: Subst, t: Term) -> Term:
     if isinstance(t, Atom) or (t.varset is not None and s.keys().isdisjoint(t.varset)):
         return t
     kids = children(t)
-    new = [apply_reduced(s, k) for k in kids]
+    # A loop, not a comprehension: before Python 3.12 a comprehension is a
+    # frame of its own, which would halve the depth this recursion reaches.
+    new = []
+    for k in kids:
+        new.append(apply_reduced(s, k))
     if any(map(is_not, new, kids)):
         if isinstance(kids[0], Var) and not isinstance(new[0], Var) and is_quant(t):
             raise QuantifierSlotError(f"{t.functor} would bind a non-variable")

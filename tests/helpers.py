@@ -19,6 +19,7 @@ from ccgscope.categories import (
     Slash,
     atomics,
     cat_key,
+    cat_text,
     cat_vars,
     map_sems,
     parse_cat,
@@ -93,10 +94,10 @@ def render_golden(name, lexicon=None):
     sentence, targets = GOLDENS[name]
     lex = lexicon or default_lexicon()
     chart = parse(tokenize(sentence), lex)
-    by_key = {cat_key(it.cat): it for it in chart.full_span()}
+    by_text = {cat_text(it.cat): it for it in chart.full_span()}
     blocks = []
-    for key in targets:
-        tree = next(derivations(chart, by_key[key]))
+    for text in targets:
+        tree = next(derivations(chart, by_text[text]))
         blocks.append(pretty(chart, tree))
     return "\n\n".join(blocks) + "\n"
 
@@ -249,7 +250,7 @@ def oracle_load(text):
     def add(lineno, entry):
         if (entry.lexeme, entry.key) in keys:
             warned.append(f"line {lineno}: duplicate lexicon entry for"
-                          f" {entry.tag!r} dropped: {entry.key}")
+                          f" {entry.tag!r} dropped: {cat_text(entry.cat)}")
         else:
             keys.add((entry.lexeme, entry.key))
             entries.append(entry)
@@ -349,6 +350,13 @@ def tagged(t):
     if kind is Up:
         return ("Up", tagged(t.body))
     raise TypeError(f"not a term: {t!r}")
+
+
+def tagged_cat(cat):
+    """The oracle for category equality, from the term oracle."""
+    if isinstance(cat, Slash):
+        return ("Slash", cat.dir, tagged_cat(cat.result), tagged_cat(cat.arg))
+    return ("Atomic", cat.sort, tagged(cat.sem))
 
 
 # --- the node-by-node walks of the readings layer, the oracles for it -----

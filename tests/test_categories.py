@@ -12,6 +12,7 @@ from ccgscope.categories import (
     canonical_cat,
     cat_key,
     cat_shape,
+    cat_text,
     cat_vars,
     format_cat,
     map_sems,
@@ -30,6 +31,7 @@ from ccgscope.terms import (
     Lam,
     QuantifierSlotError,
     TermError,
+    Up,
     Var,
     apply,
     children,
@@ -42,7 +44,7 @@ from ccgscope.terms import (
     with_children,
 )
 
-from helpers import all_pairs_parse, unrecorded, well_formed
+from helpers import all_pairs_parse, tagged_cat, unrecorded, well_formed
 from test_coordination import sentence as coordination_sentence
 from test_terms import rand_lf, rand_term
 
@@ -133,7 +135,7 @@ def test_cat_key_variant_equivalence():
     c = parse_cat("(s:Q\\np:A)/np:A")
     assert cat_key(a) == cat_key(b)
     assert cat_key(a) != cat_key(c)
-    assert cat_key(a) == "(s:v1\\np:v2)/np:v3"
+    assert cat_text(a) == "(s:v1\\np:v2)/np:v3"
 
 
 def test_cat_key_names_a_lambda_parameter_as_any_variable():
@@ -141,8 +143,51 @@ def test_cat_key_names_a_lambda_parameter_as_any_variable():
     # category, and unrelated to it in the second: they are not variants.
     a = parse_cat("np:X/n:X^p(X)")
     b = parse_cat("np:Y/n:X^p(X)")
-    assert cat_key(a) == "np:v1/n:v1^p(v1)"
-    assert cat_key(b) == "np:v1/n:v2^p(v2)"
+    assert cat_text(a) == "np:v1/n:v1^p(v1)"
+    assert cat_text(b) == "np:v1/n:v2^p(v2)"
+
+
+def rand_cat(rng, depth, pool, functors):
+    if depth == 0 or rng.random() < 0.4:
+        return Atomic(rng.choice(("s", "np")), rand_term(rng, 2, pool, functors))
+    return Slash(rng.choice("/\\"), rand_cat(rng, depth - 1, pool, functors),
+                 rand_cat(rng, depth - 1, pool, functors))
+
+
+def test_cat_key_is_equal_exactly_for_variants():
+    # The oracle: two categories are variants iff their canonical copies
+    # have equal tagged forms.  The draws are small, so many of them are
+    # variants of an earlier one without being equal to it; names are
+    # drawn to collide with a canonical variable (v1), a sort (np) and
+    # up(.), so many also print like an earlier draw that is no variant.
+    rng = random.Random(20261019)
+    pool, functors = ["X", "Y", "v1"], ("f", "np", "up", "v1")
+    counter = itertools.count(1)
+    first, by_form, by_text = {}, {}, {}
+    tallies = {"variants": 0, "printed alike": 0}
+    for _ in range(3000):
+        cat = rand_cat(rng, 2, pool, functors)
+        key, form, text = cat_key(cat), tagged_cat(canonical_cat(cat)), cat_text(cat)
+        seen = first.setdefault(key, (cat, form))
+        assert seen[1] == form, (seen[0], cat)
+        assert by_form.setdefault(form, key) == key
+        assert cat_key(standardize_apart(cat, counter)) == key
+        tallies["variants"] += seen[0] != cat
+        tallies["printed alike"] += by_text.setdefault(text, key) != key
+    assert tallies["variants"] > 200 and tallies["printed alike"] > 20, tallies
+
+
+@pytest.mark.parametrize("a, b", [
+    (Atomic("s", parse_term("g(f(a), b)")), Atomic("s", parse_term("g(f(a, b))"))),
+    (Atomic("s", Atom("up")), Atomic("s", Up(Var("X")))),
+    (Atomic("s", Compound("up", (Var("X"),))), Atomic("s", Up(Var("X")))),
+    (Atomic("s", Atom("v1")), Atomic("s", Var("X"))),
+    (parse_cat("s:np(n)/n:X"), parse_cat("s:np/n:n(X)")),
+    (parse_cat("np:X/n:X^p(X)"), parse_cat("np:Y/n:X^p(X)")),
+], ids=["arity", "atom-up", "compound-up", "atom-v1", "functor-np", "lambda-param"])
+def test_cat_key_tells_apart_categories_that_are_not_variants(a, b):
+    assert tagged_cat(canonical_cat(a)) != tagged_cat(canonical_cat(b))
+    assert cat_key(a) != cat_key(b)
 
 
 def test_canonical_cat_shares_renamer_across_atoms():
@@ -150,8 +195,8 @@ def test_canonical_cat_shares_renamer_across_atoms():
     assert format_cat(canonical_cat(cat)) == "(s:saw(v1, v2)\\np:v1)/np:v2"
 
 
-def test_cat_key_equals_printed_canonical_copy():
-    # cat_key prints canonical names in one pass; the two-step form it
+def test_cat_text_equals_printed_canonical_copy():
+    # cat_text prints canonical names in one pass; the two-step form it
     # replaces is the reference.  The all-pairs chart supplies inputs: it
     # holds every category closure can build, pruned or not.
     lex = default_lexicon()
@@ -162,9 +207,9 @@ def test_cat_key_equals_printed_canonical_copy():
     assert len(cats) > 600
     counter = itertools.count(1)
     for cat in cats:
-        key = cat_key(cat)
-        assert key == format_cat(canonical_cat(cat))
-        assert cat_key(standardize_apart(cat, counter)) == key
+        text = cat_text(cat)
+        assert text == format_cat(canonical_cat(cat))
+        assert cat_text(standardize_apart(cat, counter)) == text
 
 
 def two_pass_standardize_apart(cat, counter):

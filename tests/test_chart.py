@@ -4,10 +4,10 @@ import pytest
 
 from ccgscope import chart as chart_module
 from ccgscope.categories import (
-    Slash,
     atomics,
     canonical_cat,
     cat_key,
+    cat_text,
     format_cat,
     map_sems,
     parse_cat,
@@ -38,7 +38,7 @@ from helpers import (
     item_sequence,
     live_items,
     pp_chain,
-    tagged,
+    tagged_cat,
     unrecorded,
     well_formed,
     well_formed_part,
@@ -272,6 +272,16 @@ def test_backpointer_rewired_to_wrong_child_fails_check(lex):
         check_backpointers(chart)
 
 
+def test_replayed_category_that_differs_is_named_in_print(lex):
+    chart = parse("three frenchmen visited five russians".split(), lex)
+    item, other = chart.full_span()[:2]
+    built, item.cat = item.cat, other.cat
+    with pytest.raises(ChartError) as caught:
+        check_backpointers(chart)
+    assert str(caught.value) == (f"replayed category differs at (0, 5):"
+                                 f" {cat_text(built)} vs {cat_text(other.cat)}")
+
+
 def test_pretty_single_leaf(lex):
     chart = parse(["john"], lex)
     tree = next(derivations(chart, chart.full_span()[0]))
@@ -428,7 +438,7 @@ def test_every_chart_item_is_well_formed(chart_of, sentence):
     chart = chart_of(sentence)
     assert chart.items
     for item in chart.items.values():
-        assert all(well_formed(at.sem) for at in atomics(item.cat)), cat_key(item.cat)
+        assert all(well_formed(at.sem) for at in atomics(item.cat)), cat_text(item.cat)
 
 
 def test_partners_of_several_shapes_come_in_id_order():
@@ -527,13 +537,6 @@ def test_rule_results_do_not_depend_on_records(lex, monkeypatch):
 # --- cell keys ----------------------------------------------------------------
 
 KEYING_CASES = RECORD_CASES + [coordination_sentence(k) for k in (1, 2, 3)]
-
-
-def tagged_cat(cat):
-    # The oracle for category equality, from the term oracle.
-    if isinstance(cat, Slash):
-        return ("Slash", cat.dir, tagged_cat(cat.result), tagged_cat(cat.arg))
-    return ("Atomic", cat.sort, tagged(cat.sem))
 
 
 def keying_tallies(sentences, lex, monkeypatch):

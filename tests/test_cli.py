@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from ccgscope import chart
+from ccgscope.categories import cat_text
 from ccgscope.cli import _data_text, main, tokenize
 from ccgscope.lexicon import default_lexicon
 from ccgscope.readings import readings
@@ -181,11 +182,12 @@ FRENCHMEN = "three frenchmen visited five russians"
 EVERY_MAN = "every man saw every man"
 EVERY_MAN_THREE_LEAVES = ("saw(q?(every, X, man(X)),"
                           " q?(every, Y, and(man(Y), of(Y, q?(every, Z, man(Z))))))")
-# Each x applies f 20 times to its argument; e puts its argument in the
-# restriction of a set form, and d is a set form: normalization promotes
-# both.
+# Each x applies f 20 times to its argument, and each y 40 times; e puts
+# its argument in the restriction of a set form, and d is a set form:
+# normalization promotes both.
 DEEP_TERM_LEXICON = ("x :: s:" + "f(" * 20 + "X" + ")" * 20 + "/s:X\nok :: s:ok\n"
-                     "e :: s:p(s-e(Y^g(Y, S)))/s:S\nd :: s:p(s-e(girl))\n")
+                     "e :: s:p(s-e(Y^g(Y, S)))/s:S\nd :: s:p(s-e(girl))\n"
+                     "y :: s:" + "f(" * 40 + "X" + ")" * 40 + "/s:X\n")
 
 
 @pytest.mark.parametrize("argv, content, line", [
@@ -217,10 +219,10 @@ DEEP_TERM_LEXICON = ("x :: s:" + "f(" * 20 + "X" + ")" * 20 + "/s:X\nok :: s:ok\
                  "UNGRAMMATICAL\tx ⊣ " + "(" * 3000 + "np" + ")" * 3000 + "\n", 1,
                  id="deep-corpus-category"),
     # A set form promoted out of a restriction that the rules nest deeper
-    # than substitution recurses: each x wraps its argument in 20 more
-    # f(.), 600 in all, and the restriction's path down to d's set form is
-    # rebuilt, so the substitution into it walks that path.
-    pytest.param(["--lexicon", "{}", "readings", "e " + "x " * 30 + "d"],
+    # than substitution recurses: each y wraps its argument in 40 more
+    # f(.), 1,200 in all, and the restriction's path down to d's set form
+    # is rebuilt, so the substitution into it walks that path.
+    pytest.param(["--lexicon", "{}", "readings", "e " + "y " * 30 + "d"],
                  DEEP_TERM_LEXICON, None, id="deep-term-in-a-command"),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, line):
@@ -240,21 +242,25 @@ def test_a_deeply_nested_term_gives_its_reading(tmp_path, capsys):
     # and printing, keying and renaming take no recursion.  Normalization
     # rebuilds the path down to a set form without recursion, and its
     # substitution into a restriction skips a deep subterm that lacks the
-    # restriction's variable.
+    # restriction's variable, and recurses one frame per level into a
+    # rebuilt one, on every supported Python.
     path = tmp_path / "deep.lex"
     path.write_text(DEEP_TERM_LEXICON, encoding="utf-8")
 
     def f(n, inner):
         return "f(" * n + inner + ")" * n
 
-    for tokens, reading in [
-            ("x " * 20 + "ok", f(400, "ok")),
-            ("x " * 31 + "ok", f(620, "ok")),
-            ("e " + "x " * 30 + "ok", f"q-e(v1, g(v1, {f(600, 'ok')}), p(v1))"),
-            ("x " * 31 + "d", f(620, "q-e(v1, girl(v1), p(v1))"))]:
+    for tokens, reading, scopes in [
+            ("x " * 20 + "ok", f(400, "ok"), []),
+            ("x " * 31 + "ok", f(620, "ok"), []),
+            ("e " + "x " * 30 + "ok", f"q-e(v1, g(v1, {f(600, 'ok')}), p(v1))", []),
+            ("x " * 31 + "d", f(620, "q-e(v1, girl(v1), p(v1))"), []),
+            ("e " + "x " * 30 + "d",
+             f"q-e(v1, g(v1, {f(600, 'q-e(v2, girl(v2), p(v2))')}), p(v1))",
+             ["        e-g > e-girl"])]:
         code, out, err = run(capsys, "--lexicon", str(path), "readings", tokens)
         assert (code, err) == (0, "")
-        assert out.splitlines()[1:] == [f"  x1  {reading}"]
+        assert out.splitlines()[1:] == [f"  x1  {reading}", *scopes]
 
 
 @pytest.mark.parametrize("argv, data", [
@@ -283,6 +289,48 @@ def test_parse_lists_full_span_categories(capsys):
     code, out, _ = run(capsys, "parse", "investigate two dialects of")
     assert code == 0
     assert "\\np" in out and "/np" in out
+
+
+def test_parse_lists_full_span_items_in_printed_order(capsys):
+    # Pinned on purpose: items are listed by their printed categories, not
+    # in chart order (which differs here) and not by cat_key, whose class
+    # tokens have no order.  Text and JSON list the same items.
+    sentence = "that every girl"
+    items = [
+        ("(sbar:q-every(v1, girl(v1), v2)/np:v3)/((s:v2/np:v3)\\np:num(v1, sg))", 1),
+        ("(sbar:v1/np:v2)/((s:v1/np:v2)\\np:num(s-every(girl), sg))", 1),
+        ("sbar:q-every(v1, girl(v1), v2)/(s:v2\\np:num(v1, sg))", 1),
+        ("sbar:v1/(s:v1\\np:num(s-every(girl), sg))", 1),
+    ]
+    chart_order = [cat_text(it.cat)
+                   for it in chart.parse(tokenize(sentence), default_lexicon()).full_span()]
+    assert sorted(chart_order) == [cat for cat, _ in items] != chart_order
+    code, out, _ = run(capsys, "parse", sentence)
+    assert (code, out) == (0, "that every girl\n" + "".join(
+        f"  {cat}  [{n} derivations]\n" for cat, n in items))
+    code, out, _ = run(capsys, "--json", "parse", sentence)
+    doc = {"sentence": sentence, "tokens": ["that", "every", "girl"],
+           "items": [{"cat": cat, "derivations": n} for cat, n in items]}
+    assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
+
+
+def test_an_atom_spelled_like_a_canonical_variable_is_not_a_variable(tmp_path, capsys):
+    # The second entry's chart form holds the atom v1 (s-e(X^v1(X)) is
+    # eta-reduced to s-e(v1)) where the first holds the variable Y, and
+    # both print s:p(s-e(v1))/n:v1.  They are not variants, so the chart
+    # keeps two lexical items of "a", and "a girl" two full-span items and
+    # two readings.
+    path = tmp_path / "user.lex"
+    path.write_text("a :: s:p(s-e(Y))/n:Y\n"
+                    "a :: s:p(s-e(X^v1(X)))/n:Z\n"
+                    "girl :: n:X^girl(X)\n")
+    code, out, _ = run(capsys, "--lexicon", str(path), "parse", "a girl")
+    assert (code, out) == (0, "a girl\n"
+                              "  s:p(s-e(girl))  [1 derivations]\n"
+                              "  s:p(s-e(v1))  [1 derivations]\n")
+    code, out, _ = run(capsys, "--lexicon", str(path), "--json", "readings", "a girl")
+    assert code == 0
+    assert len(json.loads(out)["readings"]) == 2
 
 
 def test_derive_respects_display_cap(capsys):

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from ccgscope import lexicon as lexicon_module
-from ccgscope.categories import cat_key, cat_shape, cat_vars, parse_cat, subst_cat
+from ccgscope.categories import cat_key, cat_shape, cat_text, cat_vars, parse_cat, subst_cat
 from ccgscope.cli import _data_text
 from ccgscope.lexicon import (
     LexiconError,
@@ -21,6 +21,10 @@ from helpers import oracle_load
 
 def keys(entries):
     return [cat_key(e.cat) for e in entries]
+
+
+def texts(entries):
+    return [cat_text(e.cat) for e in entries]
 
 
 def test_family_over_verb_phrase_type():
@@ -98,8 +102,8 @@ def test_entries_compile_to_chart_form_once():
     # Chart form: set forms eta-reduced and and/2 nested to the left; the
     # entry keeps its category as written.
     lex = load_lexicon("p :: np:s-a(X^p(X))\nq :: s:and(a, and(b, c))\n")
-    assert keys(lex.entries) == ["np:s-a(v1^p(v1))", "s:and(a, and(b, c))"]
-    assert [cat_key(e.chart_cat) for e in lex.entries] \
+    assert texts(lex.entries) == ["np:s-a(v1^p(v1))", "s:and(a, and(b, c))"]
+    assert [cat_text(e.chart_cat) for e in lex.entries] \
         == ["np:s-a(p)", "s:and(and(a, b), c)"]
 
 
@@ -166,18 +170,18 @@ def test_one_lexeme_twice_with_equal_shapes_keeps_both_non_variants():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lex = load_lexicon("x :: np:a/n:N\nx :: np:b/n:N\nx :: np:A/n:B\n")
-    assert keys(lex.entries) == ["np:a/n:v1", "np:b/n:v1", "np:v1/n:v2"]
+    assert texts(lex.entries) == ["np:a/n:v1", "np:b/n:v1", "np:v1/n:v2"]
 
 
 def test_entries_that_differ_only_in_a_lambda_parameter_are_both_kept():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lex = load_lexicon("x :: np:X/n:X^p(X)\nx :: np:Y/n:X^p(X)\n")
-    assert keys(lex.entries) == ["np:v1/n:v1^p(v1)", "np:v1/n:v2^p(v2)"]
+    assert texts(lex.entries) == ["np:v1/n:v1^p(v1)", "np:v1/n:v2^p(v2)"]
 
 
 def test_wide_determiner_key_shows_the_noun_variable_as_the_quantifier_variable():
-    every = [e.key for e in default_lexicon().entries if e.lexeme == ("every",)]
+    every = texts(e for e in default_lexicon().entries if e.lexeme == ("every",))
     wide = [k for k in every if "q-every" in k]
     assert wide and all(k.endswith("/n:v1^v2") for k in wide)
     assert r"(s:q-every(v1, v2, v3)/(s:v3\np:num(v1, sg)))/n:v1^v2" in wide
@@ -259,7 +263,7 @@ def covered_cases(text, entries, warned):
     lines = text.splitlines()
     tsets = [_split_top(line[len("@tset"):]) for line in lines if line.startswith("@tset")]
     raises = [line for line in lines if line.startswith("@raise")]
-    written = {cat_key(parse_cat(line.split("::")[1])) for line in lines if "::" in line}
+    written = {cat_text(parse_cat(line.split("::")[1])) for line in lines if "::" in line}
     x_shapes = [e.shape for e in entries if e.lexeme == ("x",)]
     return {case for case, hit in [
         ("variant types", any(len({cat_key(parse_cat(t)) for t in ts}) < len(set(ts))
