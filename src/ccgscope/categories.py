@@ -1,8 +1,10 @@
 """Directional categories whose atomic parts carry logical-form terms.
 
 Syntax: slashes are left-associative, parentheses override, and a term
-annotation ``:term`` may follow an atomic sort only.  Atomics written
-without an annotation receive distinct fresh variables, left to right.
+annotation ``:term`` may follow an atomic sort only.  An atomic written
+without an annotation gets the next variable V1, V2, ... that the text
+does not use, left to right.  Text is read with the term reader's tokens
+(terms._Tokens), so blanks may stand between any two tokens.
 
 Keys.  cat_key is a category's identity up to renaming of variables: a
 tuple of tokens, the category's nodes in preorder (a slash's result
@@ -27,8 +29,8 @@ in both, each variable of a first where its image is first met in b, so
 the numbers and the keys agree.  If the keys agree, both decode to one
 tree, so a and b differ only in their variables, and sending a's
 variable numbered n to b's numbered n is a one-to-one renaming of a onto
-b.  The printed canonical copy, cat_text, is not a key: an atom v1
-prints as the first canonical variable does.
+b.  The printed canonical copy, cat_text, is for display; the chart
+and the lexicon compare keys.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .terms import (
     TermError,
     Up,
     Var,
-    _Cursor,
+    _Tokens,
     apply_reduced,
     format_pieces,
     parse_term_at,
@@ -176,74 +178,58 @@ def canonical_cat(cat: Category) -> Category:
 
 # --- textual syntax ---------------------------------------------------------
 
-_BLANK = Var("")  # placeholder for atomics written without a term
-
-
 def parse_cat(text: str) -> Category:
-    cur = _Cursor(text)
+    """The category text spells, read token by token (terms._Tokens).  An
+    atomic written without a term gets the next variable V1, V2, ... that
+    the text does not read as a variable, left to right."""
+    toks = _Tokens(text)
     try:
-        cat = _cat(cur)
+        cat = _cat(toks, _fresh_vars(toks))
+        if toks.peek():
+            raise toks.error("trailing input")
     except TermError as e:
         raise CatError(str(e)) from None
-    cur.skip_ws()
-    if cur.pos != len(cur.text):
-        raise CatError(f"trailing input at position {cur.pos}: {text!r}")
-    return _fill_blanks(cat)
+    return cat
 
 
-def _cat(cur: _Cursor) -> Category:
-    left = _part(cur)
-    while True:
-        cur.skip_ws()
-        ch = cur.peek()
-        if ch in ("/", "\\"):
-            cur.pos += 1
-            right = _part(cur)
-            left = Slash(ch, left, right)
-        else:
-            return left
+def _fresh_vars(toks: _Tokens) -> Iterator[Var]:
+    # A generator: the text's variable names are gathered at the first
+    # atomic written without a term, if there is one.
+    taken = toks.var_names()
+    for n in itertools.count(1):
+        if f"V{n}" not in taken:
+            yield Var(f"V{n}")
 
 
-def _part(cur: _Cursor) -> Category:
-    cur.skip_ws()
-    if cur.peek() == "(":
-        cur.pos += 1
-        inner = _cat(cur)
-        cur.skip_ws()
-        if cur.peek() != ")":
-            raise CatError(f"expected ')' at position {cur.pos}: {cur.text!r}")
-        cur.pos += 1
-        cur.skip_ws()
-        if cur.peek() == ":":
-            raise CatError(
-                f"':' may only annotate an atomic category, at position {cur.pos}: {cur.text!r}"
-            )
+def _cat(toks: _Tokens, fresh: Iterator[Var]) -> Category:
+    left = _part(toks, fresh)
+    while toks.peek() in ("/", "\\"):
+        left = Slash(toks.take(), left, _part(toks, fresh))
+    return left
+
+
+def _part(toks: _Tokens, fresh: Iterator[Var]) -> Category:
+    if toks.peek() == "(":
+        toks.take()
+        inner = _cat(toks, fresh)
+        toks.expect(")")
+        if toks.peek() == ":":
+            raise toks.error("':' may only annotate an atomic category,")
         return inner
-    start = cur.pos
-    sort = cur.name()
+    sort = toks.name()
     if sort not in SORTS:
-        raise CatError(f"unknown sort {sort!r} at position {start}: {cur.text!r}")
-    cur.skip_ws()
-    if cur.peek() == ":":
-        cur.pos += 1
-        sem = parse_term_at(cur)
-        return Atomic(sort, sem)
-    return Atomic(sort, _BLANK)
+        raise toks.error(f"unknown sort {sort!r}", toks.starts[toks.i - 1])
+    if toks.peek() == ":":
+        toks.take()
+        return Atomic(sort, parse_term_at(toks))
+    return Atomic(sort, next(fresh))
 
 
-def _fill_blanks(cat: Category) -> Category:
-    used = {v.id for v in cat_vars(cat)}
-    fresh = (Var(f"V{n}") for n in itertools.count(1) if f"V{n}" not in used)
-    return map_sems(cat, lambda sem: next(fresh) if sem is _BLANK else sem)
-
-
-def format_cat(cat: Category, with_sems: bool = True,
-               renamer: Optional[Renamer] = None) -> str:
-    """Printed form; a renamer shared across the atomic terms prints
-    canonical variable names, as format_cat(canonical_cat(cat)) would.
-    Iterative: an explicit stack lays out the category's sorts, slashes,
-    parentheses and terms last piece first, which is the stack
-    format_pieces prints from, in one pass."""
+def format_cat(cat: Category, with_sems: bool = True) -> str:
+    """Printed form: sorts, slashes, parentheses around every slash part,
+    and each atomic's term after a colon unless with_sems is false.
+    Iterative: an explicit stack lays out those pieces last piece first,
+    which is the stack format_pieces prints from, in one pass."""
     pieces: list = []
     stack = [cat]
     pop, push, add = stack.pop, stack.append, pieces.append
@@ -268,16 +254,17 @@ def format_cat(cat: Category, with_sems: bool = True,
                     push(")")
                 else:
                     push(part)
-    return format_pieces(pieces, renamer)
+    return format_pieces(pieces)
 
 
 def cat_text(cat: Category) -> str:
-    """The printed canonical copy (format_cat(canonical_cat(cat))), in one
-    pass.  For display: the CLI's parse and derive output, chart.pretty,
-    lexicon messages and ChartError text.  It is no identity, as an atom
-    v1 prints as a variable does; the chart and the lexicon compare
-    cat_key."""
-    return format_cat(cat, renamer=Renamer())
+    """The printed canonical copy.  For display: the CLI's parse and
+    derive output, chart.pretty, lexicon messages and ChartError text.
+    The chart and the lexicon compare cat_key.  Reading and eta-reducing
+    (terms.apply_reduced) make no atom spelled like a variable, so the
+    printed copy of a category read from text reads back (parse_cat) to
+    one with the same key."""
+    return format_cat(canonical_cat(cat))
 
 
 def cat_key(cat: Category) -> tuple:

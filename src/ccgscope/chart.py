@@ -392,17 +392,12 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     covered = [False] * n
     lexical = []
     for i in range(n):
-        try:
-            matches = lexicon.lookup(tokens, i)
-        except UnknownTokenError:
-            continue
-        for entry, k in matches:
+        for entry, k in lexicon.lookup(tokens, i):
             lexical.append(((i, i + k), entry))
             for p in range(i, i + k):
                 covered[p] = True
-    for i, ok in enumerate(covered):
-        if not ok:
-            raise lexicon.unknown_token(tokens, i)
+    if not all(covered):
+        raise lexicon.unknown_token(tokens, covered.index(False))
 
     shapes: Dict[Tuple[int, int], list] = {}
     for span, entry in lexical:

@@ -19,7 +19,7 @@ from importlib import resources
 from typing import Callable, List, Optional
 
 from .baseline import BaselineError, compare, nesting_order, parse_skeleton
-from .categories import CatError, cat_text, format_cat, parse_cat
+from .categories import CatError, cat_shape, cat_text, parse_cat
 from .chart import ResourceError, count_derivations, derivations, parse, pretty
 from .lexicon import LexiconError, UnknownTokenError, default_lexicon, load_lexicon
 from .readings import NoParseError, StructuralError, readings, scope_profile
@@ -95,10 +95,6 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
     return n
-
-
-def _shape(cat) -> str:
-    return format_cat(cat, with_sems=False)
 
 
 def _printed_items(chart) -> list:
@@ -184,13 +180,13 @@ def _skeleton_table(path: Optional[str]) -> dict:
 
 def _corpus_entry(expect: str, text: str) -> tuple:
     """(expected count, sentence, None, None), or for an UNGRAMMATICAL entry
-    (expect, fragment, category text, category shape)."""
+    (expect, fragment, category text, its cat_shape)."""
     if expect != "UNGRAMMATICAL":
         return expect, text, None, None
     parts = [part.strip() for part in text.split("⊣")]
     if len(parts) != 2:
         raise DataFileError("an UNGRAMMATICAL entry needs 'fragment ⊣ category'")
-    return expect, parts[0], parts[1], _shape(parse_cat(parts[1]))
+    return expect, parts[0], parts[1], cat_shape(parse_cat(parts[1]))
 
 
 def _cmd_compare(args, lex, out) -> int:
@@ -231,7 +227,7 @@ def _cmd_corpus(args, lex, out) -> int:
     for expect, sent, shape_text, shape in entries:
         if shape is not None:
             chart = parse(tokenize(sent), lex)
-            hits = [it for it in chart.full_span() if _shape(it.cat) == shape]
+            hits = [it for it in chart.full_span() if it.shape == shape]
             ok = not hits
             rows.append((ok, "none", f"{len(hits)} items", sent + " ⊣ " + shape_text))
         else:

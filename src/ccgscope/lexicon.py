@@ -82,7 +82,7 @@ from .terms import Atom, Compound, Lam, Term, TermError, Var, format_term, unbou
 
 
 class LexiconError(Exception):
-    """Raised for malformed lexicon files or failed lookups."""
+    """Raised for malformed lexicon files or unknown tokens."""
 
 
 class UnknownTokenError(LexiconError):
@@ -246,16 +246,14 @@ class Lexicon:
         """Entries whose lexeme matches tokens[i:], as stored: rename a
         category's variables with fresh before it meets another's.
 
-        Returns (entry, consumed) pairs; raises UnknownTokenError when
-        nothing matches at this position.
+        Returns (entry, consumed) pairs, none when nothing matches at this
+        position (a token inside a multi-word lexeme, or an unknown one).
         """
         matches = []
         for entry in self._by_first.get(tokens[i], ()):
             k = len(entry.lexeme)
             if tuple(tokens[i:i + k]) == entry.lexeme:
                 matches.append((entry, k))
-        if not matches:
-            raise self.unknown_token(tokens, i)
         return matches
 
     def fresh(self, cat: Category) -> Category:

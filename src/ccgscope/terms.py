@@ -45,6 +45,7 @@ copies, the normalizer's forms) are walked node by node.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from operator import is_not
 from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Union
@@ -292,29 +293,19 @@ def unify(a: Term, b: Term, s: Optional[Subst] = None) -> Optional[Subst]:
 class Renamer:
     """Consistent renaming of variables, shared across several terms.
 
-    One rule: each variable, a lambda parameter too, gets one new name for
-    all its occurrences, drawn from fresh(old id) when the walk first
-    meets it, in children order.  By default fresh gives the canonical
-    names v1, v2, ...  rename and format_pieces both take names from name,
-    so a renamed term prints as format_pieces prints the original with
-    the same renamer.  Names and renamed variables are kept apart so that
-    printing a canonical copy (categories.cat_text) makes no Var.
+    One rule: each variable, a lambda parameter too, gets one new variable
+    for all its occurrences, named fresh(old id) when the walk first meets
+    it, in children order.  By default fresh gives the canonical names v1,
+    v2, ...  A canonical copy prints with those names: categories.cat_text
+    is format_cat(canonical_cat(cat)).
     """
 
     def __init__(self, fresh: Optional[Callable[[str], str]] = None):
         self.fresh = fresh or self._canonical
-        self.names: dict = {}  # old Var.id -> new name
-        self.vars: dict = {}   # old Var.id -> renamed Var, made once by rename
+        self.vars: dict = {}  # old Var.id -> renamed Var
 
     def _canonical(self, stem: str) -> str:
-        return f"v{len(self.names) + 1}"
-
-    def name(self, v: Var) -> str:
-        """The new name of v."""
-        new = self.names.get(v.id)
-        if new is None:
-            new = self.names[v.id] = self.fresh(v.id)
-        return new
+        return f"v{len(self.vars) + 1}"
 
     def rename(self, t: Term) -> Term:
         """t with every variable renamed; a new term, atoms shared.
@@ -324,11 +315,11 @@ class Renamer:
         children pop, and their variables are named, in children order.
         Each finished subterm goes on out; the mark pops once the node's
         children are all there, and the node is rebuilt over them."""
-        vars, name = self.vars, self.name
+        vars, fresh = self.vars, self.fresh
         if type(t) is Var:
             new = vars.get(t.id)
             if new is None:
-                new = vars[t.id] = Var(name(t))
+                new = vars[t.id] = Var(fresh(t.id))
             return new
         out: list = []
         stack = [t]
@@ -339,7 +330,7 @@ class Renamer:
             if kind is Var:
                 new = vars.get(t.id)
                 if new is None:
-                    new = vars[t.id] = Var(name(t))
+                    new = vars[t.id] = Var(fresh(t.id))
                 emit(new)
             elif kind is Atom:
                 emit(t)
@@ -364,7 +355,7 @@ class Renamer:
                     if type(a) is Var:
                         new = vars.get(a.id)
                         if new is None:
-                            new = vars[a.id] = Var(name(a))
+                            new = vars[a.id] = Var(fresh(a.id))
                         emit(new)
                     elif type(a) is Atom:
                         emit(a)
@@ -446,11 +437,12 @@ def apply_reduced(s: Subst, t: Term) -> Term:
     in one walk.
 
     Bindings are followed as in walk, and the result is canonical modulo
-    two equivalences: s-<det>(X^p(X)) becomes s-<det>(p), and and/2 nests
-    to the left, and(A, and(B, C)) becoming and(and(A, B), C), to a
-    fixpoint.  Both rewrites keep the meaning; the canonical spelling lets
-    a chart cell pack every bracketing of a coordination into one item, and
-    printed categories use the short set form.  Left, because noun-modifier
+    two equivalences: s-<det>(X^p(X)) becomes s-<det>(p), unless p is
+    spelled like a variable (F, v1), as an atom p would print as one; and
+    and/2 nests to the left, and(A, and(B, C)) becoming and(and(A, B), C),
+    to a fixpoint.  Both rewrites keep the meaning; the canonical spelling
+    lets a chart cell pack every bracketing of a coordination into one
+    item, and printed categories use the short set form.  Left, because noun-modifier
     conjunctions are built left-nested, so their forms do not change.  The
     result is what applying s and then rewriting would give, and every
     subterm that does not change is returned as the input object.
@@ -504,7 +496,7 @@ def apply_reduced(s: Subst, t: Term) -> Term:
     if t.functor.startswith(SET_PREFIX) and len(t.args) == 1:
         lam = t.args[0]
         if (isinstance(lam, Lam) and isinstance(lam.body, Compound)
-                and lam.body.args == (lam.param,)):
+                and lam.body.args == (lam.param,) and not _is_var_name(lam.body.functor)):
             return _recorded(Compound(t.functor, (Atom(lam.body.functor),)))
     return _recorded(t)
 
@@ -534,8 +526,15 @@ def eta_reduce_sets(t: Term) -> Term:
 
 
 # --- textual syntax ---------------------------------------------------------
+#
+# A term is a variable, an atom, a compound f(t, ...), up(t), a lambda
+# V^t, or a term in parentheses; ^ reaches as far right as it can.  A name
+# with an argument list is a functor; a name without one is a variable if
+# it starts upper case or spells a canonical name v1, v2, ..., and an atom
+# otherwise.  Blanks (spaces and tabs) may stand between tokens.
 
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-?")
+_NAME = re.compile(r"[A-Za-z0-9_?-]+")
+_TOKEN = re.compile(r"[ \t]*(" + _NAME.pattern + r"|[^ \t])")
 
 
 def _is_var_name(name: str) -> bool:
@@ -548,82 +547,91 @@ def _is_var_name(name: str) -> bool:
     return False
 
 
-class _Cursor:
+class _Tokens:
+    """The tokens of a text, read one at a time.  A token is blanks, then
+    a name or any one other character; peek() is the next token, "" at
+    the end.  Every error names the position of the next token, after
+    its blanks (the text's length at the end)."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        matches = list(_TOKEN.finditer(text))
+        self.toks = [m[1] for m in matches] + [""]
+        self.starts = [m.start(1) for m in matches] + [len(text)]
+        self.i = 0
 
-    def error(self, msg: str) -> TermError:
-        return TermError(f"{msg} at position {self.pos}: {self.text!r}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    def error(self, msg: str, pos: Optional[int] = None) -> TermError:
+        if pos is None:
+            pos = self.starts[self.i]
+        return TermError(f"{msg} at position {pos}: {self.text!r}")
 
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.toks[self.i]
 
-    def eat(self, ch: str) -> None:
-        self.skip_ws()
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
+    def take(self) -> str:
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, tok: str) -> None:
+        if self.toks[self.i] != tok:
+            raise self.error(f"expected {tok!r}")
+        self.i += 1
 
     def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _NAME_CHARS:
-            self.pos += 1
-        if self.pos == start:
+        tok = self.toks[self.i]
+        if _NAME.match(tok) is None:
             raise self.error("expected a name")
-        return self.text[start:self.pos]
+        self.i += 1
+        return tok
+
+    def var_names(self) -> set:
+        """The names the text reads as variables: each name token not
+        followed by "(" that spells a variable."""
+        toks = self.toks
+        return {tok for tok, nxt in zip(toks, toks[1:])
+                if nxt != "(" and _is_var_name(tok) and _NAME.match(tok)}
 
 
-def parse_term_at(cur: _Cursor) -> Term:
-    t = _primary(cur)
-    cur.skip_ws()
-    if cur.peek() == "^":
+def parse_term_at(toks: _Tokens) -> Term:
+    """The term that starts at the next token; toks is left after it."""
+    t = _primary(toks)
+    if toks.peek() == "^":
         if not isinstance(t, Var):
-            raise cur.error("lambda parameter must be a variable")
-        cur.eat("^")
-        return Lam(t, parse_term_at(cur))
+            raise toks.error("lambda parameter must be a variable")
+        toks.take()
+        return Lam(t, parse_term_at(toks))
     return t
 
 
-def _primary(cur: _Cursor) -> Term:
-    cur.skip_ws()
-    if cur.peek() == "(":
-        cur.eat("(")
-        t = parse_term_at(cur)
-        cur.eat(")")
+def _primary(toks: _Tokens) -> Term:
+    if toks.peek() == "(":
+        toks.take()
+        t = parse_term_at(toks)
+        toks.expect(")")
         return t
-    name = cur.name()
-    cur.skip_ws()
-    if cur.peek() == "(":
-        cur.eat("(")
-        args = [parse_term_at(cur)]
-        cur.skip_ws()
-        while cur.peek() == ",":
-            cur.eat(",")
-            args.append(parse_term_at(cur))
-            cur.skip_ws()
-        cur.eat(")")
-        if name == "up":
-            if len(args) != 1:
-                raise cur.error("up takes exactly one argument")
-            return Up(args[0])
-        return Compound(name, tuple(args))
-    if _is_var_name(name):
-        return Var(name)
-    return Atom(name)
+    name = toks.name()
+    if toks.peek() != "(":
+        return Var(name) if _is_var_name(name) else Atom(name)
+    toks.take()
+    args = [parse_term_at(toks)]
+    while toks.peek() == ",":
+        toks.take()
+        args.append(parse_term_at(toks))
+    toks.expect(")")
+    if name == "up":
+        if len(args) != 1:
+            # The position just past the closing parenthesis.
+            raise toks.error("up takes exactly one argument", toks.starts[toks.i - 1] + 1)
+        return Up(args[0])
+    return Compound(name, tuple(args))
 
 
 def parse_term(text: str) -> Term:
-    cur = _Cursor(text)
-    t = parse_term_at(cur)
-    cur.skip_ws()
-    if cur.pos != len(cur.text):
-        raise cur.error("trailing input")
+    toks = _Tokens(text)
+    t = parse_term_at(toks)
+    if toks.peek():
+        raise toks.error("trailing input")
     return t
 
 
@@ -632,47 +640,32 @@ def format_term(t: Term) -> str:
     return format_pieces([t])
 
 
-def format_pieces(stack: list, renamer: Optional[Renamer] = None) -> str:
+def format_pieces(stack: list) -> str:
     """The printed form of the terms and plain strings on stack, taken from
     its end: format_term(t) is format_pieces([t]).
     Iterative, so any depth prints: the stack takes each compound's
     arguments and the punctuation between them, and every piece is
-    appended to one list.  Variables are named as they are popped, in
-    children order, as a recursive printer would.  stack is consumed."""
+    appended to one list.  Every compound prints as f(a, ...), f() when
+    it has no arguments.  stack is consumed."""
     out: list = []
     pop, push, append = stack.pop, stack.append, out.append
-    name = None if renamer is None else renamer.name
     while stack:
         t = pop()
         kind = type(t)
         if kind is str:
             append(t)
         elif kind is Var:
-            append(t.id if name is None else name(t))
+            append(t.id)
         elif kind is Compound:
-            # Leading variable and atom arguments print at once; the rest
-            # go on the stack, with the punctuation between them.
             append(t.functor)
             append("(")
-            args, i = t.args, 0
-            for a in args:
-                if type(a) is Var:
-                    append(a.id if name is None else name(a))
-                elif type(a) is Atom:
-                    append(a.name)
-                else:
-                    break
-                i += 1
-                if i < len(args):
-                    append(", ")
-            if i == len(args):
-                append(")")
-                continue
             push(")")
-            for j in range(len(args) - 1, i, -1):
+            args = t.args
+            for j in range(len(args) - 1, 0, -1):
                 push(args[j])
                 push(", ")
-            push(args[i])
+            if args:
+                push(args[0])
         elif kind is Atom:
             append(t.name)
         elif kind is Lam:

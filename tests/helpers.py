@@ -4,7 +4,8 @@ entry-by-entry lexicon load they use as an oracle for load_lexicon, and
 seeded PP chains and clause embeddings with their quantifier skeletons,
 record-free copies of terms, a type-tagged oracle for term equality, and
 the node-by-node walks of the readings layer and of free_vars, the
-oracles for the walks that replaced them.
+oracles for the walks that replaced them, and the character-by-character
+term and category reader, the oracle for the token reader.
 
 Each golden names a sentence plus the full-span categories whose first
 derivation it freezes; the rendered text is the pretty printer's output
@@ -15,7 +16,9 @@ import itertools
 import random
 
 from ccgscope.categories import (
+    SORTS,
     Atomic,
+    CatError,
     Slash,
     atomics,
     cat_key,
@@ -29,7 +32,7 @@ from ccgscope.categories import (
 )
 from ccgscope.chart import ROWS, Chart, Item, derivations, parse, pretty
 from ccgscope.cli import tokenize
-from ccgscope.lexicon import LexEntry, UnknownTokenError, _split_top, default_lexicon
+from ccgscope.lexicon import LexEntry, _split_top, default_lexicon
 from ccgscope.readings import (
     Occurrence,
     StructuralError,
@@ -48,8 +51,10 @@ from ccgscope.terms import (
     Atom,
     Compound,
     Lam,
+    TermError,
     Up,
     Var,
+    _is_var_name,
     apply,
     canonicalize,
     children,
@@ -136,11 +141,7 @@ def all_pairs_parse(tokens, lex):
             item.backs.append(back)
 
     for i in range(n):
-        try:
-            matches = lex.lookup(tokens, i)
-        except UnknownTokenError:  # inside a multi-word lexeme
-            continue
-        for entry, k in matches:
+        for entry, k in lex.lookup(tokens, i):
             add((i, i + k), lex.fresh(entry.cat), ("lex", entry.tag))
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
@@ -562,3 +563,152 @@ def oracle_occurrences(t):
         label = det if counts[det] == 1 else f"{det}-{noun}"
         out.append(Occurrence(label, det, noun, path, kind))
     return out
+
+
+# --- the character-by-character reader, the oracle for the token reader ---
+#
+# parse_term and parse_cat as they were before they read tokens: a cursor
+# that skips blanks and scans names a character at a time, and a second
+# walk that gives each atomic written without a term a fresh variable.
+
+_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-?")
+
+
+class _Cursor:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, msg: str) -> TermError:
+        return TermError(f"{msg} at position {self.pos}: {self.text!r}")
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def eat(self, ch: str) -> None:
+        self.skip_ws()
+        if self.peek() != ch:
+            raise self.error(f"expected {ch!r}")
+        self.pos += 1
+
+    def name(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in _NAME_CHARS:
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected a name")
+        return self.text[start:self.pos]
+
+
+def oracle_parse_term_at(cur: _Cursor):
+    t = _oracle_primary(cur)
+    cur.skip_ws()
+    if cur.peek() == "^":
+        if not isinstance(t, Var):
+            raise cur.error("lambda parameter must be a variable")
+        cur.eat("^")
+        return Lam(t, oracle_parse_term_at(cur))
+    return t
+
+
+def _oracle_primary(cur: _Cursor):
+    cur.skip_ws()
+    if cur.peek() == "(":
+        cur.eat("(")
+        t = oracle_parse_term_at(cur)
+        cur.eat(")")
+        return t
+    name = cur.name()
+    cur.skip_ws()
+    if cur.peek() == "(":
+        cur.eat("(")
+        args = [oracle_parse_term_at(cur)]
+        cur.skip_ws()
+        while cur.peek() == ",":
+            cur.eat(",")
+            args.append(oracle_parse_term_at(cur))
+            cur.skip_ws()
+        cur.eat(")")
+        if name == "up":
+            if len(args) != 1:
+                raise cur.error("up takes exactly one argument")
+            return Up(args[0])
+        return Compound(name, tuple(args))
+    if _is_var_name(name):
+        return Var(name)
+    return Atom(name)
+
+
+def oracle_parse_term(text: str):
+    cur = _Cursor(text)
+    t = oracle_parse_term_at(cur)
+    cur.skip_ws()
+    if cur.pos != len(cur.text):
+        raise cur.error("trailing input")
+    return t
+
+
+_BLANK = Var("")  # placeholder for atomics written without a term
+
+
+def oracle_parse_cat(text: str):
+    cur = _Cursor(text)
+    try:
+        cat = _oracle_cat(cur)
+    except TermError as e:
+        raise CatError(str(e)) from None
+    cur.skip_ws()
+    if cur.pos != len(cur.text):
+        raise CatError(f"trailing input at position {cur.pos}: {text!r}")
+    return _oracle_fill_blanks(cat)
+
+
+def _oracle_cat(cur: _Cursor):
+    left = _oracle_part(cur)
+    while True:
+        cur.skip_ws()
+        ch = cur.peek()
+        if ch in ("/", "\\"):
+            cur.pos += 1
+            right = _oracle_part(cur)
+            left = Slash(ch, left, right)
+        else:
+            return left
+
+
+def _oracle_part(cur: _Cursor):
+    cur.skip_ws()
+    if cur.peek() == "(":
+        cur.pos += 1
+        inner = _oracle_cat(cur)
+        cur.skip_ws()
+        if cur.peek() != ")":
+            raise CatError(f"expected ')' at position {cur.pos}: {cur.text!r}")
+        cur.pos += 1
+        cur.skip_ws()
+        if cur.peek() == ":":
+            raise CatError(
+                f"':' may only annotate an atomic category, at position {cur.pos}: {cur.text!r}"
+            )
+        return inner
+    start = cur.pos
+    sort = cur.name()
+    if sort not in SORTS:
+        raise CatError(f"unknown sort {sort!r} at position {start}: {cur.text!r}")
+    cur.skip_ws()
+    if cur.peek() == ":":
+        cur.pos += 1
+        sem = oracle_parse_term_at(cur)
+        return Atomic(sort, sem)
+    return Atomic(sort, _BLANK)
+
+
+def _oracle_fill_blanks(cat):
+    used = {v.id for v in cat_vars(cat)}
+    fresh = (Var(f"V{n}") for n in itertools.count(1) if f"V{n}" not in used)
+    return map_sems(cat, lambda sem: next(fresh) if sem is _BLANK else sem)

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from ccgscope.baseline import compare, factorial_count, nesting_order
-from ccgscope.categories import Atomic, Slash, cat_key, parse_cat
+from ccgscope.categories import Atomic, Slash, cat_key, cat_shape, parse_cat
 from ccgscope.chart import count_derivations, derivations, parse, replay
-from ccgscope.cli import _corpus_entry, _shape, _skeleton_table, read_data, tokenize
+from ccgscope.cli import _corpus_entry, _skeleton_table, read_data, tokenize
 from ccgscope.lexicon import default_lexicon
 from ccgscope.readings import normalize, outscopes, readings, scope_profile
 from ccgscope.terms import (
@@ -96,11 +96,11 @@ def test_criterion_2_scope_order_exclusions(lex):
 
 
 def test_criterion_3_conjoinable_constituents(lex):
-    transitive = _shape(parse_cat(r"(s\np)/np"))
+    transitive = cat_shape(parse_cat(r"(s\np)/np"))
     bad = parse(tokenize("of three companies touched"), lex)
-    assert not [it for it in bad.full_span() if _shape(it.cat) == transitive]
+    assert not [it for it in bad.full_span() if it.shape == transitive]
     good = parse(tokenize("investigate two dialects of"), lex)
-    hits = [it for it in good.full_span() if _shape(it.cat) == transitive]
+    hits = [it for it in good.full_span() if it.shape == transitive]
     assert hits
     for it in hits:
         core = it.cat

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from ccgscope import chart
-from ccgscope.categories import cat_text
+from ccgscope.categories import cat_key, cat_text, parse_cat
 from ccgscope.cli import _data_text, main, tokenize
-from ccgscope.lexicon import default_lexicon
+from ccgscope.lexicon import default_lexicon, load_lexicon
 from ccgscope.readings import readings
 from ccgscope.terms import canonicalize, parse_term
 
@@ -314,23 +315,42 @@ def test_parse_lists_full_span_items_in_printed_order(capsys):
     assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
 
 
+ATOM_LIKE_A_VARIABLE_LEXICON = ("a :: s:p(s-e(Y))/n:Y\n"
+                                "a :: s:p(s-e(X^v1(X)))/n:Z\n"
+                                "girl :: n:X^girl(X)\n")
+
+
 def test_an_atom_spelled_like_a_canonical_variable_is_not_a_variable(tmp_path, capsys):
-    # The second entry's chart form holds the atom v1 (s-e(X^v1(X)) is
-    # eta-reduced to s-e(v1)) where the first holds the variable Y, and
-    # both print s:p(s-e(v1))/n:v1.  They are not variants, so the chart
-    # keeps two lexical items of "a", and "a girl" two full-span items and
-    # two readings.
+    # The second entry holds s-e(X^v1(X)), which stays as it is in chart
+    # form: eta-reduced, it would hold an atom v1 that prints as the first
+    # canonical variable does.  The first entry holds the variable Y.  They
+    # are not variants, so the chart keeps two lexical items of "a", and
+    # "a girl" two full-span items, printed apart, and two readings.
     path = tmp_path / "user.lex"
-    path.write_text("a :: s:p(s-e(Y))/n:Y\n"
-                    "a :: s:p(s-e(X^v1(X)))/n:Z\n"
-                    "girl :: n:X^girl(X)\n")
+    path.write_text(ATOM_LIKE_A_VARIABLE_LEXICON)
     code, out, _ = run(capsys, "--lexicon", str(path), "parse", "a girl")
     assert (code, out) == (0, "a girl\n"
                               "  s:p(s-e(girl))  [1 derivations]\n"
-                              "  s:p(s-e(v1))  [1 derivations]\n")
+                              "  s:p(s-e(v1^v1(v1)))  [1 derivations]\n")
     code, out, _ = run(capsys, "--lexicon", str(path), "--json", "readings", "a girl")
     assert code == 0
     assert len(json.loads(out)["readings"]) == 2
+
+
+@pytest.mark.parametrize("sentence", ["a", "a girl"])
+def test_printed_categories_read_back_to_their_items(tmp_path, capsys, sentence):
+    # Each --json parse cat string reads back to a category with its
+    # item's key, so no two items print alike.
+    path = tmp_path / "user.lex"
+    path.write_text(ATOM_LIKE_A_VARIABLE_LEXICON)
+    code, out, _ = run(capsys, "--lexicon", str(path), "--json", "parse", sentence)
+    assert code == 0
+    texts = [item["cat"] for item in json.loads(out)["items"]]
+    lex = load_lexicon(ATOM_LIKE_A_VARIABLE_LEXICON)
+    items = chart.parse(tokenize(sentence), lex).full_span()
+    assert len(texts) == len(items) == 2
+    assert Counter(cat_key(parse_cat(text)) for text in texts) \
+        == Counter(cat_key(it.cat) for it in items)
 
 
 def test_derive_respects_display_cap(capsys):

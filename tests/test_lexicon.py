@@ -133,8 +133,8 @@ def test_comma_lookup_covers_coordinator_and_bare_comma():
 
 def test_unknown_token():
     lex = default_lexicon()
-    with pytest.raises(UnknownTokenError):
-        lex.lookup(("zebra",), 0)
+    assert lex.lookup(("zebra",), 0) == []
+    assert isinstance(lex.unknown_token(("zebra",), 0), UnknownTokenError)
 
 
 def test_duplicate_entry_warns_and_keeps_first():

@@ -27,7 +27,10 @@ from ccgscope.terms import (
     with_children,
 )
 
-from helpers import tagged, unrecorded
+from ccgscope.categories import parse_cat
+from ccgscope.cli import _data_text
+from ccgscope.lexicon import _split_top
+from helpers import oracle_parse_cat, oracle_parse_term, tagged, unrecorded
 
 
 def t(text):
@@ -386,6 +389,9 @@ def test_eta_reduce_sets():
     assert eta_reduce_sets(kept) == kept
     nested = t("f(s-all(W^example(W)), b)")
     assert eta_reduce_sets(nested) == t("f(s-all(example), b)")
+    # An atom v1 or F would print as a variable does, so these stay.
+    for kept in ["s-e(X^v1(X))", "s-e(X^F(X))"]:
+        assert eta_reduce_sets(t(kept)) == t(kept)
 
 
 def test_eta_reduce_sets_left_nests_and():
@@ -608,3 +614,86 @@ def test_parse_errors():
     for bad in ["f(", "f(a,)", "f(a) b", "", "^x", "f(a)^x", "up(a, b)"]:
         with pytest.raises(TermError):
             parse_term(bad)
+
+
+def test_format_prints_a_compound_without_arguments_with_parentheses():
+    assert format_term(Compound("f", ())) == "f()"
+    assert format_term(Compound("g", (Compound("f", ()), Var("X")))) == "g(f(), X)"
+
+
+def _bundled_texts():
+    """The categories of the bundled lexicon's :: and @tset lines, and the
+    skeletons of the bundled skeleton file."""
+    cats = []
+    for raw in _data_text("fragment.lex").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("@tset"):
+            cats.extend(_split_top(line[len("@tset"):].strip()))
+        elif "::" in line:
+            cats.append(line.split("::", 1)[1].strip())
+    skeletons = [line.split("\t", 1)[1].strip()
+                 for line in _data_text("corpus.skel").splitlines()
+                 if "\t" in line and not line.startswith("#")]
+    return cats, skeletons
+
+
+_MUTATION_CHARS = "()^,:/\\ \t\nXYZVv1a_-?!\u00e9snp"
+
+
+def _mutated(rng, text):
+    """text with one to three random edits: a character inserted, deleted
+    or replaced, or a slice of the text copied in."""
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.randrange(4)
+        if edit == 0:
+            text = text[:i] + rng.choice(_MUTATION_CHARS) + text[i:]
+        elif edit == 1:
+            text = text[:i] + text[i + 1:]
+        elif edit == 2:
+            text = text[:i] + rng.choice(_MUTATION_CHARS) + text[i + 1:]
+        else:
+            j = rng.randrange(len(text) + 1)
+            text = text[:i] + text[min(i, j):max(i, j)] + text[i:]
+    return text
+
+
+def _outcome(read, text):
+    try:
+        got = read(text)
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+    return ("read", got, repr(got))
+
+
+def test_token_reader_agrees_with_the_character_reader():
+    # The bundled categories and skeletons, 3,000 printed random terms,
+    # and 20 mutations of each: equal results, or the same error.
+    rng = random.Random(20261019)
+    cats, skeletons = _bundled_texts()
+    terms_text = skeletons + [format_term(rand_scoped(rng, 5)) for _ in range(3000)]
+    checked = {"read": 0, "error": 0}
+    for texts, read, oracle in ((terms_text, parse_term, oracle_parse_term),
+                                (cats, parse_cat, oracle_parse_cat)):
+        for text in texts:
+            for case in [text] + [_mutated(rng, text) for _ in range(20)]:
+                got, want = _outcome(read, case), _outcome(oracle, case)
+                assert got == want, case
+                checked[got[0]] += 1
+    assert len(cats) > 80 and len(skeletons) > 5
+    assert min(checked.values()) > 10000
+
+
+def test_category_reader_reads_as_deep_as_the_character_reader():
+    def deepest(read):
+        lo, hi = 1, 5000
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            try:
+                read("s:" + "f(" * mid + "X" + ")" * mid + "/s:X")
+                lo = mid
+            except RecursionError:
+                hi = mid - 1
+        return lo
+
+    assert deepest(parse_cat) >= deepest(oracle_parse_cat) > 100
