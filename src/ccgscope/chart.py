@@ -53,7 +53,9 @@ succeeds only where unify_cat unifies ask(left) with offer(right), and
 unify_cat fails on any two categories whose shapes differ; its result is
 subst_cat of build(left, right), and subst_cat keeps shapes.  So every
 rule success on two items is the same row's result on their shapes, and
-every item of a full-span derivation has a marked (span, shape).  Every
+every item of a full-span derivation has a marked (span, shape).  So too
+an item's shape is its edge's result shape, and parse hands it to the
+item (Item.shape) instead of walking the category again.  Every
 item some full-span item reaches is built, with all its backpointers in
 the same order as the all-pairs closure would give them, so readings,
 derivations and their order do not change.  Charts larger than
@@ -94,7 +96,6 @@ from .categories import (
     Category,
     Slash,
     cat_key,
-    cat_shape,
     cat_text,
     standardize_apart,
     subst_cat,
@@ -125,14 +126,15 @@ class ResourceError(Exception):
 
 @dataclass
 class Item:
+    """A chart constituent.  shape is cat_shape(cat), handed in by parse:
+    a lexical item's is its entry's shape, and a rule result's is the
+    result shape of the edge that builds it, which by the pruning
+    argument above is the shape of the result category."""
     id: int
     span: Tuple[int, int]
     cat: Category
+    shape: Union[str, Slash] = field(repr=False, compare=False)
     backs: List[tuple] = field(default_factory=list)
-    shape: Union[str, Slash] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.shape = cat_shape(self.cat)
 
 
 def passes_through(x) -> bool:
@@ -292,7 +294,8 @@ def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[set, dict
     full-span shape (of any shape: every full-span item is output), or
     every one when no shape spans the input.  Returns the marked (span,
     shape) pairs and, per (i, j, k), the edges into marked shapes of (i, j)
-    as {left shape: {right shape: labels}}.
+    as {left shape: {right shape: {label: result shape}}}.  A label names
+    at most one row that matches a pair of shapes, so it has one result.
     """
     inside: Dict[Tuple[int, int], dict] = {
         span: dict.fromkeys(shapes, ()) for span, shapes in lexical.items()}
@@ -337,7 +340,7 @@ def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[set, dict
                     live.add(((i, k), left))
                     live.add(((k, span[1]), right))
                     edges.setdefault((i, span[1], k), {}).setdefault(left, {}) \
-                        .setdefault(right, set()).add(label)
+                        .setdefault(right, {})[label] = shape
     return live, edges
 
 
@@ -358,7 +361,8 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     """Close the chart over the four rules; every token must be covered.
 
     Only the constituents whose (span, shape) _live_edges marks are
-    built, from the edges it keeps."""
+    built, from the edges it keeps, and each takes its shape from there:
+    a lexical item its entry's, a rule result its edge's result shape."""
     tokens = tuple(tokens)
     if len(tokens) > MAX_TOKENS:
         raise ResourceError(
@@ -370,7 +374,7 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     # Per span, each category keyed there so far, mapped to its item.
     known: Dict[Tuple[int, int], Dict[Category, Item]] = {}
 
-    def add(span, cat, back):
+    def add(span, cat, shape, back):
         seen = known.get(span)
         if seen is None:
             seen = known[span] = {}
@@ -383,7 +387,7 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
                 if len(chart.items) >= MAX_ITEMS:
                     raise ResourceError(
                         f"chart exceeds the {MAX_ITEMS}-item work budget")
-                item = cell[key] = Item(len(chart.items) + 1, span, cat)
+                item = cell[key] = Item(len(chart.items) + 1, span, cat, shape)
                 chart.items[item.id] = item
             seen[cat] = item
         if back not in item.backs:
@@ -405,7 +409,7 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     live, edges = _live_edges(n, shapes)
     for span, entry in lexical:
         if (span, entry.shape) in live:
-            add(span, lexicon.fresh(entry.chart_cat), ("lex", entry.tag))
+            add(span, lexicon.fresh(entry.chart_cat), entry.shape, ("lex", entry.tag))
 
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
@@ -421,13 +425,14 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
                     if not want:
                         continue
                     for rit in chart.cells.get((k, j), {}).values():
-                        labels = want.get(rit.shape)
-                        if labels:
+                        results = want.get(rit.shape)
+                        if results:
                             for label, rule in RULES:
-                                if label in labels:
+                                shape = results.get(label)
+                                if shape is not None:
                                     out = rule(lit.cat, rit.cat)
                                     if out is not None:
-                                        add((i, j), out, (label, lit.id, rit.id))
+                                        add((i, j), out, shape, (label, lit.id, rit.id))
     return chart
 
 

@@ -11,9 +11,11 @@ declared type set: a plain set-denoting entry np:num(s-sym(N), sg|pl)/n:N,
 a pair of narrow-scope raised entries per type T (forward and backward),
 and a pair of wide-scope quantifier entries per type T whose final result
 is s.  Expansion happens after the whole file is read, against the last
-@tset.  The num(...) wrapper on every determiner-built np carries the
-determiner's grammatical number; verb subject slots that require a number
-state it there, so mismatches fail in unification.
+@tset.  The q-sym must be ``q-`` followed by a name, and the s-sym ``s-``
+followed by one (a name: letters, digits, ``_``, ``?`` and ``-``).  The
+num(...) wrapper on every determiner-built np carries the determiner's
+grammatical number; verb subject slots that require a number state it
+there, so mismatches fail in unification.
 
 A category written in a ``::`` line or an ``@tset`` line must not hold a
 quantifier q-<det>(V, R, B) whose variable slot V is a non-variable: such
@@ -78,7 +80,19 @@ from .categories import (
     standardize_apart,
     subst_cat,
 )
-from .terms import Atom, Compound, Lam, Term, TermError, Var, format_term, unbound_quantifier
+from .terms import (
+    _NAME,
+    QUANT_PREFIX,
+    SET_PREFIX,
+    Atom,
+    Compound,
+    Lam,
+    Term,
+    TermError,
+    Var,
+    format_term,
+    unbound_quantifier,
+)
 
 
 class LexiconError(Exception):
@@ -173,9 +187,14 @@ def instantiate_raised(lexeme: Tuple[str, ...], num: str, qsym: str, ssym: str,
     A type that is a variant of an earlier one adds nothing, and no two
     entries are variants (module docstring).  Every np the determiner
     builds carries num(sem, sg|pl) so verbs can state subject agreement.
+    The q-symbol must be q- and a name, the s-symbol s- and a name, so
+    that the wide entries quantify and every printed form reads back.
     """
     if num not in ("sg", "pl"):
         raise LexiconError(f"number must be sg or pl, not {num!r}")
+    for kind, prefix, sym in (("q", QUANT_PREFIX, qsym), ("s", SET_PREFIX, ssym)):
+        if not (sym.startswith(prefix) and _NAME.fullmatch(sym, len(prefix))):
+            raise LexiconError(f"{kind}-symbol must be {prefix} and a name, not {sym!r}")
     tag = " ".join(lexeme)
     number = Atom(num)
 

@@ -29,15 +29,14 @@ outermost, except when a bound variable sits between two promoted
 argument positions (then the order flips, keeping the binder adjacent
 to the position it licenses).
 
-What one full-span form costs: the filter (_intensional_violation) scans
-it for up(.) and walks it with ancestor chains only when it holds one;
-normalize walks it once with ancestor chains (_walk, in _assign_sites,
-which also refuses a quantifier over a non-variable), takes the free
-variables of a set form's restriction only when some quantifier above
-one of its occurrences binds a variable, rebuilds only the ancestors of
-the promoted occurrences, substitutes into each restriction past the
-recorded subterms that lack its parameter, takes the free variables of
-the result when something was promoted, and ends in one canonicalize.
+What one full-span form costs: the filter (_intensional_violation) walks
+it once with ancestor chains (_walk); normalize walks it once more
+(_walk, in _assign_sites, which also refuses a quantifier over a
+non-variable), takes the free variables of each group of equal set
+forms' restriction, rebuilds only the ancestors of the promoted
+occurrences, substitutes into each restriction past the recorded
+subterms that lack its parameter, takes the free variables of the
+result when something was promoted, and ends in one canonicalize.
 """
 
 from __future__ import annotations
@@ -240,12 +239,8 @@ def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var], Dict[tuple, t
         paths = [p for p in paths if alive(p)]
         if not paths:
             continue
-        # The restriction's free variables matter only where some binder
-        # is visible.
-        bound_free = {p: _visible(chains[p]) for p in paths}
-        if any(bound_free.values()):
-            fv = free_vars(node.args[0])
-            bound_free = {p: visible.intersection(fv) for p, visible in bound_free.items()}
+        fv = free_vars(node.args[0])
+        bound_free = {p: _visible(chains[p]).intersection(fv) for p in paths}
 
         if any(bound_free.values()):
             for p in paths:
@@ -365,34 +360,14 @@ def normalize(t: Term) -> Term:
 
 # --- filters ----------------------------------------------------------------
 
-def _holds_up(t: Term) -> bool:
-    """Does t hold an up(.) node?  A plain stack scan, with no path, chain
-    or generator step per node: most forms hold none, and the filter's
-    chain walk costs several times more."""
-    stack = [t]
-    pop, extend = stack.pop, stack.extend
-    while stack:
-        node = pop()
-        kind = type(node)
-        if kind is Compound:
-            extend(node.args)
-        elif kind is Up:
-            return True
-        elif kind is Lam:
-            stack.append(node.body)
-    return False
-
-
 def _intensional_violation(t: Term) -> bool:
     """A quantifier binding into an up(.) argument it cannot scope over.
 
     Binding into an intensional argument is tolerated only when the
     binder sits immediately on a coordination of such arguments and no
-    other quantifier intervenes above the up(.).  A form without up(.) is
-    answered by a scan that builds no path.
+    other quantifier intervenes above the up(.).  Every form is walked
+    once with ancestor chains (_walk), as normalize walks it.
     """
-    if not _holds_up(t):
-        return False
     for _, node, chain in _walk(t):
         if type(node) is not Up:
             continue

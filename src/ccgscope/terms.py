@@ -310,17 +310,13 @@ class Renamer:
     def rename(self, t: Term) -> Term:
         """t with every variable renamed; a new term, atoms shared.
 
-        Iterative, so any depth renames: an inner node goes back on the
-        stack under a _REBUILD mark and its children, last first, so the
-        children pop, and their variables are named, in children order.
-        Each finished subterm goes on out; the mark pops once the node's
-        children are all there, and the node is rebuilt over them."""
+        Iterative, so any depth renames: a compound, lambda or up(.) goes
+        back on the stack under a _REBUILD mark and its children, last
+        first, so the children pop, and their variables are named, in
+        children order.  Each finished subterm goes on out; the mark pops
+        once the node's children are all there, and the node is rebuilt
+        over them."""
         vars, fresh = self.vars, self.fresh
-        if type(t) is Var:
-            new = vars.get(t.id)
-            if new is None:
-                new = vars[t.id] = Var(fresh(t.id))
-            return new
         out: list = []
         stack = [t]
         pop, push, emit = stack.pop, stack.append, out.append
@@ -348,30 +344,9 @@ class Renamer:
                 else:
                     out[-1] = Up(out[-1])
             elif kind is Compound:
-                # Leading variable and atom arguments are renamed at once;
-                # a compound of leaves is rebuilt at once.
-                args, i = t.args, 0
-                for a in args:
-                    if type(a) is Var:
-                        new = vars.get(a.id)
-                        if new is None:
-                            new = vars[a.id] = Var(fresh(a.id))
-                        emit(new)
-                    elif type(a) is Atom:
-                        emit(a)
-                    else:
-                        break
-                    i += 1
-                n = len(args)
-                if i == n:
-                    args = tuple(out[len(out) - n:])
-                    del out[len(out) - n:]
-                    emit(Compound(t.functor, args))
-                    continue
                 push(t)
                 push(_REBUILD)
-                for j in range(n - 1, i - 1, -1):
-                    push(args[j])
+                stack.extend(reversed(t.args))
             elif kind is Lam:
                 push(t)
                 push(_REBUILD)
@@ -503,14 +478,9 @@ def apply_reduced(s: Subst, t: Term) -> Term:
 
 def _recorded(t: Term) -> Term:
     # t is canonical and its children are recorded or variables: write
-    # the union of their records as t's.  A single child that is not a
-    # variable lends t its own record.
-    kids = t.args if type(t) is Compound else children(t)
-    if len(kids) == 1 and type(kids[0]) is not Var:
-        t.varset = kids[0].varset
-        return t
+    # the union of their records, a variable's being itself, as t's.
     varset = set()
-    for k in kids:
+    for k in (t.args if type(t) is Compound else children(t)):
         if type(k) is Var:
             varset.add(k)
         else:

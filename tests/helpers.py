@@ -4,8 +4,9 @@ entry-by-entry lexicon load they use as an oracle for load_lexicon, and
 seeded PP chains and clause embeddings with their quantifier skeletons,
 record-free copies of terms, a type-tagged oracle for term equality, and
 the node-by-node walks of the readings layer and of free_vars, the
-oracles for the walks that replaced them, and the character-by-character
-term and category reader, the oracle for the token reader.
+oracles for the walks that replaced them, the character-by-character
+term and category reader, the oracle for the token reader, and the
+renamer with its special cases, the oracle for Renamer.rename.
 
 Each golden names a sentence plus the full-span categories whose first
 derivation it freezes; the rendered text is the pretty printer's output
@@ -22,6 +23,7 @@ from ccgscope.categories import (
     Slash,
     atomics,
     cat_key,
+    cat_shape,
     cat_text,
     cat_vars,
     map_sems,
@@ -51,6 +53,7 @@ from ccgscope.terms import (
     Atom,
     Compound,
     Lam,
+    Renamer,
     TermError,
     Up,
     Var,
@@ -134,7 +137,7 @@ def all_pairs_parse(tokens, lex):
         key = cat_key(cat)
         item = cell.get(key)
         if item is None:
-            item = Item(len(chart.items) + 1, span, cat, [back])
+            item = Item(len(chart.items) + 1, span, cat, cat_shape(cat), [back])
             chart.items[item.id] = item
             cell[key] = item
         elif back not in item.backs:
@@ -168,7 +171,7 @@ def well_formed_part(chart):
     for i, it in items.items():
         backs = [back for back in it.backs
                  if back[0] == "lex" or (back[1] in items and back[2] in items)]
-        part.items[i] = Item(i, it.span, it.cat, backs)
+        part.items[i] = Item(i, it.span, it.cat, it.shape, backs)
         part.cells.setdefault(it.span, {})[cat_key(it.cat)] = part.items[i]
     return part
 
@@ -712,3 +715,86 @@ def _oracle_fill_blanks(cat):
     used = {v.id for v in cat_vars(cat)}
     fresh = (Var(f"V{n}") for n in itertools.count(1) if f"V{n}" not in used)
     return map_sems(cat, lambda sem: next(fresh) if sem is _BLANK else sem)
+
+
+# --- the renamer with its special cases, the oracle for Renamer.rename ----
+#
+# Renamer.rename as it was before it renamed every term one way: a bare
+# variable is renamed at once, and a compound's leading variable and atom
+# arguments are renamed before it goes on the stack (a compound of leaves
+# is rebuilt at once).
+
+_REBUILD = object()
+
+
+class OracleRenamer(Renamer):
+    def rename(self, t):
+        vars, fresh = self.vars, self.fresh
+        if type(t) is Var:
+            new = vars.get(t.id)
+            if new is None:
+                new = vars[t.id] = Var(fresh(t.id))
+            return new
+        out: list = []
+        stack = [t]
+        pop, push, emit = stack.pop, stack.append, out.append
+        while stack:
+            t = pop()
+            kind = type(t)
+            if kind is Var:
+                new = vars.get(t.id)
+                if new is None:
+                    new = vars[t.id] = Var(fresh(t.id))
+                emit(new)
+            elif kind is Atom:
+                emit(t)
+            elif t is _REBUILD:
+                t = pop()
+                kind = type(t)
+                if kind is Compound:
+                    n = len(t.args)
+                    args = tuple(out[len(out) - n:])
+                    del out[len(out) - n:]
+                    emit(Compound(t.functor, args))
+                elif kind is Lam:
+                    body = out.pop()
+                    out[-1] = Lam(out[-1], body)
+                else:
+                    out[-1] = Up(out[-1])
+            elif kind is Compound:
+                # Leading variable and atom arguments are renamed at once;
+                # a compound of leaves is rebuilt at once.
+                args, i = t.args, 0
+                for a in args:
+                    if type(a) is Var:
+                        new = vars.get(a.id)
+                        if new is None:
+                            new = vars[a.id] = Var(fresh(a.id))
+                        emit(new)
+                    elif type(a) is Atom:
+                        emit(a)
+                    else:
+                        break
+                    i += 1
+                n = len(args)
+                if i == n:
+                    args = tuple(out[len(out) - n:])
+                    del out[len(out) - n:]
+                    emit(Compound(t.functor, args))
+                    continue
+                push(t)
+                push(_REBUILD)
+                for j in range(n - 1, i - 1, -1):
+                    push(args[j])
+            elif kind is Lam:
+                push(t)
+                push(_REBUILD)
+                push(t.body)
+                push(t.param)
+            elif kind is Up:
+                push(t)
+                push(_REBUILD)
+                push(t.body)
+            else:
+                raise TermError(f"not a term: {t!r}")
+        return out[0]

@@ -7,6 +7,7 @@ from ccgscope.categories import (
     atomics,
     canonical_cat,
     cat_key,
+    cat_shape,
     cat_text,
     format_cat,
     map_sems,
@@ -537,6 +538,21 @@ def test_rule_results_do_not_depend_on_records(lex, monkeypatch):
 # --- cell keys ----------------------------------------------------------------
 
 KEYING_CASES = RECORD_CASES + [coordination_sentence(k) for k in (1, 2, 3)]
+
+
+def test_an_items_shape_is_its_categorys_shape(chart_of):
+    # parse hands each item its shape from the shape pass: a lexical
+    # entry's, or the result shape of the edge that builds it.  The
+    # corpus's UNGRAMMATICAL fragment has no full-span shape, so there the
+    # pass marks every (span, shape).
+    assert "of three companies touched" in KEYING_CASES
+    assert not chart_of("of three companies touched").full_span()
+    checked = 0
+    for sentence in KEYING_CASES:
+        for item in chart_of(sentence).items.values():
+            assert item.shape == cat_shape(item.cat), (sentence, item.id)
+            checked += 1
+    assert checked > 8000, checked
 
 
 def keying_tallies(sentences, lex, monkeypatch):

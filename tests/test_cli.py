@@ -94,6 +94,27 @@ def test_ill_formed_entry_is_a_lexicon_error(tmp_path, capsys):
     assert err == "lexicon error: line 1: quantifier q-every binds the non-variable j\n"
 
 
+RAISE_HEAD = "@tset s\\np, (s\\np)/np\ngirl :: n:X^girl(X)\nsmiled :: s:smiled(X)\\np:num(X, sg)\n"
+
+
+@pytest.mark.parametrize("symbols, err", [
+    ("qevery severy", "q-symbol must be q- and a name, not 'qevery'"),
+    ("q-every s-e!v", "s-symbol must be s- and a name, not 's-e!v'")])
+def test_raise_symbols_are_prefixed_names(tmp_path, capsys, symbols, err):
+    # Unchecked, the first reads "every girl smiled" as
+    # smiled(severy(v1^girl(v1))), with no quantifier, and the second
+    # prints the lf q-e!v(v1, girl(v1), smiled(v1)), which does not read
+    # back.
+    path = tmp_path / "user.lex"
+    path.write_text(RAISE_HEAD + f"@raise every sg {symbols}\n")
+    code, out, errtext = run(capsys, "--lexicon", str(path), "readings", "every girl smiled")
+    assert (code, out, errtext) == (2, "", f"lexicon error: line 4: {err}\n")
+    path.write_text(RAISE_HEAD + "@raise every sg q-every s-every\n")
+    code, out, _ = run(capsys, "--lexicon", str(path), "readings", "every girl smiled")
+    assert (code, out) == (0, "1 readings of: every girl smiled\n"
+                              "  x1  q-every(v1, girl(v1), smiled(v1))\n")
+
+
 @pytest.mark.parametrize("text, code, err", [
     ("x :: s:ok\nx :: s:ok\n", 0,
      "warning: line 2: duplicate lexicon entry for 'x' dropped: s:ok\n"),

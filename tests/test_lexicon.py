@@ -49,6 +49,22 @@ def test_wide_backward_over_raised_subject_type():
     assert wide_bwd == got[-1]
 
 
+@pytest.mark.parametrize("qsym, ssym, bad", [
+    ("qevery", "s-every", "q-symbol"), ("q-", "s-every", "q-symbol"),
+    ("s-every", "s-every", "q-symbol"), ("q-e(v)", "s-every", "q-symbol"),
+    ("q-every", "severy", "s-symbol"), ("q-every", "s-", "s-symbol"),
+    ("q-every", "s-e!v", "s-symbol"), ("q-every", "S-every", "s-symbol")])
+def test_raise_refuses_a_symbol_that_is_not_its_prefix_and_a_name(qsym, ssym, bad):
+    with pytest.raises(LexiconError, match=f"^{bad} must be "):
+        instantiate_raised(("every",), "sg", qsym, ssym, TypeSet([parse_cat(r"s\np")]))
+
+
+def test_raise_takes_any_name_after_the_prefix():
+    for qsym, ssym in (("q-more-than-two", "s-more-than-two"), ("q-a_1?", "s-b")):
+        assert len(instantiate_raised(("x",), "pl", qsym, ssym,
+                                      TypeSet([parse_cat(r"s\np")]))) == 5
+
+
 def test_no_wide_entries_for_noun_modifier_type():
     got = keys(instantiate_raised(("three",), "pl", "q-three", "s-three",
                                   TypeSet([parse_cat(r"n\n")])))

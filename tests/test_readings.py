@@ -341,6 +341,24 @@ def test_the_readings_layer_agrees_with_its_node_by_node_oracles(chart_of):
     assert tallies["set forms"] > 1000, tallies
 
 
+READ_BACK_CASES = [" ".join(tokens) for _, tokens in corpus_sentences()] \
+    + [pp_chain(depth, seed)[0] for depth in range(1, 6) for seed in (1, 2, 3)] \
+    + [embedding(depth, seed)[0] for depth in range(1, 4) for seed in (1, 2, 3)] \
+    + [coordination_sentence(k) for k in (1, 2, 3)]
+
+
+def test_every_printed_reading_reads_back_to_its_term(chart_of):
+    # What the JSON lf promises: the printed reading, read back and
+    # canonicalized, is the reading.
+    read = 0
+    for sentence in READ_BACK_CASES:
+        for r in readings_from_chart(chart_of(sentence)):
+            text = format_term(r.term)
+            assert canonicalize(parse_term(text)) == r.term, (sentence, text)
+            read += 1
+    assert read > 500, read
+
+
 def test_normalize_agrees_with_its_oracle_on_random_scoped_terms():
     # Quantifiers, set forms, lambdas and up(.) in every arrangement,
     # ill-formed ones included: equal results, or the same StructuralError.

@@ -9,6 +9,7 @@ from ccgscope.terms import (
     Compound,
     Lam,
     QuantifierSlotError,
+    Renamer,
     TermError,
     Up,
     Var,
@@ -27,10 +28,10 @@ from ccgscope.terms import (
     with_children,
 )
 
-from ccgscope.categories import parse_cat
+from ccgscope.categories import map_sems, parse_cat, standardize_apart
 from ccgscope.cli import _data_text
-from ccgscope.lexicon import _split_top
-from helpers import oracle_parse_cat, oracle_parse_term, tagged, unrecorded
+from ccgscope.lexicon import _split_top, default_lexicon
+from helpers import OracleRenamer, oracle_parse_cat, oracle_parse_term, tagged, unrecorded
 
 
 def t(text):
@@ -363,6 +364,58 @@ def test_canonicalize_idempotent():
         a = rand_term(rng, 4, ["X", "Y", "Z"])
         c = canonicalize(a)
         assert canonicalize(c) == c
+
+
+def node_by_node(t):
+    """t in preorder, each node as its type, its own field and its number
+    of children: equal for two terms exactly when they are the same tree.
+    Iterative, where == and repr recurse, so a term of any depth compares."""
+    own = {Var: lambda n: n.id, Atom: lambda n: n.name, Compound: lambda n: n.functor}
+    return [(type(n), own.get(type(n), lambda n: None)(n), len(children(n)))
+            for n in subterms(t)]
+
+
+def test_renamer_agrees_with_the_renamer_with_special_cases():
+    # OracleRenamer is Renamer.rename as it was with a bare-variable return
+    # and a leading-leaf branch for compounds.  One renamer of each renames
+    # a batch of terms in turn, so names carry over from term to term.
+    rng = random.Random(20261019)
+    renamed = 0
+    for batch in range(600):
+        new, old = Renamer(), OracleRenamer()
+        for _ in range(5):
+            a = (rand_term(rng, 4, ["X", "Y", "Z", "W"]) if batch % 2
+                 else rand_scoped(rng, 4))
+            got, want = new.rename(a), old.rename(a)
+            assert got == want and repr(got) == repr(want), format_term(a)
+            assert tagged(got) == tagged(want)
+            renamed += 1
+        assert new.vars == old.vars
+    assert renamed >= 3000
+
+    deep = Var("X")
+    for i in range(1500):
+        k = i % 4
+        deep = (Compound("f", (Var(f"Y{i % 7}"), Atom("a"), deep)) if k == 0
+                else Compound("g", (deep, Var("X"))) if k == 1
+                else Lam(Var(f"Z{i % 5}"), deep) if k == 2 else Up(deep))
+    new, old = Renamer(), OracleRenamer()
+    got, want = new.rename(deep), old.rename(deep)
+    assert node_by_node(got) == node_by_node(want)
+    assert len(node_by_node(got)) == 3001  # two nodes a level, and X
+    assert format_term(got) == format_term(want)
+    assert new.vars == old.vars
+
+    # One renamer across a category's atomics, with a fresh callable, as
+    # standardize_apart renames each lexical entry; one counter for all.
+    count_new, count_old, count_apart = (itertools.count(1) for _ in range(3))
+    for entry in default_lexicon().entries:
+        new = Renamer(lambda stem: f"{stem}_{next(count_new)}")
+        old = OracleRenamer(lambda stem: f"{stem}_{next(count_old)}")
+        got, want = map_sems(entry.cat, new.rename), map_sems(entry.cat, old.rename)
+        assert got == want and repr(got) == repr(want), entry.tag
+        assert new.vars == old.vars
+        assert standardize_apart(entry.cat, count_apart) == want
 
 
 # --- free variables ---------------------------------------------------------
