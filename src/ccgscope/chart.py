@@ -45,6 +45,22 @@ edges into marked shapes.  When no shape spans the input, everything is
 marked and the chart is the whole all-pairs chart, so a failed parse
 keeps every constituent.
 
+Shape table.  The shape pass runs on ids, small ints that the table
+_TABLE gives each distinct shape on first sight, and the table keeps what
+the pass works out on them: per id, its asks and offers under each row
+of ROWS, as ids; per row and pair of operand ids, the result id; and per
+pair of cells, keyed by the frozensets of their shape ids, the edges
+(result, left, right, label) between them.  So the pass costs one lookup
+per (i, k, j) plus the edges it files, asks and offers are worked out
+once per process instead of once per call of the pass, and the edges of
+a pair of shape sets once: the coord_cluster benchmark's seed-1 pass
+looks up 716 cell pairs, and meets 64 distinct pairs of shape sets.  The
+table is a function of ROWS and shape values alone, never of a lexicon
+or a sentence, so one table serves every lexicon a process loads and
+never goes stale.  parse clears it whole before it starts when it holds
+more than MAX_SHAPE_TABLE entries, so ids never change during a parse;
+they never leave it either (Item.shape is the shape itself).
+
 Why pruning loses nothing: a row reads its operands through slash
 directions, results, arguments and passes_through, which sees sorts and
 slashes only, so its ask, offer and build give on a category's shape
@@ -177,9 +193,9 @@ def _through(x, dir: str):
 # (label, ask, offer, build): ask(left) is the part of the left operand
 # that must match offer(right), the part of the right operand (None: the
 # row does not apply), and build(left, right) is the result before the
-# match is applied.  On shapes a match is equality (_partners); on
-# categories it is unify_cat, and the result is subst_cat of the built
-# category under the unifier (_combine).
+# match is applied.  On shapes a match is equality of ids
+# (_ShapeTable.edges); on categories it is unify_cat, and the result is
+# subst_cat of the built category under the unifier (_combine).
 ROWS = (
     # X/Y + Y -> X
     (">", lambda left: _arg(left, "/"), lambda right: right,
@@ -249,47 +265,98 @@ RULES = (
 )
 
 
-def _asks(shape) -> tuple:
-    """The shape's ask under each row of ROWS, as a left operand."""
-    return tuple(ask(shape) for _, ask, _, _ in ROWS)
+# Entries (shapes, row results and cell pairs) past which parse clears
+# the shape table before it starts; see "Shape table" above.
+MAX_SHAPE_TABLE = 20_000
 
 
-def _offers(shape) -> tuple:
-    """The shape's offer under each row of ROWS, as a right operand."""
-    return tuple(offer(shape) for _, _, offer, _ in ROWS)
+class _ShapeTable:
+    """The shape pass's work on shapes, done once per process.
+
+    ids maps a shape to its id, a small int, and shapes an id to its
+    shape.  parts maps an id to its (asks, offers): per row of ROWS, the
+    id of the part it asks as a left operand and of the part it offers
+    as a right one (None: the row does not apply).  results maps (row,
+    left id, right id) to the id of the row's result.  pairs maps (left
+    ids, right ids), two frozensets, to the edges (result id, left id,
+    right id, label) between a left cell holding those shapes and a
+    right cell holding these.  All of it depends on ROWS and the shapes
+    alone."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.ids: dict = {}
+        self.shapes: list = []
+        self.parts: Dict[int, tuple] = {}
+        self.results: Dict[Tuple[int, int, int], int] = {}
+        self.pairs: Dict[Tuple[frozenset, frozenset], tuple] = {}
+
+    def size(self) -> int:
+        return len(self.shapes) + len(self.results) + len(self.pairs)
+
+    def id(self, shape) -> Optional[int]:
+        """The shape's id, given on first sight; None for None."""
+        if shape is None:
+            return None
+        sid = self.ids.get(shape)
+        if sid is None:
+            sid = self.ids[shape] = len(self.shapes)
+            self.shapes.append(shape)
+        return sid
+
+    def _parts_of(self, sid: int) -> tuple:
+        parts = self.parts.get(sid)
+        if parts is None:
+            shape = self.shapes[sid]
+            parts = self.parts[sid] = (
+                tuple(self.id(ask(shape)) for _, ask, _, _ in ROWS),
+                tuple(self.id(offer(shape)) for _, _, offer, _ in ROWS))
+        return parts
+
+    def _result(self, row: int, left: int, right: int) -> int:
+        key = (row, left, right)
+        out = self.results.get(key)
+        if out is None:
+            build = ROWS[row][3]
+            out = self.results[key] = self.id(build(self.shapes[left], self.shapes[right]))
+        return out
+
+    def edges(self, lefts: frozenset, rights: frozenset) -> tuple:
+        """The edges between cells of the shapes lefts and rights: the
+        right shapes filed, per row, under the part each offers, then
+        each left shape's asks looked up there.  Computed once per pair."""
+        found = self.pairs.get((lefts, rights))
+        if found is not None:
+            return found
+        index: List[dict] = [{} for _ in ROWS]
+        for right in rights:
+            for table, key in zip(index, self._parts_of(right)[1]):
+                if key is not None:
+                    table.setdefault(key, []).append(right)
+        edges = []
+        for left in lefts:
+            for row, (table, key) in enumerate(zip(index, self._parts_of(left)[0])):
+                if key is not None:
+                    for right in table.get(key, ()):
+                        edges.append((self._result(row, left, right), left, right,
+                                      ROWS[row][0]))
+        found = self.pairs[(lefts, rights)] = tuple(edges)
+        return found
 
 
-def _index(shapes, offers: dict) -> List[dict]:
-    """Per row of ROWS, the given right shapes filed under the part each
-    offers.  offers maps a shape to its _offers, and gains the missing."""
-    index: List[dict] = [{} for _ in ROWS]
-    for shape in shapes:
-        keys = offers.get(shape)
-        if keys is None:
-            keys = offers[shape] = _offers(shape)
-        for table, key in zip(index, keys):
-            if key is not None:
-                table.setdefault(key, []).append(shape)
-    return index
-
-
-def _partners(left, asks: tuple, index: List[dict]) -> Iterator[tuple]:
-    """(right shape, label, result shape) for every row under which the
-    left shape, whose _asks are asks, combines with a right shape of the
-    indexed cell."""
-    for table, key, (label, _, _, build) in zip(index, asks, ROWS):
-        if key is not None:
-            for right in table.get(key, ()):
-                yield right, label, build(left, right)
+_TABLE = _ShapeTable()
 
 
 def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[set, dict]:
     """The shape backbone of the chart: which constituents can reach a
-    full-span item.
+    full-span item.  Shapes are shape table ids here.
 
     An inside CKY pass over shapes alone finds every (span, shape) some
     shape derivation builds from the lexical shapes, with the (split, left
-    shape, right shape, label) edges that build it.  An outside pass then
+    shape, right shape, label) edges that build it: per split, the shape
+    table's edges between the two cells' shape sets.  An outside pass then
     marks each (span, shape) that lies on a shape derivation of a
     full-span shape (of any shape: every full-span item is output), or
     every one when no shape spans the input.  Returns the marked (span,
@@ -299,31 +366,23 @@ def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[set, dict
     """
     inside: Dict[Tuple[int, int], dict] = {
         span: dict.fromkeys(shapes, ()) for span, shapes in lexical.items()}
-    indexes: Dict[Tuple[int, int], List[dict]] = {}
-    # Each shape's asks and offers, computed once per call.
-    asks: dict = {}
-    offers: dict = {}
+    # Each cell's shapes, the key of the table's pair memo.
+    sets = {span: frozenset(cell) for span, cell in inside.items()}
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
             cell: dict = {}
             for k in range(i + 1, j):
-                left_cell, right_cell = inside.get((i, k)), inside.get((k, j))
-                if not left_cell or not right_cell:
+                lefts, rights = sets.get((i, k)), sets.get((k, j))
+                if lefts is None or rights is None:
                     continue
-                index = indexes.get((k, j))
-                if index is None:
-                    index = indexes[(k, j)] = _index(right_cell, offers)
-                for left in left_cell:
-                    keys = asks.get(left)
-                    if keys is None:
-                        keys = asks[left] = _asks(left)
-                    for right, label, out in _partners(left, keys, index):
-                        cell.setdefault(out, []).append((k, left, right, label))
+                for out, left, right, label in _TABLE.edges(lefts, rights):
+                    cell.setdefault(out, []).append((k, left, right, label))
             if cell:
                 for shape, edges in inside.get((i, j), {}).items():
                     cell.setdefault(shape, []).extend(edges)
                 inside[(i, j)] = cell
+                sets[(i, j)] = frozenset(cell)
 
     if inside.get((0, n)):
         live = {((0, n), shape) for shape in inside[(0, n)]}
@@ -370,9 +429,13 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     if not tokens:
         raise UnknownTokenError("empty input")
     n = len(tokens)
+    if _TABLE.size() > MAX_SHAPE_TABLE:
+        _TABLE.clear()
     chart = Chart(tokens, {}, {})
     # Per span, each category keyed there so far, mapped to its item.
     known: Dict[Tuple[int, int], Dict[Category, Item]] = {}
+    # Per item id, the shape table id of its shape.
+    shape_ids: List[Optional[int]] = [None]
 
     def add(span, cat, shape, back):
         seen = known.get(span)
@@ -387,8 +450,10 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
                 if len(chart.items) >= MAX_ITEMS:
                     raise ResourceError(
                         f"chart exceeds the {MAX_ITEMS}-item work budget")
-                item = cell[key] = Item(len(chart.items) + 1, span, cat, shape)
+                item = cell[key] = Item(len(chart.items) + 1, span, cat,
+                                        _TABLE.shapes[shape])
                 chart.items[item.id] = item
+                shape_ids.append(shape)
             seen[cat] = item
         if back not in item.backs:
             item.backs.append(back)
@@ -397,19 +462,19 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     lexical = []
     for i in range(n):
         for entry, k in lexicon.lookup(tokens, i):
-            lexical.append(((i, i + k), entry))
+            lexical.append(((i, i + k), entry, _TABLE.id(entry.shape)))
             for p in range(i, i + k):
                 covered[p] = True
     if not all(covered):
         raise lexicon.unknown_token(tokens, covered.index(False))
 
     shapes: Dict[Tuple[int, int], list] = {}
-    for span, entry in lexical:
-        shapes.setdefault(span, []).append(entry.shape)
+    for span, _, shape in lexical:
+        shapes.setdefault(span, []).append(shape)
     live, edges = _live_edges(n, shapes)
-    for span, entry in lexical:
-        if (span, entry.shape) in live:
-            add(span, lexicon.fresh(entry.chart_cat), entry.shape, ("lex", entry.tag))
+    for span, entry, shape in lexical:
+        if (span, shape) in live:
+            add(span, lexicon.fresh(entry.chart_cat), shape, ("lex", entry.tag))
 
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
@@ -421,11 +486,11 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
                 # Both cells hold their items in id order, so backpointers
                 # arrive in the order the all-pairs closure gives them.
                 for lit in chart.cells.get((i, k), {}).values():
-                    want = wanted.get(lit.shape)
+                    want = wanted.get(shape_ids[lit.id])
                     if not want:
                         continue
                     for rit in chart.cells.get((k, j), {}).values():
-                        results = want.get(rit.shape)
+                        results = want.get(shape_ids[rit.id])
                         if results:
                             for label, rule in RULES:
                                 shape = results.get(label)

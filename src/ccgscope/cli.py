@@ -49,7 +49,9 @@ def read_data(name: str, path: Optional[str], row: Callable) -> list:
     Reads the file at path, or the bundled file name when path is None.
     Comments (``#`` to end of line) and blank lines are skipped.  A line
     without a tab, one row rejects or one nested too deeply to parse
-    raises DataFileError naming the file and line number.
+    raises DataFileError naming the file and line number.  A row may
+    parse the line's sentence: an unknown token or a sentence over the
+    token limit is rejected like a malformed line.
     """
     text = _data_text(name) if path is None else _read_file(path)
     out = []
@@ -61,7 +63,8 @@ def read_data(name: str, path: Optional[str], row: Callable) -> list:
             if "\t" not in line:
                 raise DataFileError("expected two tab-separated fields")
             out.append(row(*line.split("\t", 1)))
-        except (DataFileError, TermError, BaselineError, CatError) as exc:
+        except (DataFileError, TermError, BaselineError, CatError, UnknownTokenError,
+                ResourceError, StructuralError) as exc:
             raise DataFileError(f"{path or name}, line {lineno}: {exc}") from exc
         except RecursionError:
             raise DataFileError(f"{path or name}, line {lineno}: nested too deeply") from None
@@ -218,27 +221,26 @@ def _cmd_compare(args, lex, out) -> int:
     return 0
 
 
+def _corpus_row(lex, expect: str, sent: str, shape_text: Optional[str], shape) -> tuple:
+    """(ok, expected, got, shown text) for one corpus entry."""
+    if shape is not None:
+        chart = parse(tokenize(sent), lex)
+        hits = [it for it in chart.full_span() if it.shape == shape]
+        return not hits, "none", f"{len(hits)} items", sent + " ⊣ " + shape_text
+    try:
+        got = str(len(readings(tokenize(sent), lex)))
+    except NoParseError:
+        got = "no parse"
+    return got == expect, expect, got, sent
+
+
 def _cmd_corpus(args, lex, out) -> int:
-    entries = read_data("corpus.txt", args.path, _corpus_entry)
-    if not entries:
+    # Each entry runs as its line is read, so an error names the line.
+    rows = read_data("corpus.txt", args.path,
+                     lambda expect, text: _corpus_row(lex, *_corpus_entry(expect, text)))
+    if not rows:
         raise DataFileError(f"{args.path or 'corpus.txt'}: no corpus entries")
-    failures = 0
-    rows = []
-    for expect, sent, shape_text, shape in entries:
-        if shape is not None:
-            chart = parse(tokenize(sent), lex)
-            hits = [it for it in chart.full_span() if it.shape == shape]
-            ok = not hits
-            rows.append((ok, "none", f"{len(hits)} items", sent + " ⊣ " + shape_text))
-        else:
-            tokens = tokenize(sent)
-            try:
-                got = str(len(readings(tokens, lex)))
-            except NoParseError:
-                got = "no parse"
-            ok = got == expect
-            rows.append((ok, expect, got, sent))
-        failures += 0 if rows[-1][0] else 1
+    failures = sum(not row[0] for row in rows)
     width = max(len(r[1]) for r in rows)
     for ok, expect, got, sent in rows:
         mark = "PASS" if ok else "FAIL"

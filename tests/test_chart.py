@@ -396,18 +396,18 @@ def test_pruned_chart_gives_the_all_pairs_readings(chart_of, oracle, sentence):
 
 def test_every_rule_success_is_a_shape_rule_result(oracle):
     # The soundness of pruning: each term-level combination projects onto
-    # the shape-level result of a row of ROWS on the two input shapes.
-    successes = 0
+    # an edge of the shape table between the two input shapes, the result
+    # of a row of ROWS on them.
+    table, successes = chart_module._TABLE, 0
     for chart in map(oracle, CLOSURE_CASES + [PP_CHAIN_4]):
         for item in chart.items.values():
             for back in item.backs:
                 if back[0] == "lex":
                     continue
                 label, li, ri = back
-                left, right = chart.items[li].shape, chart.items[ri].shape
-                index = chart_module._index([right], {})
-                results = {(lab, out) for _, lab, out
-                           in chart_module._partners(left, chart_module._asks(left), index)}
+                left, right = (table.id(chart.items[i].shape) for i in (li, ri))
+                results = {(lab, table.shapes[out]) for out, _, _, lab
+                           in table.edges(frozenset([left]), frozenset([right]))}
                 assert (label, item.shape) in results
                 successes += 1
     assert successes > 5000
@@ -430,6 +430,34 @@ def test_depth_seven_pp_chain_parses_within_the_budget(chart_of):
 # Clause embedding three deep, as the benchmark's embedding family builds it.
 EMBEDDING_3 = ("most boys think that every man thinks that two women doubt that"
                " a girl saw john")
+
+
+def chart_record(chart):
+    return [(it.id, it.span, cat_key(it.cat), it.shape, it.backs)
+            for it in chart.items.values()]
+
+
+def test_a_cold_and_a_warm_shape_table_build_the_same_chart(lex, monkeypatch):
+    # The shape table holds what ROWS gives on shapes, whatever lexicon
+    # and sentence met them first, so the charts are the same whether
+    # each parse starts from an empty table, from one that every sentence
+    # has filled, or from one cleared now and then under a small cap.
+    sentences = CLOSURE_CASES + [PP_CHAIN_4, EMBEDDING_3]
+    assert "of three companies touched" in sentences
+    table = chart_module._TABLE
+    cold = []
+    for sentence in sentences:
+        table.clear()
+        cold.append(chart_record(parse(tokenize(sentence), lex)))
+    warm = [chart_record(parse(tokenize(sentence), lex)) for sentence in sentences]
+    monkeypatch.setattr(chart_module, "MAX_SHAPE_TABLE", 150)
+    capped, sizes = [], []
+    for sentence in sentences:
+        capped.append(chart_record(parse(tokenize(sentence), lex)))
+        sizes.append(table.size())
+    for sentence, *charts in zip(sentences, cold, warm, capped):
+        assert charts[0] == charts[1] == charts[2], sentence
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:])), sizes
 
 
 @pytest.mark.parametrize("sentence", CLOSURE_CASES + [PP_CHAIN_4, PP_CHAIN_7, EMBEDDING_3])

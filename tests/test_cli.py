@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from ccgscope import chart
+from ccgscope import chart, cli
 from ccgscope.categories import cat_key, cat_text, parse_cat
 from ccgscope.cli import _data_text, main, tokenize
 from ccgscope.lexicon import default_lexicon, load_lexicon
@@ -439,6 +439,27 @@ def test_corpus_mismatch_exits_three(tmp_path, capsys):
     code, out, _ = run(capsys, "corpus", str(bad))
     assert code == 3
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("content, line, message", [
+    ("# counts\n1\tjohn saw a zebra\n", 2, "unknown token 'zebra' at position 3"),
+    (f"2\t{FRENCHMEN}\nUNGRAMMATICAL\tof three zebras touched ⊣ np\n", 2,
+     "unknown token 'zebras' at position 2"),
+    ("1\t" + "john saw mary " * 11 + "\n", 1, "33 tokens exceeds the 32-token limit"),
+], ids=["unknown-word", "ungrammatical-unknown-word", "too-long"])
+def test_a_corpus_sentence_that_cannot_be_parsed_names_its_line(tmp_path, capsys,
+                                                                content, line, message):
+    path = tmp_path / "mine.txt"
+    path.write_text(content, encoding="utf-8")
+    code, out, err = run(capsys, "corpus", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}, line {line}: {message}\n")
+
+
+def test_a_bundled_corpus_sentence_that_cannot_be_parsed_names_its_line(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_data_text", lambda name: "# c\n\n1\tjohn saw a zebra\n")
+    code, out, err = run(capsys, "corpus")
+    assert (code, out) == (2, "")
+    assert err == "error: corpus.txt, line 3: unknown token 'zebra' at position 3\n"
 
 
 def test_corpus_negative_entry_detects_conjoinable_shape(tmp_path, capsys):
