@@ -46,20 +46,21 @@ marked and the chart is the whole all-pairs chart, so a failed parse
 keeps every constituent.
 
 Shape table.  The shape pass runs on ids, small ints that the table
-_TABLE gives each distinct shape on first sight, and the table keeps what
-the pass works out on them: per id, its asks and offers under each row
-of ROWS, as ids; per row and pair of operand ids, the result id; and per
-pair of cells, keyed by the frozensets of their shape ids, the edges
-(result, left, right, label) between them.  So the pass costs one lookup
-per (i, k, j) plus the edges it files, asks and offers are worked out
-once per process instead of once per call of the pass, and the edges of
-a pair of shape sets once: the coord_cluster benchmark's seed-1 pass
-looks up 716 cell pairs, and meets 64 distinct pairs of shape sets.  The
-table is a function of ROWS and shape values alone, never of a lexicon
-or a sentence, so one table serves every lexicon a process loads and
-never goes stale.  parse clears it whole before it starts when it holds
-more than MAX_SHAPE_TABLE entries, so ids never change during a parse;
-they never leave it either (Item.shape is the shape itself).
+_TABLE gives each distinct shape on first sight, and the table keeps one
+memo: per pair of cells, keyed by the frozensets of their shape ids, the
+edges between them, as {left id: {right id: {label: result id}}}.  A
+miss works the entry out from ROWS on the shape values and stores it
+once complete; the pass and closure read it as stored.  One memo is
+enough because nearly every lookup hits: over seeds 1-10 the
+coord_cluster, nested_scope and corpus_cli benchmarks look up 6,520 /
+9,410 / 25,415 cell pairs, and only 64 / 65 / 163 of them miss, so the
+asks, offers and row results a miss works out are not worth keeping on
+their own.  The table is a function of ROWS and shape values alone,
+never of a lexicon or a sentence, so one table serves every lexicon a
+process loads and never goes stale.  parse clears it whole before it
+starts when it holds more than MAX_SHAPE_TABLE entries, shapes plus
+pairs, so ids never change during a parse; they never leave it either
+(Item.shape is the shape itself).
 
 Why pruning loses nothing: a row reads its operands through slash
 directions, results, arguments and passes_through, which sees sorts and
@@ -193,9 +194,9 @@ def _through(x, dir: str):
 # (label, ask, offer, build): ask(left) is the part of the left operand
 # that must match offer(right), the part of the right operand (None: the
 # row does not apply), and build(left, right) is the result before the
-# match is applied.  On shapes a match is equality of ids
-# (_ShapeTable.edges); on categories it is unify_cat, and the result is
-# subst_cat of the built category under the unifier (_combine).
+# match is applied.  On shapes a match is equality (_ShapeTable.edges);
+# on categories it is unify_cat, and the result is subst_cat of the built
+# category under the unifier (_combine).
 ROWS = (
     # X/Y + Y -> X
     (">", lambda left: _arg(left, "/"), lambda right: right,
@@ -265,8 +266,8 @@ RULES = (
 )
 
 
-# Entries (shapes, row results and cell pairs) past which parse clears
-# the shape table before it starts; see "Shape table" above.
+# Entries (shapes and cell pairs) past which parse clears the shape
+# table before it starts; see "Shape table" above.
 MAX_SHAPE_TABLE = 20_000
 
 
@@ -274,14 +275,10 @@ class _ShapeTable:
     """The shape pass's work on shapes, done once per process.
 
     ids maps a shape to its id, a small int, and shapes an id to its
-    shape.  parts maps an id to its (asks, offers): per row of ROWS, the
-    id of the part it asks as a left operand and of the part it offers
-    as a right one (None: the row does not apply).  results maps (row,
-    left id, right id) to the id of the row's result.  pairs maps (left
-    ids, right ids), two frozensets, to the edges (result id, left id,
-    right id, label) between a left cell holding those shapes and a
-    right cell holding these.  All of it depends on ROWS and the shapes
-    alone."""
+    shape.  pairs maps (left ids, right ids), two frozensets, to the edges
+    between a left cell holding those shapes and a right cell holding
+    these, as {left id: {right id: {label: result id}}}.  All of it
+    depends on ROWS and the shapes alone."""
 
     def __init__(self):
         self.clear()
@@ -289,118 +286,94 @@ class _ShapeTable:
     def clear(self) -> None:
         self.ids: dict = {}
         self.shapes: list = []
-        self.parts: Dict[int, tuple] = {}
-        self.results: Dict[Tuple[int, int, int], int] = {}
-        self.pairs: Dict[Tuple[frozenset, frozenset], tuple] = {}
+        self.pairs: Dict[Tuple[frozenset, frozenset], dict] = {}
 
     def size(self) -> int:
-        return len(self.shapes) + len(self.results) + len(self.pairs)
+        return len(self.shapes) + len(self.pairs)
 
-    def id(self, shape) -> Optional[int]:
-        """The shape's id, given on first sight; None for None."""
-        if shape is None:
-            return None
+    def id(self, shape) -> int:
+        """The shape's id, given on first sight."""
         sid = self.ids.get(shape)
         if sid is None:
             sid = self.ids[shape] = len(self.shapes)
             self.shapes.append(shape)
         return sid
 
-    def _parts_of(self, sid: int) -> tuple:
-        parts = self.parts.get(sid)
-        if parts is None:
-            shape = self.shapes[sid]
-            parts = self.parts[sid] = (
-                tuple(self.id(ask(shape)) for _, ask, _, _ in ROWS),
-                tuple(self.id(offer(shape)) for _, _, offer, _ in ROWS))
-        return parts
-
-    def _result(self, row: int, left: int, right: int) -> int:
-        key = (row, left, right)
-        out = self.results.get(key)
-        if out is None:
-            build = ROWS[row][3]
-            out = self.results[key] = self.id(build(self.shapes[left], self.shapes[right]))
-        return out
-
-    def edges(self, lefts: frozenset, rights: frozenset) -> tuple:
-        """The edges between cells of the shapes lefts and rights: the
-        right shapes filed, per row, under the part each offers, then
-        each left shape's asks looked up there.  Computed once per pair."""
+    def edges(self, lefts: frozenset, rights: frozenset) -> dict:
+        """The edges between cells of the shapes lefts and rights: every
+        row of ROWS whose ask of a left shape equals its offer of a right
+        one, with the id of its result.  Worked out once per pair, and
+        stored only once complete."""
         found = self.pairs.get((lefts, rights))
         if found is not None:
             return found
-        index: List[dict] = [{} for _ in ROWS]
-        for right in rights:
-            for table, key in zip(index, self._parts_of(right)[1]):
-                if key is not None:
-                    table.setdefault(key, []).append(right)
-        edges = []
+        found = {}
         for left in lefts:
-            for row, (table, key) in enumerate(zip(index, self._parts_of(left)[0])):
-                if key is not None:
-                    for right in table.get(key, ()):
-                        edges.append((self._result(row, left, right), left, right,
-                                      ROWS[row][0]))
-        found = self.pairs[(lefts, rights)] = tuple(edges)
+            lshape = self.shapes[left]
+            asks = [(label, ask(lshape), offer, build)
+                    for label, ask, offer, build in ROWS]
+            for right in rights:
+                rshape = self.shapes[right]
+                for label, want, offer, build in asks:
+                    if want is not None and want == offer(rshape):
+                        found.setdefault(left, {}).setdefault(right, {})[label] = \
+                            self.id(build(lshape, rshape))
+        self.pairs[(lefts, rights)] = found
         return found
 
 
 _TABLE = _ShapeTable()
 
 
-def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[set, dict]:
+def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[dict, dict]:
     """The shape backbone of the chart: which constituents can reach a
     full-span item.  Shapes are shape table ids here.
 
     An inside CKY pass over shapes alone finds every (span, shape) some
-    shape derivation builds from the lexical shapes, with the (split, left
-    shape, right shape, label) edges that build it: per split, the shape
+    shape derivation builds from the lexical shapes: per split, the shape
     table's edges between the two cells' shape sets.  An outside pass then
     marks each (span, shape) that lies on a shape derivation of a
     full-span shape (of any shape: every full-span item is output), or
-    every one when no shape spans the input.  Returns the marked (span,
-    shape) pairs and, per (i, j, k), the edges into marked shapes of (i, j)
-    as {left shape: {right shape: {label: result shape}}}.  A label names
-    at most one row that matches a pair of shapes, so it has one result.
+    every one when no shape spans the input; it marks an edge's operands
+    when its result is marked.  Returns the marked shapes per span and,
+    per (i, j, k), the table's edges between (i, k) and (k, j) as
+    {left shape: {right shape: {label: result shape}}}.  A label names at
+    most one row that matches a pair of shapes, so it has one result.
     """
-    inside: Dict[Tuple[int, int], dict] = {
-        span: dict.fromkeys(shapes, ()) for span, shapes in lexical.items()}
-    # Each cell's shapes, the key of the table's pair memo.
-    sets = {span: frozenset(cell) for span, cell in inside.items()}
+    sets = {span: frozenset(shapes) for span, shapes in lexical.items()}
+    splits: dict = {}
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
-            cell: dict = {}
+            made = set()
             for k in range(i + 1, j):
                 lefts, rights = sets.get((i, k)), sets.get((k, j))
                 if lefts is None or rights is None:
                     continue
-                for out, left, right, label in _TABLE.edges(lefts, rights):
-                    cell.setdefault(out, []).append((k, left, right, label))
-            if cell:
-                for shape, edges in inside.get((i, j), {}).items():
-                    cell.setdefault(shape, []).extend(edges)
-                inside[(i, j)] = cell
-                sets[(i, j)] = frozenset(cell)
+                found = splits[(i, j, k)] = _TABLE.edges(lefts, rights)
+                for by_right in found.values():
+                    for results in by_right.values():
+                        made.update(results.values())
+            if made:
+                sets[(i, j)] = sets.get((i, j), frozenset()) | made
 
-    if inside.get((0, n)):
-        live = {((0, n), shape) for shape in inside[(0, n)]}
+    if sets.get((0, n)):
+        live = {(0, n): set(sets[(0, n)])}
     else:
-        live = {(span, shape) for span, cell in inside.items() for shape in cell}
-    edges: dict = {}
+        live = {span: set(shapes) for span, shapes in sets.items()}
     for width in range(n, 1, -1):
         for i in range(0, n - width + 1):
-            span = (i, i + width)
-            for shape, backs in inside.get(span, {}).items():
-                if (span, shape) not in live:
-                    continue
-                for k, left, right, label in backs:
-                    live.add(((i, k), left))
-                    live.add(((k, span[1]), right))
-                    edges.setdefault((i, span[1], k), {}).setdefault(left, {}) \
-                        .setdefault(right, {})[label] = shape
-    return live, edges
+            j = i + width
+            marked = live.get((i, j))
+            if not marked:
+                continue
+            for k in range(i + 1, j):
+                for left, by_right in splits.get((i, j, k), {}).items():
+                    for right, results in by_right.items():
+                        if not marked.isdisjoint(results.values()):
+                            live.setdefault((i, k), set()).add(left)
+                            live.setdefault((k, j), set()).add(right)
+    return live, splits
 
 
 @dataclass
@@ -420,8 +393,11 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     """Close the chart over the four rules; every token must be covered.
 
     Only the constituents whose (span, shape) _live_edges marks are
-    built, from the edges it keeps, and each takes its shape from there:
-    a lexical item its entry's, a rule result its edge's result shape."""
+    built: closure skips a span with no marked shape, and tries a label
+    on two items only when the table's edge between their shapes gives a
+    result shape marked at the span.  Each item takes its shape from
+    there: a lexical item its entry's, a rule result its edge's result
+    shape."""
     tokens = tuple(tokens)
     if len(tokens) > MAX_TOKENS:
         raise ResourceError(
@@ -471,30 +447,33 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     shapes: Dict[Tuple[int, int], list] = {}
     for span, _, shape in lexical:
         shapes.setdefault(span, []).append(shape)
-    live, edges = _live_edges(n, shapes)
+    live, splits = _live_edges(n, shapes)
     for span, entry, shape in lexical:
-        if (span, shape) in live:
+        if shape in live.get(span, ()):
             add(span, lexicon.fresh(entry.chart_cat), shape, ("lex", entry.tag))
 
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
+            marked = live.get((i, j))
+            if not marked:
+                continue
             for k in range(i + 1, j):
-                wanted = edges.get((i, j, k))
-                if not wanted:
+                found = splits.get((i, j, k))
+                if not found:
                     continue
                 # Both cells hold their items in id order, so backpointers
                 # arrive in the order the all-pairs closure gives them.
                 for lit in chart.cells.get((i, k), {}).values():
-                    want = wanted.get(shape_ids[lit.id])
-                    if not want:
+                    by_right = found.get(shape_ids[lit.id])
+                    if not by_right:
                         continue
                     for rit in chart.cells.get((k, j), {}).values():
-                        results = want.get(shape_ids[rit.id])
+                        results = by_right.get(shape_ids[rit.id])
                         if results:
                             for label, rule in RULES:
                                 shape = results.get(label)
-                                if shape is not None:
+                                if shape in marked:
                                     out = rule(lit.cat, rit.cat)
                                     if out is not None:
                                         add((i, j), out, shape, (label, lit.id, rit.id))

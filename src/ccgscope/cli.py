@@ -183,9 +183,14 @@ def _skeleton_table(path: Optional[str]) -> dict:
 
 def _corpus_entry(expect: str, text: str) -> tuple:
     """(expected count, sentence, None, None), or for an UNGRAMMATICAL entry
-    (expect, fragment, category text, its cat_shape)."""
+    (expect, fragment, category text, its cat_shape).  The count is a
+    non-negative integer, blanks around it allowed."""
+    expect = expect.strip()
     if expect != "UNGRAMMATICAL":
-        return expect, text, None, None
+        if not (expect.isascii() and expect.isdigit()):
+            raise DataFileError(
+                f"expected a reading count or UNGRAMMATICAL, got {expect!r}")
+        return int(expect), text, None, None
     parts = [part.strip() for part in text.split("⊣")]
     if len(parts) != 2:
         raise DataFileError("an UNGRAMMATICAL entry needs 'fragment ⊣ category'")
@@ -221,17 +226,17 @@ def _cmd_compare(args, lex, out) -> int:
     return 0
 
 
-def _corpus_row(lex, expect: str, sent: str, shape_text: Optional[str], shape) -> tuple:
+def _corpus_row(lex, expect, sent: str, shape_text: Optional[str], shape) -> tuple:
     """(ok, expected, got, shown text) for one corpus entry."""
     if shape is not None:
         chart = parse(tokenize(sent), lex)
         hits = [it for it in chart.full_span() if it.shape == shape]
         return not hits, "none", f"{len(hits)} items", sent + " ⊣ " + shape_text
     try:
-        got = str(len(readings(tokenize(sent), lex)))
+        got = len(readings(tokenize(sent), lex))
     except NoParseError:
         got = "no parse"
-    return got == expect, expect, got, sent
+    return got == expect, str(expect), str(got), sent
 
 
 def _cmd_corpus(args, lex, out) -> int:

@@ -1,5 +1,6 @@
 """Golden-file rendering shared by the generator and the tests, the
-all-pairs closure the tests use as an oracle for the chart, and the
+all-pairs closure the tests use as an oracle for the chart, the shape
+backbone worked out on shape values, the oracle for the shape pass, the
 entry-by-entry lexicon load they use as an oracle for load_lexicon, and
 seeded PP chains and clause embeddings with their quantifier skeletons,
 record-free copies of terms, a type-tagged oracle for term equality, and
@@ -198,6 +199,44 @@ def item_sequence(items):
              [back if back[0] == "lex" else (back[0], pos[back[1]], pos[back[2]])
               for back in it.backs])
             for it in items]
+
+
+def oracle_live_shapes(tokens, lex):
+    """Oracle for the shape pass: the marked (span, shape) pairs, worked
+    out on shape values without the shape table.  An inside CKY pass
+    applies every row of ROWS to every pair of adjacent shapes, starting
+    from the lexical cat_shapes; an outside pass then marks what lies on
+    a shape derivation of a full-span shape, or everything when no shape
+    spans the input."""
+    n = len(tokens)
+    inside = {}  # span -> {shape: [(split, left shape, right shape)]}
+    for i in range(n):
+        for entry, k in lex.lookup(tokens, i):
+            inside.setdefault((i, i + k), {}).setdefault(cat_shape(entry.chart_cat), [])
+    for width in range(2, n + 1):
+        for i in range(0, n - width + 1):
+            j = i + width
+            for k in range(i + 1, j):
+                for left in inside.get((i, k), ()):
+                    for right in inside.get((k, j), ()):
+                        for _, ask, offer, build in ROWS:
+                            want = ask(left)
+                            if want is not None and want == offer(right):
+                                inside.setdefault((i, j), {}) \
+                                    .setdefault(build(left, right), []).append((k, left, right))
+    if inside.get((0, n)):
+        live = {((0, n), shape) for shape in inside[(0, n)]}
+    else:
+        live = {(span, shape) for span, cell in inside.items() for shape in cell}
+    for width in range(n, 1, -1):
+        for i in range(0, n - width + 1):
+            span = (i, i + width)
+            for shape, backs in inside.get(span, {}).items():
+                if (span, shape) in live:
+                    for k, left, right in backs:
+                        live.add(((i, k), left))
+                        live.add(((k, span[1]), right))
+    return live
 
 
 # --- the entry-by-entry lexicon load, the oracle for load_lexicon ---------

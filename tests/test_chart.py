@@ -38,6 +38,7 @@ from helpers import (
     embedding,
     item_sequence,
     live_items,
+    oracle_live_shapes,
     pp_chain,
     tagged_cat,
     unrecorded,
@@ -406,9 +407,8 @@ def test_every_rule_success_is_a_shape_rule_result(oracle):
                     continue
                 label, li, ri = back
                 left, right = (table.id(chart.items[i].shape) for i in (li, ri))
-                results = {(lab, table.shapes[out]) for out, _, _, lab
-                           in table.edges(frozenset([left]), frozenset([right]))}
-                assert (label, item.shape) in results
+                results = table.edges(frozenset([left]), frozenset([right]))
+                assert table.shapes[results[left][right][label]] == item.shape
                 successes += 1
     assert successes > 5000
 
@@ -458,6 +458,25 @@ def test_a_cold_and_a_warm_shape_table_build_the_same_chart(lex, monkeypatch):
     for sentence, *charts in zip(sentences, cold, warm, capped):
         assert charts[0] == charts[1] == charts[2], sentence
     assert any(later < earlier for earlier, later in zip(sizes, sizes[1:])), sizes
+
+
+@pytest.mark.parametrize("sentence", CLOSURE_CASES + [PP_CHAIN_4, EMBEDDING_3])
+def test_the_shape_pass_marks_what_the_plain_shape_backbone_marks(lex, monkeypatch, sentence):
+    # The shape pass on table ids marks the (span, shape) pairs that the
+    # same pass on shape values marks, and closure builds nothing else.
+    passes, live_edges = [], chart_module._live_edges
+
+    def capture(n, lexical):
+        passes.append(live_edges(n, lexical))
+        return passes[-1]
+    monkeypatch.setattr(chart_module, "_live_edges", capture)
+    tokens = tokenize(sentence)
+    chart = parse(tokens, lex)
+    (live, _), = passes
+    shapes = chart_module._TABLE.shapes
+    marked = {(span, shapes[sid]) for span, ids in live.items() for sid in ids}
+    assert marked == oracle_live_shapes(tokens, lex)
+    assert all((it.span, it.shape) in marked for it in chart.items.values())
 
 
 @pytest.mark.parametrize("sentence", CLOSURE_CASES + [PP_CHAIN_4, PP_CHAIN_7, EMBEDDING_3])

@@ -441,6 +441,25 @@ def test_corpus_mismatch_exits_three(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_a_corpus_count_is_read_as_a_number(tmp_path, capsys):
+    path = tmp_path / "mine.txt"
+    path.write_text(f" 2\t{FRENCHMEN}\n2 \t{FRENCHMEN}\n02\t{FRENCHMEN}\n", encoding="utf-8")
+    code, out, _ = run(capsys, "corpus", str(path))
+    assert code == 0
+    assert out == f"PASS  expected 2  got 2  {FRENCHMEN}\n" * 3 + "3/3 corpus entries pass\n"
+
+
+@pytest.mark.parametrize("count", ["two", "-2", "2.0", "no parse", "²", ""],
+                         ids=["word", "negative", "decimal", "no-parse", "superscript", "empty"])
+def test_a_corpus_count_that_is_not_a_number_is_a_malformed_line(tmp_path, capsys, count):
+    path = tmp_path / "mine.txt"
+    path.write_text(f"2\t{FRENCHMEN}\n{count}\t{FRENCHMEN}\n", encoding="utf-8")
+    code, out, err = run(capsys, "corpus", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}, line 2: expected a reading count or"
+                   f" UNGRAMMATICAL, got {count!r}\n")
+
+
 @pytest.mark.parametrize("content, line, message", [
     ("# counts\n1\tjohn saw a zebra\n", 2, "unknown token 'zebra' at position 3"),
     (f"2\t{FRENCHMEN}\nUNGRAMMATICAL\tof three zebras touched ⊣ np\n", 2,
