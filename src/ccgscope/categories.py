@@ -2,9 +2,14 @@
 
 Syntax: slashes are left-associative, parentheses override, and a term
 annotation ``:term`` may follow an atomic sort only.  An atomic written
-without an annotation gets the next variable V1, V2, ... that the text
-does not use, left to right.  Text is read with the term reader's tokens
-(terms._Tokens), so blanks may stand between any two tokens.
+without an annotation gets the variable V'1, V'2, ..., numbered left to
+right.  A name holds no prime, so no text spells these and none can
+meet a written variable.  The letter comes first: of two tied variables
+unify binds the one whose id sorts first, and these ids sort among
+written ones by their letter.  The spelling decides how much keying a
+chart takes, not, on the bundled lexicon, its items or readings.  Text
+is read with the term reader's tokens (terms._Tokens), so blanks may
+stand between any two tokens.
 
 Keys.  cat_key is a category's identity up to renaming of variables: a
 tuple of tokens, the category's nodes in preorder (a slash's result
@@ -53,7 +58,6 @@ from .terms import (
     apply_reduced,
     format_pieces,
     parse_term_at,
-    subterms,
     unify,
 )
 
@@ -144,17 +148,11 @@ def unify_cat(a: Category, b: Category, s: Optional[Subst] = None) -> Optional[S
     return None
 
 
-def cat_vars(cat: Category) -> tuple:
-    """Every variable occurring in the category's terms, first-occurrence order
-    (lambda parameters included, as the Renamer treats them)."""
-    return tuple(dict.fromkeys(
-        n for at in atomics(cat) for n in subterms(at.sem) if isinstance(n, Var)))
-
-
 def standardize_apart(cat: Category, counter) -> Category:
     """Rename every variable to a fresh one drawn from counter (an iterator
     of ints), keeping the original name as a readable stem.  One pass:
-    variables draw their numbers on first occurrence, in cat_vars order."""
+    variables draw their numbers on first occurrence, atomics left to
+    right, each term in children order (terms.Renamer)."""
     return map_sems(cat, Renamer(lambda stem: f"{stem}_{next(counter)}").rename)
 
 
@@ -180,25 +178,16 @@ def canonical_cat(cat: Category) -> Category:
 
 def parse_cat(text: str) -> Category:
     """The category text spells, read token by token (terms._Tokens).  An
-    atomic written without a term gets the next variable V1, V2, ... that
-    the text does not read as a variable, left to right."""
+    atomic written without a term gets the next of V'1, V'2, ..., left to
+    right: names no text spells (module docstring)."""
     toks = _Tokens(text)
     try:
-        cat = _cat(toks, _fresh_vars(toks))
+        cat = _cat(toks, (Var(f"V'{n}") for n in itertools.count(1)))
         if toks.peek():
             raise toks.error("trailing input")
     except TermError as e:
         raise CatError(str(e)) from None
     return cat
-
-
-def _fresh_vars(toks: _Tokens) -> Iterator[Var]:
-    # A generator: the text's variable names are gathered at the first
-    # atomic written without a term, if there is one.
-    taken = toks.var_names()
-    for n in itertools.count(1):
-        if f"V{n}" not in taken:
-            yield Var(f"V{n}")
 
 
 def _cat(toks: _Tokens, fresh: Iterator[Var]) -> Category:

@@ -83,11 +83,20 @@ def _read_file(path: str) -> str:
 def _load_lexicon(path: Optional[str]):
     """The lexicon at path, or the bundled one.  Each warning the load
     raises, such as a duplicate entry, goes to stderr as one line
-    ``warning: <message>``; under ``-W error`` too, it stays a warning."""
+    ``warning: <message>``; under ``-W error`` too, it stays a warning.
+    A lexicon at path also gets one warning per lexeme that no sentence
+    can match, as tokenize does not give its text back word for word."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            return default_lexicon() if path is None else load_lexicon(_read_file(path))
+            if path is None:
+                return default_lexicon()
+            lex = load_lexicon(_read_file(path))
+            for lexeme in dict.fromkeys(e.lexeme for e in lex.entries):
+                if tokenize(" ".join(lexeme)) != list(lexeme):
+                    warnings.warn(f"lexeme {' '.join(lexeme)!r} never matches: sentences"
+                                  " are read as lowercase words, digits, hyphens and commas")
+            return lex
         finally:
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)

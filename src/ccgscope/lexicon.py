@@ -7,7 +7,7 @@ A lexicon file holds three kinds of lines (``#`` starts a comment):
     @raise word [word ...] sg|pl q-sym s-sym
 
 ``@raise`` expands a determiner into its full entry family over the
-declared type set: a plain set-denoting entry np:num(s-sym(N), sg|pl)/n:N,
+declared type set: a plain set-denoting entry np:num(s-sym(N'), sg|pl)/n:N',
 a pair of narrow-scope raised entries per type T (forward and backward),
 and a pair of wide-scope quantifier entries per type T whose final result
 is s.  Expansion happens after the whole file is read, against the last
@@ -17,11 +17,16 @@ num(...) wrapper on every determiner-built np carries the determiner's
 grammatical number; verb subject slots that require a number state it
 there, so mismatches fail in unification.
 
+Every family names its noun variable N' and its quantifier variable V'.
+The term reader ends a name at a prime, so no text spells N' or V', and
+no type read from text holds them: they are fresh for every type
+without a search, as parse_cat's V'1, V'2, ... are (categories).
+
 A category written in a ``::`` line or an ``@tset`` line must not hold a
 quantifier q-<det>(V, R, B) whose variable slot V is a non-variable: such
 a quantifier binds nothing, and the line is refused with a LexiconError
 naming it.  Raised entries need no check: the quantifier each wide entry
-builds binds a variable fresh for its type, and the types are checked.
+builds binds V', fresh for its type, and the types are checked.
 With the chart's rules, which never bind a quantifier's variable to a
 non-variable (terms.apply_reduced), every constituent the chart builds
 from a loaded lexicon is then well-formed.
@@ -39,8 +44,8 @@ expands).  Two entries of one family differ in one of these ways:
 
 - the plain entry's result, np, is atomic; every raised entry's result
   is a slash category;
-- a narrow entry's argument is n:N, a variable, and a wide entry's is
-  n:V^N, a lambda;
+- a narrow entry's argument is n:N', a variable, and a wide entry's is
+  n:V'^N', a lambda;
 - a forward entry's inner slash is ``\\`` and a backward entry's is
   ``/``, at the same position;
 - two entries of one kind, built over types T1 and T2, hold T1 and T2
@@ -73,7 +78,6 @@ from .categories import (
     cat_key,
     cat_shape,
     cat_text,
-    cat_vars,
     parse_cat,
     replace_result_sem,
     result_atomic,
@@ -87,7 +91,6 @@ from .terms import (
     Atom,
     Compound,
     Lam,
-    Term,
     TermError,
     Var,
     format_term,
@@ -128,23 +131,10 @@ class LexEntry:
         return cat_shape(self.cat)
 
 
-def _fresh_var(stem: str, taken: set) -> Var:
-    if stem not in taken:
-        return Var(stem)
-    n = 2
-    while f"{stem}{n}" in taken:
-        n += 1
-    return Var(f"{stem}{n}")
-
-
-@dataclass(frozen=True)
-class RaisedType:
-    """A type T of the type set, with what every family over it shares:
-    the noun variable n, fresh for T, and for a T whose result sort is s,
-    wide = (V, R): a variable fresh for T, and T's result semantics R."""
-    t: Category
-    n: Var
-    wide: Optional[Tuple[Var, Term]]
+# The noun and quantifier variables of every @raise family (module
+# docstring): no text spells a primed name, so no type holds them.
+_NOUN = Var("N'")
+_QVAR = Var("V'")
 
 
 class TypeSet:
@@ -155,25 +145,25 @@ class TypeSet:
         self.cats = tuple(cats)
 
     @cached_property
-    def types(self) -> Tuple[RaisedType, ...]:
-        """The types deduplicated by key, first occurrence kept, in
-        declaration order.  LexiconError for a type whose result sort is s
-        and whose result semantics is not a variable."""
+    def types(self) -> Tuple[Tuple[Category, Optional[Var]], ...]:
+        """(T, R) per type T, deduplicated by key, first occurrence kept,
+        in declaration order: R is T's result semantics when T's result
+        sort is s, and None otherwise.  LexiconError for a type whose
+        result sort is s and whose result semantics is not a variable."""
         out, keys = [], set()
         for t in self.cats:
             key = cat_key(t)
             if key in keys:
                 continue
             keys.add(key)
-            taken = {v.id for v in cat_vars(t)}
             core = result_atomic(t)
-            wide = None
-            if core.sort == "s":
-                if not isinstance(core.sem, Var):
-                    raise LexiconError(
-                        f"type set entry {cat_text(t)} has a non-variable result")
-                wide = (_fresh_var("V", taken), core.sem)
-            out.append(RaisedType(t, _fresh_var("N", taken), wide))
+            if core.sort != "s":
+                out.append((t, None))
+            elif isinstance(core.sem, Var):
+                out.append((t, core.sem))
+            else:
+                raise LexiconError(
+                    f"type set entry {cat_text(t)} has a non-variable result")
         return tuple(out)
 
 
@@ -204,23 +194,20 @@ def instantiate_raised(lexeme: Tuple[str, ...], num: str, qsym: str, ssym: str,
     def np_of(sem) -> Atomic:
         return Atomic("np", Compound("num", (sem, number)))
 
-    n_var = Var("N")
-    out = [entry(Slash("/", np_of(Compound(ssym, (n_var,))), Atomic("n", n_var)))]
-    for rt in tset.types:
-        t, nv = rt.t, rt.n
-        np_narrow = np_of(Compound(ssym, (nv,)))
-        n_narrow = Atomic("n", nv)
+    np_narrow = np_of(Compound(ssym, (_NOUN,)))
+    n_narrow = Atomic("n", _NOUN)
+    np_wide = np_of(_QVAR)
+    n_wide = Atomic("n", Lam(_QVAR, _NOUN))
+    out = [entry(Slash("/", np_narrow, n_narrow))]
+    for t, core in tset.types:
         # One shared copy of T: the argument's inner T and the result T
         # carry the same variables, so applying the entry threads the
         # embedded functor's semantics straight through.
         out.append(entry(Slash("/", Slash("/", t, Slash("\\", t, np_narrow)), n_narrow)))
         out.append(entry(Slash("/", Slash("\\", t, Slash("/", t, np_narrow)), n_narrow)))
-        if rt.wide is None:
+        if core is None:
             continue
-        vv, core = rt.wide
-        t_out = replace_result_sem(t, Compound(qsym, (vv, nv, core)))
-        np_wide = np_of(vv)
-        n_wide = Atomic("n", Lam(vv, nv))
+        t_out = replace_result_sem(t, Compound(qsym, (_QVAR, _NOUN, core)))
         out.append(entry(Slash("/", Slash("/", t_out, Slash("\\", t, np_wide)), n_wide)))
         out.append(entry(Slash("/", Slash("\\", t_out, Slash("/", t, np_wide)), n_wide)))
     return out

@@ -501,7 +501,9 @@ def eta_reduce_sets(t: Term) -> Term:
 # V^t, or a term in parentheses; ^ reaches as far right as it can.  A name
 # with an argument list is a functor; a name without one is a variable if
 # it starts upper case or spells a canonical name v1, v2, ..., and an atom
-# otherwise.  Blanks (spaces and tabs) may stand between tokens.
+# otherwise.  Blanks (spaces and tabs) may stand between tokens.  A name
+# holds no prime ('), so no text spells a variable the engine invents
+# (V'1 in categories.parse_cat, N' and V' in lexicon's @raise).
 
 _NAME = re.compile(r"[A-Za-z0-9_?-]+")
 _TOKEN = re.compile(r"[ \t]*(" + _NAME.pattern + r"|[^ \t])")
@@ -554,13 +556,6 @@ class _Tokens:
             raise self.error("expected a name")
         self.i += 1
         return tok
-
-    def var_names(self) -> set:
-        """The names the text reads as variables: each name token not
-        followed by "(" that spells a variable."""
-        toks = self.toks
-        return {tok for tok, nxt in zip(toks, toks[1:])
-                if nxt != "(" and _is_var_name(tok) and _NAME.match(tok)}
 
 
 def parse_term_at(toks: _Tokens) -> Term:

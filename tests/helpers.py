@@ -3,11 +3,12 @@ all-pairs closure the tests use as an oracle for the chart, the shape
 backbone worked out on shape values, the oracle for the shape pass, the
 entry-by-entry lexicon load they use as an oracle for load_lexicon, and
 seeded PP chains and clause embeddings with their quantifier skeletons,
-record-free copies of terms, a type-tagged oracle for term equality, and
-the node-by-node walks of the readings layer and of free_vars, the
-oracles for the walks that replaced them, the character-by-character
-term and category reader, the oracle for the token reader, and the
-renamer with its special cases, the oracle for Renamer.rename.
+record-free copies of terms, a type-tagged oracle for term equality, the
+variables of a category, and the node-by-node walks of the readings
+layer and of free_vars, the oracles for the walks that replaced them,
+the character-by-character term and category reader, the oracle for the
+token reader, and the renamer with its special cases, the oracle for
+Renamer.rename.
 
 Each golden names a sentence plus the full-span categories whose first
 derivation it freezes; the rendered text is the pretty printer's output
@@ -26,7 +27,6 @@ from ccgscope.categories import (
     cat_key,
     cat_shape,
     cat_text,
-    cat_vars,
     map_sems,
     parse_cat,
     replace_result_sem,
@@ -67,6 +67,7 @@ from ccgscope.terms import (
     is_and,
     is_quant,
     is_set_form,
+    subterms,
     unbound_quantifier,
     with_children,
 )
@@ -257,24 +258,14 @@ def oracle_raised(lexeme, num, qsym, ssym, tset):
     def np_of(sem):
         return Atomic("np", Compound("num", (sem, Atom(num))))
 
-    def fresh(stem, taken):
-        n = 2
-        name = stem
-        while name in taken:
-            name = f"{stem}{n}"
-            n += 1
-        return Var(name)
-
-    push(Slash("/", np_of(Compound(ssym, (Var("N"),))), Atomic("n", Var("N"))))
+    nv, vv = Var("N'"), Var("V'")
+    push(Slash("/", np_of(Compound(ssym, (nv,))), Atomic("n", nv)))
     for t in tset:
-        taken = {v.id for v in cat_vars(t)}
-        nv = fresh("N", taken)
         np_narrow = np_of(Compound(ssym, (nv,)))
         push(Slash("/", Slash("/", t, Slash("\\", t, np_narrow)), Atomic("n", nv)))
         push(Slash("/", Slash("\\", t, Slash("/", t, np_narrow)), Atomic("n", nv)))
         if result_atomic(t).sort != "s":
             continue
-        vv = fresh("V", taken)
         t_out = replace_result_sem(t, Compound(qsym, (vv, nv, result_atomic(t).sem)))
         np_wide = np_of(vv)
         n_prop = Atomic("n", Lam(vv, nv))
@@ -400,6 +391,13 @@ def tagged_cat(cat):
     if isinstance(cat, Slash):
         return ("Slash", cat.dir, tagged_cat(cat.result), tagged_cat(cat.arg))
     return ("Atomic", cat.sort, tagged(cat.sem))
+
+
+def cat_vars(cat):
+    """Every variable occurring in the category's terms, first-occurrence
+    order (lambda parameters included, as the Renamer treats them)."""
+    return tuple(dict.fromkeys(
+        n for at in atomics(cat) for n in subterms(at.sem) if isinstance(n, Var)))
 
 
 # --- the node-by-node walks of the readings layer, the oracles for it -----
@@ -751,8 +749,7 @@ def _oracle_part(cur: _Cursor):
 
 
 def _oracle_fill_blanks(cat):
-    used = {v.id for v in cat_vars(cat)}
-    fresh = (Var(f"V{n}") for n in itertools.count(1) if f"V{n}" not in used)
+    fresh = (Var(f"V'{n}") for n in itertools.count(1))
     return map_sems(cat, lambda sem: next(fresh) if sem is _BLANK else sem)
 
 

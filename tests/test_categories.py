@@ -13,7 +13,6 @@ from ccgscope.categories import (
     cat_key,
     cat_shape,
     cat_text,
-    cat_vars,
     format_cat,
     map_sems,
     parse_cat,
@@ -44,14 +43,14 @@ from ccgscope.terms import (
     with_children,
 )
 
-from helpers import all_pairs_parse, tagged_cat, unrecorded, well_formed
+from helpers import all_pairs_parse, cat_vars, tagged_cat, unrecorded, well_formed
 from test_coordination import sentence as coordination_sentence
 from test_terms import rand_lf, rand_term
 
 
 def test_parse_atomic_with_and_without_sem():
     assert parse_cat("np:john") == Atomic("np", parse_term("john"))
-    assert parse_cat("s") == Atomic("s", Var("V1"))
+    assert parse_cat("s") == Atomic("s", Var("V'1"))
     assert parse_cat("sbar:S") == Atomic("sbar", Var("S"))
 
 
@@ -62,10 +61,10 @@ def test_parse_left_associative():
 
 def test_parse_fresh_vars_left_to_right():
     cat = parse_cat("(s\\np)/np")
-    assert [a.sem for a in atomics(cat)] == [Var("V1"), Var("V2"), Var("V3")]
-    # Explicit names are never shadowed by the generated ones.
+    assert [a.sem for a in atomics(cat)] == [Var("V'1"), Var("V'2"), Var("V'3")]
+    # A written V1 stays V1 beside a blank's V'1, which no text spells.
     cat = parse_cat("s:V1\\np")
-    assert [a.sem for a in atomics(cat)] == [Var("V1"), Var("V2")]
+    assert [a.sem for a in atomics(cat)] == [Var("V1"), Var("V'1")]
 
 
 def test_parse_complex_entry():
@@ -88,7 +87,7 @@ def test_parse_errors_report_position():
 
 
 def test_format_full_parens():
-    assert format_cat(parse_cat("s/(s\\np)")) == "s:V1/(s:V2\\np:V3)"
+    assert format_cat(parse_cat("s/(s\\np)")) == "s:V'1/(s:V'2\\np:V'3)"
     assert format_cat(parse_cat("s\\np/np"), with_sems=False) == "(s\\np)/np"
 
 

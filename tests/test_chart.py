@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -28,13 +29,26 @@ from ccgscope.chart import (
     pretty,
     replay,
 )
-from ccgscope.cli import _corpus_entry, read_data, tokenize
-from ccgscope.lexicon import UnknownTokenError, default_lexicon, load_lexicon
+from ccgscope.cli import _corpus_entry, _data_text, read_data, tokenize
+from ccgscope.lexicon import UnknownTokenError, _split_top, default_lexicon, load_lexicon
 from ccgscope.readings import NoParseError, readings_from_chart
-from ccgscope.terms import Atom, Compound, Lam, TermError, Var, children, is_and, is_set_form, subterms
+from ccgscope.terms import (
+    Atom,
+    Compound,
+    Lam,
+    Renamer,
+    TermError,
+    Var,
+    children,
+    format_term,
+    is_and,
+    is_set_form,
+    subterms,
+)
 
 from helpers import (
     all_pairs_parse,
+    cat_vars,
     embedding,
     item_sequence,
     live_items,
@@ -692,3 +706,59 @@ def test_a_result_equal_to_a_variant_duplicate_is_looked_up(monkeypatch):
     assert keying_tallies(["x x e"], lex, monkeypatch) == {
         "items": 6, "equal": 1, "equal to a variant": 1, "variant": 1,
         "cat_key calls": 7}
+
+
+def respelled_lexicon(how):
+    """The bundled lexicon text, comments dropped, with its variables
+    spelled another way.  "reversed" and "shuffled" rename every variable
+    of the :: lines one-to-one: the i-th name in sorted order becomes
+    Q{1000 - i}, or a seeded shuffle of those names.  "steered-around"
+    writes each @tset type's atomics with V, N, V1, V2, left to right,
+    the names the engine once had to avoid when it invented its own."""
+    rows = [raw.split("#", 1)[0].strip() for raw in _data_text("fragment.lex").splitlines()]
+    if how == "steered-around":
+        for i, row in enumerate(rows):
+            if row.startswith("@tset"):
+                types = []
+                for t in map(parse_cat, _split_top(row[len("@tset"):])):
+                    names = iter(("V", "N", "V1", "V2"))
+                    types.append(format_cat(map_sems(t, lambda sem: Var(next(names)))))
+                rows[i] = "@tset " + ", ".join(types)
+        return "\n".join(rows)
+    cats = {i: parse_cat(row.split("::", 1)[1]) for i, row in enumerate(rows) if "::" in row}
+    names = sorted({v.id for cat in cats.values() for v in cat_vars(cat)})
+    spellings = [f"Q{1000 - i}" for i in range(1, len(names) + 1)]
+    if how == "shuffled":
+        random.Random(24).shuffle(spellings)
+    rename = Renamer(dict(zip(names, spellings)).__getitem__).rename
+    for i, cat in cats.items():
+        rows[i] = rows[i].split("::", 1)[0] + ":: " + format_cat(map_sems(cat, rename))
+    return "\n".join(rows)
+
+
+@pytest.mark.parametrize("how", ["reversed", "shuffled", "steered-around"])
+def test_charts_and_readings_do_not_depend_on_how_the_lexicon_spells_variables(
+        how, lex, chart_of):
+    # The engine's invented variables (V'1, N', V') are spelled by no
+    # text, so no written name shadows or is shadowed by one.  Which of
+    # two tied variables unify binds still follows the spelling, so the
+    # keying work may differ (cat_key calls, variant duplicates); the
+    # charts built and the readings may not.
+    text = respelled_lexicon(how)
+    assert ("Q999" in text) if how != "steered-around" else ("s:V\\np:N" in text)
+    other = load_lexicon(text)
+    assert [(e.lexeme, e.key, e.tag) for e in other.entries] \
+        == [(e.lexeme, e.key, e.tag) for e in lex.entries]
+    for sentence in KEYING_CASES:
+        mine, theirs = chart_of(sentence), parse(tokenize(sentence), other)
+        assert [(it.id, it.span, cat_key(it.cat), it.backs) for it in theirs.items.values()] \
+            == [(it.id, it.span, cat_key(it.cat), it.backs) for it in mine.items.values()], \
+            sentence
+        try:
+            expected = [(format_term(r.term), r.multiplicity) for r in readings_from_chart(mine)]
+        except NoParseError:
+            with pytest.raises(NoParseError):
+                readings_from_chart(theirs)
+            continue
+        assert [(format_term(r.term), r.multiplicity) for r in readings_from_chart(theirs)] \
+            == expected, sentence

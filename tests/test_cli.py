@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 
 from ccgscope import chart, cli
 from ccgscope.categories import cat_key, cat_text, parse_cat
-from ccgscope.cli import _data_text, main, tokenize
+from ccgscope.cli import _data_text, main, read_data, tokenize
 from ccgscope.lexicon import default_lexicon, load_lexicon
 from ccgscope.readings import readings
 from ccgscope.terms import canonicalize, parse_term
@@ -86,6 +87,44 @@ def test_duplicate_entry_is_one_warning_line(tmp_path, capsys):
     assert err == "warning: line 2: duplicate lexicon entry for 'x' dropped: s:ok\n"
 
 
+def never_matches(lexeme):
+    return (f"warning: lexeme {lexeme!r} never matches: sentences are read as"
+            " lowercase words, digits, hyphens and commas\n")
+
+
+def test_a_lexeme_no_sentence_can_match_is_named_once(tmp_path, capsys):
+    # tokenize lowercases the sentence, so "John" gives the token "john",
+    # which the lexicon does not hold; the warning says why.
+    path = tmp_path / "user.lex"
+    path.write_text("John :: np:num(john,sg)\nJohn :: s:ok\n"
+                    "smiled :: s:smiled(X)\\np:num(X, sg)\n")
+    code, out, err = run(capsys, "--lexicon", str(path), "readings", "John smiled")
+    assert (code, out) == (2, "")
+    assert err == never_matches("John") + "error: unknown token 'john' at position 0\n"
+
+
+@pytest.mark.parametrize("lexeme", ["John", "x_y", "a,b", "big Dog", "it's"])
+def test_each_lexeme_tokenize_does_not_give_back_is_one_warning(tmp_path, capsys, lexeme):
+    path = tmp_path / "user.lex"
+    path.write_text(f"{lexeme} :: s:ok\nx :: s:ok\n")
+    code, out, err = run(capsys, "--lexicon", str(path), "readings", "x")
+    assert (code, out, err) == (0, "1 readings of: x\n  x1  ok\n", never_matches(lexeme))
+
+
+def test_lexemes_tokenize_gives_back_are_not_warned_about(tmp_path, capsys):
+    path = tmp_path / "user.lex"
+    path.write_text("a-b :: s:f(X)/s:X\nc3 , :: s:g(X)/s:X\none of the :: s:h(X)/s:X\nx :: s:ok\n")
+    code, out, err = run(capsys, "--lexicon", str(path), "readings", "a-b c3, one of the x")
+    assert (code, out, err) == (0, "1 readings of: a-b c3 , one of the x\n  x1  f(g(h(ok)))\n", "")
+
+
+def test_every_bundled_lexeme_tokenizes_to_itself():
+    # The CLI skips the check for the bundled lexicon, so it must hold.
+    lexemes = {e.lexeme for e in default_lexicon().entries}
+    assert len(lexemes) == 64
+    assert all(tokenize(" ".join(lexeme)) == list(lexeme) for lexeme in lexemes)
+
+
 def test_ill_formed_entry_is_a_lexicon_error(tmp_path, capsys):
     path = tmp_path / "user.lex"
     path.write_text("x :: s:q-every(j, girl(j), smiled(j))\n")
@@ -119,7 +158,8 @@ def test_raise_symbols_are_prefixed_names(tmp_path, capsys, symbols, err):
     ("x :: s:ok\nx :: s:ok\n", 0,
      "warning: line 2: duplicate lexicon entry for 'x' dropped: s:ok\n"),
     ("x :: s:q-every(j, girl(j), smiled(j))\n", 2,
-     "lexicon error: line 1: quantifier q-every binds the non-variable j\n")])
+     "lexicon error: line 1: quantifier q-every binds the non-variable j\n"),
+    ("John :: s:ok\nx :: s:ok\n", 0, never_matches("John"))])
 def test_lexicon_messages_stay_one_line_with_warnings_as_errors(tmp_path, text, code, err):
     # A fresh process, as a user runs it: -W error must not turn the
     # warning into a traceback.
@@ -491,3 +531,69 @@ def test_corpus_negative_entry_detects_conjoinable_shape(tmp_path, capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines[0].startswith("PASS")
     assert lines[1].startswith("FAIL")
+
+
+# --- mutated inputs -----------------------------------------------------------------
+
+# Characters a mutation inserts: the syntax of every input file, blanks,
+# tabs, newlines, a prime, letters spelled like variables and non-ASCII.
+MUTATION_CHARS = "()/\\:^,#?-_' \t\nxXvV01⊣é"
+
+
+def mutated(text, rng):
+    """text after one to four edits: a character dropped, inserted,
+    doubled or swapped with the next, or a line dropped or doubled."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.randrange(6)
+        if edit == 0:
+            text = text[:i] + text[i + 1:]
+        elif edit == 1:
+            text = text[:i] + rng.choice(MUTATION_CHARS) + text[i:]
+        elif edit == 2:
+            text = text[:i] + text[i:i + 1] + text[i:]
+        elif edit == 3:
+            text = text[:i] + text[i + 1:i + 2] + text[i:i + 1] + text[i + 2:]
+        else:
+            lines = text.split("\n")
+            k = rng.randrange(len(lines))
+            lines[k:k + 1] = [] if edit == 4 else [lines[k], lines[k]]
+            text = "\n".join(lines)
+    return text
+
+
+def mutated_cases(rng):
+    """(argv, file text or None) per case: a mutated bundled lexicon,
+    corpus.txt, corpus.skel, or corpus sentence; {} in argv is the file."""
+    sentences = [row[1] for row in read_data("corpus.txt", None, lambda *row: row)]
+    skel_sentences = [row[0] for row in read_data("corpus.skel", None, lambda *row: row)]
+    short = [s for s in sentences if len(s.split()) <= 7]
+    commands = [["readings"], ["--json", "readings"], ["--json", "parse"],
+                ["derive", "--max-derivations", "3"]]
+    for _ in range(25):
+        yield (["--lexicon", "{}", "readings", rng.choice(short)],
+               mutated(_data_text("fragment.lex"), rng))
+        yield ["corpus", "{}"], mutated(_data_text("corpus.txt"), rng)
+        yield (["compare", "--skeletons", "{}", rng.choice(skel_sentences)],
+               mutated(_data_text("corpus.skel"), rng))
+        yield rng.choice(commands) + [mutated(rng.choice(sentences), rng)], None
+
+
+def test_mutated_inputs_exit_zero_to_three_with_one_error_line(tmp_path, capsys):
+    # Every input gives a result or a one-line error: each exit other than
+    # 0 and 3 prints one stderr line besides warnings, and no exception
+    # but argparse's exit escapes main.
+    path = tmp_path / "input"
+    for n, (argv, text) in enumerate(mutated_cases(random.Random(24))):
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        argv = [a.format(path) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("warning: ")]
+        assert code in (0, 1, 2, 3), (n, argv, text)
+        if code not in (0, 3):
+            assert len(err) == 1, (n, argv, text, err)

@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from ccgscope import lexicon as lexicon_module
-from ccgscope.categories import cat_key, cat_shape, cat_text, cat_vars, parse_cat, subst_cat
+from ccgscope.categories import cat_key, cat_shape, cat_text, parse_cat, subst_cat
 from ccgscope.cli import _data_text
 from ccgscope.lexicon import (
     LexiconError,
@@ -16,7 +16,7 @@ from ccgscope.lexicon import (
     load_lexicon,
 )
 
-from helpers import oracle_load
+from helpers import cat_vars, oracle_load
 
 
 def keys(entries):
