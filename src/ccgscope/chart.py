@@ -7,8 +7,9 @@ Unconsumed argument slots ride through composition only under
 here.  Cells deduplicate by canonicalized category, merging backpointers
 into a packed forest.  Every category in the chart is in canonical form:
 lexical entries enter in their chart form (LexEntry.chart_cat, computed
-once per entry), and the rules build their results with subst_cat, which
-follows the unifier and canonicalizes in one walk.  So cells deduplicate
+once per entry and renamed apart once per lexicon, Lexicon.chart_copy),
+and the rules build their results with subst_cat, which follows the
+unifier and canonicalizes in one walk.  So cells deduplicate
 modulo the associativity of and/2: the bracketings of a coordination
 share one item, and an n-conjunct cluster keeps its scopings instead of
 Catalan-many copies.  The walk returns at once every subterm whose
@@ -26,12 +27,15 @@ to parse that holds, per span, every category keyed there (terms hash
 and compare in C).  Equal categories have equal keys, so a hit is the
 item cell.get(cat_key(cat)) would give, and ids and backpointers do not
 change.  Only a miss is keyed: a new item, or a variant duplicate, which
-is entered too.  A chart costs one cat_key per item plus one per variant
-duplicate.  Over the corpus and the test families (test_chart's
-KEYING_CASES) that is 8,990 keys for 8,749 items, where keying every
-result took 16,825: 7,835 results were equal duplicates and 241 variants.
-The key builds no text: cat_text prints a category for pretty, the CLI
-and error messages, and nothing compares printed text.
+is entered too.  A lexical item is not keyed at all: it enters with its
+entry's chart_key, the key of every renamed copy of the entry's chart
+form, worked out once per entry.  So a chart costs one cat_key per
+rule-built item plus one per variant duplicate.  Over the corpus and the
+test families (test_chart's KEYING_CASES) that is 8,030 keys for 8,749
+items, 960 of them lexical, where keying every entry and result took
+16,825: 7,835 results were equal duplicates and 241 variants.  The key
+builds no text: cat_text prints a category for pretty, the CLI and error
+messages, and nothing compares printed text.
 
 parse runs in two passes over one statement of the rules: the rows of
 ROWS, which read the Slash tuple that categories and their shapes share.
@@ -397,7 +401,16 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     on two items only when the table's edge between their shapes gives a
     result shape marked at the span.  Each item takes its shape from
     there: a lexical item its entry's, a rule result its edge's result
-    shape."""
+    shape.
+
+    A live entry's first occurrence in the sentence enters as its chart
+    copy (Lexicon.chart_copy), made on the entry's first use in any parse
+    on this lexicon and kept, so it is renamed once per lexicon, not once
+    per parse, and the records the rules write on its terms serve later
+    parses too.  Each further occurrence in the sentence enters as a
+    fresh copy (Lexicon.fresh), so no two lexical items of the chart
+    share a variable.  Either way the item is filed under the entry's
+    chart_key, without a cat_key walk."""
     tokens = tuple(tokens)
     if len(tokens) > MAX_TOKENS:
         raise ResourceError(
@@ -413,14 +426,15 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     # Per item id, the shape table id of its shape.
     shape_ids: List[Optional[int]] = [None]
 
-    def add(span, cat, shape, back):
+    def add(span, cat, shape, back, key=None):
         seen = known.get(span)
         if seen is None:
             seen = known[span] = {}
         item = seen.get(cat)
         if item is None:
             cell = chart.cells.setdefault(span, {})
-            key = cat_key(cat)
+            if key is None:
+                key = cat_key(cat)
             item = cell.get(key)
             if item is None:
                 if len(chart.items) >= MAX_ITEMS:
@@ -448,9 +462,15 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     for span, _, shape in lexical:
         shapes.setdefault(span, []).append(shape)
     live, splits = _live_edges(n, shapes)
+    copied = set()  # ids of the entries whose chart copy this chart holds
     for span, entry, shape in lexical:
         if shape in live.get(span, ()):
-            add(span, lexicon.fresh(entry.chart_cat), shape, ("lex", entry.tag))
+            if id(entry) in copied:
+                cat = lexicon.fresh(entry.chart_cat)
+            else:
+                copied.add(id(entry))
+                cat = lexicon.chart_copy(entry)
+            add(span, cat, shape, ("lex", entry.tag), entry.chart_key)
 
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):

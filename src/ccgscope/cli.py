@@ -72,12 +72,16 @@ def read_data(name: str, path: Optional[str], row: Callable) -> list:
 
 
 def _read_file(path: str) -> str:
-    """The text of a user file; DataFileError unless it is UTF-8."""
+    """The text of a user file, less a UTF-8 byte-order mark if it starts
+    with one; DataFileError unless it is UTF-8."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise DataFileError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+        # exc.object is what follows the mark, if there is one.
+        at = len(data) - len(exc.object) + exc.start
+        raise DataFileError(f"{path}: not UTF-8 text (byte {at})") from None
 
 
 def _load_lexicon(path: Optional[str]):
@@ -266,8 +270,17 @@ def _cmd_corpus(args, lex, out) -> int:
 
 # --- entry point --------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line, ``error: …``,
+    with exit code 2.  add_subparsers makes the subcommand parsers of the
+    parser's own class, so theirs are too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ccgscope",
         description="Parse a fixed English fragment and enumerate its "
                     "scoped readings.")

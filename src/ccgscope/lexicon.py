@@ -58,6 +58,16 @@ So duplicates need keys only across declarations, and only between
 entries of the same lexeme and the same shape (cat_shape), which is
 compared first.  Loading the bundled lexicon computes one key per type
 and none per entry.
+
+Chart copies.  A chart takes an entry in its chart form (chart_cat, set
+forms eta-reduced and and/2 nested to the left), renamed apart from every
+other category the lexicon has renamed, and files it under its key
+(chart_key).  The chart form, a renamed copy of it and the key depend on
+the entry alone, so each is made once, on the entry's first use in a
+parse and never at load: a lexicon keeps one renamed copy per entry
+(chart_copy), and a chart that holds the entry twice takes a fresh copy
+(fresh) for the second.  A one-to-one renaming keeps the key
+(categories), so every copy is filed under chart_key.
 """
 
 from __future__ import annotations
@@ -108,7 +118,7 @@ class UnknownTokenError(LexiconError):
 
 @dataclass(frozen=True)
 class LexEntry:
-    """A lexical entry.  Its key, chart form and shape are computed once,
+    """A lexical entry.  Its keys, chart form and shape are computed once,
     on first use, and stored on the entry."""
     lexeme: tuple
     cat: Category
@@ -124,6 +134,12 @@ class LexEntry:
         """cat in chart form, as subst_cat leaves every chart category:
         set forms eta-reduced and and/2 nested to the left."""
         return subst_cat({}, self.cat)
+
+    @cached_property
+    def chart_key(self) -> tuple:
+        """cat_key(chart_cat): the key of every renamed copy of chart_cat,
+        as a one-to-one renaming never changes a key (categories)."""
+        return cat_key(self.chart_cat)
 
     @cached_property
     def shape(self) -> Union[str, tuple]:
@@ -219,6 +235,9 @@ class Lexicon:
         self._by_first: dict = {}
         self._by_lexeme: dict = {}
         self._fresh = itertools.count(1)
+        # id(entry) -> (entry, its chart copy); the entry is kept so that
+        # its id is never reused while the table holds it.
+        self._copies: dict = {}
 
     def add(self, entries: Sequence[LexEntry], line: Optional[int] = None) -> None:
         """Add the entries of one declaration, all of one lexeme.
@@ -249,8 +268,8 @@ class Lexicon:
         self._by_first.setdefault(lexeme[0], []).extend(entries)
 
     def lookup(self, tokens: Tuple[str, ...], i: int) -> List[Tuple[LexEntry, int]]:
-        """Entries whose lexeme matches tokens[i:], as stored: rename a
-        category's variables with fresh before it meets another's.
+        """Entries whose lexeme matches tokens[i:], as stored: a category
+        meets another's only renamed apart, as chart_copy or fresh gives it.
 
         Returns (entry, consumed) pairs, none when nothing matches at this
         position (a token inside a multi-word lexeme, or an unknown one).
@@ -263,8 +282,21 @@ class Lexicon:
         return matches
 
     def fresh(self, cat: Category) -> Category:
-        """cat with every variable renamed apart from all earlier ones."""
+        """cat with every variable renamed apart from all earlier ones: from
+        every category fresh has returned, chart copies included."""
         return standardize_apart(cat, self._fresh)
+
+    def chart_copy(self, entry: LexEntry) -> Category:
+        """entry's chart copy: fresh(entry.chart_cat), made on the entry's
+        first use and returned as is from then on.  Nothing else this
+        lexicon renames shares a variable with it, so one chart may hold
+        it beside fresh copies of any entry, this one's included.  The
+        variable records that rule walks write on its terms (see terms)
+        serve every later chart."""
+        held = self._copies.get(id(entry))
+        if held is None:
+            held = self._copies[id(entry)] = (entry, self.fresh(entry.chart_cat))
+        return held[1]
 
     def unknown_token(self, tokens: Tuple[str, ...], i: int) -> UnknownTokenError:
         """The error for tokens[i] when no entry matches there.  A word with

@@ -1,3 +1,4 @@
+import operator
 import random
 from collections import Counter
 
@@ -30,7 +31,13 @@ from ccgscope.chart import (
     replay,
 )
 from ccgscope.cli import _corpus_entry, _data_text, read_data, tokenize
-from ccgscope.lexicon import UnknownTokenError, _split_top, default_lexicon, load_lexicon
+from ccgscope.lexicon import (
+    Lexicon,
+    UnknownTokenError,
+    _split_top,
+    default_lexicon,
+    load_lexicon,
+)
 from ccgscope.readings import NoParseError, readings_from_chart
 from ccgscope.terms import (
     Atom,
@@ -616,17 +623,32 @@ def test_an_items_shape_is_its_categorys_shape(chart_of):
     assert checked > 8000, checked
 
 
-def keying_tallies(sentences, lex, monkeypatch):
-    """Parse each sentence with cat_key and the rules wrapped, check the
-    keying law on each chart, and return the totals.
+def lexical_items(chart):
+    return [it for it in chart.items.values() if it.backs[0][0] == "lex"]
 
-    The law: a rule result equal to a category keyed in its cell goes to
-    that category's item without a cat_key call; every other result is
+
+def keying_tallies(sentences, lex, monkeypatch):
+    """The totals of sentence_tallies over sentences, parsed on lex."""
+    totals = Counter()
+    for _, tally in sentence_tallies([(sentence, lex) for sentence in sentences],
+                                     monkeypatch):
+        totals.update(tally)
+    return dict(totals)
+
+
+def sentence_tallies(parses, monkeypatch):
+    """Parse each (sentence, lexicon) pair with cat_key and the rules
+    wrapped, check the keying law on its chart, and return the chart and
+    its tally per pair.
+
+    The law: a lexical item enters with its entry's chart_key, without a
+    cat_key call.  A rule result equal to a category keyed in its cell
+    goes to that category's item without a call; every other result is
     keyed once, and then entered for later lookups whether it made an item
-    or was a variant duplicate.  So cat_key runs once per item and once per
-    variant duplicate, and a result that was looked up lands on the item
-    cat_key would have given it.  Equality is judged by the type-tagged
-    oracle, not by the terms' own."""
+    or was a variant duplicate.  So cat_key runs once per rule-built item
+    and once per variant duplicate, and a result that was looked up lands
+    on the item cat_key would have given it.  Equality is judged by the
+    type-tagged oracle, not by the terms' own."""
     calls, results = Counter(), []
 
     def counted(cat):
@@ -644,8 +666,8 @@ def keying_tallies(sentences, lex, monkeypatch):
     monkeypatch.setattr(chart_module, "cat_key", counted)
     monkeypatch.setattr(chart_module, "RULES", tuple(
         (label, recorded(label, fn)) for label, fn in chart_module.RULES))
-    totals = Counter()
-    for sentence in sentences:
+    tallied = []
+    for sentence, lex in parses:
         calls.clear()
         results.clear()
         chart = parse(tokenize(sentence), lex)
@@ -653,22 +675,27 @@ def keying_tallies(sentences, lex, monkeypatch):
         items = chart.items.values()
         by_cat = {id(it.cat): it for it in items}
         # Every lexical entry made an item, so only rule results duplicate.
-        lexical = [it for it in items if it.backs[0][0] == "lex"]
+        lexical = lexical_items(chart)
         assert sum(back[0] == "lex" for it in items for back in it.backs) == len(lexical)
+        # ... and is filed under its key, which parse did not compute.
+        assert all(chart.cells[it.span][cat_key(it.cat)] is it for it in lexical)
+        key_of = {it.id: key for cell in chart.cells.values() for key, it in cell.items()}
+        by_back = {back: it for it in items for back in it.backs}
         keyed = {}     # span -> tagged forms of the categories keyed there
         keys = {}      # span -> their keys
         variants = {}  # span -> tagged forms of its variant duplicates
         for it in lexical:
             keyed.setdefault(it.span, set()).add(tagged_cat(it.cat))
-            keys.setdefault(it.span, set()).add(cat_key(it.cat))
+            keys.setdefault(it.span, set()).add(key_of[it.id])
         tally = Counter()
         for label, left, right, out in results:
             li, ri = by_cat[id(left)], by_cat[id(right)]
             assert li.cat is left and ri.cat is right
             span, back = (li.span[0], ri.span[1]), (label, li.id, ri.id)
-            (item,) = [it for it in chart.cell(*span) if back in it.backs]
+            item = by_back[back]
+            assert item.span == span
             key, form = cat_key(out), tagged_cat(out)
-            assert key == cat_key(item.cat), sentence
+            assert key == key_of[item.id], sentence
             if form in keyed.setdefault(span, set()):
                 tally["equal"] += 1
                 tally["equal to a variant"] += form in variants.get(span, ())
@@ -680,11 +707,12 @@ def keying_tallies(sentences, lex, monkeypatch):
             keyed[span].add(form)
             keys[span].add(key)
         assert tally["new"] == len(chart.items) - len(lexical), sentence
-        assert made == len(chart.items) + tally["variant"], sentence
-        tally.update({"items": len(chart.items), "cat_key calls": made})
+        assert made == len(chart.items) - len(lexical) + tally["variant"], sentence
+        tally.update({"items": len(chart.items), "lexical items": len(lexical),
+                      "cat_key calls": made})
         del tally["new"]
-        totals.update(tally)
-    return dict(totals)
+        tallied.append((chart, tally))
+    return tallied
 
 
 def test_parse_keys_only_new_items_and_variant_duplicates(lex, monkeypatch):
@@ -692,10 +720,11 @@ def test_parse_keys_only_new_items_and_variant_duplicates(lex, monkeypatch):
     # and the rule results that duplicate an item, split into those equal
     # to a category already keyed in their cell and the variants of one.
     # None of these sentences gives a result equal to a variant duplicate;
-    # the next test does.
+    # the next test does.  Lexical items come keyed (LexEntry.chart_key),
+    # so cat_key runs for the rule-built items and the variants alone.
     assert keying_tallies(KEYING_CASES, lex, monkeypatch) == {
-        "items": 8749, "equal": 7835, "equal to a variant": 0, "variant": 241,
-        "cat_key calls": 8990}
+        "items": 8749, "lexical items": 960, "equal": 7835, "equal to a variant": 0,
+        "variant": 241, "cat_key calls": 8749 - 960 + 241}
 
 
 def test_a_result_equal_to_a_variant_duplicate_is_looked_up(monkeypatch):
@@ -704,8 +733,81 @@ def test_a_result_equal_to_a_variant_duplicate_is_looked_up(monkeypatch):
     # (x x) + e a result equal to that variant, found without a key.
     lex = load_lexicon("x :: np:x(A)/np:A\ne :: np:e(B)\nx x e :: np:x(x(e(D)))\n")
     assert keying_tallies(["x x e"], lex, monkeypatch) == {
-        "items": 6, "equal": 1, "equal to a variant": 1, "variant": 1,
-        "cat_key calls": 7}
+        "items": 6, "lexical items": 4, "equal": 1, "equal to a variant": 1,
+        "variant": 1, "cat_key calls": 6 - 4 + 1}
+
+
+# --- lexical chart copies -------------------------------------------------------
+
+def test_an_entry_used_twice_gets_two_copies_with_no_variable_in_common():
+    # The first "every" enters as its entries' chart copies, the second as
+    # fresh copies of the same entries: equal keys, no shared variable.
+    lex = default_lexicon()
+    chart = parse(tokenize("every man saw every woman"), lex)
+    lexical = lexical_items(chart)
+    firsts = {cat_key(it.cat): it for it in lexical if it.span == (0, 1)}
+    seconds = {cat_key(it.cat): it for it in lexical if it.span == (3, 4)}
+    entries = {e.chart_key: e for e in lex.entries if e.lexeme == ("every",)}
+    assert firsts.keys() & seconds.keys()
+    for key in firsts.keys() & seconds.keys():
+        first, second = firsts[key], seconds[key]
+        assert first.cat is lex.chart_copy(entries[key])
+        assert second.cat is not first.cat
+        assert not set(cat_vars(first.cat)) & set(cat_vars(second.cat))
+    # No two lexical items of the chart share a variable.
+    var_sets = [set(cat_vars(it.cat)) for it in lexical]
+    assert sum(map(len, var_sets)) == len(set().union(*var_sets))
+
+
+def test_chart_copies_are_made_on_first_use_and_kept(monkeypatch):
+    # Loading renames nothing.  A parse renames each live entry once, to
+    # make its chart copy, plus once per further occurrence in the
+    # sentence; parsing the sentence again renames the further ones only,
+    # and the first occurrences enter as the same objects.
+    renamed, fresh = [], Lexicon.fresh
+
+    def counted(self, cat):
+        renamed.append(cat)
+        return fresh(self, cat)
+    monkeypatch.setattr(Lexicon, "fresh", counted)
+    lex = default_lexicon()
+    assert renamed == []
+    tokens = tokenize("every man saw every woman")
+    first = lexical_items(parse(tokens, lex))
+    keys_at = {span: {cat_key(it.cat) for it in first if it.span == span}
+               for span in ((0, 1), (3, 4))}
+    repeats = len(keys_at[(0, 1)] & keys_at[(3, 4)])
+    assert repeats and len(renamed) == len(first)
+    renamed.clear()
+    second = lexical_items(parse(tokens, lex))
+    assert len(renamed) == repeats
+    before, after = ([it.cat for it in items if it.span[0] < 3] for items in (first, second))
+    assert len(before) == len(after) and all(map(operator.is_, before, after))
+
+
+def chart_readings(chart):
+    try:
+        return [(format_term(r.term), r.multiplicity) for r in readings_from_chart(chart)]
+    except NoParseError:
+        return None
+
+
+def test_chart_copies_change_no_chart_reading_or_keying_work(monkeypatch):
+    # The reference parses each sentence on a lexicon of its own.  One
+    # lexicon parses KEYING_CASES forward and then in reverse, so each
+    # sentence twice, and a chart copy comes from whichever sentence used
+    # its entry first, its variables numbered accordingly.  Per sentence,
+    # the chart (ids, spans, keys, shapes, backpointers in order), the
+    # readings and the keying tally are the reference's all the same.
+    reference = {
+        sentence: (chart_record(chart), chart_readings(chart), tally)
+        for sentence, (chart, tally) in zip(KEYING_CASES, sentence_tallies(
+            ((sentence, default_lexicon()) for sentence in KEYING_CASES), monkeypatch))}
+    lex = default_lexicon()
+    parses = [(sentence, lex) for sentence in KEYING_CASES + KEYING_CASES[::-1]]
+    for (sentence, _), (chart, tally) in zip(parses, sentence_tallies(parses, monkeypatch)):
+        assert (chart_record(chart), chart_readings(chart), tally) == reference[sentence], \
+            sentence
 
 
 def respelled_lexicon(how):

@@ -345,6 +345,29 @@ def test_unreadable_user_file_is_a_one_line_error(tmp_path, capsys, argv, data):
     assert "Traceback" not in err
 
 
+def test_user_files_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # A UTF-8 byte-order mark is no part of the text: the corpus file's
+    # first line is an entry, the skeleton file's first sentence is found
+    # and the lexicon keeps its first entry, with no warning.
+    path = tmp_path / "input"
+    skeleton = _data_text("corpus.skel").splitlines()[2]
+    assert skeleton.startswith(FRENCHMEN + "\t")
+    bundled = run(capsys, "compare", FRENCHMEN)
+    for text, argv, expected in [
+            ("2\t" + FRENCHMEN, ["corpus", "{}"],
+             (0, f"PASS  expected 2  got 2  {FRENCHMEN}\n1/1 corpus entries pass\n", "")),
+            (skeleton, ["compare", "--skeletons", "{}", FRENCHMEN], bundled),
+            ("x :: s:ok\n", ["--lexicon", "{}", "readings", "x"],
+             (0, "1 readings of: x\n  x1  ok\n", ""))]:
+        path.write_text("\ufeff" + text + "\n", encoding="utf-8")
+        assert run(capsys, *(a.format(path) for a in argv)) == expected, argv
+    # A byte that is not UTF-8 is counted from the start of the file.
+    for data, at in [(b"\xef\xbb\xbf2\t\xff", 5), (b"2\t\xff", 2)]:
+        path.write_bytes(data)
+        assert run(capsys, "corpus", str(path)) \
+            == (2, "", f"error: {path}: not UTF-8 text (byte {at})\n")
+
+
 # --- parse and derive -------------------------------------------------------------
 
 def test_parse_lists_full_span_categories(capsys):
@@ -437,8 +460,31 @@ def test_derive_cap_below_one_is_a_usage_error(capsys, cap):
     with pytest.raises(SystemExit) as exc:
         main(["derive", FRENCHMEN, "--max-derivations", cap])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--max-derivations" in err and "Traceback" not in err
+    assert capsys.readouterr() == (
+        "", f"error: argument --max-derivations: expected a positive integer, got {cap}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["readings", "-x"], "the following arguments are required: sentence"),
+    ([], "the following arguments are required: command"),
+], ids=["dash-sentence", "no-command"])
+def test_a_usage_error_is_one_line(capsys, argv, message):
+    # The subcommand parsers are of the top parser's class, so theirs are
+    # one line too (and derive's cap, above).
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_help_and_a_dash_sentence_after_double_dash(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["readings", "-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: ccgscope readings") and out.err == ""
+    assert run(capsys, "readings", "--", "-x") \
+        == (2, "", "error: unknown token '-x' at position 0\n")
 
 
 # --- compare ------------------------------------------------------------------------

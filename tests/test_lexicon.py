@@ -112,15 +112,19 @@ def test_entries_compile_to_chart_form_once():
     lex = default_lexicon()
     for entry in lex.entries:
         assert entry.key == cat_key(entry.cat)
+        assert entry.chart_key == cat_key(entry.chart_cat)
         assert entry.shape == cat_shape(entry.cat) == cat_shape(entry.chart_cat)
         assert subst_cat({}, entry.chart_cat) is entry.chart_cat
         assert entry.chart_cat is entry.chart_cat
     # Chart form: set forms eta-reduced and and/2 nested to the left; the
-    # entry keeps its category as written.
+    # entry keeps its category as written, and has a key for each.
     lex = load_lexicon("p :: np:s-a(X^p(X))\nq :: s:and(a, and(b, c))\n")
     assert texts(lex.entries) == ["np:s-a(v1^p(v1))", "s:and(a, and(b, c))"]
     assert [cat_text(e.chart_cat) for e in lex.entries] \
         == ["np:s-a(p)", "s:and(and(a, b), c)"]
+    assert [e.chart_key for e in lex.entries] \
+        == [cat_key(parse_cat("np:s-a(p)")), cat_key(parse_cat("s:and(and(a, b), c)"))]
+    assert all(e.chart_key != e.key for e in lex.entries)
 
 
 def test_multiword_lookup_consumes_whole_lexeme():
