@@ -109,8 +109,9 @@ def map_sems(cat: Category, fn: Callable[[Term], Term]) -> Category:
 def subst_cat(s: Subst, cat: Category) -> Category:
     """cat under the unifier s, every semantics in canonical chart form
     (apply_reduced): the one place a rule result is canonicalized.  cat
-    itself, and each subcategory that does not change, is returned as is."""
-    if isinstance(cat, Atomic):
+    itself, and each subcategory that does not change, is returned as is.
+    Dispatches on the exact type: Atomic and Slash have no subclasses."""
+    if type(cat) is Atomic:
         sem = apply_reduced(s, cat.sem)
         return cat if sem is cat.sem else Atomic(cat.sort, sem)
     result = subst_cat(s, cat.result)
@@ -131,14 +132,19 @@ def cat_shape(cat: Category) -> Union[str, Slash]:
 
 def unify_cat(a: Category, b: Category, s: Optional[Subst] = None) -> Optional[Subst]:
     """Shape-strict unification: identical slash skeletons and sorts,
-    then term unification of the paired semantics."""
+    then term unification of the paired semantics, one call of unify per
+    pair of atomics.  Two categories of different types (an atomic and a
+    slash) fail at once."""
     if s is None:
         s = {}
-    if isinstance(a, Atomic) and isinstance(b, Atomic):
+    kind = type(a)
+    if kind is not type(b):
+        return None
+    if kind is Atomic:
         if a.sort != b.sort:
             return None
         return unify(a.sem, b.sem, s)
-    if isinstance(a, Slash) and isinstance(b, Slash):
+    if kind is Slash:
         if a.dir != b.dir:
             return None
         s = unify_cat(a.result, b.result, s)

@@ -25,8 +25,12 @@ without a search, as parse_cat's V'1, V'2, ... are (categories).
 A category written in a ``::`` line or an ``@tset`` line must not hold a
 quantifier q-<det>(V, R, B) whose variable slot V is a non-variable: such
 a quantifier binds nothing, and the line is refused with a LexiconError
-naming it.  Raised entries need no check: the quantifier each wide entry
-builds binds V', fresh for its type, and the types are checked.
+naming it.  Only a line whose category text spells ``q-`` is walked for
+one: a quantifier's functor is read verbatim from the text, and no
+``::`` or ``@tset`` line of the bundled lexicon spells it, so loading
+that lexicon walks no category.  Raised entries need no check: the
+quantifier each wide entry builds binds V', fresh for its type, and the
+types are checked.
 With the chart's rules, which never bind a quantifier's variable to a
 non-variable (terms.apply_reduced), every constituent the chart builds
 from a loaded lexicon is then well-formed.
@@ -308,13 +312,18 @@ class Lexicon:
         return UnknownTokenError(f"unknown token {word!r} at position {i}{hint}")
 
 
-def _checked(cat: Category) -> Category:
-    """cat, unless it holds a quantifier over a non-variable."""
-    for at in atomics(cat):
-        q = unbound_quantifier(at.sem)
-        if q is not None:
-            raise LexiconError(f"quantifier {q.functor} binds the non-variable"
-                               f" {format_term(q.args[0])}")
+def _checked(text: str) -> Category:
+    """The category text spells, unless it holds a quantifier over a
+    non-variable.  A quantifier's functor is a name read verbatim from
+    the text, so a text that does not spell QUANT_PREFIX holds none, and
+    its category is not walked."""
+    cat = parse_cat(text)
+    if QUANT_PREFIX in text:
+        for at in atomics(cat):
+            q = unbound_quantifier(at.sem)
+            if q is not None:
+                raise LexiconError(f"quantifier {q.functor} binds the non-variable"
+                                   f" {format_term(q.args[0])}")
     return cat
 
 
@@ -329,7 +338,7 @@ def load_lexicon(text: str) -> Lexicon:
         try:
             if line.startswith("@tset"):
                 body = line[len("@tset"):].strip()
-                tset = TypeSet(_checked(parse_cat(part.strip())) for part in _split_top(body))
+                tset = TypeSet(_checked(part.strip()) for part in _split_top(body))
             elif line.startswith("@raise"):
                 fields = line.split()
                 if len(fields) < 5:
@@ -341,7 +350,7 @@ def load_lexicon(text: str) -> Lexicon:
                 lexeme = tuple(lhs.split())
                 if not lexeme:
                     raise LexiconError("empty lexeme")
-                cat = _checked(parse_cat(rhs.strip()))
+                cat = _checked(rhs.strip())
                 lex.add([LexEntry(lexeme, cat, " ".join(lexeme))], lineno)
             else:
                 raise LexiconError("expected 'lexeme :: category', @tset or @raise")

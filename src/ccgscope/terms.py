@@ -14,7 +14,10 @@ and (body,), where args is a plain tuple of terms; the subclass has no
 __slots__, so an instance can hold a record (below) outside the tuple.
 Atom is a frozen dataclass, not a tuple.  So equality and hashing are
 the tuple's, in C: the chart's cells and the unifier's dicts look terms
-up without a Python call per node, except at atoms.
+up without a Python call per node, except at atoms.  The five classes
+are final: nothing subclasses them, so the walks dispatch on the exact
+type (type(t) is Compound), and two nodes of different types are told
+apart by one identity test.
 
 Equality is exact: two terms are equal iff they are the same tree with
 the same node types.  Tuple equality ignores the class, so this rests on
@@ -32,7 +35,8 @@ term holds a plain tuple where a term belongs.)
 Records.  A compound, lambda or up(.) term may carry a record, varset:
 the frozenset of the variables that occur in it, lambda parameters
 included.  apply_reduced writes it, once, on every such term it returns,
-from the records of the term's children; an atom's record is empty
+as the union of its children's (a variable's being itself), gathered in
+the loop that walks and rebuilds the children; an atom's record is empty
 (class-wide), and every other term's is None (class-wide) until then.
 The invariant: a recorded term is canonical (apply_reduced with no
 bindings returns it as is), and each of its children is recorded or a
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import is_not
 from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Union
 
 
@@ -129,29 +132,30 @@ SET_PREFIX = "s-"
 
 def is_quant(t: Term) -> bool:
     """True for generalized-quantifier nodes q-<det>(V, restriction, body)."""
-    return isinstance(t, Compound) and t.functor.startswith(QUANT_PREFIX) and len(t.args) == 3
+    return type(t) is Compound and t.functor.startswith(QUANT_PREFIX) and len(t.args) == 3
 
 
 def is_set_form(t: Term) -> bool:
     """True for set-denoting quantifier terms s-<det>(property)."""
-    return isinstance(t, Compound) and t.functor.startswith(SET_PREFIX) and len(t.args) == 1
+    return type(t) is Compound and t.functor.startswith(SET_PREFIX) and len(t.args) == 1
 
 
 def is_and(t: Term) -> bool:
     """True for binary conjunctions and(A, B)."""
-    return isinstance(t, Compound) and t.functor == "and" and len(t.args) == 2
+    return type(t) is Compound and t.functor == "and" and len(t.args) == 2
 
 
 def children(t: Term) -> tuple:
     """Immediate subterms: a compound's arguments, a lambda's parameter and
     body, the body of up(.); none for variables and atoms."""
-    if isinstance(t, Compound):
+    kind = type(t)
+    if kind is Compound:
         return t.args
-    if isinstance(t, (Var, Atom)):
+    if kind is Var or kind is Atom:
         return ()
-    if isinstance(t, Lam):
+    if kind is Lam:
         return (t.param, t.body)
-    if isinstance(t, Up):
+    if kind is Up:
         return (t.body,)
     raise TermError(f"not a term: {t!r}")
 
@@ -190,14 +194,6 @@ def unbound_quantifier(t: Term) -> Optional[Compound]:
                 None)
 
 
-def walk(s: Subst, t: Term) -> Term:
-    """t with variable bindings in s followed until an unbound variable or a
-    non-variable; subterms are left as they are."""
-    while isinstance(t, Var) and t in s:
-        t = s[t]
-    return t
-
-
 def apply(s: Subst, t: Term, _active: frozenset = frozenset()) -> Term:
     """Apply substitution s to t, chasing bindings to a fixpoint.
 
@@ -224,19 +220,34 @@ def occurs(v: Var, t: Term, s: Subst) -> bool:
     bindings are followed iff s leaves v unbound: a bound v is replaced
     wherever it stands).  Otherwise v can only come in through a variable
     of the record that s binds, so the walk follows those alone, as it
-    would reach them node by node."""
+    would reach them node by node.  Bindings are followed inline and each
+    node is dispatched on its exact type; an atom holds no variable."""
     stack = [t]
+    pop, push, extend = stack.pop, stack.append, stack.extend
     while stack:
-        t = walk(s, stack.pop())
-        if isinstance(t, Var):
+        t = pop()
+        kind = type(t)
+        while kind is Var and t in s:
+            t = s[t]
+            kind = type(t)
+        if kind is Var:
             if t == v:
                 return True
-        elif t.varset is None:
-            stack.extend(children(t))
-        elif v in t.varset:
-            return v not in s
-        else:
-            stack.extend(s.keys() & t.varset)
+        elif kind is not Atom:
+            varset = t.varset
+            if varset is not None:
+                if v in varset:
+                    return v not in s
+                extend(s.keys() & varset)
+            elif kind is Compound:
+                extend(t.args)
+            elif kind is Lam:
+                push(t.param)
+                push(t.body)
+            elif kind is Up:
+                push(t.body)
+            else:
+                raise TermError(f"not a term: {t!r}")
     return False
 
 
@@ -255,24 +266,33 @@ def unify(a: Term, b: Term, s: Optional[Subst] = None) -> Optional[Subst]:
 
     s must be acyclic, as every unifier returned here is.  The result is
     triangular: read it through apply.  Variable-variable ties bind the
-    variable with the smaller id.
+    variable with the smaller id.  s itself is never changed: a binding
+    goes into a copy.  Bindings are followed inline and each pair is
+    dispatched on exact types, so two nodes of different types fail at
+    once; one call per level of the terms.
     """
     if s is None:
         s = {}
-    a = walk(s, a)
-    b = walk(s, b)
-    if isinstance(a, Var) and isinstance(b, Var):
-        if a == b:
-            return s
-        lo, hi = (a, b) if a.id < b.id else (b, a)
-        return _bind(s, lo, hi)
-    if isinstance(a, Var):
+    kind_a, kind_b = type(a), type(b)
+    while kind_a is Var and a in s:
+        a = s[a]
+        kind_a = type(a)
+    while kind_b is Var and b in s:
+        b = s[b]
+        kind_b = type(b)
+    if kind_a is Var:
+        if kind_b is Var:
+            if a == b:
+                return s
+            if a.id < b.id:
+                return _bind(s, a, b)
+            return _bind(s, b, a)
         return _bind(s, a, b)
-    if isinstance(b, Var):
+    if kind_b is Var:
         return _bind(s, b, a)
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        return s if a.name == b.name else None
-    if isinstance(a, Compound) and isinstance(b, Compound):
+    if kind_a is not kind_b:
+        return None
+    if kind_a is Compound:
         if a.functor != b.functor or len(a.args) != len(b.args):
             return None
         for x, y in zip(a.args, b.args):
@@ -280,12 +300,14 @@ def unify(a: Term, b: Term, s: Optional[Subst] = None) -> Optional[Subst]:
             if s is None:
                 return None
         return s
-    if isinstance(a, Lam) and isinstance(b, Lam):
+    if kind_a is Atom:
+        return s if a.name == b.name else None
+    if kind_a is Lam:
         s = unify(a.param, b.param, s)
         if s is None:
             return None
         return unify(a.body, b.body, s)
-    if isinstance(a, Up) and isinstance(b, Up):
+    if kind_a is Up:
         return unify(a.body, b.body, s)
     return None
 
@@ -411,11 +433,11 @@ def apply_reduced(s: Subst, t: Term) -> Term:
     """t under the unifier s, in the canonical form of a chart semantics,
     in one walk.
 
-    Bindings are followed as in walk, and the result is canonical modulo
-    two equivalences: s-<det>(X^p(X)) becomes s-<det>(p), unless p is
-    spelled like a variable (F, v1), as an atom p would print as one; and
-    and/2 nests to the left, and(A, and(B, C)) becoming and(and(A, B), C),
-    to a fixpoint.  Both rewrites keep the meaning; the canonical spelling
+    Bindings are followed to an unbound variable or a non-variable, and
+    the result is canonical modulo two equivalences: s-<det>(X^p(X))
+    becomes s-<det>(p), unless p is spelled like a variable (F, v1), as an
+    atom p would print as one; and and/2 nests to the left, and(A, and(B,
+    C)) becoming and(and(A, B), C), to a fixpoint.  Both rewrites keep the meaning; the canonical spelling
     lets a chart cell pack every bracketing of a coordination into one
     item, and printed categories use the short set form.  Left, because noun-modifier
     conjunctions are built left-nested, so their forms do not change.  The
@@ -430,57 +452,105 @@ def apply_reduced(s: Subst, t: Term) -> Term:
     that slot back to a variable, so nothing built from the result can be
     read.  Only the replacement is refused; a quantifier that holds a
     non-variable in t, or in a value of s, already is returned as it is.
+    Children are walked first, left to right, so a fault inside a child
+    raises before its parent's own, and the left child's before the right.
 
     Every compound, lambda and up(.) term returned is recorded (see the
-    module docstring): the walk writes its record from its children's,
-    which it has just returned.  A recorded t whose variables s leaves
-    all unbound is returned at once: it is canonical, so the walk would
-    rewrite nothing in it, and s reaches none of its variables, so every
-    subterm would come back as the input object.  So a rule result costs
-    the part of its operands that the unifier reaches.
+    module docstring).  The walk dispatches on the node's exact type and
+    gathers the record in the loop that walks the children: each child
+    it returns adds itself if a variable, else its record.  A node that
+    the and/2 or set-form rewrite replaces is not recorded; the nodes the
+    rewrite builds are (_recorded).  A recorded t whose variables s
+    leaves all unbound is returned at once: it is canonical, so the walk
+    would rewrite nothing in it, and s reaches none of its variables, so
+    every subterm would come back as the input object.  So a rule result
+    costs the part of its operands that the unifier reaches.  One call
+    per node walked, so one frame per level of the term.
     """
-    while isinstance(t, Var):
+    kind = type(t)
+    while kind is Var:
         if t not in s:
             return t
         t = s[t]
-    if isinstance(t, Atom) or (t.varset is not None and s.keys().isdisjoint(t.varset)):
+        kind = type(t)
+    if kind is Atom:
         return t
-    kids = children(t)
-    # A loop, not a comprehension: before Python 3.12 a comprehension is a
-    # frame of its own, which would halve the depth this recursion reaches.
-    new = []
-    for k in kids:
-        new.append(apply_reduced(s, k))
-    if any(map(is_not, new, kids)):
-        if isinstance(kids[0], Var) and not isinstance(new[0], Var) and is_quant(t):
-            raise QuantifierSlotError(f"{t.functor} would bind a non-variable")
-        t = with_children(t, new)
-    if not isinstance(t, Compound):
-        return _recorded(t)
-    if is_and(t) and is_and(t.args[1]):
-        # Both arguments are canonical already, so the right one's
-        # conjuncts hang off its left spine and none of them is an and/2.
-        right, tail = t.args[1], []
-        while is_and(right):
-            tail.append(right.args[1])
-            right = right.args[0]
-        t = _recorded(Compound("and", (t.args[0], right)))
-        for conjunct in reversed(tail):
-            t = _recorded(Compound("and", (t, conjunct)))
+    varset = t.varset
+    if varset is not None and s.keys().isdisjoint(varset):
         return t
-    if t.functor.startswith(SET_PREFIX) and len(t.args) == 1:
-        lam = t.args[0]
-        if (isinstance(lam, Lam) and isinstance(lam.body, Compound)
-                and lam.body.args == (lam.param,) and not _is_var_name(lam.body.functor)):
-            return _recorded(Compound(t.functor, (Atom(lam.body.functor),)))
-    return _recorded(t)
-
-
-def _recorded(t: Term) -> Term:
-    # t is canonical and its children are recorded or variables: write
-    # the union of their records, a variable's being itself, as t's.
     varset = set()
-    for k in (t.args if type(t) is Compound else children(t)):
+    if kind is Compound:
+        args = t.args
+        new = []
+        changed = False
+        # A loop, not a comprehension: before Python 3.12 a comprehension is
+        # a frame of its own, which would halve the depth this recursion
+        # reaches.
+        for k in args:
+            new_k = apply_reduced(s, k)
+            if new_k is not k:
+                changed = True
+            if type(new_k) is Var:
+                varset.add(new_k)
+            else:
+                varset |= new_k.varset
+            new.append(new_k)
+        if changed:
+            if type(args[0]) is Var and type(new[0]) is not Var and is_quant(t):
+                raise QuantifierSlotError(f"{t.functor} would bind a non-variable")
+            t = Compound(t.functor, tuple(new))
+            args = t.args
+        functor = t.functor
+        if functor == "and" and len(args) == 2 and is_and(args[1]):
+            # Both arguments are canonical already, so the right one's
+            # conjuncts hang off its left spine and none of them is an and/2.
+            right, tail = args[1], []
+            while is_and(right):
+                tail.append(right.args[1])
+                right = right.args[0]
+            t = _recorded(Compound("and", (args[0], right)))
+            for conjunct in reversed(tail):
+                t = _recorded(Compound("and", (t, conjunct)))
+            return t
+        if functor.startswith(SET_PREFIX) and len(args) == 1:
+            lam = args[0]
+            if (type(lam) is Lam and type(lam.body) is Compound
+                    and lam.body.args == (lam.param,) and not _is_var_name(lam.body.functor)):
+                return _recorded(Compound(functor, (Atom(lam.body.functor),)))
+    elif kind is Lam:
+        param, body = t.param, t.body
+        new_param = apply_reduced(s, param)
+        new_body = apply_reduced(s, body)
+        if new_param is not param or new_body is not body:
+            if type(new_param) is not Var:
+                raise TermError(f"lambda parameter {t.param.id} replaced by a non-variable")
+            t = Lam(new_param, new_body)
+        for k in (new_param, new_body):
+            if type(k) is Var:
+                varset.add(k)
+            else:
+                varset |= k.varset
+    elif kind is Up:
+        body = t.body
+        new_body = apply_reduced(s, body)
+        if new_body is not body:
+            t = Up(new_body)
+        if type(new_body) is Var:
+            varset.add(new_body)
+        else:
+            varset |= new_body.varset
+    else:
+        raise TermError(f"not a term: {t!r}")
+    t.varset = frozenset(varset)
+    return t
+
+
+def _recorded(t: Compound) -> Compound:
+    # A compound that an and/2 or set-form rewrite builds: canonical, its
+    # arguments recorded or variables.  Its record is the union of theirs,
+    # a variable's being itself.
+    varset = set()
+    for k in t.args:
         if type(k) is Var:
             varset.add(k)
         else:

@@ -8,7 +8,8 @@ variables of a category, and the node-by-node walks of the readings
 layer and of free_vars, the oracles for the walks that replaced them,
 the character-by-character term and category reader, the oracle for the
 token reader, and the renamer with its special cases, the oracle for
-Renamer.rename.
+Renamer.rename, and the isinstance kernels, the oracles for the rule
+kernels (apply_reduced, unify and occurs).
 
 Each golden names a sentence plus the full-span categories whose first
 derivation it freezes; the rendered text is the pretty printer's output
@@ -17,6 +18,7 @@ for those derivations, blank-line separated, in the listed order.
 
 import itertools
 import random
+from operator import is_not
 
 from ccgscope.categories import (
     SORTS,
@@ -54,6 +56,7 @@ from ccgscope.terms import (
     Atom,
     Compound,
     Lam,
+    QuantifierSlotError,
     Renamer,
     TermError,
     Up,
@@ -368,29 +371,40 @@ def unrecorded(t):
     return with_children(t, [unrecorded(k) for k in children(t)])
 
 
-def tagged(t):
+def tagged(t, memo=None):
     """The oracle for term equality: t as nested plain tuples, each node
     tagged with its type's name, built from the fields alone.  Two terms
-    should be equal exactly when their tagged forms are."""
+    should be equal exactly when their tagged forms are.  memo, a dict,
+    keeps the form of each node object tagged (by id, with the node, so
+    the id stays its own): a caller that tags many terms sharing
+    subterms tags each shared node once."""
+    if memo is not None:
+        held = memo.get(id(t))
+        if held is not None:
+            return held[1]
     kind = type(t)
     if kind is Var:
-        return ("Var", t.id)
-    if kind is Atom:
-        return ("Atom", t.name)
-    if kind is Compound:
-        return ("Compound", t.functor, tuple(tagged(a) for a in t.args))
-    if kind is Lam:
-        return ("Lam", tagged(t.param), tagged(t.body))
-    if kind is Up:
-        return ("Up", tagged(t.body))
-    raise TypeError(f"not a term: {t!r}")
+        form = ("Var", t.id)
+    elif kind is Atom:
+        form = ("Atom", t.name)
+    elif kind is Compound:
+        form = ("Compound", t.functor, tuple(tagged(a, memo) for a in t.args))
+    elif kind is Lam:
+        form = ("Lam", tagged(t.param, memo), tagged(t.body, memo))
+    elif kind is Up:
+        form = ("Up", tagged(t.body, memo))
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    if memo is not None:
+        memo[id(t)] = (t, form)
+    return form
 
 
-def tagged_cat(cat):
+def tagged_cat(cat, memo=None):
     """The oracle for category equality, from the term oracle."""
     if isinstance(cat, Slash):
-        return ("Slash", cat.dir, tagged_cat(cat.result), tagged_cat(cat.arg))
-    return ("Atomic", cat.sort, tagged(cat.sem))
+        return ("Slash", cat.dir, tagged_cat(cat.result, memo), tagged_cat(cat.arg, memo))
+    return ("Atomic", cat.sort, tagged(cat.sem, memo))
 
 
 def cat_vars(cat):
@@ -834,3 +848,123 @@ class OracleRenamer(Renamer):
             else:
                 raise TermError(f"not a term: {t!r}")
         return out[0]
+
+
+# --- the isinstance kernels, the oracles for the rule kernels -------------
+#
+# terms.apply_reduced, unify and occurs as they were before they dispatched
+# on exact types: apply_reduced takes each node's children and rebuilds it
+# with with_children when one of them changed, and writes its record in a
+# pass of its own over the children it returned (_oracle_recorded); unify
+# and occurs follow bindings through walk, which only the oracles use, and
+# test node types with isinstance.
+
+def walk(s, t):
+    """t with variable bindings in s followed until an unbound variable or a
+    non-variable; subterms are left as they are."""
+    while isinstance(t, Var) and t in s:
+        t = s[t]
+    return t
+
+
+def oracle_occurs(v, t, s):
+    stack = [t]
+    while stack:
+        t = walk(s, stack.pop())
+        if isinstance(t, Var):
+            if t == v:
+                return True
+        elif t.varset is None:
+            stack.extend(children(t))
+        elif v in t.varset:
+            return v not in s
+        else:
+            stack.extend(s.keys() & t.varset)
+    return False
+
+
+def _oracle_bind(s, v, t):
+    if oracle_occurs(v, t, s):
+        return None
+    out = dict(s)
+    out[v] = t
+    return out
+
+
+def oracle_unify(a, b, s=None):
+    if s is None:
+        s = {}
+    a = walk(s, a)
+    b = walk(s, b)
+    if isinstance(a, Var) and isinstance(b, Var):
+        if a == b:
+            return s
+        lo, hi = (a, b) if a.id < b.id else (b, a)
+        return _oracle_bind(s, lo, hi)
+    if isinstance(a, Var):
+        return _oracle_bind(s, a, b)
+    if isinstance(b, Var):
+        return _oracle_bind(s, b, a)
+    if isinstance(a, Atom) and isinstance(b, Atom):
+        return s if a.name == b.name else None
+    if isinstance(a, Compound) and isinstance(b, Compound):
+        if a.functor != b.functor or len(a.args) != len(b.args):
+            return None
+        for x, y in zip(a.args, b.args):
+            s = oracle_unify(x, y, s)
+            if s is None:
+                return None
+        return s
+    if isinstance(a, Lam) and isinstance(b, Lam):
+        s = oracle_unify(a.param, b.param, s)
+        if s is None:
+            return None
+        return oracle_unify(a.body, b.body, s)
+    if isinstance(a, Up) and isinstance(b, Up):
+        return oracle_unify(a.body, b.body, s)
+    return None
+
+
+def oracle_apply_reduced(s, t):
+    while isinstance(t, Var):
+        if t not in s:
+            return t
+        t = s[t]
+    if isinstance(t, Atom) or (t.varset is not None and s.keys().isdisjoint(t.varset)):
+        return t
+    kids = children(t)
+    new = []
+    for k in kids:
+        new.append(oracle_apply_reduced(s, k))
+    if any(map(is_not, new, kids)):
+        if isinstance(kids[0], Var) and not isinstance(new[0], Var) and is_quant(t):
+            raise QuantifierSlotError(f"{t.functor} would bind a non-variable")
+        t = with_children(t, new)
+    if not isinstance(t, Compound):
+        return _oracle_recorded(t)
+    if is_and(t) and is_and(t.args[1]):
+        right, tail = t.args[1], []
+        while is_and(right):
+            tail.append(right.args[1])
+            right = right.args[0]
+        t = _oracle_recorded(Compound("and", (t.args[0], right)))
+        for conjunct in reversed(tail):
+            t = _oracle_recorded(Compound("and", (t, conjunct)))
+        return t
+    if t.functor.startswith(SET_PREFIX) and len(t.args) == 1:
+        lam = t.args[0]
+        if (isinstance(lam, Lam) and isinstance(lam.body, Compound)
+                and lam.body.args == (lam.param,) and not _is_var_name(lam.body.functor)):
+            return _oracle_recorded(Compound(t.functor, (Atom(lam.body.functor),)))
+    return _oracle_recorded(t)
+
+
+def _oracle_recorded(t):
+    varset = set()
+    for k in (t.args if type(t) is Compound else children(t)):
+        if type(k) is Var:
+            varset.add(k)
+        else:
+            varset |= k.varset
+    t.varset = frozenset(varset)
+    return t

@@ -39,11 +39,10 @@ from ccgscope.terms import (
     occurs,
     parse_term,
     unify,
-    walk,
     with_children,
 )
 
-from helpers import all_pairs_parse, cat_vars, tagged_cat, unrecorded, well_formed
+from helpers import all_pairs_parse, cat_vars, tagged_cat, unrecorded, walk, well_formed
 from test_coordination import sentence as coordination_sentence
 from test_terms import rand_lf, rand_term
 

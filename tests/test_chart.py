@@ -458,6 +458,16 @@ def chart_record(chart):
             for it in chart.items.values()]
 
 
+def filed_record(chart):
+    """chart_record with each item's key as its cell files it.  For a
+    chart that sentence_tallies has checked, that is cat_key of the
+    item's category: the tally keys every rule result, each item's first
+    among them, and every lexical item, against the key it is filed under."""
+    key_of = {it.id: key for cell in chart.cells.values() for key, it in cell.items()}
+    return [(it.id, it.span, key_of[it.id], it.shape, it.backs)
+            for it in chart.items.values()]
+
+
 def test_a_cold_and_a_warm_shape_table_build_the_same_chart(lex, monkeypatch):
     # The shape table holds what ROWS gives on shapes, whatever lexicon
     # and sentence met them first, so the charts are the same whether
@@ -648,7 +658,10 @@ def sentence_tallies(parses, monkeypatch):
     or was a variant duplicate.  So cat_key runs once per rule-built item
     and once per variant duplicate, and a result that was looked up lands
     on the item cat_key would have given it.  Equality is judged by the
-    type-tagged oracle, not by the terms' own."""
+    type-tagged oracle, not by the terms' own.  Rule results share most
+    of their subterms, so each node object is tagged once per sentence,
+    and each tagged form keyed once: equal forms are the same tree, and
+    cat_key reads nothing else."""
     calls, results = Counter(), []
 
     def counted(cat):
@@ -684,8 +697,9 @@ def sentence_tallies(parses, monkeypatch):
         keyed = {}     # span -> tagged forms of the categories keyed there
         keys = {}      # span -> their keys
         variants = {}  # span -> tagged forms of its variant duplicates
+        tagged_nodes, key_of_form = {}, {}
         for it in lexical:
-            keyed.setdefault(it.span, set()).add(tagged_cat(it.cat))
+            keyed.setdefault(it.span, set()).add(tagged_cat(it.cat, tagged_nodes))
             keys.setdefault(it.span, set()).add(key_of[it.id])
         tally = Counter()
         for label, left, right, out in results:
@@ -694,7 +708,10 @@ def sentence_tallies(parses, monkeypatch):
             span, back = (li.span[0], ri.span[1]), (label, li.id, ri.id)
             item = by_back[back]
             assert item.span == span
-            key, form = cat_key(out), tagged_cat(out)
+            form = tagged_cat(out, tagged_nodes)
+            key = key_of_form.get(form)
+            if key is None:
+                key = key_of_form[form] = cat_key(out)
             assert key == key_of[item.id], sentence
             if form in keyed.setdefault(span, set()):
                 tally["equal"] += 1
@@ -715,14 +732,27 @@ def sentence_tallies(parses, monkeypatch):
     return tallied
 
 
-def test_parse_keys_only_new_items_and_variant_duplicates(lex, monkeypatch):
+@pytest.fixture(scope="module")
+def keying_forward():
+    """KEYING_CASES parsed in order on one fresh lexicon through
+    sentence_tallies: (the lexicon, each sentence's chart and tally)."""
+    lex = default_lexicon()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return lex, sentence_tallies([(sentence, lex) for sentence in KEYING_CASES],
+                                     monkeypatch)
+
+
+def test_parse_keys_only_new_items_and_variant_duplicates(keying_forward):
     # Engine facts, pinned on purpose: the items built over KEYING_CASES,
     # and the rule results that duplicate an item, split into those equal
     # to a category already keyed in their cell and the variants of one.
     # None of these sentences gives a result equal to a variant duplicate;
     # the next test does.  Lexical items come keyed (LexEntry.chart_key),
     # so cat_key runs for the rule-built items and the variants alone.
-    assert keying_tallies(KEYING_CASES, lex, monkeypatch) == {
+    totals = Counter()
+    for _, tally in keying_forward[1]:
+        totals.update(tally)
+    assert dict(totals) == {
         "items": 8749, "lexical items": 960, "equal": 7835, "equal to a variant": 0,
         "variant": 241, "cat_key calls": 8749 - 960 + 241}
 
@@ -792,21 +822,23 @@ def chart_readings(chart):
         return None
 
 
-def test_chart_copies_change_no_chart_reading_or_keying_work(monkeypatch):
+def test_chart_copies_change_no_chart_reading_or_keying_work(keying_forward, monkeypatch):
     # The reference parses each sentence on a lexicon of its own.  One
-    # lexicon parses KEYING_CASES forward and then in reverse, so each
-    # sentence twice, and a chart copy comes from whichever sentence used
-    # its entry first, its variables numbered accordingly.  Per sentence,
-    # the chart (ids, spans, keys, shapes, backpointers in order), the
-    # readings and the keying tally are the reference's all the same.
+    # lexicon parses KEYING_CASES forward (keying_forward) and then in
+    # reverse, so each sentence twice, and a chart copy comes from
+    # whichever sentence used its entry first, its variables numbered
+    # accordingly.  Per sentence, the chart (ids, spans, keys, shapes,
+    # backpointers in order), the readings and the keying tally are the
+    # reference's all the same.
     reference = {
-        sentence: (chart_record(chart), chart_readings(chart), tally)
+        sentence: (filed_record(chart), chart_readings(chart), tally)
         for sentence, (chart, tally) in zip(KEYING_CASES, sentence_tallies(
             ((sentence, default_lexicon()) for sentence in KEYING_CASES), monkeypatch))}
-    lex = default_lexicon()
-    parses = [(sentence, lex) for sentence in KEYING_CASES + KEYING_CASES[::-1]]
-    for (sentence, _), (chart, tally) in zip(parses, sentence_tallies(parses, monkeypatch)):
-        assert (chart_record(chart), chart_readings(chart), tally) == reference[sentence], \
+    lex, forward = keying_forward
+    backward = sentence_tallies([(sentence, lex) for sentence in KEYING_CASES[::-1]],
+                                monkeypatch)
+    for sentence, (chart, tally) in zip(KEYING_CASES + KEYING_CASES[::-1], forward + backward):
+        assert (filed_record(chart), chart_readings(chart), tally) == reference[sentence], \
             sentence
 
 
@@ -840,7 +872,7 @@ def respelled_lexicon(how):
 
 @pytest.mark.parametrize("how", ["reversed", "shuffled", "steered-around"])
 def test_charts_and_readings_do_not_depend_on_how_the_lexicon_spells_variables(
-        how, lex, chart_of):
+        how, lex, chart_of, readings_of):
     # The engine's invented variables (V'1, N', V') are spelled by no
     # text, so no written name shadows or is shadowed by one.  Which of
     # two tied variables unify binds still follows the spelling, so the
@@ -857,7 +889,7 @@ def test_charts_and_readings_do_not_depend_on_how_the_lexicon_spells_variables(
             == [(it.id, it.span, cat_key(it.cat), it.backs) for it in mine.items.values()], \
             sentence
         try:
-            expected = [(format_term(r.term), r.multiplicity) for r in readings_from_chart(mine)]
+            expected = [(format_term(r.term), r.multiplicity) for r in readings_of(sentence)]
         except NoParseError:
             with pytest.raises(NoParseError):
                 readings_from_chart(theirs)

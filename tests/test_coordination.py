@@ -80,3 +80,37 @@ def test_coordination_has_two_scopings_whatever_its_length(chart_of, case):
     # children's stored categories covers every tree (see
     # check_backpointers), without re-deriving shared subtrees per tree.
     check_backpointers(chart)
+
+
+SAME_SUBJECTS = "every girl admired , but every girl detested , one saxophonist"
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "readings promotes two equal set forms that part at an and/2 jointly, as if"
+    " they were copies of one distributed noun phrase (4 readings); telling"
+    " them apart needs token identity for set forms, ROADMAP direction 1"))
+def test_two_alike_subjects_under_right_node_raising_give_two_scopings(chart_of):
+    # The account, not the engine, fixes the count.  This sentence has the
+    # surface constituents of RNR: two conjuncts, each a subject composed
+    # with its verb ([every girl admired], [every girl detested]), and one
+    # shared object, [one saxophonist], that the coordinated constituent
+    # takes as its argument.  Each subject is a quantificational noun
+    # phrase of its own conjunct, so it scopes inside that conjunct and
+    # has no choice to make.  The one choice is the shared object's: taken
+    # as one referential individual it scopes over the whole coordination
+    # (one > every, in both conjuncts), and taken as a quantifier it is
+    # distributed into each conjunct, under that conjunct's subject
+    # (every > one, twice).  Nothing in that argument reads the subjects'
+    # words, so it gives the 2 readings that "... most boys detested ..."
+    # gives.  Two noun phrases spelled alike are still two tokens: no
+    # reading may have one every-girl quantifier bind the subjects of both
+    # conjuncts, which would say that each girl both admired and detested.
+    rs = readings_from_chart(chart_of(SAME_SUBJECTS))
+    assert len(rs) == 2
+    assert len({scope_profile(r.term) for r in rs}) == 2
+    for r in rs:
+        for n in subterms(r.term):
+            if is_quant(n) and n.functor == "q-every":
+                verbs = {m.functor for m in subterms(n.args[2])
+                         if isinstance(m, Compound) and n.args[0] in m.args}
+                assert not {"admired", "detested"} <= verbs, r.term

@@ -15,6 +15,7 @@ from ccgscope.lexicon import (
     instantiate_raised,
     load_lexicon,
 )
+from ccgscope.terms import parse_term, unbound_quantifier
 
 from helpers import cat_vars, oracle_load
 
@@ -216,6 +217,29 @@ def test_ill_formed_written_category_is_refused_with_its_line():
         load_lexicon("@tset s, s:q-a(b, c, P)\\np\n")
     # A quantifier over a variable, at any depth, is fine.
     load_lexicon("x :: s:think(up(q-a(X, c(X), d(X))), j)\n@tset s:q-a(Y, c(Y), P)\\np\n")
+
+
+def test_only_a_category_whose_text_spells_q_is_walked_for_quantifiers(monkeypatch):
+    # A quantifier's functor is read verbatim from the category's text, so
+    # a text without "q-" holds none: the bundled lexicon, whose only q-
+    # symbols stand in @raise lines, has no category walked at load.  The
+    # ill-formed lines are refused as before, with the same message.
+    walked = []
+
+    def counted(t):
+        walked.append(t)
+        return unbound_quantifier(t)
+    monkeypatch.setattr(lexicon_module, "unbound_quantifier", counted)
+    assert len(default_lexicon().entries) == 431
+    assert walked == []
+    for text, line in [("x :: s:q-every(j, girl(j), smiled(j))\n", 1),
+                       ("x :: s:ok\n@tset s\\np, s:f(q-every(j, girl(j), P))\\np\n", 2)]:
+        with pytest.raises(LexiconError) as caught:
+            load_lexicon(text)
+        assert str(caught.value) == f"line {line}: quantifier q-every binds the non-variable j"
+    walked.clear()
+    load_lexicon("x :: s:think(up(q-a(X, c(X), d(X))), j)\ny :: s:ok\n")
+    assert walked == [parse_term("think(up(q-a(X, c(X), d(X))), j)")]
 
 
 def test_type_set_error_keeps_the_line_of_the_first_raise():

@@ -16,7 +16,6 @@ from ccgscope.readings import (
     occurrences,
     outscopes,
     readings,
-    readings_from_chart,
     scope_profile,
 )
 from ccgscope.terms import (
@@ -303,38 +302,34 @@ AGREEMENT_CASES = [" ".join(tokens) for _, tokens in corpus_sentences()] \
     + [coordination_sentence(k) for k in (1, 2, 3)]
 
 
-def oracle_readings_from_chart(chart):
-    """readings_from_chart with the oracle filter and normalizer."""
-    counts = count_derivations(chart)
-    groups = {}
-    for item in chart.full_span():
-        if isinstance(item.cat, Atomic) and item.cat.sort == "s" \
-                and not oracle_intensional_violation(item.cat.sem):
-            canon = oracle_normalize(item.cat.sem)
-            groups[canon] = groups.get(canon, 0) + counts[item.id]
-    return sorted(groups.items(), key=lambda kv: format_term(kv[0]))
-
-
-def test_the_readings_layer_agrees_with_its_node_by_node_oracles(chart_of):
-    # Readings, multiplicities and their order; the filter's verdict on
-    # every full-span form; occurrence lists and free variables of every
-    # form and reading.
+def test_the_readings_layer_agrees_with_its_node_by_node_oracles(chart_of, readings_of):
+    # Readings, multiplicities and their order, against readings_from_chart
+    # with the oracle filter and normalizer; the filter's verdict on every
+    # full-span form; occurrence lists and free variables of every form
+    # and reading.  Each form's oracle verdict is worked out once.
     tallies = {"forms": 0, "violators": 0, "readings": 0, "set forms": 0}
     for sentence in AGREEMENT_CASES:
         chart = chart_of(sentence)
-        got = readings_from_chart(chart)
-        want = oracle_readings_from_chart(chart)
-        assert [(r.term, r.multiplicity) for r in got] == want, sentence
-        forms = [it.cat.sem for it in chart.full_span()
+        got = readings_of(sentence)
+        counts, groups = count_derivations(chart), {}
+        forms = [it for it in chart.full_span()
                  if isinstance(it.cat, Atomic) and it.cat.sort == "s"]
-        for t in forms:
-            violates = _intensional_violation(t)
-            assert violates == oracle_intensional_violation(t), format_term(t)
-            tallies["violators"] += violates
-            tallies["set forms"] += any(map(is_set_form, subterms(t)))
-        for t in forms + [r.term for r in got]:
+        for item in forms:
+            t = item.cat.sem
+            violates = oracle_intensional_violation(t)
+            assert _intensional_violation(t) == violates, format_term(t)
+            if not violates:
+                canon = oracle_normalize(t)
+                groups[canon] = groups.get(canon, 0) + counts[item.id]
             assert occurrences(t) == oracle_occurrences(t), format_term(t)
             assert free_vars(t) == oracle_free_vars(t), format_term(t)
+            tallies["violators"] += violates
+            tallies["set forms"] += any(map(is_set_form, subterms(t)))
+        want = sorted(groups.items(), key=lambda kv: format_term(kv[0]))
+        assert [(r.term, r.multiplicity) for r in got] == want, sentence
+        for r in got:
+            assert occurrences(r.term) == oracle_occurrences(r.term), format_term(r.term)
+            assert free_vars(r.term) == oracle_free_vars(r.term), format_term(r.term)
         tallies["forms"] += len(forms)
         tallies["readings"] += len(got)
     assert tallies["violators"] > 500 and tallies["readings"] > 1000, tallies
@@ -347,12 +342,12 @@ READ_BACK_CASES = [" ".join(tokens) for _, tokens in corpus_sentences()] \
     + [coordination_sentence(k) for k in (1, 2, 3)]
 
 
-def test_every_printed_reading_reads_back_to_its_term(chart_of):
+def test_every_printed_reading_reads_back_to_its_term(readings_of):
     # What the JSON lf promises: the printed reading, read back and
     # canonicalized, is the reading.
     read = 0
     for sentence in READ_BACK_CASES:
-        for r in readings_from_chart(chart_of(sentence)):
+        for r in readings_of(sentence):
             text = format_term(r.term)
             assert canonicalize(parse_term(text)) == r.term, (sentence, text)
             read += 1

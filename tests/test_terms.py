@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -22,16 +23,26 @@ from ccgscope.terms import (
     free_vars,
     is_and,
     is_set_form,
+    occurs,
     parse_term,
     subterms,
     unify,
     with_children,
 )
 
-from ccgscope.categories import map_sems, parse_cat, standardize_apart
+from ccgscope.categories import Atomic, Slash, map_sems, parse_cat, standardize_apart
 from ccgscope.cli import _data_text
 from ccgscope.lexicon import _split_top, default_lexicon
-from helpers import OracleRenamer, oracle_parse_cat, oracle_parse_term, tagged, unrecorded
+from helpers import (
+    OracleRenamer,
+    oracle_apply_reduced,
+    oracle_occurs,
+    oracle_parse_cat,
+    oracle_parse_term,
+    oracle_unify,
+    tagged,
+    unrecorded,
+)
 
 
 def t(text):
@@ -332,6 +343,149 @@ def test_unify_leaves_its_input_substitution_alone():
     assert s == {Var("X"): Var("Y")}
     assert got == {Var("X"): Var("Y"), Var("Y"): Atom("a"), Var("Z"): t("g(X)")}
     assert apply(got, t("f(X, Z)")) == t("f(a, g(a))")
+
+
+# --- the rule kernels against their isinstance oracles ---------------------
+
+
+def test_the_term_classes_have_no_subclasses():
+    # The kernels dispatch on type(t) is ..., which sees no subclass.
+    for cls in (Var, Atom, Compound, Lam, Up, Atomic, Slash):
+        assert cls.__subclasses__() == [], cls
+
+
+def recorded_clone(t):
+    """A node-for-node copy of t that carries t's records."""
+    if type(t) in (Var, Atom):
+        return t
+    out = with_children(t, [recorded_clone(k) for k in children(t)])
+    if t.varset is not None:
+        out.varset = t.varset
+    return out
+
+
+def recorded_copies(t):
+    """Two node-for-node copies of t's canonical form, recorded alike."""
+    canonical = oracle_apply_reduced({}, unrecorded(t))
+    return canonical, recorded_clone(canonical)
+
+
+def record(t):
+    return None if type(t) is Var else t.varset
+
+
+def kernel_outcome(call, *args):
+    try:
+        return ("returned", call(*args))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def applied_outcome(kernel, s, t):
+    """What apply_reduced (or its oracle) does to t under s: the result as
+    a type-tagged tree, the origin of each of its nodes (the input node
+    it is, by position in t or in a value of s, or "new"), the record of
+    each of its nodes, and, after the call, the record of every node of t
+    and of the values of s; or the exception's type and text."""
+    inputs = [("t", t)] + [(v.id, u) for v, u in s.items()]
+    origin = {}
+    for name, term in inputs:
+        for i, node in enumerate(subterms(term)):
+            origin.setdefault(id(node), (name, i))
+    got = kernel_outcome(kernel, s, t)
+    after = [record(n) for _, term in inputs for n in subterms(term)]
+    if got[0] == "raised":
+        return got + (after,)
+    out = got[1]
+    return ("returned", tagged(out), [origin.get(id(n), "new") for n in subterms(out)],
+            [record(n) for n in subterms(out)], after)
+
+
+def test_rule_kernels_agree_with_their_isinstance_oracles():
+    # apply_reduced, unify and occurs against the kernels they replaced
+    # (helpers.oracle_*), over seeded terms of every generator, each run
+    # on an unrecorded copy and on a recorded (canonical) one.  Each
+    # kernel gets copies of its own, as records are written in place.
+    # Equal results, the same input objects returned for every unchanged
+    # subterm, the same records on every node returned or given, equal
+    # unifier dicts, the caller's substitution untouched, and the same
+    # exception type and text.
+    rng = random.Random(20261020)
+    pools = [("XYZW", lambda depth: rand_term(rng, depth, list("XYZW"), ("f", "s-a", "and"))),
+             ("XY", lambda depth: rand_lf(rng, depth)),
+             ("XYZ", lambda depth: rand_scoped(rng, depth))]
+    copies = {"unrecorded": lambda t: (unrecorded(t), unrecorded(t)),
+              "recorded": recorded_copies}
+    tallies = Counter()
+    for i in range(3000):
+        names, gen = pools[i % 3]
+        t, x, y = gen(4), gen(3), gen(3)
+        for kind, copy in copies.items():
+            # A unifier built binding by binding, then extended by x = y.
+            s_new, s_old = {}, {}
+            for _ in range(rng.randrange(1, 4)):
+                v, (u_new, u_old) = Var(rng.choice(names)), copy(gen(2))
+                before = dict(s_new)
+                got, want = unify(v, u_new, s_new), oracle_unify(v, u_old, s_old)
+                assert got == want and s_new == before, (v, u_new, before)
+                if got is not None:
+                    s_new, s_old = got, want
+            (x_new, x_old), (y_new, y_old) = copy(x), copy(y)
+            before = dict(s_new)
+            got = kernel_outcome(unify, x_new, y_new, s_new)
+            want = kernel_outcome(oracle_unify, x_old, y_old, s_old)
+            assert got == want and s_new == before, (format_term(x), format_term(y))
+            if got[0] == "returned" and got[1] is not None:
+                s_new, s_old = got[1], want[1]
+                tallies["unified"] += 1
+            (t_new, t_old) = copy(t)
+            for v in map(Var, names):
+                if v not in s_new:
+                    assert occurs(v, t_new, s_new) == oracle_occurs(v, t_old, s_old)
+            got = applied_outcome(apply_reduced, s_new, t_new)
+            want = applied_outcome(oracle_apply_reduced, s_old, t_old)
+            assert got == want, (kind, format_term(t), s_new)
+            tallies[kind] += 1
+            if got[0] == "raised":
+                tallies[got[1].__name__] += 1
+            else:
+                tallies["kept"] += got[2][0] != "new"
+                tallies["rewritten"] += got[1] != tagged(t_new) and got[2][0] == "new"
+    assert tallies["unrecorded"] == tallies["recorded"] == 3000
+    for key in ("unified", "kept", "rewritten", "QuantifierSlotError", "TermError"):
+        assert tallies[key] > 50, tallies
+
+
+def test_rule_kernels_reach_as_deep_as_their_oracles():
+    # One call per level, as in the kernels they replaced.
+    def deepest(attempt):
+        lo, hi = 1, 5000
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            try:
+                attempt(mid)
+                lo = mid
+            except RecursionError:
+                hi = mid - 1
+        return lo
+
+    def nested(depth, leaf):
+        term = leaf
+        for i in range(depth):
+            term = (Compound("f", (term, Var("Y"))) if i % 3 == 0
+                    else Lam(Var("Z"), term) if i % 3 == 1 else Up(term))
+        return term
+
+    for kernel, oracle in ((apply_reduced, oracle_apply_reduced), (unify, oracle_unify)):
+        if kernel is apply_reduced:
+            def attempt(depth, kernel=kernel):
+                kernel({Var("X"): Atom("a")}, nested(depth, Var("X")))
+        else:
+            def attempt(depth, kernel=kernel):
+                kernel(nested(depth, Var("X")), nested(depth, Atom("a")))
+        mine = deepest(attempt)
+        theirs = deepest(lambda depth: attempt(depth, oracle))
+        assert mine >= theirs > 100, (kernel.__name__, mine, theirs)
 
 
 # --- canonical forms --------------------------------------------------------
