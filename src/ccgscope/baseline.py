@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .chart import ResourceError
 from .lexicon import Lexicon, default_lexicon
@@ -29,6 +28,7 @@ from .terms import (
     Term,
     Var,
     children,
+    format_term,
     free_vars,
     is_quant,
     parse_term,
@@ -47,8 +47,7 @@ class BaselineError(Exception):
     """Raised for malformed skeletons."""
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     det: str
     var: Var
     restriction: Term
@@ -75,7 +74,8 @@ def skeleton_leaves(sk: Term) -> List[Leaf]:
         if _is_mark(t):
             if len(t.args) != 3 or not isinstance(t.args[0], Atom) \
                     or not isinstance(t.args[1], Var):
-                raise BaselineError(f"bad marked leaf {t!r}")
+                raise BaselineError(f"bad marked leaf {format_term(t)}: a marked leaf"
+                                    f" must be {MARK}(det, Var, restriction)")
             out.append(Leaf(t.args[0].name, t.args[1], t.args[2]))
     return out
 
@@ -255,8 +255,7 @@ def nesting_order(form: Term) -> Tuple[str, ...]:
     return tuple(t.functor[len(QUANT_PREFIX):] for t in subterms(form) if is_quant(t))
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     tokens: Tuple[str, ...]
     enumerated: Orderings   # only its len(), n!, is read outside this module
     survivors: Tuple[Term, ...]

@@ -11,6 +11,15 @@ chart takes, not, on the bundled lexicon, its items or readings.  Text
 is read with the term reader's tokens (terms._Tokens), so blanks may
 stand between any two tokens.
 
+Representation.  Atomic is a NamedTuple (sort, sem) and Slash one of
+(dir, result, arg), so categories hash and compare in C, as terms do
+(terms).  Two fields never equal three, so an atomic never equals a
+slash, and equal categories are the same tree.  Tuple equality ignores
+the class, so a category can equal a term: Atomic("s", Up(b)) ==
+Compound("s", (b,)).  No dict or set holds both kinds: the chart files
+categories by category and by key, unifiers map variables to terms, and
+the normalizer files terms.
+
 Keys.  cat_key is a category's identity up to renaming of variables: a
 tuple of tokens, the category's nodes in preorder (a slash's result
 before its argument, a lambda's parameter before its body), each node
@@ -41,7 +50,6 @@ and the lexicon compare keys.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .terms import (
@@ -68,8 +76,7 @@ class CatError(Exception):
     """Raised for unparseable or ill-formed category text."""
 
 
-@dataclass(frozen=True)
-class Atomic:
+class Atomic(NamedTuple):
     sort: str
     sem: Term
 

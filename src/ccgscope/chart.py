@@ -110,8 +110,7 @@ there the derivations through it are gone (see README).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .categories import (
     Category,
@@ -145,17 +144,18 @@ class ResourceError(Exception):
     """Input exceeds a hard engine limit."""
 
 
-@dataclass
-class Item:
+class Item(NamedTuple):
     """A chart constituent.  shape is cat_shape(cat), handed in by parse:
     a lexical item's is its entry's shape, and a rule result's is the
     result shape of the edge that builds it, which by the pruning
-    argument above is the shape of the result category."""
+    argument above is the shape of the result category.  backs, the
+    item's backpointers, is the one mutable field: each item gets a list
+    of its own."""
     id: int
     span: Tuple[int, int]
     cat: Category
-    shape: Union[str, Slash] = field(repr=False, compare=False)
-    backs: List[tuple] = field(default_factory=list)
+    shape: Union[str, Slash]
+    backs: List[tuple]
 
 
 def passes_through(x) -> bool:
@@ -380,8 +380,7 @@ def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[dict, dic
     return live, splits
 
 
-@dataclass
-class Chart:
+class Chart(NamedTuple):
     tokens: Tuple[str, ...]
     cells: Dict[Tuple[int, int], Dict[tuple, Item]]
     items: Dict[int, Item]
@@ -441,7 +440,7 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
                     raise ResourceError(
                         f"chart exceeds the {MAX_ITEMS}-item work budget")
                 item = cell[key] = Item(len(chart.items) + 1, span, cat,
-                                        _TABLE.shapes[shape])
+                                        _TABLE.shapes[shape], [])
                 chart.items[item.id] = item
                 shape_ids.append(shape)
             seen[cat] = item

@@ -15,13 +15,13 @@ import os
 import re
 import sys
 import warnings
-from importlib import resources
 from typing import Callable, List, Optional
 
 from .baseline import BaselineError, compare, nesting_order, parse_skeleton
 from .categories import CatError, cat_shape, cat_text, parse_cat
 from .chart import ResourceError, count_derivations, derivations, parse, pretty
 from .lexicon import LexiconError, UnknownTokenError, default_lexicon, load_lexicon
+from .lexicon import data_text as _data_text
 from .readings import NoParseError, StructuralError, readings, scope_profile
 from .terms import TermError, format_term
 
@@ -31,11 +31,6 @@ _WORD = re.compile(r"[a-z0-9-]+|,")
 def tokenize(text: str) -> List[str]:
     """Lowercase words plus standalone commas; other punctuation dropped."""
     return _WORD.findall(text.lower())
-
-
-def _data_text(name: str) -> str:
-    return resources.files("ccgscope").joinpath(f"data/{name}").read_text(
-        encoding="utf-8")
 
 
 class DataFileError(Exception):

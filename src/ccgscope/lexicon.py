@@ -77,11 +77,10 @@ parse and never at load: a lexicon keeps one renamed copy per entry
 from __future__ import annotations
 
 import itertools
+import os
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .categories import (
     Atomic,
@@ -120,13 +119,16 @@ class UnknownTokenError(LexiconError):
     """No lexicon entry matches the token at this position."""
 
 
-@dataclass(frozen=True)
-class LexEntry:
-    """A lexical entry.  Its keys, chart form and shape are computed once,
-    on first use, and stored on the entry."""
+class _LexEntryFields(NamedTuple):
     lexeme: tuple
     cat: Category
     tag: str
+
+
+class LexEntry(_LexEntryFields):
+    """A lexical entry.  Its keys, chart form and shape are computed once,
+    on first use, and stored on the entry: the class has no __slots__, so
+    they live in the instance's __dict__, outside the tuple."""
 
     @cached_property
     def key(self) -> tuple:
@@ -385,6 +387,12 @@ def _split_top(body: str) -> List[str]:
     return [p for p in (part.strip() for part in parts) if p]
 
 
+def data_text(name: str) -> str:
+    """The text of a data file bundled with the package."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
 def default_lexicon() -> Lexicon:
-    text = resources.files("ccgscope").joinpath("data/fragment.lex").read_text(encoding="utf-8")
-    return load_lexicon(text)
+    return load_lexicon(data_text("fragment.lex"))

@@ -42,8 +42,7 @@ result when something was promoted, and ends in one canonicalize.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .categories import Atomic
 from .chart import Chart, count_derivations, parse
@@ -81,8 +80,7 @@ class ReadingError(Exception):
     """A named determiner occurrence is absent from a reading."""
 
 
-@dataclass(frozen=True)
-class Reading:
+class Reading(NamedTuple):
     term: Term
     multiplicity: int
 
@@ -141,8 +139,7 @@ def _has_scope_material(t: Term) -> bool:
 
 # --- promotion site assignment ---------------------------------------------
 
-@dataclass
-class _Wrap:
+class _Wrap(NamedTuple):
     site: tuple
     det: str
     var: Var
@@ -421,8 +418,7 @@ def readings(tokens, lexicon: Optional[Lexicon] = None) -> List[Reading]:
 
 # --- determiner occurrences and scope order ----------------------------------
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     label: str
     det: str
     noun: str

@@ -8,23 +8,24 @@ may mention variables bound later; apply and apply_reduced follow the
 chain.  apply, plain substitution, is the reference reading of a unifier;
 the engine substitutes only through apply_reduced.
 
-Representation.  Var is a NamedTuple, (id,).  Compound, Lam and Up each
-subclass a NamedTuple of their fields, (functor, args), (param, body)
-and (body,), where args is a plain tuple of terms; the subclass has no
-__slots__, so an instance can hold a record (below) outside the tuple.
-Atom is a frozen dataclass, not a tuple.  So equality and hashing are
-the tuple's, in C: the chart's cells and the unifier's dicts look terms
-up without a Python call per node, except at atoms.  The five classes
-are final: nothing subclasses them, so the walks dispatch on the exact
-type (type(t) is Compound), and two nodes of different types are told
-apart by one identity test.
+Representation.  Every term is a tuple.  Var is a NamedTuple, (id,), and
+Atom one of (name, None): its second field is always None.  Compound,
+Lam and Up each subclass a NamedTuple of their fields, (functor, args),
+(param, body) and (body,), where args is a plain tuple of terms; the
+subclass has no __slots__, so an instance can hold a record (below)
+outside the tuple.  So equality and hashing are the tuple's, in C: the
+chart's cells and the unifier's dicts look terms up without a Python
+call per node.  The five classes are final: nothing subclasses them, so
+the walks dispatch on the exact type (type(t) is Compound), and two
+nodes of different types are told apart by one identity test.
 
 Equality is exact: two terms are equal iff they are the same tree with
 the same node types.  Tuple equality ignores the class, so this rests on
 the layouts being type-distinct.  The one-field layouts are Var's (str,)
 and Up's (term,); a string never equals a term.  The two-field layouts
-are Compound's (str, tuple) and Lam's (Var, term); a string never equals
-a Var.  An atom is equal only to an atom: Atom("v1") != Var("v1").  A
+are Atom's (str, None), Compound's (str, tuple) and Lam's (Var, term): a
+string never equals a Var, and None is neither a term nor a tuple.  So
+an atom is equal only to an atom: Atom("v1") != Var("v1").  A
 compound's args are compared only with another compound's args, a tuple
 of terms against a tuple of terms.  So by induction on the tree, equal
 terms have equal node types and fields all the way down, and the record,
@@ -50,7 +51,6 @@ copies, the normalizer's forms) are walked node by node.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterator, NamedTuple, Optional, Union
 
 
@@ -69,10 +69,10 @@ class Var(NamedTuple):
         return f"Var({self.id})"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     name: str
-    varset: ClassVar[frozenset] = frozenset()
+    nil: None = None  # sets the layout apart (module docstring)
+    varset = frozenset()
 
     def __repr__(self) -> str:
         return f"Atom({self.name})"

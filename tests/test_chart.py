@@ -298,7 +298,8 @@ def test_backpointer_rewired_to_wrong_child_fails_check(lex):
 def test_replayed_category_that_differs_is_named_in_print(lex):
     chart = parse("three frenchmen visited five russians".split(), lex)
     item, other = chart.full_span()[:2]
-    built, item.cat = item.cat, other.cat
+    built = item.cat
+    chart.items[item.id] = item._replace(cat=other.cat)
     with pytest.raises(ChartError) as caught:
         check_backpointers(chart)
     assert str(caught.value) == (f"replayed category differs at (0, 5):"
@@ -361,6 +362,14 @@ def test_rule_backpointers_name_items_built_earlier(chart_of, sentence):
     chart = chart_of(sentence)
     assert all(child < item.id for item in chart.items.values()
                for back in item.backs if back[0] != "lex" for child in back[1:])
+
+
+@pytest.mark.parametrize("sentence", CLOSURE_CASES + [PP_CHAIN_4])
+def test_no_two_items_share_a_backpointer_list(chart_of, sentence):
+    # backs is an item's one mutable field: parse hands each item a list
+    # of its own, so a backpointer added to one item shows on no other.
+    items = chart_of(sentence).items.values()
+    assert len({id(item.backs) for item in items}) == len(items)
 
 
 @pytest.fixture(scope="module")

@@ -173,6 +173,27 @@ def test_lexicon_messages_stay_one_line_with_warnings_as_errors(tmp_path, text, 
     assert (done.returncode, done.stderr) == (code, err)
 
 
+# --- start-up -------------------------------------------------------------------
+
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    # Every command starts a fresh interpreter, which pays for each module
+    # the CLI imports.  Neither of these two is needed, and between them
+    # they bring in about ten more.
+    src = os.path.dirname(os.path.dirname(chart.__file__))
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import ccgscope.cli\n"
+            "from ccgscope.lexicon import default_lexicon\n"
+            "default_lexicon()\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    added = done.stdout.split()
+    assert "ccgscope.cli" in added
+    assert "dataclasses" not in added and "inspect" not in added, added
+
+
 # --- exit codes -----------------------------------------------------------------
 
 def test_unparseable_sentence_exits_one(capsys):
@@ -296,6 +317,23 @@ def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, li
     assert "Traceback" not in err
     if line is not None:
         assert f"line {line}:" in err
+
+
+@pytest.mark.parametrize("leaf", [
+    "q?(five, R)",
+    "q?(five, R, russian(R), x)",
+    "q?(R, five, russian(R))",
+    "q?(five, r, russian(r))",
+    "q?(f(five), R, russian(R))",
+])
+def test_a_bad_marked_leaf_is_named_as_written(tmp_path, capsys, leaf):
+    path = tmp_path / "bad.skel"
+    path.write_text(f"{FRENCHMEN}\tvisited(q?(three, F, frenchman(F)), {leaf})\n",
+                    encoding="utf-8")
+    code, out, err = run(capsys, "compare", "--skeletons", str(path), FRENCHMEN)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}, line 1: bad marked leaf {leaf}:"
+                   " a marked leaf must be q?(det, Var, restriction)\n")
 
 
 def test_a_deeply_nested_term_gives_its_reading(tmp_path, capsys):

@@ -783,7 +783,8 @@ def test_term_equality_is_exact():
 def test_equal_layouts_of_different_types_are_unequal():
     # The tuple layouts differ by type: a variable holds a string where
     # up(.) holds a term, and a compound a string where a lambda holds a
-    # variable.  An atom is no tuple at all.
+    # variable.  An atom is (name, None), and None is neither a term nor
+    # a tuple.
     assert Var("v1") != Atom("v1") and Atom("v1") != Var("v1")
     assert len({Var("v1"), Atom("v1")}) == 2
     assert Up(Var("X")) != Var("X")
@@ -791,6 +792,24 @@ def test_equal_layouts_of_different_types_are_unequal():
     lam = Lam(Var("X"), Compound("p", (Var("X"),)))
     assert Compound("X", (lam.body,)) != lam and lam != Compound("X", (lam.body,))
     assert Compound("X", lam.body) != lam
+    # Every pair of classes, each built over the same field values: the
+    # name X, the variable X and the term p(X).
+    x, body = Var("X"), lam.body
+    built = [x, Atom("X"), Compound("X", ()), Compound("X", (x,)), Compound("X", (body,)),
+             Compound("X", body), Lam(x, x), lam, Up(x), Up(body), Up(Atom("X"))]
+    # A category is built over the same values; an atomic is (sort, sem)
+    # and a slash (dir, result, arg).
+    np = Atomic("X", x)
+    cats = [np, Atomic("X", body), Atomic("/", np), Slash("/", np, np), Slash("X", x, body)]
+    for group, classes in ((built, {Var, Atom, Compound, Lam, Up}), (cats, {Atomic, Slash})):
+        assert {type(t) for t in group} == classes
+        for a, b in itertools.combinations(group, 2):
+            if type(a) is not type(b):
+                assert a != b and b != a, (a, b)
+                assert len({a, b}) == 2, (a, b)
+    # Tuple equality ignores the class, so a category can equal a term
+    # (categories docstring): no dict or set holds both.
+    assert Atomic("X", Up(x)) == Compound("X", (x,))
 
 
 # --- syntax -----------------------------------------------------------------
