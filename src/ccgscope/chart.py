@@ -7,9 +7,10 @@ Unconsumed argument slots ride through composition only under
 here.  Cells deduplicate by canonicalized category, merging backpointers
 into a packed forest.  Every category in the chart is in canonical form:
 lexical entries enter in their chart form (LexEntry.chart_cat, computed
-once per entry and renamed apart once per lexicon, Lexicon.chart_copy),
-and the rules build their results with subst_cat, which follows the
-unifier and canonicalizes in one walk.  So cells deduplicate
+once per entry), the n-th occurrence of an entry in a sentence as its
+n-th copy renamed apart, made once per lexicon (Lexicon.chart_copy), and
+the rules build their results with subst_cat, which follows the unifier
+and canonicalizes in one walk.  So cells deduplicate
 modulo the associativity of and/2: the bracketings of a coordination
 share one item, and an n-conjunct cluster keeps its scopings instead of
 Catalan-many copies.  The walk returns at once every subterm whose
@@ -402,14 +403,13 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     there: a lexical item its entry's, a rule result its edge's result
     shape.
 
-    A live entry's first occurrence in the sentence enters as its chart
-    copy (Lexicon.chart_copy), made on the entry's first use in any parse
-    on this lexicon and kept, so it is renamed once per lexicon, not once
-    per parse, and the records the rules write on its terms serve later
-    parses too.  Each further occurrence in the sentence enters as a
-    fresh copy (Lexicon.fresh), so no two lexical items of the chart
-    share a variable.  Either way the item is filed under the entry's
-    chart_key, without a cat_key walk."""
+    The n-th occurrence of a live entry in the sentence enters as the
+    entry's n-th chart copy (Lexicon.chart_copy), made on first need in
+    any parse on this lexicon and kept, so it is renamed once per
+    lexicon, not once per parse, and the records the rules write on its
+    terms serve later parses too.  No two lexical items of the chart
+    share a variable, and each is filed under its entry's chart_key,
+    without a cat_key walk."""
     tokens = tuple(tokens)
     if len(tokens) > MAX_TOKENS:
         raise ResourceError(
@@ -461,15 +461,13 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     for span, _, shape in lexical:
         shapes.setdefault(span, []).append(shape)
     live, splits = _live_edges(n, shapes)
-    copied = set()  # ids of the entries whose chart copy this chart holds
+    uses: Dict[int, int] = {}  # per entry id, its occurrences entered so far
     for span, entry, shape in lexical:
         if shape in live.get(span, ()):
-            if id(entry) in copied:
-                cat = lexicon.fresh(entry.chart_cat)
-            else:
-                copied.add(id(entry))
-                cat = lexicon.chart_copy(entry)
-            add(span, cat, shape, ("lex", entry.tag), entry.chart_key)
+            nth = uses.get(id(entry), 0)
+            uses[id(entry)] = nth + 1
+            add(span, lexicon.chart_copy(entry, nth), shape, ("lex", entry.tag),
+                entry.chart_key)
 
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
@@ -543,7 +541,7 @@ def _replay_step(label: str, left: Category, right: Category, item: Item,
 def replay(tree) -> Category:
     """Recompute a derivation bottom-up, checking each stored category.
 
-    Children are standardized apart before combining, as Lexicon.fresh
+    Children are standardized apart before combining, as Lexicon.chart_copy
     renames lexical entries for parse.  Raises ChartError on any mismatch.
     """
     counter = itertools.count(1)

@@ -132,7 +132,7 @@ def _cmd_parse(args, lex, out) -> int:
         for text, it in items:
             print(f"  {text}  [{counts[it.id]} derivations]", file=out)
     if not items:
-        print("no full-span constituent", file=sys.stderr)
+        print("no parse: no full-span constituent", file=sys.stderr)
         return 1
     return 0
 
@@ -169,7 +169,7 @@ def _cmd_derive(args, lex, out) -> int:
     chart = parse(tokens, lex)
     items = _printed_items(chart)
     if not items:
-        print("no full-span constituent", file=sys.stderr)
+        print("no parse: no full-span constituent", file=sys.stderr)
         return 1
     shown = 0
     for _, it in items:
@@ -210,7 +210,7 @@ def _cmd_compare(args, lex, out) -> int:
     table = _skeleton_table(args.skeletons)
     key = " ".join(tokens)
     if key not in table:
-        print(f"no skeleton for: {key}", file=sys.stderr)
+        print(f"error: no skeleton for: {key}", file=sys.stderr)
         return 2
     report = compare(tokens, table[key], lex)
     if args.json:

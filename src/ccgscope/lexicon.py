@@ -66,12 +66,12 @@ and none per entry.
 Chart copies.  A chart takes an entry in its chart form (chart_cat, set
 forms eta-reduced and and/2 nested to the left), renamed apart from every
 other category the lexicon has renamed, and files it under its key
-(chart_key).  The chart form, a renamed copy of it and the key depend on
-the entry alone, so each is made once, on the entry's first use in a
-parse and never at load: a lexicon keeps one renamed copy per entry
-(chart_copy), and a chart that holds the entry twice takes a fresh copy
-(fresh) for the second.  A one-to-one renaming keeps the key
-(categories), so every copy is filed under chart_key.
+(chart_key).  The chart form, its renamed copies and the key depend on
+the entry alone, so each is made once, on first need in a parse and
+never at load: a lexicon keeps its copies per entry, and the n-th
+occurrence of an entry in a sentence enters as its n-th copy
+(chart_copy).  A one-to-one renaming keeps the key (categories), so
+every copy is filed under chart_key.
 """
 
 from __future__ import annotations
@@ -241,8 +241,8 @@ class Lexicon:
         self._by_first: dict = {}
         self._by_lexeme: dict = {}
         self._fresh = itertools.count(1)
-        # id(entry) -> (entry, its chart copy); the entry is kept so that
-        # its id is never reused while the table holds it.
+        # id(entry) -> (entry, its chart copies in order); the entry is
+        # kept so that its id is never reused while the table holds it.
         self._copies: dict = {}
 
     def add(self, entries: Sequence[LexEntry], line: Optional[int] = None) -> None:
@@ -275,7 +275,7 @@ class Lexicon:
 
     def lookup(self, tokens: Tuple[str, ...], i: int) -> List[Tuple[LexEntry, int]]:
         """Entries whose lexeme matches tokens[i:], as stored: a category
-        meets another's only renamed apart, as chart_copy or fresh gives it.
+        meets another's only renamed apart, as chart_copy gives it.
 
         Returns (entry, consumed) pairs, none when nothing matches at this
         position (a token inside a multi-word lexeme, or an unknown one).
@@ -287,22 +287,17 @@ class Lexicon:
                 matches.append((entry, k))
         return matches
 
-    def fresh(self, cat: Category) -> Category:
-        """cat with every variable renamed apart from all earlier ones: from
-        every category fresh has returned, chart copies included."""
-        return standardize_apart(cat, self._fresh)
-
-    def chart_copy(self, entry: LexEntry) -> Category:
-        """entry's chart copy: fresh(entry.chart_cat), made on the entry's
-        first use and returned as is from then on.  Nothing else this
-        lexicon renames shares a variable with it, so one chart may hold
-        it beside fresh copies of any entry, this one's included.  The
-        variable records that rule walks write on its terms (see terms)
-        serve every later chart."""
-        held = self._copies.get(id(entry))
-        if held is None:
-            held = self._copies[id(entry)] = (entry, self.fresh(entry.chart_cat))
-        return held[1]
+    def chart_copy(self, entry: LexEntry, n: int) -> Category:
+        """entry's n-th chart copy, counting from 0: entry.chart_cat with
+        every variable renamed apart from all this lexicon has renamed,
+        made on first need and returned as is from then on.  No two copies
+        share a variable, so a chart takes an entry's n-th occurrence as
+        its n-th copy.  The variable records that rule walks write on a
+        copy's terms (see terms) serve every later chart."""
+        copies = self._copies.setdefault(id(entry), (entry, []))[1]
+        while len(copies) <= n:
+            copies.append(standardize_apart(entry.chart_cat, self._fresh))
+        return copies[n]
 
     def unknown_token(self, tokens: Tuple[str, ...], i: int) -> UnknownTokenError:
         """The error for tokens[i] when no entry matches there.  A word with

@@ -33,6 +33,7 @@ from ccgscope.categories import (
     parse_cat,
     replace_result_sem,
     result_atomic,
+    standardize_apart,
     unify_cat,
 )
 from ccgscope.chart import ROWS, Chart, Item, derivations, parse, pretty
@@ -148,9 +149,10 @@ def all_pairs_parse(tokens, lex):
         elif back not in item.backs:
             item.backs.append(back)
 
+    counter = itertools.count(1)
     for i in range(n):
         for entry, k in lex.lookup(tokens, i):
-            add((i, i + k), lex.fresh(entry.cat), ("lex", entry.tag))
+            add((i, i + k), standardize_apart(entry.cat, counter), ("lex", entry.tag))
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from ccgscope import chart as chart_module
+from ccgscope import lexicon as lexicon_module
 from ccgscope.categories import (
     atomics,
     canonical_cat,
@@ -32,7 +33,6 @@ from ccgscope.chart import (
 )
 from ccgscope.cli import _corpus_entry, _data_text, read_data, tokenize
 from ccgscope.lexicon import (
-    Lexicon,
     UnknownTokenError,
     _split_top,
     default_lexicon,
@@ -779,8 +779,8 @@ def test_a_result_equal_to_a_variant_duplicate_is_looked_up(monkeypatch):
 # --- lexical chart copies -------------------------------------------------------
 
 def test_an_entry_used_twice_gets_two_copies_with_no_variable_in_common():
-    # The first "every" enters as its entries' chart copies, the second as
-    # fresh copies of the same entries: equal keys, no shared variable.
+    # The first "every" enters as its entries' copies 0, the second as
+    # their copies 1: equal keys, no shared variable.
     lex = default_lexicon()
     chart = parse(tokenize("every man saw every woman"), lex)
     lexical = lexical_items(chart)
@@ -790,8 +790,8 @@ def test_an_entry_used_twice_gets_two_copies_with_no_variable_in_common():
     assert firsts.keys() & seconds.keys()
     for key in firsts.keys() & seconds.keys():
         first, second = firsts[key], seconds[key]
-        assert first.cat is lex.chart_copy(entries[key])
-        assert second.cat is not first.cat
+        assert first.cat is lex.chart_copy(entries[key], 0)
+        assert second.cat is lex.chart_copy(entries[key], 1)
         assert not set(cat_vars(first.cat)) & set(cat_vars(second.cat))
     # No two lexical items of the chart share a variable.
     var_sets = [set(cat_vars(it.cat)) for it in lexical]
@@ -799,28 +799,27 @@ def test_an_entry_used_twice_gets_two_copies_with_no_variable_in_common():
 
 
 def test_chart_copies_are_made_on_first_use_and_kept(monkeypatch):
-    # Loading renames nothing.  A parse renames each live entry once, to
-    # make its chart copy, plus once per further occurrence in the
-    # sentence; parsing the sentence again renames the further ones only,
-    # and the first occurrences enter as the same objects.
-    renamed, fresh = [], Lexicon.fresh
+    # Loading renames nothing.  A parse renames once per lexical item, to
+    # make the copy each occurrence of an entry enters as; parsing the
+    # sentence again renames nothing, and every lexical item, repeats
+    # included, enters as the same object.
+    renamed, rename = [], lexicon_module.standardize_apart
 
-    def counted(self, cat):
+    def counted(cat, counter):
         renamed.append(cat)
-        return fresh(self, cat)
-    monkeypatch.setattr(Lexicon, "fresh", counted)
+        return rename(cat, counter)
+    monkeypatch.setattr(lexicon_module, "standardize_apart", counted)
     lex = default_lexicon()
     assert renamed == []
     tokens = tokenize("every man saw every woman")
     first = lexical_items(parse(tokens, lex))
     keys_at = {span: {cat_key(it.cat) for it in first if it.span == span}
                for span in ((0, 1), (3, 4))}
-    repeats = len(keys_at[(0, 1)] & keys_at[(3, 4)])
-    assert repeats and len(renamed) == len(first)
+    assert keys_at[(0, 1)] & keys_at[(3, 4)] and len(renamed) == len(first)
     renamed.clear()
     second = lexical_items(parse(tokens, lex))
-    assert len(renamed) == repeats
-    before, after = ([it.cat for it in items if it.span[0] < 3] for items in (first, second))
+    assert renamed == []
+    before, after = ([it.cat for it in items] for items in (first, second))
     assert len(before) == len(after) and all(map(operator.is_, before, after))
 
 

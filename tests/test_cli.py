@@ -271,6 +271,11 @@ EVERY_MAN_THREE_LEAVES = ("saw(q?(every, X, man(X)),"
 DEEP_TERM_LEXICON = ("x :: s:" + "f(" * 20 + "X" + ")" * 20 + "/s:X\nok :: s:ok\n"
                      "e :: s:p(s-e(Y^g(Y, S)))/s:S\nd :: s:p(s-e(girl))\n"
                      "y :: s:" + "f(" * 40 + "X" + ")" * 40 + "/s:X\n")
+# Each x's argument np passes through composition, so the x's compose into
+# one functor whose terms nest 40 deeper per x, where DEEP_TERM_LEXICON's
+# x's apply one by one.
+COMPOSED_DEEP_LEXICON = ("x :: np:" + "f(" * 40 + "X" + ")" * 40 + "/np:X\n"
+                         "ok :: np:ok\ngo :: s:go(Y)/np:Y\n")
 
 
 @pytest.mark.parametrize("argv, content, line", [
@@ -307,6 +312,10 @@ DEEP_TERM_LEXICON = ("x :: s:" + "f(" * 20 + "X" + ")" * 20 + "/s:X\nok :: s:ok\
     # is rebuilt, so the substitution into it walks that path.
     pytest.param(["--lexicon", "{}", "readings", "e " + "y " * 30 + "d"],
                  DEEP_TERM_LEXICON, None, id="deep-term-in-a-command"),
+    # Equal categories 1,200 deep, built by composition, compare as nested
+    # tuples deeper than the interpreter allows.
+    pytest.param(["--lexicon", "{}", "readings", "go " + "x " * 30 + "ok"],
+                 COMPOSED_DEEP_LEXICON, None, id="composed-deep-term"),
 ])
 def test_malformed_input_is_a_one_line_error(tmp_path, capsys, argv, content, line):
     path = tmp_path / "input"
@@ -663,12 +672,29 @@ def mutated_cases(rng):
         yield rng.choice(commands) + [mutated(rng.choice(sentences), rng)], None
 
 
+# Failure lines stated by hand: compare on a sentence with no skeleton,
+# and parse and derive with no full-span constituent.
+PREFIXED_FAILURES = [
+    (["compare", "john smiled"], 2, "error: no skeleton for: john smiled"),
+    (["compare", ""], 2, "error: no skeleton for: "),
+    (["parse", "of three companies touched"], 1, "no parse: no full-span constituent"),
+    (["derive", "of three companies touched"], 1, "no parse: no full-span constituent"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line", PREFIXED_FAILURES)
+def test_a_failure_line_starts_with_its_prefix(capsys, argv, code, line):
+    assert run(capsys, *argv)[::2] == (code, line + "\n")
+
+
 def test_mutated_inputs_exit_zero_to_three_with_one_error_line(tmp_path, capsys):
     # Every input gives a result or a one-line error: each exit other than
     # 0 and 3 prints one stderr line besides warnings, and no exception
-    # but argparse's exit escapes main.
+    # but argparse's exit escapes main.  An exit-1 line starts "no parse: ",
+    # and an exit-2 line "error: " or "lexicon error: ".
     path = tmp_path / "input"
-    for n, (argv, text) in enumerate(mutated_cases(random.Random(24))):
+    cases = [(argv, None) for argv, _, _ in PREFIXED_FAILURES]
+    for n, (argv, text) in enumerate(cases + list(mutated_cases(random.Random(24)))):
         if text is not None:
             path.write_text(text, encoding="utf-8")
         argv = [a.format(path) for a in argv]
@@ -681,3 +707,5 @@ def test_mutated_inputs_exit_zero_to_three_with_one_error_line(tmp_path, capsys)
         assert code in (0, 1, 2, 3), (n, argv, text)
         if code not in (0, 3):
             assert len(err) == 1, (n, argv, text, err)
+            prefixes = ("no parse: ",) if code == 1 else ("error: ", "lexicon error: ")
+            assert err[0].startswith(prefixes), (n, argv, text, err)

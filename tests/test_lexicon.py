@@ -98,15 +98,17 @@ def test_default_lexicon_determiner_family_size():
 
 
 def test_fresh_renames_looked_up_entries_apart():
+    # Copies 0 and 1 of each entry: no variable shared by two copies or by
+    # a copy and a written entry, and every copy keyed as its entry's
+    # chart form.
     lex = default_lexicon()
     matches = lex.lookup(("every", "girl"), 0)
-    first = [lex.fresh(e.cat) for e, _ in matches]
-    second = [lex.fresh(e.cat) for e, _ in matches]
-    vs1 = {v.id for cat in first for v in cat_vars(cat)}
-    vs2 = {v.id for cat in second for v in cat_vars(cat)}
-    vs0 = {v.id for e, _ in matches for v in cat_vars(e.cat)}
-    assert vs1 and vs2 and not (vs1 & vs2) and not (vs0 & (vs1 | vs2))
-    assert [cat_key(cat) for cat in first] == [e.key for e, _ in matches]
+    copies = [lex.chart_copy(e, n) for n in (0, 1) for e, _ in matches]
+    var_sets = [{v.id for v in cat_vars(cat)} for cat in copies]
+    written = {v.id for e, _ in matches for v in cat_vars(e.cat)}
+    assert all(var_sets) and sum(map(len, var_sets)) == len(set().union(*var_sets))
+    assert not written & set().union(*var_sets)
+    assert [cat_key(cat) for cat in copies] == [e.chart_key for e, _ in matches] * 2
 
 
 def test_entries_compile_to_chart_form_once():
