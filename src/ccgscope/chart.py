@@ -36,7 +36,10 @@ test families (test_chart's KEYING_CASES) that is 8,030 keys for 8,749
 items, 960 of them lexical, where keying every entry and result took
 16,825: 7,835 results were equal duplicates and 241 variants.  The key
 builds no text: cat_text prints a category for pretty, the CLI and error
-messages, and nothing compares printed text.
+messages, and nothing compares printed text.  add appends a backpointer
+without a search, as each is new: parse tries a rule's (label, left id,
+right id) once, and a span's lexical items are entries of one lexeme, no
+two with one chart_key (lexicon).
 
 parse runs in two passes over one statement of the rules: the rows of
 ROWS, which read the Slash tuple that categories and their shapes share.
@@ -409,7 +412,7 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     lexicon, not once per parse, and the records the rules write on its
     terms serve later parses too.  No two lexical items of the chart
     share a variable, and each is filed under its entry's chart_key,
-    without a cat_key walk."""
+    without a cat_key walk.  No backpointer repeats ("Keys" above)."""
     tokens = tuple(tokens)
     if len(tokens) > MAX_TOKENS:
         raise ResourceError(
@@ -444,8 +447,7 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
                 chart.items[item.id] = item
                 shape_ids.append(shape)
             seen[cat] = item
-        if back not in item.backs:
-            item.backs.append(back)
+        item.backs.append(back)
 
     covered = [False] * n
     lexical = []

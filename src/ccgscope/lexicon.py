@@ -36,42 +36,44 @@ non-variable (terms.apply_reduced), every constituent the chart builds
 from a loaded lexicon is then well-formed.
 
 Duplicates.  Each line is one declaration: a ``::`` line declares one
-entry, an ``@raise`` line its whole family.  An entry that is a variant
-(same category up to variable names, compared by cat_key) of an entry of
+entry, an ``@raise`` line its whole family.  An entry's one identity is
+its chart form's key (chart_key), so two entries whose categories differ
+only in set forms or and/2 nesting are one entry, as they are to a
+chart.  An entry whose chart form is a variant of that of an entry of
 the same lexeme from an earlier declaration is dropped, with a
-UserWarning ``line N: duplicate lexicon entry for 'lexeme' dropped: key``
-naming the line that declared it; the earlier entry stays.  Entries of
-one declaration are never compared with one another, because no family
-can hold two variants once its type set has no two variants (the type
-set is deduplicated by key, first occurrence kept, when the first @raise
-expands).  Two entries of one family differ in one of these ways:
+UserWarning ``line N: duplicate lexicon entry for 'lexeme' dropped:
+category`` naming the line that declared it; the earlier entry stays.
+Entries of one declaration are never compared with one another, because
+no family can hold two variants once its type set has none (the type set
+is deduplicated by chart form key, first occurrence kept, when the first
+@raise expands).  The chart form rewrites each atomic's semantics on its
+own, so two chart forms of one family differ in one of these ways:
 
 - the plain entry's result, np, is atomic; every raised entry's result
   is a slash category;
 - a narrow entry's argument is n:N', a variable, and a wide entry's is
-  n:V'^N', a lambda;
+  n:V'^N', a lambda and no set form;
 - a forward entry's inner slash is ``\\`` and a backward entry's is
   ``/``, at the same position;
-- two entries of one kind, built over types T1 and T2, hold T1 and T2
-  intact at the same position (a wide entry rewrites only the result
-  semantics of its first copy of T; the copy in its argument is whole).
-  A variant renaming of one entry onto the other would map T1 onto T2,
-  making the two types variants, which the deduplicated set excludes.
+- two entries of one kind, built over types T1 and T2, hold the chart
+  forms of T1 and T2 intact at the same position (a wide entry rewrites
+  only the result semantics of its first copy of T; the copy in its
+  argument is whole).  A variant renaming of one entry onto the other
+  would map T1's chart form onto T2's, which the deduplicated set excludes.
 
 So duplicates need keys only across declarations, and only between
 entries of the same lexeme and the same shape (cat_shape), which is
 compared first.  Loading the bundled lexicon computes one key per type
 and none per entry.
 
-Chart copies.  A chart takes an entry in its chart form (chart_cat, set
-forms eta-reduced and and/2 nested to the left), renamed apart from every
-other category the lexicon has renamed, and files it under its key
-(chart_key).  The chart form, its renamed copies and the key depend on
-the entry alone, so each is made once, on first need in a parse and
-never at load: a lexicon keeps its copies per entry, and the n-th
-occurrence of an entry in a sentence enters as its n-th copy
-(chart_copy).  A one-to-one renaming keeps the key (categories), so
-every copy is filed under chart_key.
+Chart copies.  A chart takes an entry in its chart form, renamed apart
+from every other category the lexicon has renamed, and files it under
+its key.  The chart form, its renamed copies and the key depend on the
+entry alone, so each is made once, on first need in a parse and never
+at load: a lexicon keeps its copies per entry, and the n-th occurrence
+of an entry in a sentence enters as its n-th copy (chart_copy).  A
+one-to-one renaming keeps the key (categories), so every copy is filed
+under chart_key.
 """
 
 from __future__ import annotations
@@ -126,14 +128,9 @@ class _LexEntryFields(NamedTuple):
 
 
 class LexEntry(_LexEntryFields):
-    """A lexical entry.  Its keys, chart form and shape are computed once,
-    on first use, and stored on the entry: the class has no __slots__, so
-    they live in the instance's __dict__, outside the tuple."""
-
-    @cached_property
-    def key(self) -> tuple:
-        """cat_key(cat)."""
-        return cat_key(self.cat)
+    """A lexical entry, told apart by chart_key.  Its chart form, key and
+    shape are computed once, on first use, and stored on the entry: the
+    class has no __slots__, so they live in the instance's __dict__."""
 
     @cached_property
     def chart_cat(self) -> Category:
@@ -168,13 +165,13 @@ class TypeSet:
 
     @cached_property
     def types(self) -> Tuple[Tuple[Category, Optional[Var]], ...]:
-        """(T, R) per type T, deduplicated by key, first occurrence kept,
-        in declaration order: R is T's result semantics when T's result
-        sort is s, and None otherwise.  LexiconError for a type whose
-        result sort is s and whose result semantics is not a variable."""
+        """(T, R) per type T, deduplicated by its chart form's key, first
+        occurrence kept, in declaration order: R is T's result semantics
+        when T's result sort is s, else None.  LexiconError for a type of
+        result sort s whose result semantics is not a variable."""
         out, keys = [], set()
         for t in self.cats:
-            key = cat_key(t)
+            key = cat_key(subst_cat({}, t))
             if key in keys:
                 continue
             keys.add(key)
@@ -196,9 +193,10 @@ def instantiate_raised(lexeme: Tuple[str, ...], num: str, qsym: str, ssym: str,
     Order: plain entry first, then per type T (declaration order) the
     narrow forward, narrow backward, wide forward, wide backward entries.
     Wide entries exist only for types whose result-most atomic has sort s.
-    A type that is a variant of an earlier one adds nothing, and no two
-    entries are variants (module docstring).  Every np the determiner
-    builds carries num(sem, sg|pl) so verbs can state subject agreement.
+    A type whose chart form is a variant of an earlier one's adds
+    nothing, and no two entries' chart forms are variants (module
+    docstring).  Every np the determiner builds carries num(sem, sg|pl)
+    so verbs can state subject agreement.
     The q-symbol must be q- and a name, the s-symbol s- and a name, so
     that the wide entries quantify and every printed form reads back.
     """
@@ -239,39 +237,38 @@ class Lexicon:
     def __init__(self) -> None:
         self.entries: List[LexEntry] = []
         self._by_first: dict = {}
-        self._by_lexeme: dict = {}
         self._fresh = itertools.count(1)
         # id(entry) -> (entry, its chart copies in order); the entry is
         # kept so that its id is never reused while the table holds it.
         self._copies: dict = {}
 
     def add(self, entries: Sequence[LexEntry], line: Optional[int] = None) -> None:
-        """Add the entries of one declaration, all of one lexeme.
+        """Add the entries of one declaration, all of one lexeme, no two
+        of them chart form variants of one another.
 
-        An entry that is a variant of an entry of the same lexeme from an
-        earlier declaration is dropped with a UserWarning, prefixed with
-        ``line N: `` when line is given; entries of this declaration are
-        not compared with one another.  Shapes are compared before keys,
-        so a key is computed only for an entry that has an earlier entry
-        of its lexeme and shape.
+        An entry whose chart form is a variant of that of an entry of the
+        same lexeme from an earlier declaration is dropped with a
+        UserWarning, prefixed with ``line N: `` when line is given.
+        Shapes are compared before keys, so a key is computed only for an
+        entry that has an earlier entry of its lexeme and shape.
         """
         if not entries:
             return
         lexeme = entries[0].lexeme
-        earlier = self._by_lexeme.setdefault(lexeme, [])
+        peers = self._by_first.setdefault(lexeme[0], [])
+        earlier = [e for e in peers if e.lexeme == lexeme]
         if earlier:
             kept = []
             for entry in entries:
-                if any(e.shape == entry.shape and e.key == entry.key for e in earlier):
+                if any(e.shape == entry.shape and e.chart_key == entry.chart_key for e in earlier):
                     where = "" if line is None else f"line {line}: "
                     warnings.warn(f"{where}duplicate lexicon entry for"
                                   f" {entry.tag!r} dropped: {cat_text(entry.cat)}")
                 else:
                     kept.append(entry)
             entries = kept
-        earlier.extend(entries)
         self.entries.extend(entries)
-        self._by_first.setdefault(lexeme[0], []).extend(entries)
+        peers.extend(entries)
 
     def lookup(self, tokens: Tuple[str, ...], i: int) -> List[Tuple[LexEntry, int]]:
         """Entries whose lexeme matches tokens[i:], as stored: a category

@@ -249,15 +249,15 @@ def oracle_live_shapes(tokens, lex):
 
 def oracle_raised(lexeme, num, qsym, ssym, tset):
     """One @raise family expanded entry by entry: the per-type work done
-    for every family, and a key for every entry, checked against a seen
-    set of the family's keys."""
+    for every family, and a chart form key for every entry, checked
+    against a seen set of the family's keys."""
     tag = " ".join(lexeme)
     out, seen = [], set()
 
     def push(cat):
         entry = LexEntry(lexeme, cat, tag)
-        if entry.key not in seen:
-            seen.add(entry.key)
+        if entry.chart_key not in seen:
+            seen.add(entry.chart_key)
             out.append(entry)
 
     def np_of(sem):
@@ -281,17 +281,18 @@ def oracle_raised(lexeme, num, qsym, ssym, tset):
 
 def oracle_load(text):
     """(entries, warning messages) of a well-formed lexicon text, loaded
-    with a (lexeme, key) set over every entry: a later variant of an entry
-    of the same lexeme is dropped with a warning naming its line."""
+    with a (lexeme, chart form key) set over every entry: an entry whose
+    chart form is a variant of that of an earlier entry of the same
+    lexeme is dropped with a warning naming its line."""
     entries, warned, keys = [], [], set()
     tset, raises = [], []
 
     def add(lineno, entry):
-        if (entry.lexeme, entry.key) in keys:
+        if (entry.lexeme, entry.chart_key) in keys:
             warned.append(f"line {lineno}: duplicate lexicon entry for"
                           f" {entry.tag!r} dropped: {cat_text(entry.cat)}")
         else:
-            keys.add((entry.lexeme, entry.key))
+            keys.add((entry.lexeme, entry.chart_key))
             entries.append(entry)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -309,6 +310,29 @@ def oracle_load(text):
         for entry in oracle_raised(lexeme, num, qsym, ssym, tset):
             add(lineno, entry)
     return entries, warned
+
+
+# Lexicons that declare one entry twice in chart form variants, each as
+# (text, the later variant, a sentence, the warning the load gives): an
+# and/2 nested right and then left, a set form written as a lambda and
+# then eta-reduced, and two @tset types under an np result that differ
+# only in and/2 nesting.  Without the later variant, a lexicon is text
+# with that substring removed.
+CHART_FORM_VARIANTS = {
+    "and/2 nesting": (
+        "x :: s:and(a, and(b, c))\nx :: s:and(and(a, b), c)\n",
+        "x :: s:and(and(a, b), c)\n", "x",
+        "line 2: duplicate lexicon entry for 'x' dropped: s:and(and(a, b), c)"),
+    "set form": (
+        "x :: np:s-a(X^p(X))\nx :: np:s-a(p)\ngo :: s:go(Y)\\np:Y\n",
+        "x :: np:s-a(p)\n", "x go",
+        "line 2: duplicate lexicon entry for 'x' dropped: np:s-a(p)"),
+    "type set": (
+        "@tset np:and(a, and(b, c)), np:and(and(a, b), c)\ngirl :: n:X^girl(X)\n"
+        "v :: np:and(a, and(b, c))\\np:X\nw :: s:w(Y)/np:Y\n"
+        "@raise every sg q-every s-every\n",
+        ", np:and(and(a, b), c)", "w every girl v", None),
+}
 
 
 # Noun phrases for seeded PP chains and clause embeddings: (words, number,

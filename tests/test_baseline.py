@@ -373,8 +373,17 @@ def all_pairs_gap(report):
                             for r in report.ccg))
 
 
-@pytest.mark.parametrize("sentence, sk", SKELETON_CASES,
-                         ids=[key for key, _ in SKELETON_CASES])
+# The seeded PP chains and embeddings of depths 1-3: (sentence, skeleton
+# text) by test id.
+SEEDED_SKELETONS = {f"{family.__name__}.d{d}.s{seed}": family(d, seed)
+                    for family in (pp_chain, embedding)
+                    for d in (1, 2, 3) for seed in (1, 2, 3)}
+GAP_CASES = SKELETON_CASES \
+    + [(sentence, parse_skeleton(sk)) for sentence, sk in SEEDED_SKELETONS.values()]
+
+
+@pytest.mark.parametrize("sentence, sk", GAP_CASES,
+                         ids=[key for key, _ in SKELETON_CASES] + list(SEEDED_SKELETONS))
 def test_gap_equals_all_pairs_definition(lex, sentence, sk):
     report = compare(sentence.split(), sk, lex)
     assert report.gap == all_pairs_gap(report)

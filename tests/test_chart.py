@@ -1,5 +1,6 @@
 import operator
 import random
+import warnings
 from collections import Counter
 
 import pytest
@@ -33,6 +34,7 @@ from ccgscope.chart import (
 )
 from ccgscope.cli import _corpus_entry, _data_text, read_data, tokenize
 from ccgscope.lexicon import (
+    Lexicon,
     UnknownTokenError,
     _split_top,
     default_lexicon,
@@ -54,6 +56,7 @@ from ccgscope.terms import (
 )
 
 from helpers import (
+    CHART_FORM_VARIANTS,
     all_pairs_parse,
     cat_vars,
     embedding,
@@ -776,6 +779,48 @@ def test_a_result_equal_to_a_variant_duplicate_is_looked_up(monkeypatch):
         "variant": 1, "cat_key calls": 6 - 4 + 1}
 
 
+# --- backpointers ---------------------------------------------------------------
+
+def test_every_backpointer_parse_adds_is_new(lex, monkeypatch):
+    # parse appends each backpointer without a search: each lexical copy
+    # it enters and each rule success is a backpointer of its own, and no
+    # item holds one twice.  Two entries of one lexeme with chart form
+    # variants would enter two copies under one ("lex", tag) backpointer:
+    # the lexicon keeps only the first (CHART_FORM_VARIANTS).
+    entered = Counter()
+    chart_copy = Lexicon.chart_copy
+
+    def copied(self, entry, n):
+        entered["lex"] += 1
+        return chart_copy(self, entry, n)
+
+    def counted(fn):
+        def rule(left, right):
+            out = fn(left, right)
+            entered["rule"] += out is not None
+            return out
+        return rule
+
+    monkeypatch.setattr(Lexicon, "chart_copy", copied)
+    monkeypatch.setattr(chart_module, "RULES", tuple(
+        (label, counted(fn)) for label, fn in chart_module.RULES))
+    parses = [(sentence, lex) for sentence in
+              dict.fromkeys(CLOSURE_CASES + KEYING_CASES + [PP_CHAIN_4])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        parses += [(sentence, load_lexicon(text))
+                   for text, _, sentence, _ in CHART_FORM_VARIANTS.values()]
+    total = 0
+    for sentence, lexicon in parses:
+        entered.clear()
+        items = parse(tokenize(sentence), lexicon).items.values()
+        backs = sum(len(it.backs) for it in items)
+        assert backs == entered["lex"] + entered["rule"], sentence
+        assert all(len(set(it.backs)) == len(it.backs) for it in items), sentence
+        total += backs
+    assert total > 15000, total
+
+
 # --- lexical chart copies -------------------------------------------------------
 
 def test_an_entry_used_twice_gets_two_copies_with_no_variable_in_common():
@@ -889,8 +934,8 @@ def test_charts_and_readings_do_not_depend_on_how_the_lexicon_spells_variables(
     text = respelled_lexicon(how)
     assert ("Q999" in text) if how != "steered-around" else ("s:V\\np:N" in text)
     other = load_lexicon(text)
-    assert [(e.lexeme, e.key, e.tag) for e in other.entries] \
-        == [(e.lexeme, e.key, e.tag) for e in lex.entries]
+    assert [(e.lexeme, e.chart_key, e.tag) for e in other.entries] \
+        == [(e.lexeme, e.chart_key, e.tag) for e in lex.entries]
     for sentence in KEYING_CASES:
         mine, theirs = chart_of(sentence), parse(tokenize(sentence), other)
         assert [(it.id, it.span, cat_key(it.cat), it.backs) for it in theirs.items.values()] \

@@ -15,6 +15,8 @@ from ccgscope.lexicon import default_lexicon, load_lexicon
 from ccgscope.readings import readings
 from ccgscope.terms import canonicalize, parse_term
 
+from helpers import CHART_FORM_VARIANTS
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -85,6 +87,28 @@ def test_duplicate_entry_is_one_warning_line(tmp_path, capsys):
     assert code == 0
     assert out == "1 readings of: x\n  x1  ok\n"
     assert err == "warning: line 2: duplicate lexicon entry for 'x' dropped: s:ok\n"
+
+
+@pytest.mark.parametrize("case, parsed", [
+    ("and/2 nesting", "x\n  s:and(and(a, b), c)  [1 derivations]\n"),
+    ("set form", "x go\n  s:go(s-a(p))  [1 derivations]\n"),
+    ("type set", "w every girl v\n  s:w(and(and(a, b), c))  [2 derivations]\n")],
+    ids=["and/2 nesting", "set form", "type set"])
+def test_a_chart_form_variant_left_out_changes_no_output(tmp_path, capsys, case, parsed):
+    # A chart takes two entries whose chart forms are variants as one, so
+    # parse, readings and derive print what they print for the lexicon
+    # without the later variant; the load warns when it drops an entry.
+    text, variant, sentence, warning = CHART_FORM_VARIANTS[case]
+    path, plain = tmp_path / "user.lex", tmp_path / "plain.lex"
+    path.write_text(text)
+    plain.write_text(text.replace(variant, ""))
+    assert run(capsys, "--lexicon", str(plain), "parse", sentence) == (0, parsed, "")
+    for command in (["parse"], ["readings"], ["derive"], ["--json", "parse"],
+                    ["--json", "readings"]):
+        code, out, err = run(capsys, "--lexicon", str(plain), *command, sentence)
+        assert (code, err) == (0, "")
+        assert run(capsys, "--lexicon", str(path), *command, sentence) \
+            == (0, out, f"warning: {warning}\n" if warning else ""), command
 
 
 def never_matches(lexeme):

@@ -17,7 +17,7 @@ from ccgscope.lexicon import (
 )
 from ccgscope.terms import parse_term, unbound_quantifier
 
-from helpers import cat_vars, oracle_load
+from helpers import CHART_FORM_VARIANTS, cat_vars, oracle_load
 
 
 def keys(entries):
@@ -114,20 +114,19 @@ def test_fresh_renames_looked_up_entries_apart():
 def test_entries_compile_to_chart_form_once():
     lex = default_lexicon()
     for entry in lex.entries:
-        assert entry.key == cat_key(entry.cat)
         assert entry.chart_key == cat_key(entry.chart_cat)
         assert entry.shape == cat_shape(entry.cat) == cat_shape(entry.chart_cat)
         assert subst_cat({}, entry.chart_cat) is entry.chart_cat
         assert entry.chart_cat is entry.chart_cat
     # Chart form: set forms eta-reduced and and/2 nested to the left; the
-    # entry keeps its category as written, and has a key for each.
+    # entry keeps its category as written, and is keyed by its chart form.
     lex = load_lexicon("p :: np:s-a(X^p(X))\nq :: s:and(a, and(b, c))\n")
     assert texts(lex.entries) == ["np:s-a(v1^p(v1))", "s:and(a, and(b, c))"]
     assert [cat_text(e.chart_cat) for e in lex.entries] \
         == ["np:s-a(p)", "s:and(and(a, b), c)"]
     assert [e.chart_key for e in lex.entries] \
         == [cat_key(parse_cat("np:s-a(p)")), cat_key(parse_cat("s:and(and(a, b), c)"))]
-    assert all(e.chart_key != e.key for e in lex.entries)
+    assert all(e.chart_key != cat_key(e.cat) for e in lex.entries)
 
 
 def test_multiword_lookup_consumes_whole_lexeme():
@@ -166,6 +165,15 @@ def test_duplicate_entry_warns_and_keeps_first():
     assert len(lex.entries) == 1
     assert [str(w.message) for w in caught] \
         == ["line 2: duplicate lexicon entry for 'john' dropped: np:num(john, sg)"]
+    # Entries that differ as written but whose chart forms are variants
+    # are one entry to a chart: the later is dropped too.
+    for case in ("and/2 nesting", "set form"):
+        text, _, _, warning = CHART_FORM_VARIANTS[case]
+        with pytest.warns(UserWarning) as caught:
+            lex = load_lexicon(text)
+        assert [str(w.message) for w in caught] == [warning]
+        first = parse_cat(text.split("::")[1].split("\n")[0])
+        assert [e.cat for e in lex.entries if e.lexeme == ("x",)] == [first]
 
 
 def test_variant_types_add_nothing_to_a_family():
@@ -176,6 +184,11 @@ def test_variant_types_add_nothing_to_a_family():
                                        TypeSet(parse_cat(t) for t in types)))
     assert family([r"s\np", r"s:A\np:B", r"n\n", r"n:N\n:M"]) == family([r"s\np", r"n\n"])
     assert len(family([r"s\np", r"n\n"])) == 1 + 4 + 2
+    # A type whose chart form alone is a variant of an earlier one's adds
+    # nothing either.
+    assert family(["np:and(a, and(b, c))", "np:and(and(a, b), c)", "np:s-a(X^p(X))",
+                   "np:s-a(p)"]) == family(["np:and(a, and(b, c))", "np:s-a(X^p(X))"])
+    assert len(family(["np:and(a, and(b, c))", "np:s-a(X^p(X))"])) == 1 + 2 + 2
 
 
 def test_raised_entry_equal_to_a_written_one_is_dropped_with_its_line():
@@ -268,7 +281,7 @@ def test_default_lexicon_keys_only_its_types(monkeypatch):
 
 
 def entry_rows(entries):
-    return [(e.lexeme, e.key, e.tag, e.cat, e.chart_cat) for e in entries]
+    return [(e.lexeme, e.chart_key, e.tag, e.cat, e.chart_cat) for e in entries]
 
 
 def test_load_agrees_with_entry_by_entry_oracle_on_the_bundled_lexicon():
@@ -281,17 +294,21 @@ def test_load_agrees_with_entry_by_entry_oracle_on_the_bundled_lexicon():
 
 
 # Pools for generated lexicons: variant and duplicate types (s:A\np:B is
-# s\np, n:N\n:M is n\n), determiners of one and two words, and written
+# s\np, n:N\n:M is n\n), types and written entries whose chart forms
+# alone are variants, determiners of one and two words, and written
 # entries that equal raised ones or share a lexeme and a shape.
 GEN_TYPES = [r"s", r"s\np", r"s:A\np:B", r"s/np", r"(s\np)/np", r"(s:S\np:X)/np:Y",
-             r"s/(s\np)", r"n\n", r"n:N\n:M", r"s:P\np:num(X,sg)"]
+             r"s/(s\np)", r"n\n", r"n:N\n:M", r"s:P\np:num(X,sg)",
+             r"n:and(a,and(b,c))\n", r"n:and(and(a,b),c)\n"]
 GEN_RAISES = ["every sg q-every s-every", "most pl q-most s-most",
               "a few pl q-few s-few", "few pl q-few s-few"]
 GEN_WRITTEN = ["every :: np:num(s-every(N),sg)/n:N",
                r"every :: ((s:A\np:B)/((s:A\np:B)\np:num(s-every(N),sg)))/n:N",
                r"most :: ((s:q-most(V,N,A)\np:B)/((s:A\np:B)\np:num(V,pl)))/n:V^N",
                "a few :: n:X^few(X)", "x :: np:a", "x :: np:b", "x :: np:A",
-               "x :: np:B", "x :: s:ok/np:N", "x :: s:ok/np:M"]
+               "x :: np:B", "x :: s:ok/np:N", "x :: s:ok/np:M",
+               "x :: np:and(a,and(b,c))", "x :: np:and(and(a,b),c)",
+               "x :: np:s-a(X^p(X))", "x :: np:s-a(p)"]
 
 
 def generated_lexicon(seed):
@@ -311,9 +328,17 @@ def covered_cases(text, entries, warned):
     raises = [line for line in lines if line.startswith("@raise")]
     written = {cat_text(parse_cat(line.split("::")[1])) for line in lines if "::" in line}
     x_shapes = [e.shape for e in entries if e.lexeme == ("x",)]
+    x_written = {parse_cat(line.split("::")[1]) for line in lines if line.startswith("x ::")}
+
+    def chart_form_variants(cats):
+        return len({cat_key(subst_cat({}, c)) for c in cats}) \
+            < len({cat_key(c) for c in cats})
     return {case for case, hit in [
         ("variant types", any(len({cat_key(parse_cat(t)) for t in ts}) < len(set(ts))
                               for ts in tsets)),
+        ("chart form variant types", any(chart_form_variants([parse_cat(t) for t in ts])
+                                         for ts in tsets)),
+        ("chart form variant entries", chart_form_variants(x_written)),
         ("repeated raise", len(set(raises)) < len(raises)),
         ("written equals raised", any(
             lines[int(w.split(":")[0][len("line "):]) - 1].startswith("@raise")
@@ -332,8 +357,9 @@ def test_load_agrees_with_entry_by_entry_oracle_on_generated_lexicons():
         assert entry_rows(lex.entries) == entry_rows(entries), text
         assert [str(w.message) for w in caught] == warned, text
         covered |= covered_cases(text, entries, warned)
-    assert covered == {"variant types", "repeated raise", "written equals raised",
-                       "equal shapes"}
+    assert covered == {"variant types", "chart form variant types",
+                       "chart form variant entries", "repeated raise",
+                       "written equals raised", "equal shapes"}
 
 
 def test_error_reports_line_number():

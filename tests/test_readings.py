@@ -1,11 +1,13 @@
 import itertools
 import random
+import warnings
 
 import pytest
 
-from ccgscope.categories import Atomic, atomics
+from ccgscope.categories import Atomic, atomics, cat_text
 from ccgscope.chart import count_derivations, parse
-from ccgscope.lexicon import default_lexicon
+from ccgscope.cli import _corpus_entry, read_data, tokenize
+from ccgscope.lexicon import data_text, default_lexicon, load_lexicon
 from ccgscope.readings import (
     NoParseError,
     ReadingError,
@@ -27,6 +29,7 @@ from ccgscope.terms import (
     canonicalize,
     format_term,
     free_vars,
+    is_quant,
     is_set_form,
     parse_term,
     subterms,
@@ -164,7 +167,13 @@ def test_joint_collapse_drops_duplicate_inner_forms():
     assert not free_vars(got)
 
 
-def test_normalize_idempotent():
+IDEMPOTENCE_CASES = \
+    [pp_chain(depth, seed)[0] for depth in range(1, 5) for seed in (1, 2, 3)] \
+    + [embedding(depth, seed)[0] for depth in range(1, 4) for seed in (1, 2, 3)] \
+    + [coordination_sentence(k) for k in (1, 2, 3)]
+
+
+def test_normalize_idempotent(readings_of):
     for src in [
         "q-every(X, girl(X), admired(X, s-one(sax)))",
         "q-every(X, dlr(X), show(s-most(cstmr), X, s-three(car)))",
@@ -172,6 +181,15 @@ def test_normalize_idempotent():
     ]:
         once = normalize(parse_term(src))
         assert normalize(once) == once
+    # Every reading of the seeded families is a fixed point: PP chains of
+    # depths 1-4 (4 + 8 + 18 + 46 readings per seed), embeddings of
+    # depths 1-3 (4 each) and clusters of 2-4 conjuncts (2 each).
+    checked = 0
+    for sentence in IDEMPOTENCE_CASES:
+        for r in readings_of(sentence):
+            assert normalize(r.term) == r.term, (sentence, format_term(r.term))
+            checked += 1
+    assert checked == 3 * (4 + 8 + 18 + 46) + 9 * 4 + 3 * 2
 
 
 def test_non_variable_binder_rejected():
@@ -292,6 +310,67 @@ def test_outscopes_agrees_with_scope_profile(lex):
                 pairs += 1
                 inside += (a, b) in profile
     assert pairs > 250 and inside > 50
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_embedding_law(readings_of, depth):
+    # An embedding's readings are 2 x 2 at every depth, argued from the
+    # account.  Each embedding verb writes its complement as up(S), and S
+    # is the whole semantics of the clause below, so every quantifier of
+    # a lower clause, which its wide entry builds as that clause's s
+    # semantics, lies inside an up(.); normalize never promotes a set
+    # form out of an up(.) either.  So:
+    # - the innermost clause's subject and object scope inside its up(.)
+    #   in either order, as in a plain transitive sentence: 2;
+    # - an intermediate clause's subject is its one noun phrase, inside an
+    #   up(.): its set form is promoted at its own predication, right where
+    #   its wide entry's quantifier stands, so its two entries give 1;
+    # - the matrix subject is inside no up(.) and sits beside one that
+    #   holds scope material (the next subject): its wide entry scopes over
+    #   the sentence, and its set form stays an s- residue: 2.
+    # The choices are independent, so there are 4 readings with 4 scope
+    # profiles, 2 of them with the matrix quantifier outermost.
+    for seed in (1, 2, 3):
+        rs = readings_of(embedding(depth, seed)[0])
+        assert len(rs) == 4, seed
+        assert len({scope_profile(r.term) for r in rs}) == 4, seed
+        assert sum(is_quant(r.term) for r in rs) == 2, seed
+
+
+def listed_readings(get, sentence):
+    """[(printed reading, multiplicity)] of get(sentence), or None when
+    the sentence has no parse."""
+    try:
+        return [(format_term(r.term), r.multiplicity) for r in get(sentence)]
+    except NoParseError:
+        return None
+
+
+SHUFFLE_CASES = [sent for _, sent, _, _ in read_data("corpus.txt", None, _corpus_entry)] \
+    + [pp_chain(3, 1)[0], embedding(2, 1)[0], coordination_sentence(2)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_readings_do_not_depend_on_the_order_of_the_lexicon_lines(readings_of, seed):
+    # Each line declares one entry or one family, every family expands
+    # over the last type set after the whole file is read, and no two
+    # entries of a lexeme have variant chart forms, so no line drops
+    # another's entry.  Shuffled lines give the same entries in another
+    # order, and so the same readings and multiplicities; chart ids and
+    # derivation order may differ.
+    lines = data_text("fragment.lex").splitlines()
+    random.Random(seed).shuffle(lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        shuffled = load_lexicon("\n".join(lines))
+    assert sorted(f"{e.tag} :: {cat_text(e.cat)}" for e in shuffled.entries) \
+        == sorted(f"{e.tag} :: {cat_text(e.cat)}" for e in default_lexicon().entries)
+
+    def reparsed(sentence):
+        return readings(tokenize(sentence), shuffled)
+    for sentence in SHUFFLE_CASES:
+        assert listed_readings(reparsed, sentence) == listed_readings(readings_of, sentence), \
+            sentence
 
 
 # --- the walks agree with their node-by-node oracles --------------------------
