@@ -68,12 +68,12 @@ and none per entry.
 
 Chart copies.  A chart takes an entry in its chart form, renamed apart
 from every other category the lexicon has renamed, and files it under
-its key.  The chart form, its renamed copies and the key depend on the
-entry alone, so each is made once, on first need in a parse and never
-at load: a lexicon keeps its copies per entry, and the n-th occurrence
-of an entry in a sentence enters as its n-th copy (chart_copy).  A
-one-to-one renaming keeps the key (categories), so every copy is filed
-under chart_key.
+its key.  Each depends on the entry alone and is made once: the chart
+form and key at load only for an entry the duplicate check compares,
+else on first need in a parse, and the copies in a parse.  A lexicon
+keeps its copies per entry; the n-th occurrence of an entry in a
+sentence enters as its n-th copy (chart_copy).  A one-to-one renaming
+keeps the key (categories), so every copy is filed under chart_key.
 """
 
 from __future__ import annotations
@@ -242,15 +242,15 @@ class Lexicon:
         # kept so that its id is never reused while the table holds it.
         self._copies: dict = {}
 
-    def add(self, entries: Sequence[LexEntry], line: Optional[int] = None) -> None:
+    def _add(self, entries: Sequence[LexEntry], line: Optional[int] = None) -> None:
         """Add the entries of one declaration, all of one lexeme, no two
-        of them chart form variants of one another.
+        of them chart form variants of one another, as load_lexicon, the
+        only caller, keeps them (module docstring).
 
-        An entry whose chart form is a variant of that of an entry of the
-        same lexeme from an earlier declaration is dropped with a
-        UserWarning, prefixed with ``line N: `` when line is given.
-        Shapes are compared before keys, so a key is computed only for an
-        entry that has an earlier entry of its lexeme and shape.
+        An entry whose chart form is a variant of that of an earlier
+        declaration's entry of its lexeme is dropped with a UserWarning,
+        prefixed ``line N: `` when line is given.  Shapes are compared
+        first, so only an entry with an earlier peer of its shape is keyed.
         """
         if not entries:
             return
@@ -345,7 +345,7 @@ def load_lexicon(text: str) -> Lexicon:
                 if not lexeme:
                     raise LexiconError("empty lexeme")
                 cat = _checked(rhs.strip())
-                lex.add([LexEntry(lexeme, cat, " ".join(lexeme))], lineno)
+                lex._add([LexEntry(lexeme, cat, " ".join(lexeme))], lineno)
             else:
                 raise LexiconError("expected 'lexeme :: category', @tset or @raise")
         except (CatError, TermError, LexiconError) as exc:
@@ -356,7 +356,7 @@ def load_lexicon(text: str) -> Lexicon:
         try:
             if not lexeme:
                 raise LexiconError("empty lexeme")
-            lex.add(instantiate_raised(lexeme, num, qsym, ssym, tset), lineno)
+            lex._add(instantiate_raised(lexeme, num, qsym, ssym, tset), lineno)
         except LexiconError as exc:
             raise LexiconError(f"line {lineno}: {exc}") from exc
     return lex
