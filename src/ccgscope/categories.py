@@ -271,9 +271,11 @@ def cat_text(cat: Category) -> str:
 
 def cat_key(cat: Category) -> tuple:
     """The identity of cat up to renaming of variables (module docstring):
-    two categories have equal keys iff they are variants.  Chart cells,
-    replay and duplicate lexicon entries compare it.  One iterative walk
-    that builds no text."""
+    two categories have equal keys iff they are variants.  Replay and
+    duplicate lexicon entries compare it, and so do chart cells, but only
+    for a rule result that shares its cell with a lexical item or with an
+    item of its signature (chart, "Keys").  One iterative walk that
+    builds no text."""
     out: list = []
     numbers: dict = {}  # Var.id -> first-occurrence number
     stack = [cat]

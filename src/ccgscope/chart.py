@@ -18,28 +18,41 @@ recorded variables the unifier leaves unbound (terms.apply_reduced), so
 a rule result costs the part of its operands that the unifier reaches,
 not the whole of them.
 
-Keys.  A cell maps cat_key, a tuple that encodes the canonical copy
-node by node with each node's type, to its item, so variants share one
-item and nothing else does; Chart.cells keeps that shape.  Keying is a
-walk over the whole category, and most rule results duplicate an item,
-nearly all of them equal as terms to a category the cell already holds.
-So add first looks a result up by the category itself, in a dict local
-to parse that holds, per span, every category keyed there (terms hash
-and compare in C).  Equal categories have equal keys, so a hit is the
-item cell.get(cat_key(cat)) would give, and ids and backpointers do not
-change.  Only a miss is keyed: a new item, or a variant duplicate, which
-is entered too.  A lexical item is not keyed at all: it enters with its
-entry's chart_key, the key of every renamed copy of the entry's chart
-form, worked out once per entry.  So a chart costs one cat_key per
-rule-built item plus one per variant duplicate.  Over the corpus and the
-test families (test_chart's KEYING_CASES) that is 8,030 keys for 8,749
-items, 960 of them lexical, where keying every entry and result took
-16,825: 7,835 results were equal duplicates and 241 variants.  The key
-builds no text: cat_text prints a category for pretty, the CLI and error
-messages, and nothing compares printed text.  add appends a backpointer
-without a search, as each is new: parse tries a rule's (label, left id,
-right id) once, and a span's lexical items are entries of one lexeme, no
-two with one chart_key (lexicon).
+Keys.  Two rule results are one item iff their categories are variants,
+that is iff their cat_keys, tuples that encode the canonical copy node
+by node with each node's type, are equal.  Chart.cells maps a span to
+its items in id order.  Keying is a walk over the whole category, and
+most rule results duplicate an item, nearly all of them equal as terms
+to a category the cell already holds.  So add first looks a result up
+by the category itself, in a dict local to parse that holds, per span,
+every category filed there (terms hash and compare in C).  Equal
+categories are variants, so a hit is the item a key would give, and
+ids and backpointers do not change.  A miss, a new item or a variant
+duplicate, is filed there too, and gets a signature (_signature) read
+without walking its terms: its shape id and, per atomic, its
+semantics' functor and the size of its variable record.  Every rule
+result's semantics carries a record or is a variable or an atom,
+because subst_cat builds it with apply_reduced, which records every
+compound, lambda and up(.) term it returns (terms).  A one-to-one
+renaming keeps all three, so variants share a signature, and a miss
+whose signature no item of its cell has is a new item, made without a
+key.  cat_key runs only for a miss whose cell holds an item of its
+signature, or a lexical item (a multi-word lexeme), and then once too
+for the first item of that signature, which until then was filed
+unkeyed; the keyed items of a span are looked up by key.  A lexical item
+is not keyed at all: it enters with its entry's chart_key, the key of
+every renamed copy of the entry's chart form, worked out once per
+entry.  Over the corpus and the test families (test_chart's
+KEYING_CASES) that is 5,009 keys for 8,749 items, 960 of them lexical:
+4,137 misses shared a signature and 872 items were keyed when one
+first did.  Keying every miss took 8,030, and keying every entry and
+result 16,825: 7,835 results were equal duplicates and 241 variants.
+On the coord_cluster benchmark a seed-1 pass makes 386 misses and
+36 keys.  The key builds no text: cat_text prints a category for
+pretty, the CLI and error messages, and nothing compares printed text.
+add appends a backpointer without a search, as each is new: parse tries
+a rule's (label, left id, right id) once, and a span's lexical items are
+entries of one lexeme, no two with one chart_key (lexicon).
 
 parse runs in two passes over one statement of the rules: the rows of
 ROWS, which read the Slash tuple that categories and their shapes share.
@@ -68,7 +81,12 @@ never of a lexicon or a sentence, so one table serves every lexicon a
 process loads and never goes stale.  parse clears it whole before it
 starts when it holds more than MAX_SHAPE_TABLE entries, shapes plus
 pairs, so ids never change during a parse; they never leave it either
-(Item.shape is the shape itself).
+(Item.shape is the shape itself).  The inside pass asks the table once
+per split whose two cells are non-empty, found from the ends of each
+start's non-empty cells, and records the splits that hold an edge;
+the outside pass and closure walk only those.  A seed-1 pass of the
+coord_cluster benchmark has 6,758 splits, 652 of them filled, and 244
+that hold an edge.
 
 Why pruning loses nothing: a row reads its operands through slash
 directions, results, arguments and passes_through, which sees sorts and
@@ -114,6 +132,7 @@ there the derivations through it are gone (see README).
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .categories import (
@@ -129,7 +148,7 @@ from .lexicon import Lexicon, UnknownTokenError
 # Not called here: lexical entries bring their chart form
 # (LexEntry.chart_cat).  perfbench/tracing.py patches this name.
 from .terms import eta_reduce_sets  # noqa: F401
-from .terms import QuantifierSlotError
+from .terms import Atom, Compound, QuantifierSlotError, Var
 
 MAX_TOKENS = 32
 # Work budget: a chart that would grow past this many items is refused
@@ -338,59 +357,94 @@ def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[dict, dic
     full-span item.  Shapes are shape table ids here.
 
     An inside CKY pass over shapes alone finds every (span, shape) some
-    shape derivation builds from the lexical shapes: per split, the shape
-    table's edges between the two cells' shape sets.  An outside pass then
-    marks each (span, shape) that lies on a shape derivation of a
+    shape derivation builds from the lexical shapes: per split whose two
+    cells are non-empty, the shape table's edges between their shape
+    sets.  It keeps, per start i, the ends of the non-empty cells in
+    increasing order, so it visits only those splits.  An outside pass
+    then marks each (span, shape) that lies on a shape derivation of a
     full-span shape (of any shape: every full-span item is output), or
-    every one when no shape spans the input; it marks an edge's operands
-    when its result is marked.  Returns the marked shapes per span and,
-    per (i, j, k), the table's edges between (i, k) and (k, j) as
-    {left shape: {right shape: {label: result shape}}}.  A label names at
-    most one row that matches a pair of shapes, so it has one result.
+    every one when no shape spans the input; it walks the spans widest
+    first, and marks an edge's operands when its result is marked.
+    Returns the marked shapes per span and, per span, its splits that
+    hold an edge, in increasing k, as (k, the table's edges between (i,
+    k) and (k, j)): {left shape: {right shape: {label: result shape}}}.
+    A label names at most one row that matches a pair of shapes, so it
+    has one result.  Spans come in closure order, by width and then by
+    start.
     """
     sets = {span: frozenset(shapes) for span, shapes in lexical.items()}
+    ends: List[list] = [[] for _ in range(n)]
+    for i, j in sorted(sets):
+        ends[i].append(j)
     splits: dict = {}
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
             made = set()
-            for k in range(i + 1, j):
-                lefts, rights = sets.get((i, k)), sets.get((k, j))
-                if lefts is None or rights is None:
+            edges = []
+            for k in ends[i]:
+                if k >= j:
+                    break
+                rights = sets.get((k, j))
+                if rights is None:
                     continue
-                found = splits[(i, j, k)] = _TABLE.edges(lefts, rights)
-                for by_right in found.values():
-                    for results in by_right.values():
-                        made.update(results.values())
-            if made:
-                sets[(i, j)] = sets.get((i, j), frozenset()) | made
+                found = _TABLE.edges(sets[(i, k)], rights)
+                if found:
+                    edges.append((k, found))
+                    for by_right in found.values():
+                        for results in by_right.values():
+                            made.update(results.values())
+            if edges:
+                splits[(i, j)] = edges
+                shapes = sets.get((i, j))
+                if shapes is None:
+                    sets[(i, j)] = frozenset(made)
+                    insort(ends[i], j)
+                else:
+                    sets[(i, j)] = shapes | made
 
     if sets.get((0, n)):
         live = {(0, n): set(sets[(0, n)])}
     else:
         live = {span: set(shapes) for span, shapes in sets.items()}
-    for width in range(n, 1, -1):
-        for i in range(0, n - width + 1):
-            j = i + width
-            marked = live.get((i, j))
-            if not marked:
-                continue
-            for k in range(i + 1, j):
-                for left, by_right in splits.get((i, j, k), {}).items():
-                    for right, results in by_right.items():
-                        if not marked.isdisjoint(results.values()):
-                            live.setdefault((i, k), set()).add(left)
-                            live.setdefault((k, j), set()).add(right)
+    for (i, j), edges in reversed(splits.items()):
+        marked = live.get((i, j))
+        if not marked:
+            continue
+        for k, found in edges:
+            for left, by_right in found.items():
+                for right, results in by_right.items():
+                    if not marked.isdisjoint(results.values()):
+                        live.setdefault((i, k), set()).add(left)
+                        live.setdefault((k, j), set()).add(right)
     return live, splits
+
+
+def _signature(cat: Category) -> tuple:
+    """A rule result's signature but its shape id ("Keys" above), read
+    without walking its terms: per atomic in preorder, its semantics'
+    functor (an atom's name, or the node type of a variable, lambda or
+    up(.)) and the size of its variable record, a variable counting 1."""
+    if type(cat) is Slash:
+        return _signature(cat.result) + _signature(cat.arg)
+    sem = cat.sem
+    kind = type(sem)
+    if kind is Compound:
+        return (sem.functor, len(sem.varset))
+    if kind is Var:
+        return (Var, 1)
+    if kind is Atom:
+        return (sem.name, 0)
+    return (kind, len(sem.varset))
 
 
 class Chart(NamedTuple):
     tokens: Tuple[str, ...]
-    cells: Dict[Tuple[int, int], Dict[tuple, Item]]
+    cells: Dict[Tuple[int, int], List[Item]]
     items: Dict[int, Item]
 
     def cell(self, i: int, j: int) -> List[Item]:
-        return list(self.cells.get((i, j), {}).values())
+        return list(self.cells.get((i, j), ()))
 
     def full_span(self) -> List[Item]:
         return self.cell(0, len(self.tokens))
@@ -400,11 +454,11 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     """Close the chart over the four rules; every token must be covered.
 
     Only the constituents whose (span, shape) _live_edges marks are
-    built: closure skips a span with no marked shape, and tries a label
-    on two items only when the table's edge between their shapes gives a
-    result shape marked at the span.  Each item takes its shape from
-    there: a lexical item its entry's, a rule result its edge's result
-    shape.
+    built: closure skips a span with no marked shape, walks its recorded
+    splits in increasing k, and tries a label on two items only when the
+    table's edge between their shapes gives a result shape marked at the
+    span.  Each item takes its shape from there: a lexical item its
+    entry's, a rule result its edge's result shape.
 
     The n-th occurrence of a live entry in the sentence enters as the
     entry's n-th chart copy (Lexicon.chart_copy), made on first need in
@@ -412,7 +466,9 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     lexicon, not once per parse, and the records the rules write on its
     terms serve later parses too.  No two lexical items of the chart
     share a variable, and each is filed under its entry's chart_key,
-    without a cat_key walk.  No backpointer repeats ("Keys" above)."""
+    without a cat_key walk.  A rule result is keyed only when its cell
+    holds a lexical item or an item of its signature ("Keys" above).  No
+    backpointer repeats."""
     tokens = tuple(tokens)
     if len(tokens) > MAX_TOKENS:
         raise ResourceError(
@@ -423,29 +479,52 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     if _TABLE.size() > MAX_SHAPE_TABLE:
         _TABLE.clear()
     chart = Chart(tokens, {}, {})
-    # Per span, each category keyed there so far, mapped to its item.
+    # Per span, each category filed there so far, mapped to its item.
     known: Dict[Tuple[int, int], Dict[Category, Item]] = {}
+    # Per span, the items filed under their cat_key: the lexical items,
+    # and each rule item that shares its signature with another result.
+    keyed: Dict[Tuple[int, int], Dict[tuple, Item]] = {}
+    # Per span, each rule item's signature, mapped to the item while it is
+    # not keyed, and to None once the span's items of it are all keyed.
+    signed: Dict[Tuple[int, int], dict] = {}
     # Per item id, the shape table id of its shape.
     shape_ids: List[Optional[int]] = [None]
+    held = set()  # the spans that hold a lexical item
 
     def add(span, cat, shape, back, key=None):
         seen = known.get(span)
         if seen is None:
             seen = known[span] = {}
+            signed[span] = {}
         item = seen.get(cat)
         if item is None:
-            cell = chart.cells.setdefault(span, {})
+            by_sig = signed[span]
+            sig = None
             if key is None:
-                key = cat_key(cat)
-            item = cell.get(key)
+                sig = (shape, _signature(cat))
+                if sig in by_sig:
+                    first = by_sig[sig]
+                    if first is not None:
+                        keyed.setdefault(span, {})[cat_key(first.cat)] = first
+                        by_sig[sig] = None
+                    key = cat_key(cat)
+                elif span in held:
+                    key = cat_key(cat)
+            if key is not None:
+                by_key = keyed.setdefault(span, {})
+                item = by_key.get(key)
             if item is None:
                 if len(chart.items) >= MAX_ITEMS:
                     raise ResourceError(
                         f"chart exceeds the {MAX_ITEMS}-item work budget")
-                item = cell[key] = Item(len(chart.items) + 1, span, cat,
-                                        _TABLE.shapes[shape], [])
+                item = Item(len(chart.items) + 1, span, cat, _TABLE.shapes[shape], [])
+                chart.cells.setdefault(span, []).append(item)
                 chart.items[item.id] = item
                 shape_ids.append(shape)
+                if key is not None:
+                    by_key[key] = item
+                if sig is not None:
+                    by_sig[sig] = None if key is not None else item
             seen[cat] = item
         item.backs.append(back)
 
@@ -470,32 +549,30 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
             uses[id(entry)] = nth + 1
             add(span, lexicon.chart_copy(entry, nth), shape, ("lex", entry.tag),
                 entry.chart_key)
+            held.add(span)
 
-    for width in range(2, n + 1):
-        for i in range(0, n - width + 1):
-            j = i + width
-            marked = live.get((i, j))
-            if not marked:
-                continue
-            for k in range(i + 1, j):
-                found = splits.get((i, j, k))
-                if not found:
+    cells = chart.cells
+    for (i, j), edges in splits.items():
+        marked = live.get((i, j))
+        if not marked:
+            continue
+        for k, found in edges:
+            # Both cells hold their items in id order, and the splits come
+            # in increasing k, so backpointers arrive in the order the
+            # all-pairs closure gives them.
+            for lit in cells.get((i, k), ()):
+                by_right = found.get(shape_ids[lit.id])
+                if not by_right:
                     continue
-                # Both cells hold their items in id order, so backpointers
-                # arrive in the order the all-pairs closure gives them.
-                for lit in chart.cells.get((i, k), {}).values():
-                    by_right = found.get(shape_ids[lit.id])
-                    if not by_right:
-                        continue
-                    for rit in chart.cells.get((k, j), {}).values():
-                        results = by_right.get(shape_ids[rit.id])
-                        if results:
-                            for label, rule in RULES:
-                                shape = results.get(label)
-                                if shape in marked:
-                                    out = rule(lit.cat, rit.cat)
-                                    if out is not None:
-                                        add((i, j), out, shape, (label, lit.id, rit.id))
+                for rit in cells.get((k, j), ()):
+                    results = by_right.get(shape_ids[rit.id])
+                    if results:
+                        for label, rule in RULES:
+                            shape = results.get(label)
+                            if shape in marked:
+                                out = rule(lit.cat, rit.cat)
+                                if out is not None:
+                                    add((i, j), out, shape, (label, lit.id, rit.id))
     return chart
 
 

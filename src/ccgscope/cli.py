@@ -102,9 +102,12 @@ def _load_lexicon(path: Optional[str]):
 
 
 def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return n
 
 

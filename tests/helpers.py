@@ -36,6 +36,7 @@ from ccgscope.categories import (
     standardize_apart,
     unify_cat,
 )
+from ccgscope import chart as chart_module
 from ccgscope.chart import ROWS, Chart, Item, derivations, parse, pretty
 from ccgscope.cli import tokenize
 from ccgscope.lexicon import LexEntry, _split_top, default_lexicon
@@ -136,16 +137,18 @@ def all_pairs_parse(tokens, lex):
     quantifiers bind non-variables."""
     n = len(tokens)
     chart = Chart(tuple(tokens), {}, {})
+    keyed = {}  # span -> {cat_key: item}
 
     def add(span, cat, back):
         cat = map_sems(cat, eta_reduce_sets)
-        cell = chart.cells.setdefault(span, {})
+        by_key = keyed.setdefault(span, {})
         key = cat_key(cat)
-        item = cell.get(key)
+        item = by_key.get(key)
         if item is None:
             item = Item(len(chart.items) + 1, span, cat, cat_shape(cat), [back])
             chart.items[item.id] = item
-            cell[key] = item
+            chart.cells.setdefault(span, []).append(item)
+            by_key[key] = item
         elif back not in item.backs:
             item.backs.append(back)
 
@@ -157,8 +160,8 @@ def all_pairs_parse(tokens, lex):
         for i in range(0, n - width + 1):
             j = i + width
             for k in range(i + 1, j):
-                for lit in chart.cells.get((i, k), {}).values():
-                    for rit in chart.cells.get((k, j), {}).values():
+                for lit in chart.cells.get((i, k), ()):
+                    for rit in chart.cells.get((k, j), ()):
                         for label, out in all_pairs_combinations(lit.cat, rit.cat):
                             add((i, j), out, (label, lit.id, rit.id))
     return chart
@@ -179,7 +182,7 @@ def well_formed_part(chart):
         backs = [back for back in it.backs
                  if back[0] == "lex" or (back[1] in items and back[2] in items)]
         part.items[i] = Item(i, it.span, it.cat, it.shape, backs)
-        part.cells.setdefault(it.span, {})[cat_key(it.cat)] = part.items[i]
+        part.cells.setdefault(it.span, []).append(part.items[i])
     return part
 
 
@@ -243,6 +246,118 @@ def oracle_live_shapes(tokens, lex):
                         live.add(((i, k), left))
                         live.add(((k, span[1]), right))
     return live
+
+
+def oracle_live_edges(n, lexical):
+    """Oracle for chart._live_edges: the same passes over every split
+    (i, k, j) of every span, k from i + 1 to j - 1, skipping the splits
+    with an empty cell, and the same return value."""
+    table = chart_module._TABLE
+    sets = {span: frozenset(shapes) for span, shapes in lexical.items()}
+    splits = {}
+    for width in range(2, n + 1):
+        for i in range(0, n - width + 1):
+            j = i + width
+            made = set()
+            for k in range(i + 1, j):
+                lefts, rights = sets.get((i, k)), sets.get((k, j))
+                if lefts is None or rights is None:
+                    continue
+                found = table.edges(lefts, rights)
+                if found:
+                    splits.setdefault((i, j), []).append((k, found))
+                for by_right in found.values():
+                    for results in by_right.values():
+                        made.update(results.values())
+            if made:
+                sets[(i, j)] = sets.get((i, j), frozenset()) | made
+
+    if sets.get((0, n)):
+        live = {(0, n): set(sets[(0, n)])}
+    else:
+        live = {span: set(shapes) for span, shapes in sets.items()}
+    for width in range(n, 1, -1):
+        for i in range(0, n - width + 1):
+            j = i + width
+            marked = live.get((i, j))
+            if not marked:
+                continue
+            by_k = dict(splits.get((i, j), ()))
+            for k in range(i + 1, j):
+                for left, by_right in by_k.get(k, {}).items():
+                    for right, results in by_right.items():
+                        if not marked.isdisjoint(results.values()):
+                            live.setdefault((i, k), set()).add(left)
+                            live.setdefault((k, j), set()).add(right)
+    return live, splits
+
+
+def keyed_parse(tokens, lexicon):
+    """Oracle for chart.parse's keying and split walk: the same closure
+    over oracle_live_edges, whose add looks a result up by its category
+    and keys every one it misses, filing each item under its cat_key, and
+    which tries every k from i + 1 to j - 1 of a marked span."""
+    table = chart_module._TABLE
+    tokens = tuple(tokens)
+    n = len(tokens)
+    chart = Chart(tokens, {}, {})
+    known, keyed, shape_ids = {}, {}, [None]
+
+    def add(span, cat, shape, back, key=None):
+        seen = known.setdefault(span, {})
+        item = seen.get(cat)
+        if item is None:
+            cell = keyed.setdefault(span, {})
+            if key is None:
+                key = cat_key(cat)
+            item = cell.get(key)
+            if item is None:
+                item = cell[key] = Item(len(chart.items) + 1, span, cat,
+                                        table.shapes[shape], [])
+                chart.cells.setdefault(span, []).append(item)
+                chart.items[item.id] = item
+                shape_ids.append(shape)
+            seen[cat] = item
+        item.backs.append(back)
+
+    lexical = [((i, i + k), entry, table.id(entry.shape))
+               for i in range(n) for entry, k in lexicon.lookup(tokens, i)]
+    shapes = {}
+    for span, _, shape in lexical:
+        shapes.setdefault(span, []).append(shape)
+    live, splits = oracle_live_edges(n, shapes)
+    uses = {}
+    for span, entry, shape in lexical:
+        if shape in live.get(span, ()):
+            nth = uses.get(id(entry), 0)
+            uses[id(entry)] = nth + 1
+            add(span, lexicon.chart_copy(entry, nth), shape, ("lex", entry.tag),
+                entry.chart_key)
+    for width in range(2, n + 1):
+        for i in range(0, n - width + 1):
+            j = i + width
+            marked = live.get((i, j))
+            if not marked:
+                continue
+            by_k = dict(splits.get((i, j), ()))
+            for k in range(i + 1, j):
+                found = by_k.get(k)
+                if not found:
+                    continue
+                for lit in chart.cells.get((i, k), ()):
+                    by_right = found.get(shape_ids[lit.id])
+                    if not by_right:
+                        continue
+                    for rit in chart.cells.get((k, j), ()):
+                        results = by_right.get(shape_ids[rit.id])
+                        if results:
+                            for label, rule in chart_module.RULES:
+                                shape = results.get(label)
+                                if shape in marked:
+                                    out = rule(lit.cat, rit.cat)
+                                    if out is not None:
+                                        add((i, j), out, shape, (label, lit.id, rit.id))
+    return chart
 
 
 # --- the entry-by-entry lexicon load, the oracle for load_lexicon ---------
@@ -387,6 +502,19 @@ def embedding(depth, seed):
         sentence = f"{nps[i][0]} {words} that {sentence}"
         sk = f"{pred}(up({sk}), {_leaf(nps[i], f'E{i}')})"
     return sentence, sk
+
+
+def cluster(k, seed):
+    """An argument cluster of k + 1 conjuncts: DET N shows DET N DET N,
+    then k times a coordinator and two more noun phrases, no noun phrase
+    used twice.  The subject is singular, as shows asks."""
+    rng = random.Random(seed)
+    subject = rng.choice([np for np in NOUN_PHRASES if np[1] == "sg"])
+    nps = rng.sample([np for np in NOUN_PHRASES if np != subject], 2 * k + 2)
+    words = [subject[0], "shows", nps[0][0], nps[1][0]]
+    for i in range(1, k + 1):
+        words += [rng.choice(["but", "and"]), nps[2 * i][0], nps[2 * i + 1][0]]
+    return " ".join(words)
 
 
 def unrecorded(t):

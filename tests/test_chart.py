@@ -16,6 +16,7 @@ from ccgscope.categories import (
     format_cat,
     map_sems,
     parse_cat,
+    subst_cat,
 )
 from ccgscope.chart import (
     ChartError,
@@ -59,9 +60,12 @@ from helpers import (
     CHART_FORM_VARIANTS,
     all_pairs_parse,
     cat_vars,
+    cluster,
     embedding,
     item_sequence,
+    keyed_parse,
     live_items,
+    oracle_live_edges,
     oracle_live_shapes,
     pp_chain,
     tagged_cat,
@@ -249,8 +253,8 @@ def test_item_budget(lex, monkeypatch):
 def test_parse_is_deterministic(lex):
     tokens = "every girl admired one saxophonist".split()
     a, b = parse(tokens, lex), parse(tokens, lex)
-    assert {sp: list(cell) for sp, cell in a.cells.items()} \
-        == {sp: list(cell) for sp, cell in b.cells.items()}
+    assert {sp: [cat_key(it.cat) for it in cell] for sp, cell in a.cells.items()} \
+        == {sp: [cat_key(it.cat) for it in cell] for sp, cell in b.cells.items()}
     assert {i: it.backs for i, it in a.items.items()} \
         == {i: it.backs for i, it in b.items.items()}
 
@@ -471,13 +475,10 @@ def chart_record(chart):
 
 
 def filed_record(chart):
-    """chart_record with each item's key as its cell files it.  For a
-    chart that sentence_tallies has checked, that is cat_key of the
-    item's category: the tally keys every rule result, each item's first
-    among them, and every lexical item, against the key it is filed under."""
-    key_of = {it.id: key for cell in chart.cells.values() for key, it in cell.items()}
-    return [(it.id, it.span, key_of[it.id], it.shape, it.backs)
-            for it in chart.items.values()]
+    """chart_record and, per span, the cat_key of each item its cell
+    lists, in the cell's order."""
+    return chart_record(chart), {span: [cat_key(it.cat) for it in cell]
+                                 for span, cell in chart.cells.items()}
 
 
 def test_a_cold_and_a_warm_shape_table_build_the_same_chart(lex, monkeypatch):
@@ -491,12 +492,12 @@ def test_a_cold_and_a_warm_shape_table_build_the_same_chart(lex, monkeypatch):
     cold = []
     for sentence in sentences:
         table.clear()
-        cold.append(chart_record(parse(tokenize(sentence), lex)))
-    warm = [chart_record(parse(tokenize(sentence), lex)) for sentence in sentences]
+        cold.append(filed_record(parse(tokenize(sentence), lex)))
+    warm = [filed_record(parse(tokenize(sentence), lex)) for sentence in sentences]
     monkeypatch.setattr(chart_module, "MAX_SHAPE_TABLE", 150)
     capped, sizes = [], []
     for sentence in sentences:
-        capped.append(chart_record(parse(tokenize(sentence), lex)))
+        capped.append(filed_record(parse(tokenize(sentence), lex)))
         sizes.append(table.size())
     for sentence, *charts in zip(sentences, cold, warm, capped):
         assert charts[0] == charts[1] == charts[2], sentence
@@ -658,26 +659,42 @@ def keying_tallies(sentences, lex, monkeypatch):
     return dict(totals)
 
 
+def signature(cat, shape):
+    """Oracle for the signature parse groups rule results by, read by
+    walking the terms: the shape and, per atomic, its semantics' functor
+    (an atom's name, or a variable's, lambda's or up(.)'s node type) and
+    how many variables occur in it, lambda parameters included."""
+    out = [shape]
+    for at in atomics(cat):
+        sem = at.sem
+        head = (sem.functor if isinstance(sem, Compound)
+                else sem.name if isinstance(sem, Atom) else type(sem))
+        out += [head, len({node for node in subterms(sem) if isinstance(node, Var)})]
+    return tuple(out)
+
+
 def sentence_tallies(parses, monkeypatch):
     """Parse each (sentence, lexicon) pair with cat_key and the rules
     wrapped, check the keying law on its chart, and return the chart and
     its tally per pair.
 
     The law: a lexical item enters with its entry's chart_key, without a
-    cat_key call.  A rule result equal to a category keyed in its cell
-    goes to that category's item without a call; every other result is
-    keyed once, and then entered for later lookups whether it made an item
-    or was a variant duplicate.  So cat_key runs once per rule-built item
-    and once per variant duplicate, and a result that was looked up lands
-    on the item cat_key would have given it.  Equality is judged by the
-    type-tagged oracle, not by the terms' own.  Rule results share most
-    of their subterms, so each node object is tagged once per sentence,
-    and each tagged form keyed once: equal forms are the same tree, and
-    cat_key reads nothing else."""
-    calls, results = Counter(), []
+    cat_key call.  A rule result equal to a category filed in its cell
+    goes to that category's item without a call.  Every other result is
+    filed for later lookups, whether it makes an item or is a variant
+    duplicate, and is keyed only when its cell holds a lexical item or a
+    rule item of its signature (signature, above); that item is keyed
+    too, once, when the first such result arrives.  So cat_key runs
+    exactly on those categories, in that order, and a result lands on
+    the item of its own key, cat_key of the item's category.  Equality
+    is judged by the type-tagged oracle, not by the terms' own.  Rule
+    results share most of their subterms, so each node object is tagged
+    once per sentence, and each tagged form keyed once: equal forms are
+    the same tree, and cat_key reads nothing else."""
+    calls, results = [], []
 
     def counted(cat):
-        calls["cat_key"] += 1
+        calls.append(cat)
         return cat_key(cat)
 
     def recorded(label, fn):
@@ -696,22 +713,31 @@ def sentence_tallies(parses, monkeypatch):
         calls.clear()
         results.clear()
         chart = parse(tokenize(sentence), lex)
-        made = calls["cat_key"]
+        made = list(calls)
         items = chart.items.values()
         by_cat = {id(it.cat): it for it in items}
         # Every lexical entry made an item, so only rule results duplicate.
         lexical = lexical_items(chart)
         assert sum(back[0] == "lex" for it in items for back in it.backs) == len(lexical)
-        # ... and is filed under its key, which parse did not compute.
-        assert all(chart.cells[it.span][cat_key(it.cat)] is it for it in lexical)
-        key_of = {it.id: key for cell in chart.cells.values() for key, it in cell.items()}
+        # A cell lists its span's items in id order, and variants share
+        # one item.
+        spans = {}
+        for it in items:
+            spans.setdefault(it.span, []).append(it)
+        assert chart.cells == spans, sentence
+        key_of = {it.id: cat_key(it.cat) for it in items}
+        assert all(len({key_of[it.id] for it in cell}) == len(cell)
+                   for cell in spans.values()), sentence
         by_back = {back: it for it in items for back in it.backs}
-        keyed = {}     # span -> tagged forms of the categories keyed there
-        keys = {}      # span -> their keys
+        filed = {}     # span -> tagged forms of the categories filed there
+        keys = {}      # span -> the keys of its items
         variants = {}  # span -> tagged forms of its variant duplicates
+        signed = {}    # span -> {signature: its first rule item, None once keyed}
+        held = {it.span for it in lexical}
+        keyed = []     # the categories parse keys, in order
         tagged_nodes, key_of_form = {}, {}
         for it in lexical:
-            keyed.setdefault(it.span, set()).add(tagged_cat(it.cat, tagged_nodes))
+            filed.setdefault(it.span, set()).add(tagged_cat(it.cat, tagged_nodes))
             keys.setdefault(it.span, set()).add(key_of[it.id])
         tally = Counter()
         for label, left, right, out in results:
@@ -725,20 +751,37 @@ def sentence_tallies(parses, monkeypatch):
             if key is None:
                 key = key_of_form[form] = cat_key(out)
             assert key == key_of[item.id], sentence
-            if form in keyed.setdefault(span, set()):
+            if form in filed.setdefault(span, set()):
                 tally["equal"] += 1
                 tally["equal to a variant"] += form in variants.get(span, ())
-            elif key in keys.setdefault(span, set()):
+                continue
+            filed[span].add(form)
+            sig, firsts = signature(out, item.shape), signed.setdefault(span, {})
+            if sig in firsts:
+                tally["shared signature"] += 1
+                if firsts[sig] is not None:
+                    tally["keyed earlier"] += 1
+                    keyed.append(firsts[sig].cat)
+                    firsts[sig] = None
+                keyed.append(out)
+            elif span in held:
+                tally["beside a lexical item"] += 1
+                keyed.append(out)
+            if key in keys.setdefault(span, set()):
+                assert keyed and keyed[-1] is out, sentence
                 tally["variant"] += 1
                 variants.setdefault(span, set()).add(form)
             else:
+                assert item.cat is out, sentence
                 tally["new"] += 1
-            keyed[span].add(form)
-            keys[span].add(key)
+                keys[span].add(key)
+                firsts[sig] = None if keyed and keyed[-1] is out else item
         assert tally["new"] == len(chart.items) - len(lexical), sentence
-        assert made == len(chart.items) - len(lexical) + tally["variant"], sentence
+        # cat_key ran on exactly these categories, in this order, and so
+        # on no lexical item's.
+        assert len(made) == len(keyed) and all(map(operator.is_, made, keyed)), sentence
         tally.update({"items": len(chart.items), "lexical items": len(lexical),
-                      "cat_key calls": made})
+                      "cat_key calls": len(made)})
         del tally["new"]
         tallied.append((chart, tally))
     return tallied
@@ -757,26 +800,116 @@ def keying_forward():
 def test_parse_keys_only_new_items_and_variant_duplicates(keying_forward):
     # Engine facts, pinned on purpose: the items built over KEYING_CASES,
     # and the rule results that duplicate an item, split into those equal
-    # to a category already keyed in their cell and the variants of one.
+    # to a category already filed in their cell and the variants of one.
     # None of these sentences gives a result equal to a variant duplicate;
     # the next test does.  Lexical items come keyed (LexEntry.chart_key),
-    # so cat_key runs for the rule-built items and the variants alone.
+    # and no live lexical item here spans two tokens, so cat_key runs for
+    # the results whose signature an item of their cell shares, and once
+    # for each such item: 5,009 keys, where keying every new item and
+    # variant took 8,749 - 960 + 241 = 8,030.
     totals = Counter()
     for _, tally in keying_forward[1]:
         totals.update(tally)
     assert dict(totals) == {
         "items": 8749, "lexical items": 960, "equal": 7835, "equal to a variant": 0,
-        "variant": 241, "cat_key calls": 8749 - 960 + 241}
+        "variant": 241, "shared signature": 4137, "keyed earlier": 872,
+        "cat_key calls": 4137 + 872}
 
 
 def test_a_result_equal_to_a_variant_duplicate_is_looked_up(monkeypatch):
     # In the cell of "x x e", the lexical item np:x(x(e(D))) comes first.
-    # x + (x e) then gives a variant of it, with e's variable, and
-    # (x x) + e a result equal to that variant, found without a key.
+    # x + (x e) then gives a variant of it, with e's variable, keyed as
+    # its cell holds a lexical item, and (x x) + e a result equal to that
+    # variant, found without a key.  The rule items (x x) and (x e) are
+    # alone in their cells, so they are not keyed.
     lex = load_lexicon("x :: np:x(A)/np:A\ne :: np:e(B)\nx x e :: np:x(x(e(D)))\n")
     assert keying_tallies(["x x e"], lex, monkeypatch) == {
         "items": 6, "lexical items": 4, "equal": 1, "equal to a variant": 1,
-        "variant": 1, "cat_key calls": 6 - 4 + 1}
+        "variant": 1, "beside a lexical item": 1, "cat_key calls": 1}
+
+
+# The sentences parse and keyed_parse are compared on: the closure and
+# keying cases, and seeded argument clusters.
+ORACLE_CASES = list(dict.fromkeys(
+    CLOSURE_CASES + KEYING_CASES + [PP_CHAIN_4]
+    + [cluster(k, seed) for k in (1, 2, 3) for seed in (1, 2, 3)]))
+
+
+def test_parse_builds_the_chart_that_keying_every_result_builds(lex):
+    # keyed_parse keys every result its cell has not filed and walks
+    # every split; parse keys a result only when its signature or a
+    # lexical item is in its cell, and walks only the splits that hold
+    # an edge.  The charts are the same item for item, and the cells
+    # list the same items in the same order.
+    assert len(ORACLE_CASES) > 50
+    for sentence in ORACLE_CASES:
+        tokens = tokenize(sentence)
+        assert filed_record(parse(tokens, lex)) == filed_record(keyed_parse(tokens, lex)), \
+            sentence
+
+
+def test_parse_builds_the_keyed_chart_on_user_lexicons():
+    # Lexicons with multi-word lexemes and with entries whose chart forms
+    # are variants of one another's written forms.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        parses = [(load_lexicon(text), sentence)
+                  for text, _, sentence, _ in CHART_FORM_VARIANTS.values()]
+    parses.append((load_lexicon("x :: np:x(A)/np:A\ne :: np:e(B)\nx x e :: np:x(x(e(D)))\n"),
+                   "x x e"))
+    for lexicon, sentence in parses:
+        tokens = tokenize(sentence)
+        assert filed_record(parse(tokens, lexicon)) \
+            == filed_record(keyed_parse(tokens, lexicon)), sentence
+
+
+def test_a_one_to_one_renaming_keeps_a_rule_results_signature(chart_of):
+    # Each rule item of a seeded sample of sentences, its variables
+    # renamed one-to-one to a seeded shuffle of fresh names and the result
+    # recorded again (subst_cat with no bindings): a variant of the item,
+    # and the same signature.
+    rng, checked = random.Random(30), 0
+    for sentence in rng.sample(KEYING_CASES, 12):
+        for item in chart_of(sentence).items.values():
+            if item.backs[0][0] == "lex":
+                continue
+            old = [v.id for v in cat_vars(item.cat)]
+            new = [f"R{i}" for i in range(len(old))]
+            rng.shuffle(new)
+            renamed = map_sems(item.cat, Renamer(dict(zip(old, new)).__getitem__).rename)
+            recorded = subst_cat({}, renamed)
+            assert cat_key(recorded) == cat_key(item.cat)
+            assert chart_module._signature(recorded) == chart_module._signature(item.cat)
+            checked += bool(old)
+    assert checked > 1000, checked
+
+
+@pytest.mark.parametrize("sentence", CLOSURE_CASES + [PP_CHAIN_4, EMBEDDING_3])
+def test_the_shape_pass_visits_only_filled_splits(lex, monkeypatch, sentence):
+    # _live_edges returns what the loop over every split returns, and asks
+    # the shape table for the same edges in the same order: once per split
+    # whose two cells are non-empty, which the dense loop asks for once
+    # each and skips every other split.
+    asked, edges = [], chart_module._ShapeTable.edges
+
+    def counted(table, lefts, rights):
+        asked.append((lefts, rights))
+        return edges(table, lefts, rights)
+    passes, live_edges = [], chart_module._live_edges
+
+    def capture(n, lexical):
+        passes.append((n, lexical, live_edges(n, lexical)))
+        return passes[-1][2]
+    monkeypatch.setattr(chart_module._ShapeTable, "edges", counted)
+    monkeypatch.setattr(chart_module, "_live_edges", capture)
+    parse(tokenize(sentence), lex)
+    (n, lexical, got), = passes
+    visited = asked[:]
+    asked.clear()
+    assert got == oracle_live_edges(n, lexical)
+    assert asked == visited
+    # The dense loop has (n^3 - n) / 6 splits.
+    assert len(visited) < (n ** 3 - n) // 6
 
 
 # --- backpointers ---------------------------------------------------------------

@@ -526,8 +526,8 @@ def test_json_with_a_text_only_command_is_a_usage_error(capsys, argv):
     assert err == f"error: {argv[1]} has no --json output\n"
 
 
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_derive_cap_below_one_is_a_usage_error(capsys, cap):
+@pytest.mark.parametrize("cap", ["0", "-3", "1.5", "abc"])
+def test_derive_cap_that_is_not_a_positive_integer_is_a_usage_error(capsys, cap):
     with pytest.raises(SystemExit) as exc:
         main(["derive", FRENCHMEN, "--max-derivations", cap])
     assert exc.value.code == 2
