@@ -1,11 +1,14 @@
 """Golden-file rendering shared by the generator and the tests, the
 all-pairs closure the tests use as an oracle for the chart, the shape
 backbone worked out on shape values, the oracle for the shape pass, the
-entry-by-entry lexicon load they use as an oracle for load_lexicon, and
-seeded PP chains and clause embeddings with their quantifier skeletons,
-record-free copies of terms, a type-tagged oracle for term equality, the
-variables of a category, and the node-by-node walks of the readings
-layer and of free_vars, the oracles for the walks that replaced them,
+dense split loop and the key-every-result closure, the oracles for the
+shape pass's split walk and for chart keying, the entry-by-entry lexicon
+load they use as an oracle for load_lexicon, seeded PP chains and
+clause embeddings with their quantifier skeletons, seeded argument
+clusters, record-free copies of terms, a type-tagged oracle for term
+equality, the variables of a category, and the node-by-node walks of
+the readings layer and of free_vars, the oracles for the walks that
+replaced them,
 the character-by-character term and category reader, the oracle for the
 token reader, and the renamer with its special cases, the oracle for
 Renamer.rename, and the isinstance kernels, the oracles for the rule
