@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .chart import ResourceError
 from .lexicon import Lexicon, default_lexicon
-from .readings import Occurrence, Reading, occurrences, profile_of, readings
+from .readings import Occurrence, Reading, _head_noun, occurrences, profile_of, readings
 from .terms import (
     QUANT_PREFIX,
     Atom,
@@ -31,6 +31,7 @@ from .terms import (
     format_term,
     free_vars,
     is_quant,
+    is_set_form,
     parse_term,
     subterms,
     with_children,
@@ -68,7 +69,11 @@ def parse_skeleton(text: str) -> Term:
 
 
 def skeleton_leaves(sk: Term) -> List[Leaf]:
-    """Marked quantifier leaves in preorder (outer before embedded)."""
+    """Marked quantifier leaves in preorder (outer before embedded).
+
+    A skeleton's quantifiers are its marked leaves, so a quantifier or a
+    set form anywhere else in it raises BaselineError: its forms would
+    hold scope that no order places."""
     out: List[Leaf] = []
     for t in subterms(sk):
         if _is_mark(t):
@@ -77,6 +82,10 @@ def skeleton_leaves(sk: Term) -> List[Leaf]:
                 raise BaselineError(f"bad marked leaf {format_term(t)}: a marked leaf"
                                     f" must be {MARK}(det, Var, restriction)")
             out.append(Leaf(t.args[0].name, t.args[1], t.args[2]))
+        elif is_quant(t) or is_set_form(t):
+            kind = "quantifier" if is_quant(t) else "set form"
+            raise BaselineError(f"unmarked {kind} {format_term(t)} in a skeleton:"
+                                f" mark each quantifier {MARK}(det, Var, restriction)")
     return out
 
 
@@ -108,9 +117,19 @@ class Orderings:
     q-form lands inside the host's restriction; in every other position it
     joins the top-level nest around the predicate core.
 
+    So a form is a nest of runs: a leaf right after its innermost host
+    folds into the host's restriction and continues the host's run, and
+    any other leaf heads a run of its own.  A run head outscopes every
+    leaf after it in the order; a folded guest outscopes only the rest of
+    its own run.  profile() reads an order's scope profile off its runs,
+    without building or walking its form.
+
     len() is the number of orders, n!.  Iterating builds every order's
     form, closed or not, in itertools.permutations order.  closed() builds
-    only the closed orders' forms, in that same order.
+    only the closed orders' forms, in that same order.  labels names each
+    leaf as readings.occurrences names a quantifier: its det, or det-noun
+    with the head noun of its erased restriction when another leaf has
+    that det.
     """
 
     def __init__(self, sk: Term):
@@ -124,6 +143,11 @@ class Orderings:
         index = {leaf.var: i for i, leaf in enumerate(self._leaves)}
         host = _hosts(self._leaves)
         self._host = [index.get(host.get(leaf.var), -1) for leaf in self._leaves]
+        dets = [leaf.det for leaf in self._leaves]
+        self.labels = tuple(
+            leaf.det if dets.count(leaf.det) == 1
+            else f"{leaf.det}-{_head_noun(restriction, leaf.var)}"
+            for leaf, restriction in zip(self._leaves, self._erased))
 
     def __len__(self) -> int:
         return math.factorial(len(self._leaves))
@@ -135,6 +159,22 @@ class Orderings:
         """The closed orders' forms.  Every closed order is found before the
         first form is built, so a ResourceError comes before any form."""
         yield from map(self._form, self._closed_orders())
+
+    def profile(self, order: Tuple[int, ...]) -> frozenset:
+        """The scope profile of one order's form, given as leaf indices:
+        what readings.scope_profile gives for the form, with each
+        quantifier named by its leaf's label."""
+        labels, host = self.labels, self._host
+        pairs = set()
+        end = len(order)  # where the run holding position k ends
+        for k in range(len(order) - 1, -1, -1):
+            outer = labels[order[k]]
+            if k and host[order[k]] == order[k - 1]:
+                pairs.update((outer, labels[x]) for x in order[k + 1:end])
+            else:
+                pairs.update((outer, labels[x]) for x in order[k + 1:])
+                end = k
+        return frozenset(pairs)
 
     def _q(self, i: int, restriction: Term, body: Term) -> Term:
         leaf = self._leaves[i]
@@ -272,12 +312,12 @@ def _shown(labels: tuple) -> str:
     return "{" + ", ".join(labels) + "}"
 
 
-def _check_labels(form: Term, derived: List[List[Occurrence]]) -> None:
-    """Raise BaselineError when the skeleton's quantifiers are not the
-    sentence's: scope profiles name quantifiers by label, so a mismatch
-    would leave every order unrealized.  derived holds each reading's
-    occurrences."""
-    want = _labels(occurrences(form))
+def _check_labels(labels: Tuple[str, ...], derived: List[List[Occurrence]]) -> None:
+    """Raise BaselineError when the skeleton's quantifiers, named by
+    labels, are not the sentence's: scope profiles name quantifiers by
+    label, so a mismatch would leave every order unrealized.  derived
+    holds each reading's occurrences."""
+    want = tuple(sorted(labels))
     for occs in derived:
         got = _labels(occs)
         if got != want:
@@ -294,38 +334,23 @@ def compare(tokens, sk: Term, lexicon: Optional[Lexicon] = None) -> CompareRepor
     realizes a baseline form when every scope pair the reading asserts
     also holds in the form; forms realized by no reading are the report's
     gap.  (A reading with residual set forms asserts fewer pairs and may
-    realize several forms.)  Each surviving form and each reading is
-    walked for its occurrences once, so matching costs one profile per
-    form, not one per (form, reading) pair.  A skeleton whose quantifier
-    labels differ from a reading's does not fit the sentence and raises
-    BaselineError; the check reads the form of the first order.
+    realize several forms.)  Each reading is walked for its occurrences
+    once, and each closed order's profile is read off its runs
+    (Orderings.profile), so no form is walked for matching, and matching
+    costs one profile per form, not one per (form, reading) pair.  A
+    skeleton whose quantifier labels (Orderings.labels) differ from a
+    reading's does not fit the sentence and raises BaselineError.
     """
     forms = enumerate_orderings(sk)
-    survivors = uvc_filter(forms.closed())
+    orders = forms._closed_orders()
+    survivors = uvc_filter(map(forms._form, orders))
     derived = readings(tokens, lexicon or default_lexicon())
     derived_occs = [occurrences(r.term) for r in derived]
-    _check_labels(next(iter(forms)), derived_occs)
+    _check_labels(forms.labels, derived_occs)
     profiles = [profile_of(occs) for occs in derived_occs]
-    gap = [f for f, fp in zip(survivors, (profile_of(occurrences(f)) for f in survivors))
+    # Every closed order's form survives, so survivors pair with orders.
+    gap = [f for f, fp in zip(survivors, map(forms.profile, orders), strict=True)
            if not any(p <= fp for p in profiles)]
     return CompareReport(tuple(tokens), forms, tuple(survivors),
                          tuple(derived), tuple(gap))
 
-
-def factorial_count(sk: Term) -> int:
-    """Product over functions of (number of quantified argument slots)!
-
-    An argument slot counts as quantified when the argument contains a
-    marked leaf or is itself the variable of one.
-    """
-    leaf_vars = {leaf.var for leaf in skeleton_leaves(sk)}
-
-    def has_mark(t: Term) -> bool:
-        return any(_is_mark(n) for n in subterms(t))
-
-    total = 1
-    for t in subterms(sk):
-        if isinstance(t, Compound) and not _is_mark(t):
-            total *= math.factorial(
-                sum(1 for a in t.args if has_mark(a) or a in leaf_vars))
-    return total

@@ -29,20 +29,30 @@ outermost, except when a bound variable sits between two promoted
 argument positions (then the order flips, keeping the binder adjacent
 to the position it licenses).
 
-What one full-span form costs: the filter (_intensional_violation) walks
-it once with ancestor chains (_walk); normalize walks it once more
-(_walk, in _assign_sites, which also refuses a quantifier over a
-non-variable), takes the free variables of each group of equal set
-forms' restriction, rebuilds only the ancestors of the promoted
-occurrences, substitutes into each restriction past the recorded
-subterms that lack its parameter, takes the free variables of the
-result when something was promoted, and ends in one canonicalize.
+What one full-span form costs: readings_from_chart keeps one scope
+summary for the call (_summarize), a dict keyed by id() of each compound,
+lambda and up(.) object of the full-span forms.  It records whether the
+object holds an up(.), whether it holds scope material (a set form or a
+quantifier), and its free variables.  The forms of a chart share most of
+their subterms, so each shared object is summarized once, and the chart
+keeps every object alive for the call.  The filter
+(_intensional_violation) walks with ancestor chains (_walk) only into
+children that hold an up(.), so a form with none is not walked, and it
+reads each up(.) body's free variables from the summary.  normalize
+walks only into children that hold scope material (_assign_sites, which
+also refuses a quantifier over a non-variable), reads each group of
+equal set forms' restriction variables from the summary, rebuilds only
+the ancestors of the promoted occurrences, substitutes into each
+restriction past the recorded subterms that lack its parameter, takes
+the free variables of the result when something was promoted from a
+closed form, and ends in one canonicalize.  Called without a summary,
+normalize and the filter make one for their form.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .categories import Atomic
 from .chart import Chart, count_derivations, parse
@@ -59,6 +69,7 @@ from .terms import (
     Var,
     apply_reduced,
     canonicalize,
+    children,
     format_term,
     free_vars,
     is_and,
@@ -87,12 +98,14 @@ class Reading(NamedTuple):
 
 # --- term walking ----------------------------------------------------------
 
-def _walk(t: Term) -> Iterator[Tuple[tuple, Term, tuple]]:
+def _walk(t: Term, descend: Optional[Callable[[Term], bool]] = None
+          ) -> Iterator[Tuple[tuple, Term, tuple]]:
     """All (path, node, chain) triples in preorder, where chain holds the
     (ancestor, step) pairs from t down to node.  A path step is the
     argument index under a compound, "param" or "lam" under a lambda and
-    "up" under up(.).  Iterative, so any depth walks: each node's children
-    go on the stack last first, as format_pieces pushes them."""
+    "up" under up(.).  Given descend, the walk goes below a node only into
+    the children that pass it.  Iterative, so any depth walks: each node's
+    children go on the stack last first, as format_pieces pushes them."""
     stack = [((), t, ())]
     pop, push = stack.pop, stack.append
     while stack:
@@ -103,12 +116,16 @@ def _walk(t: Term) -> Iterator[Tuple[tuple, Term, tuple]]:
         if kind is Compound:
             args = node.args
             for i in range(len(args) - 1, -1, -1):
-                push((path + (i,), args[i], chain + ((node, i),)))
+                if descend is None or descend(args[i]):
+                    push((path + (i,), args[i], chain + ((node, i),)))
         elif kind is Lam:
-            push((path + ("lam",), node.body, chain + ((node, "lam"),)))
-            push((path + ("param",), node.param, chain + ((node, "param"),)))
+            if descend is None or descend(node.body):
+                push((path + ("lam",), node.body, chain + ((node, "lam"),)))
+            if descend is None or descend(node.param):
+                push((path + ("param",), node.param, chain + ((node, "param"),)))
         elif kind is Up:
-            push((path + ("up",), node.body, chain + ((node, "up"),)))
+            if descend is None or descend(node.body):
+                push((path + ("up",), node.body, chain + ((node, "up"),)))
         elif kind is not Var and kind is not Atom:
             raise TermError(f"not a term: {node!r}")
 
@@ -133,8 +150,67 @@ def _binder_index(chain: tuple, free: set) -> Optional[int]:
     return None
 
 
-def _has_scope_material(t: Term) -> bool:
-    return any(is_quant(n) or is_set_form(n) for n in subterms(t))
+# --- the scope summary -------------------------------------------------------
+
+# The facts of one node: whether it holds an up(.), whether it holds scope
+# material (a set form or a quantifier), and its free variables.  A plain
+# tuple read at these indices, as the summary holds one per object.
+_UP, _SCOPE, _FREE = 0, 1, 2
+_Facts = Tuple[bool, bool, frozenset]
+_LEAF: _Facts = (False, False, frozenset())
+
+
+def _summarize(t: Term, summary: Dict[int, _Facts]) -> Dict[int, _Facts]:
+    """summary, with the facts of every compound, lambda and up(.) object
+    in t, keyed by id(): a caller keeps each object alive while its id is
+    a key.  Post-order and iterative; a subterm already summarized, here
+    or in an earlier form sharing it, is not entered again."""
+    stack = [(t, False)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, ready = pop()
+        kind = type(node)
+        if not ready:
+            if kind is not Var and kind is not Atom and id(node) not in summary:
+                push((node, True))
+                stack.extend([(k, False) for k in children(node)])
+            continue
+        # A quantifier binds its variable, a lambda its parameter, in what
+        # they hold (as free_vars takes them); the binder itself is no
+        # free occurrence.
+        kids, bound, scope = children(node), None, False
+        if kind is Compound:
+            scope = is_quant(node) or is_set_form(node)
+            if scope and len(kids) == 3 and type(kids[0]) is Var:
+                bound = kids[0]
+        elif kind is Lam:
+            bound = node.param
+        up, names, parts = kind is Up, [], []
+        for a in kids:
+            ka = type(a)
+            if ka is Var:
+                names.append(a)
+            elif ka is not Atom:
+                facts = summary[id(a)]
+                up = up or facts[_UP]
+                scope = scope or facts[_SCOPE]
+                if facts[_FREE]:
+                    parts.append(facts[_FREE])
+        if names or len(parts) > 1:
+            free = frozenset(names).union(*parts)
+        else:
+            free = parts[0] if parts else _LEAF[_FREE]
+        if bound is not None and bound in free:
+            free = free - {bound}
+        summary[id(node)] = (up, scope, free)
+    return summary
+
+
+def _facts(t: Term, summary: Dict[int, _Facts]) -> _Facts:
+    """The summarized facts of t, a variable and an atom included."""
+    if type(t) is Var:
+        return (False, False, frozenset((t,)))
+    return summary.get(id(t), _LEAF)
 
 
 # --- promotion site assignment ---------------------------------------------
@@ -159,21 +235,21 @@ def _low_site(chain: tuple, path: tuple) -> tuple:
     raise StructuralError("set form with no enclosing compound")
 
 
-def _float_position(chain: tuple) -> bool:
+def _float_position(chain: tuple, summary: Dict[int, _Facts]) -> bool:
     if not chain:
         return False
     node, step = chain[-1]
     if not isinstance(node, Compound):
         return False
-    return any(isinstance(a, Up) and _has_scope_material(a.body)
+    return any(type(a) is Up and summary[id(a)][_SCOPE]
                for i, a in enumerate(node.args) if i != step)
 
 
-def _single_site(chain: tuple, path: tuple) -> Optional[tuple]:
+def _single_site(chain: tuple, path: tuple, summary: Dict[int, _Facts]) -> Optional[tuple]:
     """Site for one closed occurrence; None means it stays in place."""
     if any(isinstance(n, Up) for n, _ in chain):
         return _low_site(chain, path)
-    if _float_position(chain):
+    if _float_position(chain, summary):
         return None
     return _low_site(chain, path)
 
@@ -187,19 +263,23 @@ def _dependent_site(chain: tuple, path: tuple, free: set) -> tuple:
     return path[:binder_idx + 1]
 
 
-def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var], Dict[tuple, tuple]]:
+def _assign_sites(t: Term, summary: Dict[int, _Facts]
+                  ) -> Tuple[List[_Wrap], Dict[tuple, Var], Dict[tuple, tuple]]:
     """Where each set form is promoted, the variable that replaces each
-    promoted occurrence, and each occurrence's chain.  StructuralError for
-    a quantifier over a non-variable comes from the walk, so first."""
+    promoted occurrence, and each occurrence's chain.  The walk enters
+    only what holds scope material (summary), so it meets every set form
+    and every quantifier; StructuralError for a quantifier over a
+    non-variable comes from it, so first."""
     occ_list = []
-    for entry in _walk(t):
-        node = entry[1]
-        if type(node) is Compound:
-            if is_set_form(node):
-                occ_list.append(entry)
-            elif is_quant(node) and type(node.args[0]) is not Var:
-                raise StructuralError(
-                    "quantifier with a non-variable in its variable position")
+    if _facts(t, summary)[_SCOPE]:
+        for entry in _walk(t, lambda k: summary.get(id(k), _LEAF)[_SCOPE]):
+            node = entry[1]
+            if type(node) is Compound:
+                if is_set_form(node):
+                    occ_list.append(entry)
+                elif is_quant(node) and type(node.args[0]) is not Var:
+                    raise StructuralError(
+                        "quantifier with a non-variable in its variable position")
     rank = {path: i for i, (path, _, _) in enumerate(occ_list)}
     chains = {path: chain for path, _, chain in occ_list}
     groups: Dict[Term, List[tuple]] = {}
@@ -236,15 +316,15 @@ def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var], Dict[tuple, t
         paths = [p for p in paths if alive(p)]
         if not paths:
             continue
-        fv = free_vars(node.args[0])
-        bound_free = {p: _visible(chains[p]).intersection(fv) for p in paths}
+        fv = _facts(node.args[0], summary)[_FREE]
+        bound_free = {p: _visible(chains[p]).intersection(fv) for p in paths} if fv else {}
 
         if any(bound_free.values()):
             for p in paths:
                 if bound_free[p]:
                     site = _dependent_site(chains[p], p, bound_free[p])
                 else:
-                    site = _single_site(chains[p], p)
+                    site = _single_site(chains[p], p, summary)
                 if site is not None:
                     promote(node, [p], site)
             continue
@@ -265,7 +345,7 @@ def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var], Dict[tuple, t
             dominated = any(is_quant(n) for n, _ in chain[:len(prefix)])
             if not is_and(chain[len(prefix)][0]):
                 pass  # separate noun phrases: handle one by one
-            elif dominated and all(_float_position(chains[p]) for p in paths):
+            elif dominated and all(_float_position(chains[p], summary) for p in paths):
                 pass  # every copy floats beside an up(.): handle one by one
             elif not any(is_quant(n) or isinstance(n, Up)
                          for p in paths for n, _ in chains[p][len(prefix) + 1:]):
@@ -274,7 +354,7 @@ def _assign_sites(t: Term) -> Tuple[List[_Wrap], Dict[tuple, Var], Dict[tuple, t
                 continue
 
         for p in paths:
-            site = _single_site(chains[p], p)
+            site = _single_site(chains[p], p, summary)
             if site is not None:
                 promote(node, [p], site)
 
@@ -301,7 +381,7 @@ def _ordered(wraps: List[_Wrap], node: Term, path: tuple, chain: tuple) -> List[
     return sorted(wraps, key=lambda w: w.order, reverse=flip)
 
 
-def normalize(t: Term) -> Term:
+def normalize(t: Term, summary: Optional[Dict[int, _Facts]] = None) -> Term:
     """Promote set forms to scoped quantifiers; result in canonical form (canonicalize).
 
     t is a full-span chart form, so canonical (rule results are built by
@@ -310,8 +390,11 @@ def normalize(t: Term) -> Term:
     the parameter becomes a fresh _q<n> variable, so the eta and and/2
     rewrites find nothing new; nothing binds a quantifier slot or a lambda
     parameter to a non-variable; records skip only what lacks the parameter.
+    summary holds t's facts (_summarize); without it, normalize makes one.
     """
-    wraps, replace, chains = _assign_sites(t)
+    if summary is None:
+        summary = _summarize(t, {})
+    wraps, replace, chains = _assign_sites(t, summary)
     by_site: Dict[tuple, List[_Wrap]] = {}
     for w in wraps:
         by_site.setdefault(w.site, []).append(w)
@@ -349,7 +432,7 @@ def normalize(t: Term) -> Term:
 
     result = built.get((), t)
     # Untouched, the result is t: nothing was promoted, so nothing unbound.
-    if result is not t and free_vars(result) and not free_vars(t):
+    if result is not t and not _facts(t, summary)[_FREE] and free_vars(result):
         raise StructuralError(
             f"promotion left variables unbound in {format_term(result)}")
     return canonicalize(result)
@@ -357,18 +440,24 @@ def normalize(t: Term) -> Term:
 
 # --- filters ----------------------------------------------------------------
 
-def _intensional_violation(t: Term) -> bool:
+def _intensional_violation(t: Term, summary: Optional[Dict[int, _Facts]] = None) -> bool:
     """A quantifier binding into an up(.) argument it cannot scope over.
 
     Binding into an intensional argument is tolerated only when the
     binder sits immediately on a coordination of such arguments and no
-    other quantifier intervenes above the up(.).  Every form is walked
-    once with ancestor chains (_walk), as normalize walks it.
+    other quantifier intervenes above the up(.).  The walk (_walk, with
+    ancestor chains) enters only what holds an up(.), so a form without
+    one is not walked.  summary holds t's facts (_summarize); without it,
+    the filter makes one.
     """
-    for _, node, chain in _walk(t):
+    if summary is None:
+        summary = _summarize(t, {})
+    if not _facts(t, summary)[_UP]:
+        return False
+    for _, node, chain in _walk(t, lambda k: summary.get(id(k), _LEAF)[_UP]):
         if type(node) is not Up:
             continue
-        free = set(free_vars(node.body))
+        free = _facts(node.body, summary)[_FREE]
         if not free:
             continue
         binder_idx = _binder_index(chain, free)
@@ -401,11 +490,15 @@ def readings_from_chart(chart: Chart) -> List[Reading]:
         raise NoParseError("no full-span s derivation")
     counts = count_derivations(chart)
     groups: Dict[Term, int] = {}
+    # One summary for the call: full-span forms share most of their
+    # subterms, and the chart keeps every summarized object alive.
+    summary: Dict[int, _Facts] = {}
     for item in full:
         lf = item.cat.sem
-        if _intensional_violation(lf):
+        _summarize(lf, summary)
+        if _intensional_violation(lf, summary):
             continue
-        canon = normalize(lf)
+        canon = normalize(lf, summary)
         groups[canon] = groups.get(canon, 0) + counts[item.id]
     out = [Reading(term, mult) for term, mult in groups.items()]
     out.sort(key=lambda r: format_term(r.term))

@@ -4,11 +4,12 @@ backbone worked out on shape values, the oracle for the shape pass, the
 dense split loop and the key-every-result closure, the oracles for the
 shape pass's split walk and for chart keying, the entry-by-entry lexicon
 load they use as an oracle for load_lexicon, seeded PP chains and
-clause embeddings with their quantifier skeletons, seeded argument
-clusters, record-free copies of terms, a type-tagged oracle for term
+clause embeddings with their quantifier skeletons, the factorial count
+of a skeleton's argument-slot orders, seeded argument clusters, record-free copies of terms, a type-tagged oracle for term
 equality, the variables of a category, and the node-by-node walks of
 the readings layer and of free_vars, the oracles for the walks that
-replaced them,
+replaced them, the whole-form filter and site walk, the oracles for the
+walks the scope summary guides,
 the character-by-character term and category reader, the oracle for the
 token reader, and the renamer with its special cases, the oracle for
 Renamer.rename, and the isinstance kernels, the oracles for the rule
@@ -20,6 +21,7 @@ for those derivations, blank-line separated, in the listed order.
 """
 
 import itertools
+import math
 import random
 from operator import is_not
 
@@ -40,6 +42,7 @@ from ccgscope.categories import (
     unify_cat,
 )
 from ccgscope import chart as chart_module
+from ccgscope.baseline import MARK, skeleton_leaves
 from ccgscope.chart import ROWS, Chart, Item, derivations, parse, pretty
 from ccgscope.cli import tokenize
 from ccgscope.lexicon import LexEntry, _split_top, default_lexicon
@@ -48,11 +51,11 @@ from ccgscope.readings import (
     StructuralError,
     _binder_index,
     _dependent_site,
-    _float_position,
     _head_noun,
+    _low_site,
     _ordered,
-    _single_site,
     _visible,
+    _walk,
     _Wrap,
 )
 from ccgscope.terms import (
@@ -76,6 +79,7 @@ from ccgscope.terms import (
     is_quant,
     is_set_form,
     subterms,
+    free_vars,
     unbound_quantifier,
     with_children,
 )
@@ -507,6 +511,28 @@ def embedding(depth, seed):
     return sentence, sk
 
 
+def factorial_count(sk):
+    """Product over functions of (number of quantified argument slots)!
+
+    An argument slot counts as quantified when the argument contains a
+    marked leaf or is itself the variable of one.
+    """
+    leaf_vars = {leaf.var for leaf in skeleton_leaves(sk)}
+
+    def is_mark(t):
+        return isinstance(t, Compound) and t.functor == MARK
+
+    def has_mark(t):
+        return any(is_mark(n) for n in subterms(t))
+
+    total = 1
+    for t in subterms(sk):
+        if isinstance(t, Compound) and not is_mark(t):
+            total *= math.factorial(
+                sum(1 for a in t.args if has_mark(a) or a in leaf_vars))
+    return total
+
+
 def cluster(k, seed):
     """An argument cluster of k + 1 conjuncts: DET N shows DET N DET N,
     then k times a coordinator and two more noun phrases, no noun phrase
@@ -621,6 +647,27 @@ def oracle_free_vars(t):
     return tuple(seen)
 
 
+def oracle_float_position(chain):
+    """Is the occurrence at the end of chain beside an up(.) argument that
+    holds scope material, every node of it visited to tell?"""
+    if not chain:
+        return False
+    node, step = chain[-1]
+    if not isinstance(node, Compound):
+        return False
+    return any(isinstance(a, Up) and any(is_quant(n) or is_set_form(n)
+                                         for n in subterms(a.body))
+               for i, a in enumerate(node.args) if i != step)
+
+
+def oracle_single_site(chain, path):
+    if any(isinstance(n, Up) for n, _ in chain):
+        return _low_site(chain, path)
+    if oracle_float_position(chain):
+        return None
+    return _low_site(chain, path)
+
+
 def oracle_assign_sites(t):
     occ_list = [(path, node, chain) for path, node, chain in oracle_walk(t)
                 if is_set_form(node)]
@@ -664,7 +711,7 @@ def oracle_assign_sites(t):
                 if bound_free[p]:
                     site = _dependent_site(chains[p], p, bound_free[p])
                 else:
-                    site = _single_site(chains[p], p)
+                    site = oracle_single_site(chains[p], p)
                 if site is not None:
                     promote(node, [p], site)
             continue
@@ -680,7 +727,7 @@ def oracle_assign_sites(t):
             dominated = any(is_quant(n) for n, _ in chain[:len(prefix)])
             if not is_and(chain[len(prefix)][0]):
                 pass
-            elif dominated and all(_float_position(chains[p]) for p in paths):
+            elif dominated and all(oracle_float_position(chains[p]) for p in paths):
                 pass
             elif not any(is_quant(n) or isinstance(n, Up)
                          for p in paths for n, _ in chains[p][len(prefix) + 1:]):
@@ -689,7 +736,7 @@ def oracle_assign_sites(t):
                 continue
 
         for p in paths:
-            site = _single_site(chains[p], p)
+            site = oracle_single_site(chains[p], p)
             if site is not None:
                 promote(node, [p], site)
 
@@ -774,6 +821,113 @@ def oracle_occurrences(t):
         label = det if counts[det] == 1 else f"{det}-{noun}"
         out.append(Occurrence(label, det, noun, path, kind))
     return out
+
+
+# --- the whole-form filter and site walk, the oracles for the summary -----
+#
+# readings._intensional_violation and readings._assign_sites as they were
+# before a scope summary told them where their material lies: each walks
+# every node of a form, and takes free variables by walking again.  Each
+# takes the summary as the engine's do, and ignores it, so a test can
+# patch them in.
+
+def whole_form_intensional_violation(t, summary=None):
+    for _, node, chain in _walk(t):
+        if type(node) is not Up:
+            continue
+        free = set(free_vars(node.body))
+        if not free:
+            continue
+        binder_idx = _binder_index(chain, free)
+        if binder_idx is None:
+            continue
+        others = any(is_quant(n) and idx != binder_idx
+                     for idx, (n, _) in enumerate(chain))
+        coordinated = any(is_and(n) for n, _ in chain[binder_idx + 1:])
+        if others or not coordinated:
+            return True
+    return False
+
+
+def whole_form_assign_sites(t, summary=None):
+    occ_list = []
+    for entry in _walk(t):
+        node = entry[1]
+        if type(node) is Compound:
+            if is_set_form(node):
+                occ_list.append(entry)
+            elif is_quant(node) and type(node.args[0]) is not Var:
+                raise StructuralError(
+                    "quantifier with a non-variable in its variable position")
+    rank = {path: i for i, (path, _, _) in enumerate(occ_list)}
+    chains = {path: chain for path, _, chain in occ_list}
+    groups = {}
+    for path, node, _ in occ_list:
+        groups.setdefault(node, []).append(path)
+
+    fresh = itertools.count(1)
+    wraps = []
+    replace = {}
+
+    def promote(node, paths, site):
+        var = Var(f"_q{next(fresh)}")
+        for p in paths:
+            replace[p] = var
+        wraps.append(_Wrap(site, node.functor[len(SET_PREFIX):], var,
+                           (paths[0] + (0,), node.args[0]),
+                           tuple(paths), min(rank[p] for p in paths)))
+
+    dead = []
+
+    def alive(p):
+        return not any(len(p) > len(d) and p[:len(d)] == d for d in dead)
+
+    ordered_groups = sorted(
+        groups.items(),
+        key=lambda kv: (min(len(p) for p in kv[1]), min(rank[p] for p in kv[1])))
+
+    for node, paths in ordered_groups:
+        paths = [p for p in paths if alive(p)]
+        if not paths:
+            continue
+        fv = free_vars(node.args[0])
+        bound_free = {p: _visible(chains[p]).intersection(fv) for p in paths}
+
+        if any(bound_free.values()):
+            for p in paths:
+                if bound_free[p]:
+                    site = _dependent_site(chains[p], p, bound_free[p])
+                else:
+                    site = oracle_single_site(chains[p], p)
+                if site is not None:
+                    promote(node, [p], site)
+            continue
+
+        if len(paths) >= 2:
+            prefix = paths[0]
+            for p in paths[1:]:
+                n = 0
+                while n < min(len(prefix), len(p)) and prefix[n] == p[n]:
+                    n += 1
+                prefix = prefix[:n]
+            chain = chains[paths[0]]
+            dominated = any(is_quant(n) for n, _ in chain[:len(prefix)])
+            if not is_and(chain[len(prefix)][0]):
+                pass
+            elif dominated and all(oracle_float_position(chains[p]) for p in paths):
+                pass
+            elif not any(is_quant(n) or isinstance(n, Up)
+                         for p in paths for n, _ in chains[p][len(prefix) + 1:]):
+                promote(node, paths, prefix)
+                dead.extend(paths[1:])
+                continue
+
+        for p in paths:
+            site = oracle_single_site(chains[p], p)
+            if site is not None:
+                promote(node, [p], site)
+
+    return wraps, replace, chains
 
 
 # --- the character-by-character reader, the oracle for the token reader ---

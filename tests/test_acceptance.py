@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ccgscope.baseline import compare, factorial_count, nesting_order
+from ccgscope.baseline import compare, nesting_order
 from ccgscope.categories import Atomic, Slash, cat_key, cat_shape, parse_cat
 from ccgscope.chart import count_derivations, derivations, parse, replay
 from ccgscope.cli import _corpus_entry, _skeleton_table, read_data, tokenize
@@ -26,7 +26,7 @@ from ccgscope.terms import (
     parse_term,
     unify,
 )
-from helpers import GOLDENS, render_golden
+from helpers import GOLDENS, factorial_count, render_golden
 from test_terms import rand_term
 
 GEACH = "every girl admired , but most boys detested , one of the saxophonists"

@@ -10,7 +10,6 @@ from ccgscope.baseline import (
     BaselineError,
     compare,
     enumerate_orderings,
-    factorial_count,
     nesting_order,
     parse_skeleton,
     skeleton_leaves,
@@ -18,11 +17,11 @@ from ccgscope.baseline import (
 )
 from ccgscope.chart import ResourceError
 from ccgscope.cli import _skeleton_table, tokenize
-from ccgscope.lexicon import default_lexicon
-from ccgscope.readings import occurrences, scope_profile
+from ccgscope.lexicon import default_lexicon, load_lexicon
+from ccgscope.readings import occurrences, profile_of, scope_profile
 from ccgscope.terms import Atom, Compound, Lam, Var, free_vars, parse_term
 
-from helpers import embedding, pp_chain
+from helpers import embedding, factorial_count, pp_chain
 
 SK_COMPLEX_SUBJ = ("saw(q?(two, R, and(rep(R), of(R, q?(three, C, comp(C))))),"
                    " q?(most, S, samp(S)))")
@@ -305,11 +304,9 @@ def test_compare_builds_one_form_per_closed_order(lex, monkeypatch):
         built.clear()
         report = compare(tokenize(sentence), sk, lex)
         assert len(report.survivors) == closed
-        # The closed orders, each once, then the first order for the
-        # label check.
-        n = len(skeleton_leaves(sk))
-        assert len(set(built[:-1])) == len(built) - 1 == closed, sentence
-        assert built[-1] == tuple(range(n))
+        # The closed orders, each once: the label check reads the leaves'
+        # labels, not a form.
+        assert len(set(built)) == len(built) == closed, sentence
 
 
 def test_depth_seven_pp_chain_compares(lex):
@@ -322,6 +319,73 @@ def test_depth_seven_pp_chain_compares(lex):
     assert report.gap == tuple(f for f, fp in zip(report.survivors,
                                                   map(scope_profile, report.survivors))
                                if not any(p <= fp for p in profiles))
+
+
+# --- scope profiles read off the runs ----------------------------------------
+
+def walked_profiles(forms):
+    """Each closed order's profile as compare took it before profiles were
+    read off the runs: the order's form, walked for its occurrences."""
+    return [profile_of(occurrences(f)) for f in forms.closed()]
+
+
+def run_profiles(forms):
+    return [forms.profile(order) for order in forms._closed_orders()]
+
+
+def test_run_profiles_equal_walked_profiles_on_random_skeletons():
+    # Leaf determiners are distinct here, so each label is its det.
+    closed = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        sk = random_skeleton(rng, 7 if seed % 20 == 0 else rng.randint(1, 6))
+        forms = enumerate_orderings(sk)
+        assert run_profiles(forms) == walked_profiles(forms), seed
+        closed += len(forms._closed_orders())
+    assert closed == 8531
+
+
+PROFILE_CASES = SKELETON_CASES + FAMILY_CASES \
+    + [(f"pp_chain.d{d}.s{seed}", parse_skeleton(pp_chain(d, seed)[1]))
+       for d in range(1, 8) for seed in (4, 5)] \
+    + [(f"embedding.d{d}.s{seed}", parse_skeleton(embedding(d, seed)[1]))
+       for d in range(1, 5) for seed in (4, 5)]
+
+
+@pytest.mark.parametrize("sk", [sk for _, sk in PROFILE_CASES],
+                         ids=[key for key, _ in PROFILE_CASES])
+def test_run_profiles_equal_walked_profiles(sk):
+    forms = enumerate_orderings(sk)
+    assert run_profiles(forms) == walked_profiles(forms)
+    assert sorted(forms.labels) == sorted(o.label for o in occurrences(next(iter(forms))))
+
+
+# The host's restriction names the host's variable in the guest's
+# restriction too ("a man of a woman who saw him").
+HOST_NAMED_IN_GUEST = "p(q?(a, X, and(man(X), of(X, q?(a, Y, and(woman(Y), saw(X, Y)))))))"
+
+
+def test_a_folded_host_is_labelled_from_its_own_restriction():
+    forms = enumerate_orderings(parse_skeleton(HOST_NAMED_IN_GUEST))
+    assert forms.labels == ("a-man", "a-woman")
+    # The guest must fold into the host to bind X: one closed order.
+    assert forms._closed_orders() == [(0, 1)]
+    assert forms.profile((0, 1)) == frozenset({("a-man", "a-woman")})
+    # Walked in preorder, the host's folded restriction reaches the
+    # guest's saw(X, Y) before its own man(X): the label the form gives.
+    (form,) = forms.closed()
+    assert scope_profile(form) == frozenset({("a-saw", "a-woman")})
+
+
+def test_a_folded_host_is_compared_under_its_skeleton_label():
+    # The one reading scopes the man over the woman, as the one closed
+    # order does, and names both quantifiers as the skeleton does.
+    lex = load_lexicon(
+        "x :: s:p(s-a(X^and(man(X), of(X, s-a(Y^and(woman(Y), saw(X, Y)))))))")
+    report = compare(["x"], parse_skeleton(HOST_NAMED_IN_GUEST), lex)
+    assert [sorted(o.label for o in occurrences(r.term)) for r in report.ccg] \
+        == [["a-man", "a-woman"]]
+    assert len(report.survivors) == 1 and report.gap == ()
 
 
 def test_uvc_filter_idempotent_subset():
@@ -344,6 +408,26 @@ def test_malformed_leaf_rejected():
         parse_skeleton("p(q?(a, X))")
     with pytest.raises(BaselineError):
         parse_skeleton("p(q?(a, john, n1(john)))")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("walks(q-every(X, man(X), X))",
+     "unmarked quantifier q-every(X, man(X), X) in a skeleton:"
+     " mark each quantifier q?(det, Var, restriction)"),
+    ("walks(s-every(man))",
+     "unmarked set form s-every(man) in a skeleton:"
+     " mark each quantifier q?(det, Var, restriction)"),
+    ("saw(q?(two, R, and(rep(R), of(R, s-three(comp)))), q?(most, S, samp(S)))",
+     "unmarked set form s-three(comp) in a skeleton:"
+     " mark each quantifier q?(det, Var, restriction)"),
+])
+def test_unmarked_scope_material_rejected(text, message):
+    # The baseline orders marked leaves only; a quantifier or a set form
+    # elsewhere, inside a marked leaf's restriction too, would be scope
+    # that no order places.
+    with pytest.raises(BaselineError) as err:
+        parse_skeleton(text)
+    assert str(err.value) == message
 
 
 # --- comparison against derived readings ---------------------------------------
@@ -390,9 +474,9 @@ def test_gap_equals_all_pairs_definition(lex, sentence, sk):
 
 
 def test_one_profile_per_form_and_reading(lex, monkeypatch):
-    # One occurrences walk per survivor and per reading, plus one for the
-    # form the label check reads; the label check and the profiles of the
-    # readings share theirs.
+    # One occurrences walk per reading, shared by the label check and the
+    # reading's profile; each survivor's profile is read off its order's
+    # runs, so no form is walked.
     calls = []
 
     def counted(t):
@@ -403,7 +487,7 @@ def test_one_profile_per_form_and_reading(lex, monkeypatch):
     tokens = "two representatives of three companies saw most samples".split()
     report = compare(tokens, parse_skeleton(SK_COMPLEX_SUBJ), lex)
     assert report.gap  # a gap form is tried against every reading
-    assert len(calls) == len(report.survivors) + len(report.ccg) + 1
+    assert len(calls) == len(report.ccg)
 
 
 def test_skeleton_of_another_sentence_rejected(lex):

@@ -8,16 +8,21 @@ from ccgscope.categories import Atomic, atomics, cat_text
 from ccgscope.chart import count_derivations, parse
 from ccgscope.cli import _corpus_entry, read_data, tokenize
 from ccgscope.lexicon import data_text, default_lexicon, load_lexicon
+from ccgscope import readings as readings_module
 from ccgscope.readings import (
     NoParseError,
     ReadingError,
     StructuralError,
+    _assign_sites,
+    _facts,
     _intensional_violation,
+    _summarize,
     _walk,
     normalize,
     occurrences,
     outscopes,
     readings,
+    readings_from_chart,
     scope_profile,
 )
 from ccgscope.terms import (
@@ -42,9 +47,12 @@ from helpers import (
     oracle_normalize,
     oracle_occurrences,
     pp_chain,
+    whole_form_assign_sites,
+    whole_form_intensional_violation,
 )
 from test_acceptance import corpus_sentences
 from test_categories import random_unifiers
+from test_chart import CLOSURE_CASES, PP_CHAIN_4
 from test_coordination import sentence as coordination_sentence
 from test_terms import rand_lf, rand_scoped, rand_term
 
@@ -413,6 +421,84 @@ def test_the_readings_layer_agrees_with_its_node_by_node_oracles(chart_of, readi
         tallies["readings"] += len(got)
     assert tallies["violators"] > 500 and tallies["readings"] > 1000, tallies
     assert tallies["set forms"] > 1000, tallies
+
+
+# --- the scope summary ---------------------------------------------------------
+
+def oracle_facts(t):
+    """(holds an up(.), holds a set form or quantifier, free variables) of
+    t, every node of it visited."""
+    nodes = list(subterms(t))
+    return (any(isinstance(n, Up) for n in nodes),
+            any(is_quant(n) or is_set_form(n) for n in nodes),
+            frozenset(oracle_free_vars(t)))
+
+
+def test_summarized_facts_agree_with_their_oracle(chart_of):
+    # Every node of random scoped terms and of the full-span forms of a
+    # PP chain and an embedding, the forms of a chart sharing one summary.
+    rng = random.Random(20261021)
+    batches = [[rand_scoped(rng, 5)] for _ in range(1000)]
+    for sentence in (PP_CHAIN_4, embedding(3, 1)[0]):
+        batches.append([it.cat.sem for it in chart_of(sentence).full_span()
+                        if isinstance(it.cat, Atomic) and it.cat.sort == "s"])
+    tallies = {"nodes": 0, "up": 0, "scope": 0, "free": 0}
+    for batch in batches:
+        summary = {}
+        for t in batch:
+            _summarize(t, summary)
+        for t in batch:
+            for node in subterms(t):
+                facts = oracle_facts(node)
+                assert tuple(_facts(node, summary)) == facts, format_term(node)
+                tallies["nodes"] += 1
+                tallies["up"] += facts[0]
+                tallies["scope"] += facts[1]
+                tallies["free"] += bool(facts[2])
+    assert tallies["nodes"] > 15000 and min(tallies.values()) > 1000, tallies
+
+
+SUMMARY_CASES = CLOSURE_CASES + [PP_CHAIN_4] \
+    + [embedding(depth, seed)[0] for depth in range(1, 5) for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("sentence", SUMMARY_CASES)
+def test_the_scope_summary_changes_no_reading(chart_of, readings_of, monkeypatch, sentence):
+    # Readings, multiplicities and their order, against readings_from_chart
+    # with the whole-form filter and site walk, which ignore the summary.
+    want = listed_readings(readings_of, sentence)
+    monkeypatch.setattr(readings_module, "_intensional_violation",
+                        whole_form_intensional_violation)
+    monkeypatch.setattr(readings_module, "_assign_sites", whole_form_assign_sites)
+    got = listed_readings(lambda s: readings_from_chart(chart_of(s)), sentence)
+    assert got == want
+
+
+def test_the_filter_and_the_site_walk_visit_only_their_material(chart_of, monkeypatch):
+    # A PP chain holds no up(.), so the filter walks none of its 124
+    # full-span forms.  Of their 4,417 nodes, the site walk visits the
+    # 1,905 that hold a set form or a quantifier, or are one.
+    visits, walk = [0], _walk
+
+    def counted(t, descend=None):
+        for entry in walk(t, descend):
+            visits[0] += 1
+            yield entry
+
+    monkeypatch.setattr(readings_module, "_walk", counted)
+    forms = [it.cat.sem for it in chart_of(PP_CHAIN_4).full_span()
+             if isinstance(it.cat, Atomic) and it.cat.sort == "s"]
+    summary, tally = {}, {"forms": len(forms), "nodes": 0, "filter": 0, "sites": 0}
+    for t in forms:
+        _summarize(t, summary)
+        tally["nodes"] += sum(1 for _ in subterms(t))
+        visits[0] = 0
+        assert not _intensional_violation(t, summary)
+        tally["filter"] += visits[0]
+        visits[0] = 0
+        _assign_sites(t, summary)
+        tally["sites"] += visits[0]
+    assert tally == {"forms": 124, "nodes": 4417, "filter": 0, "sites": 1905}
 
 
 READ_BACK_CASES = [" ".join(tokens) for _, tokens in corpus_sentences()] \
