@@ -450,7 +450,7 @@ def test_summarized_facts_agree_with_their_oracle(chart_of):
         for t in batch:
             for node in subterms(t):
                 facts = oracle_facts(node)
-                assert tuple(_facts(node, summary)) == facts, format_term(node)
+                assert _facts(node, summary) == facts, format_term(node)
                 tallies["nodes"] += 1
                 tallies["up"] += facts[0]
                 tallies["scope"] += facts[1]
@@ -477,7 +477,7 @@ def test_the_scope_summary_changes_no_reading(chart_of, readings_of, monkeypatch
 def test_the_filter_and_the_site_walk_visit_only_their_material(chart_of, monkeypatch):
     # A PP chain holds no up(.), so the filter walks none of its 124
     # full-span forms.  Of their 4,417 nodes, the site walk visits the
-    # 1,905 that hold a set form or a quantifier, or are one.
+    # 1,905 that are or hold a set form or a quantifier.
     visits, walk = [0], _walk
 
     def counted(t, descend=None):
