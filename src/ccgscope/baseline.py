@@ -5,10 +5,13 @@ leaves q?(det, V, restriction); restrictions may embed further marked
 leaves (complex NPs).  The baseline is the traditional method: every
 linear order of the marked quantifiers as a nested q-<det> form, less the
 forms that leave a variable unbound (the unbound variable constraint).
-`enumerate_orderings` counts the orders and generates only the closed
-ones (Orderings), and `uvc_filter` checks each form it is given.
-`compare` relates the surviving forms to the readings the grammar
-actually derives for the same sentence.
+A skeleton is read in one walk (_parts), which gives its core, its
+leaves, each leaf's host and each leaf's erased restriction.
+`enumerate_orderings` counts the orders (Orderings), whose public
+closed_orders() and form() find the closed ones and build their forms,
+and `uvc_filter` checks each form it is given.  `compare` relates the
+surviving forms to the readings the grammar actually derives for the
+same sentence, through those two methods and profile() alone.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .chart import ResourceError
 from .lexicon import Lexicon, default_lexicon
-from .readings import Occurrence, Reading, _head_noun, occurrences, profile_of, readings
+from .readings import Reading, _head_noun, labels, occurrences, profile_of, readings
 from .terms import (
     QUANT_PREFIX,
     Atom,
@@ -54,10 +57,6 @@ class Leaf(NamedTuple):
     restriction: Term
 
 
-def _is_mark(t: Term) -> bool:
-    return isinstance(t, Compound) and t.functor == MARK
-
-
 def parse_skeleton(text: str) -> Term:
     sk = parse_term(text)
     seen = set()
@@ -69,41 +68,47 @@ def parse_skeleton(text: str) -> Term:
 
 
 def skeleton_leaves(sk: Term) -> List[Leaf]:
-    """Marked quantifier leaves in preorder (outer before embedded).
+    """Marked quantifier leaves in preorder (outer before embedded); see
+    _parts for what a skeleton may not hold."""
+    return _parts(sk)[1]
+
+
+def _parts(sk: Term) -> Tuple[Term, List[Leaf], List[int], List[Term]]:
+    """A skeleton read in one walk: its core, with every marked leaf
+    replaced by its variable; its marked leaves in preorder (outer before
+    embedded); each leaf's innermost host, the leaf whose restriction
+    holds it nearest, as a leaf index, or -1; and each leaf's restriction,
+    erased as the core is.
 
     A skeleton's quantifiers are its marked leaves, so a quantifier or a
-    set form anywhere else in it raises BaselineError: its forms would
-    hold scope that no order places."""
-    out: List[Leaf] = []
-    for t in subterms(sk):
-        if _is_mark(t):
+    set form anywhere else in it raises BaselineError, at the first in
+    preorder: its forms would hold scope that no order places."""
+    leaves: List[Leaf] = []
+    host: List[int] = []
+    erased: List[Term] = []
+
+    def erase(t: Term, within: int) -> Term:
+        if isinstance(t, Compound) and t.functor == MARK:
             if len(t.args) != 3 or not isinstance(t.args[0], Atom) \
                     or not isinstance(t.args[1], Var):
                 raise BaselineError(f"bad marked leaf {format_term(t)}: a marked leaf"
                                     f" must be {MARK}(det, Var, restriction)")
-            out.append(Leaf(t.args[0].name, t.args[1], t.args[2]))
-        elif is_quant(t) or is_set_form(t):
+            i = len(leaves)
+            leaves.append(Leaf(t.args[0].name, t.args[1], t.args[2]))
+            host.append(within)
+            erased.append(None)  # set once its restriction's walk returns
+            erased[i] = erase(t.args[2], i)
+            return t.args[1]
+        if is_quant(t) or is_set_form(t):
             kind = "quantifier" if is_quant(t) else "set form"
             raise BaselineError(f"unmarked {kind} {format_term(t)} in a skeleton:"
                                 f" mark each quantifier {MARK}(det, Var, restriction)")
-    return out
+        kids = []
+        for k in children(t):  # a loop, not a comprehension: one frame a level
+            kids.append(erase(k, within))
+        return with_children(t, kids)
 
-
-def _erase(t: Term) -> Term:
-    """Replace every marked leaf by its variable."""
-    if _is_mark(t):
-        return t.args[1]
-    return with_children(t, [_erase(k) for k in children(t)])
-
-
-def _hosts(leaves: List[Leaf]) -> dict:
-    """Map each embedded leaf's variable to its innermost host's variable."""
-    host = {}
-    for leaf in leaves:  # preorder: an inner host overwrites an outer one
-        for t in subterms(leaf.restriction):
-            if _is_mark(t):
-                host[t.args[1]] = leaf.var
-    return host
+    return erase(sk, -1), leaves, host, erased
 
 
 class Orderings:
@@ -124,41 +129,29 @@ class Orderings:
     its own run.  profile() reads an order's scope profile off its runs,
     without building or walking its form.
 
-    len() is the number of orders, n!.  Iterating builds every order's
-    form, closed or not, in itertools.permutations order.  closed() builds
-    only the closed orders' forms, in that same order.  labels names each
-    leaf as readings.occurrences names a quantifier: its det, or det-noun
-    with the head noun of its erased restriction when another leaf has
-    that det.
+    The skeleton is read in one walk (_parts).  len() is the number of
+    orders, n!.  Iterating builds every order's form, closed or not, in
+    itertools.permutations order: the traditional method itself.
+    closed_orders() finds only the closed orders, in that same order, and
+    form(order) builds one order's form.  labels names each leaf as
+    readings.occurrences names a quantifier (readings.labels), with the
+    head noun of its erased restriction.
     """
 
     def __init__(self, sk: Term):
-        self._leaves = skeleton_leaves(sk)
+        self._core, self._leaves, self._host, self._erased = _parts(sk)
         # len() must be an index-sized int; no 32-token sentence has this
         # many quantifiers.
         if math.factorial(len(self._leaves)) > sys.maxsize:
             raise ResourceError(f"{len(self._leaves)} quantifiers have too many orders to count")
-        self._core = _erase(sk)
-        self._erased = [_erase(leaf.restriction) for leaf in self._leaves]
-        index = {leaf.var: i for i, leaf in enumerate(self._leaves)}
-        host = _hosts(self._leaves)
-        self._host = [index.get(host.get(leaf.var), -1) for leaf in self._leaves]
-        dets = [leaf.det for leaf in self._leaves]
-        self.labels = tuple(
-            leaf.det if dets.count(leaf.det) == 1
-            else f"{leaf.det}-{_head_noun(restriction, leaf.var)}"
-            for leaf, restriction in zip(self._leaves, self._erased))
+        self.labels = tuple(labels([(leaf.det, _head_noun(restriction, leaf.var))
+                                    for leaf, restriction in zip(self._leaves, self._erased)]))
 
     def __len__(self) -> int:
         return math.factorial(len(self._leaves))
 
     def __iter__(self) -> Iterator[Term]:
-        return map(self._form, permutations(range(len(self._leaves))))
-
-    def closed(self) -> Iterator[Term]:
-        """The closed orders' forms.  Every closed order is found before the
-        first form is built, so a ResourceError comes before any form."""
-        yield from map(self._form, self._closed_orders())
+        return map(self.form, permutations(range(len(self._leaves))))
 
     def profile(self, order: Tuple[int, ...]) -> frozenset:
         """The scope profile of one order's form, given as leaf indices:
@@ -180,7 +173,7 @@ class Orderings:
         leaf = self._leaves[i]
         return Compound(QUANT_PREFIX + leaf.det, (leaf.var, restriction, body))
 
-    def _form(self, order: Tuple[int, ...]) -> Term:
+    def form(self, order: Tuple[int, ...]) -> Term:
         """The form of one order, given as leaf indices."""
         restr = list(self._erased)  # the folding below rewrites host entries
         pending = list(order)
@@ -194,7 +187,7 @@ class Orderings:
             t = self._q(i, restr[i], t)
         return t
 
-    def _closed_orders(self) -> List[Tuple[int, ...]]:
+    def closed_orders(self) -> List[Tuple[int, ...]]:
         """The closed orders as leaf-index tuples, in permutations order.
 
         Orders grow one leaf at a time, and a prefix is cut as soon as a
@@ -303,50 +296,35 @@ class CompareReport(NamedTuple):
     gap: Tuple[Term, ...]   # UVC-surviving forms no derived reading realizes
 
 
-def _labels(occs: List[Occurrence]) -> tuple:
-    # A multiset: each label as often as a quantifier carries it.
-    return tuple(sorted(o.label for o in occs))
-
-
-def _shown(labels: tuple) -> str:
-    return "{" + ", ".join(labels) + "}"
-
-
-def _check_labels(labels: Tuple[str, ...], derived: List[List[Occurrence]]) -> None:
-    """Raise BaselineError when the skeleton's quantifiers, named by
-    labels, are not the sentence's: scope profiles name quantifiers by
-    label, so a mismatch would leave every order unrealized.  derived
-    holds each reading's occurrences."""
-    want = tuple(sorted(labels))
-    for occs in derived:
-        got = _labels(occs)
-        if got != want:
-            raise BaselineError(
-                f"skeleton quantifiers {_shown(want)} do not match "
-                f"the sentence's {_shown(got)}")
-
-
 def compare(tokens, sk: Term, lexicon: Optional[Lexicon] = None) -> CompareReport:
     """Baseline orders vs derived readings, matched on scope profiles.
 
-    The orders are counted, and only the closed ones are built (see
-    Orderings); uvc_filter checks each of those.  A derived reading
-    realizes a baseline form when every scope pair the reading asserts
-    also holds in the form; forms realized by no reading are the report's
-    gap.  (A reading with residual set forms asserts fewer pairs and may
-    realize several forms.)  Each reading is walked for its occurrences
-    once, and each closed order's profile is read off its runs
-    (Orderings.profile), so no form is walked for matching, and matching
-    costs one profile per form, not one per (form, reading) pair.  A
-    skeleton whose quantifier labels (Orderings.labels) differ from a
+    The orders are counted, and only the closed ones are found and built
+    (Orderings.closed_orders and form); uvc_filter checks each of those.
+    A derived reading realizes a baseline form when every scope pair the
+    reading asserts also holds in the form; forms realized by no reading
+    are the report's gap.  (A reading with residual set forms asserts
+    fewer pairs and may realize several forms.)  Each reading is walked
+    for its occurrences once, and each closed order's profile is read off
+    its runs (Orderings.profile), so no form is walked for matching, and
+    matching costs one profile per form, not one per (form, reading) pair.
+    A skeleton whose quantifier labels (Orderings.labels) differ from a
     reading's does not fit the sentence and raises BaselineError.
     """
     forms = enumerate_orderings(sk)
-    orders = forms._closed_orders()
-    survivors = uvc_filter(map(forms._form, orders))
+    orders = forms.closed_orders()
+    survivors = uvc_filter(map(forms.form, orders))
     derived = readings(tokens, lexicon or default_lexicon())
     derived_occs = [occurrences(r.term) for r in derived]
-    _check_labels(forms.labels, derived_occs)
+    # Scope profiles name quantifiers by label, so a skeleton whose labels
+    # (a multiset) differ from a reading's would leave every order
+    # unrealized.
+    want = sorted(forms.labels)
+    for occs in derived_occs:
+        got = sorted(o.label for o in occs)
+        if got != want:
+            raise BaselineError(f"skeleton quantifiers {{{', '.join(want)}}} do not match"
+                                f" the sentence's {{{', '.join(got)}}}")
     profiles = [profile_of(occs) for occs in derived_occs]
     # Every closed order's form survives, so survivors pair with orders.
     gap = [f for f, fp in zip(survivors, map(forms.profile, orders), strict=True)

@@ -261,7 +261,7 @@ def format_cat(cat: Category, with_sems: bool = True) -> str:
 
 def cat_text(cat: Category) -> str:
     """The printed canonical copy.  For display: the CLI's parse and
-    derive output, chart.pretty, lexicon messages and ChartError text.
+    derive output, chart.pretty and lexicon messages.
     The chart and the lexicon compare cat_key.  Reading and eta-reducing
     (terms.apply_reduced) make no atom spelled like a variable, so the
     printed copy of a category read from text reads back (parse_cat) to

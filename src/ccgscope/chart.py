@@ -112,11 +112,11 @@ while it builds the result, and _combine returns None.  Such a
 constituent has no interpretation, and substitution never turns its slot
 back into a variable, so every item built from it carries the ill-formed
 quantifier too, unless some functor discards the semantics holding it.
-The check runs in the walk that builds every rule result, so parse,
-replay and check_backpointers agree on it.  load_lexicon refuses a
-written category that holds such a quantifier, so no item of a chart
-built from a loaded lexicon holds one, and the readings layer does not
-look for one.
+The check runs in the walk that builds every rule result, so parse and
+the tests' replay of each derivation, which calls _combine too, agree
+on it.  load_lexicon refuses a written category that holds such a
+quantifier, so no item of a chart built from a loaded lexicon holds one,
+and the readings layer does not look for one.
 
 Why this loses no reading of the bundled fragment: in fragment.lex the
 argument semantics a functor discards are number variables (bound only
@@ -131,7 +131,6 @@ there the derivations through it are gone (see README).
 
 from __future__ import annotations
 
-import itertools
 from bisect import insort
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
@@ -140,7 +139,6 @@ from .categories import (
     Slash,
     cat_key,
     cat_text,
-    standardize_apart,
     subst_cat,
     unify_cat,
 )
@@ -157,10 +155,6 @@ MAX_TOKENS = 32
 # items; the all-pairs chart would pass 20,000); the benchmark's largest
 # is a depth-3 clause embedding (515 items, nested_scope at seeds 1-3).
 MAX_ITEMS = 20_000
-
-
-class ChartError(Exception):
-    """A derivation failed to replay; signals an engine bug."""
 
 
 class ResourceError(Exception):
@@ -600,63 +594,6 @@ def derivations(chart: Chart, item: Item) -> Iterator[tuple]:
             for lt in derivations(chart, chart.items[li]):
                 for rt in derivations(chart, chart.items[ri]):
                     yield (label, lt, rt, item)
-
-
-def _replay_step(label: str, left: Category, right: Category, item: Item,
-                 key: tuple, counter) -> Category:
-    """Recombine two child categories by label; ChartError unless the result
-    has key, item's stored cat_key."""
-    lcat = standardize_apart(left, counter)
-    rcat = standardize_apart(right, counter)
-    out = _combine(label, lcat, rcat)
-    if out is None:
-        raise ChartError(f"rule {label} failed to replay at {item.span}")
-    if cat_key(out) != key:
-        raise ChartError(f"replayed category differs at {item.span}:"
-                         f" {cat_text(out)} vs {cat_text(item.cat)}")
-    return out
-
-
-def replay(tree) -> Category:
-    """Recompute a derivation bottom-up, checking each stored category.
-
-    Children are standardized apart before combining, as Lexicon.chart_copy
-    renames lexical entries for parse.  Raises ChartError on any mismatch.
-    """
-    counter = itertools.count(1)
-
-    def go(t) -> Category:
-        if t[0] == "lex":
-            return t[2].cat
-        label, lt, rt, item = t
-        return _replay_step(label, go(lt), go(rt), item, cat_key(item.cat),
-                            counter)
-
-    return go(tree)
-
-
-def check_backpointers(chart: Chart) -> None:
-    """Replay every rule backpointer of every item once, from the stored
-    categories of its children.  Raises ChartError on any mismatch.
-
-    This checks every derivation tree of the chart, and more.  At each
-    node, replay(tree) applies the rule to the categories replayed for the
-    children; each of those has its stored child's cat_key, so it is that
-    category up to renaming of variables, and rules and cat_key do not see
-    renaming.  So each node's check in replay is one backpointer's check
-    here, and a tree replays exactly when all its backpointers pass.
-    Items outside the full span are checked too.
-    """
-    counter = itertools.count(1)
-    for item in chart.items.values():
-        key = None
-        for back in item.backs:
-            if back[0] != "lex":
-                if key is None:
-                    key = cat_key(item.cat)
-                label, li, ri = back
-                _replay_step(label, chart.items[li].cat, chart.items[ri].cat,
-                             item, key, counter)
 
 
 def pretty(chart: Chart, tree) -> str:

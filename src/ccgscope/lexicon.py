@@ -242,15 +242,15 @@ class Lexicon:
         # kept so that its id is never reused while the table holds it.
         self._copies: dict = {}
 
-    def _add(self, entries: Sequence[LexEntry], line: Optional[int] = None) -> None:
+    def _add(self, entries: Sequence[LexEntry], line: int) -> None:
         """Add the entries of one declaration, all of one lexeme, no two
         of them chart form variants of one another, as load_lexicon, the
         only caller, keeps them (module docstring).
 
         An entry whose chart form is a variant of that of an earlier
         declaration's entry of its lexeme is dropped with a UserWarning,
-        prefixed ``line N: `` when line is given.  Shapes are compared
-        first, so only an entry with an earlier peer of its shape is keyed.
+        prefixed ``line N: ``.  Shapes are compared first, so only an entry
+        with an earlier peer of its shape is keyed.
         """
         if not entries:
             return
@@ -261,8 +261,7 @@ class Lexicon:
             kept = []
             for entry in entries:
                 if any(e.shape == entry.shape and e.chart_key == entry.chart_key for e in earlier):
-                    where = "" if line is None else f"line {line}: "
-                    warnings.warn(f"{where}duplicate lexicon entry for"
+                    warnings.warn(f"line {line}: duplicate lexicon entry for"
                                   f" {entry.tag!r} dropped: {cat_text(entry.cat)}")
                 else:
                     kept.append(entry)

@@ -46,7 +46,7 @@ the ancestors of the promoted occurrences, substitutes into each
 restriction past the recorded subterms that lack its parameter, takes
 the free variables of the result when something was promoted from a
 closed form, and ends in one canonicalize.  Called without a summary,
-normalize and the filter make one for their form.
+normalize makes one for its form.
 """
 
 from __future__ import annotations
@@ -440,18 +440,15 @@ def normalize(t: Term, summary: Optional[Dict[int, _Facts]] = None) -> Term:
 
 # --- filters ----------------------------------------------------------------
 
-def _intensional_violation(t: Term, summary: Optional[Dict[int, _Facts]] = None) -> bool:
+def _intensional_violation(t: Term, summary: Dict[int, _Facts]) -> bool:
     """A quantifier binding into an up(.) argument it cannot scope over.
 
     Binding into an intensional argument is tolerated only when the
     binder sits immediately on a coordination of such arguments and no
     other quantifier intervenes above the up(.).  The walk (_walk, with
     ancestor chains) enters only what holds an up(.), so a form without
-    one is not walked.  summary holds t's facts (_summarize); without it,
-    the filter makes one.
+    one is not walked.  summary holds t's facts (_summarize).
     """
-    if summary is None:
-        summary = _summarize(t, {})
     if not _facts(t, summary)[_UP]:
         return False
     for _, node, chain in _walk(t, lambda k: summary.get(id(k), _LEAF)[_UP]):
@@ -545,14 +542,18 @@ def occurrences(t: Term) -> List[Occurrence]:
             else:
                 noun = "?"
             found.append((det, noun, path, "s"))
+    names = labels([(det, noun) for det, noun, _, _ in found])
+    return [Occurrence(label, *occ) for label, occ in zip(names, found)]
+
+
+def labels(pairs: List[Tuple[str, str]]) -> List[str]:
+    """Name each quantifier, given as a (det, noun) pair: its det when no
+    other pair has that det, else det-noun.  occurrences names a form's
+    quantifiers this way, and baseline.Orderings a skeleton's leaves."""
     counts: Dict[str, int] = {}
-    for det, _, _, _ in found:
+    for det, _ in pairs:
         counts[det] = counts.get(det, 0) + 1
-    out = []
-    for det, noun, path, kind in found:
-        label = det if counts[det] == 1 else f"{det}-{noun}"
-        out.append(Occurrence(label, det, noun, path, kind))
-    return out
+    return [det if counts[det] == 1 else f"{det}-{noun}" for det, noun in pairs]
 
 
 def _resolve(occs: List[Occurrence], name: str) -> List[Occurrence]:

@@ -2,10 +2,13 @@
 all-pairs closure the tests use as an oracle for the chart, the shape
 backbone worked out on shape values, the oracle for the shape pass, the
 dense split loop and the key-every-result closure, the oracles for the
-shape pass's split walk and for chart keying, the entry-by-entry lexicon
-load they use as an oracle for load_lexicon, seeded PP chains and
-clause embeddings with their quantifier skeletons, the factorial count
-of a skeleton's argument-slot orders, seeded argument clusters, record-free copies of terms, a type-tagged oracle for term
+shape pass's split walk and for chart keying, replay and the backpointer
+check, which recombine each derivation through the chart's rules, the
+entry-by-entry lexicon load they use as an oracle for load_lexicon,
+seeded PP chains and clause embeddings with their quantifier skeletons,
+the oracle for the baseline's one skeleton walk (leaves, erasure and
+host map, each from its own walk), the factorial count of a skeleton's
+argument-slot orders, seeded argument clusters, record-free copies of terms, a type-tagged oracle for term
 equality, the variables of a category, and the node-by-node walks of
 the readings layer and of free_vars, the oracles for the walks that
 replaced them, the whole-form filter and site walk, the oracles for the
@@ -172,6 +175,68 @@ def all_pairs_parse(tokens, lex):
                         for label, out in all_pairs_combinations(lit.cat, rit.cat):
                             add((i, j), out, (label, lit.id, rit.id))
     return chart
+
+
+# --- replay, the check of each derivation against the rules -------------
+
+class ChartError(Exception):
+    """A derivation failed to replay; signals an engine bug."""
+
+
+def _replay_step(label, left, right, item, key, counter):
+    """Recombine two child categories by label; ChartError unless the result
+    has key, item's stored cat_key."""
+    lcat = standardize_apart(left, counter)
+    rcat = standardize_apart(right, counter)
+    out = chart_module._combine(label, lcat, rcat)
+    if out is None:
+        raise ChartError(f"rule {label} failed to replay at {item.span}")
+    if cat_key(out) != key:
+        raise ChartError(f"replayed category differs at {item.span}:"
+                         f" {cat_text(out)} vs {cat_text(item.cat)}")
+    return out
+
+
+def replay(tree):
+    """Recompute a derivation bottom-up, checking each stored category.
+
+    Children are standardized apart before combining, as Lexicon.chart_copy
+    renames lexical entries for parse.  Raises ChartError on any mismatch.
+    """
+    counter = itertools.count(1)
+
+    def go(t):
+        if t[0] == "lex":
+            return t[2].cat
+        label, lt, rt, item = t
+        return _replay_step(label, go(lt), go(rt), item, cat_key(item.cat),
+                            counter)
+
+    return go(tree)
+
+
+def check_backpointers(chart):
+    """Replay every rule backpointer of every item once, from the stored
+    categories of its children.  Raises ChartError on any mismatch.
+
+    This checks every derivation tree of the chart, and more.  At each
+    node, replay(tree) applies the rule to the categories replayed for the
+    children; each of those has its stored child's cat_key, so it is that
+    category up to renaming of variables, and rules and cat_key do not see
+    renaming.  So each node's check in replay is one backpointer's check
+    here, and a tree replays exactly when all its backpointers pass.
+    Items outside the full span are checked too.
+    """
+    counter = itertools.count(1)
+    for item in chart.items.values():
+        key = None
+        for back in item.backs:
+            if back[0] != "lex":
+                if key is None:
+                    key = cat_key(item.cat)
+                label, li, ri = back
+                _replay_step(label, chart.items[li].cat, chart.items[ri].cat,
+                             item, key, counter)
 
 
 def well_formed(t):
@@ -511,6 +576,38 @@ def embedding(depth, seed):
     return sentence, sk
 
 
+# --- the skeleton walk's oracle ---------------------------------------------
+# A skeleton read as baseline did before one walk (baseline._parts) gave all
+# four parts: the leaves by subterms, one erasure per term, and a host map
+# from a second walk of each leaf's restriction.
+
+def _is_mark(t):
+    return isinstance(t, Compound) and t.functor == MARK
+
+
+def oracle_leaves(sk):
+    """The marked leaves of sk in preorder, as (det, var, restriction)."""
+    return [(t.args[0].name, t.args[1], t.args[2]) for t in subterms(sk) if _is_mark(t)]
+
+
+def oracle_erase(t):
+    """t with every marked leaf replaced by its variable."""
+    if _is_mark(t):
+        return t.args[1]
+    return with_children(t, [oracle_erase(k) for k in children(t)])
+
+
+def oracle_hosts(sk):
+    """Each embedded leaf's variable mapped to its innermost host's variable."""
+    host = {}
+    for _, var, restriction in oracle_leaves(sk):
+        # Preorder: an inner host overwrites an outer one.
+        for t in subterms(restriction):
+            if _is_mark(t):
+                host[t.args[1]] = var
+    return host
+
+
 def factorial_count(sk):
     """Product over functions of (number of quantified argument slots)!
 
@@ -519,15 +616,12 @@ def factorial_count(sk):
     """
     leaf_vars = {leaf.var for leaf in skeleton_leaves(sk)}
 
-    def is_mark(t):
-        return isinstance(t, Compound) and t.functor == MARK
-
     def has_mark(t):
-        return any(is_mark(n) for n in subterms(t))
+        return any(_is_mark(n) for n in subterms(t))
 
     total = 1
     for t in subterms(sk):
-        if isinstance(t, Compound) and not is_mark(t):
+        if isinstance(t, Compound) and not _is_mark(t):
             total *= math.factorial(
                 sum(1 for a in t.args if has_mark(a) or a in leaf_vars))
     return total

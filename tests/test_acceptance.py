@@ -13,7 +13,7 @@ import pytest
 
 from ccgscope.baseline import compare, nesting_order
 from ccgscope.categories import Atomic, Slash, cat_key, cat_shape, parse_cat
-from ccgscope.chart import count_derivations, derivations, parse, replay
+from ccgscope.chart import count_derivations, derivations, parse
 from ccgscope.cli import _corpus_entry, _skeleton_table, read_data, tokenize
 from ccgscope.lexicon import default_lexicon
 from ccgscope.readings import normalize, outscopes, readings, scope_profile
@@ -26,7 +26,7 @@ from ccgscope.terms import (
     parse_term,
     unify,
 )
-from helpers import GOLDENS, factorial_count, render_golden
+from helpers import GOLDENS, factorial_count, render_golden, replay
 from test_terms import rand_term
 
 GEACH = "every girl admired , but most boys detested , one of the saxophonists"

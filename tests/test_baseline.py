@@ -19,9 +19,16 @@ from ccgscope.chart import ResourceError
 from ccgscope.cli import _skeleton_table, tokenize
 from ccgscope.lexicon import default_lexicon, load_lexicon
 from ccgscope.readings import occurrences, profile_of, scope_profile
-from ccgscope.terms import Atom, Compound, Lam, Var, free_vars, parse_term
+from ccgscope.terms import Atom, Compound, Lam, Var, free_vars, parse_term, subterms
 
-from helpers import embedding, factorial_count, pp_chain
+from helpers import (
+    embedding,
+    factorial_count,
+    oracle_erase,
+    oracle_hosts,
+    oracle_leaves,
+    pp_chain,
+)
 
 SK_COMPLEX_SUBJ = ("saw(q?(two, R, and(rep(R), of(R, q?(three, C, comp(C))))),"
                    " q?(most, S, samp(S)))")
@@ -51,19 +58,24 @@ def lex():
 def count_builds(monkeypatch):
     """The orders, as leaf-index tuples, whose forms Orderings builds from
     now on."""
-    built, form = [], baseline.Orderings._form
+    built, form = [], baseline.Orderings.form
 
     def counted(self, order):
         built.append(order)
         return form(self, order)
 
-    monkeypatch.setattr(baseline.Orderings, "_form", counted)
+    monkeypatch.setattr(baseline.Orderings, "form", counted)
     return built
 
 
 def permute_and_filter(sk):
     """The traditional method: every order's form, then the closed ones."""
     return [f for f in enumerate_orderings(sk) if not free_vars(f)]
+
+
+def closed_forms(forms):
+    """The closed orders' forms, built as compare builds them."""
+    return list(map(forms.form, forms.closed_orders()))
 
 
 # --- enumeration ------------------------------------------------------------
@@ -100,7 +112,7 @@ def test_searches_past_the_budget_rejected(monkeypatch):
     args = ", ".join(["q?(a, A, and(na(A), r(B)))", "q?(b, B, and(nb(B), r(A)))"]
                      + [f"q?(d{i}, X{i}, n{i}(X{i}))" for i in range(10)])
     with pytest.raises(ResourceError, match="steps"):
-        list(enumerate_orderings(parse_skeleton(f"p({args})")).closed())
+        closed_forms(enumerate_orderings(parse_skeleton(f"p({args})")))
     # 21! orders do not fit len().
     args = ", ".join(f"q?(d{i}, X{i}, n{i}(X{i}))" for i in range(21))
     with pytest.raises(ResourceError, match="count"):
@@ -147,27 +159,26 @@ def test_independent_quantifiers_all_survive():
 
 def per_order_forms(sk):
     """The forms with every restriction erased again for each order: the
-    loop as it stood before the erasures were hoisted out of it."""
-    leaves = skeleton_leaves(sk)
-    core = baseline._erase(sk)
-    host = baseline._hosts(leaves)
+    loop as it stood before the erasures were hoisted out of it, on the
+    oracle's leaves, erasure and host map."""
+    core, host = oracle_erase(sk), oracle_hosts(sk)
 
-    def q(leaf, restriction, body):
-        return Compound("q-" + leaf.det, (leaf.var, restriction, body))
+    def q(det, var, restriction, body):
+        return Compound("q-" + det, (var, restriction, body))
 
     forms = []
-    for order in permutations(leaves):
-        restr = {leaf.var: baseline._erase(leaf.restriction) for leaf in order}
+    for order in permutations(oracle_leaves(sk)):
+        restr = {var: oracle_erase(restriction) for _, var, restriction in order}
         pending = list(order)
         for i in range(len(pending) - 1, 0, -1):
-            leaf = pending[i]
-            h = host.get(leaf.var)
-            if h is not None and pending[i - 1].var == h:
-                restr[h] = q(leaf, restr[leaf.var], restr[h])
+            det, var, _ = pending[i]
+            h = host.get(var)
+            if h is not None and pending[i - 1][1] == h:
+                restr[h] = q(det, var, restr[var], restr[h])
                 del pending[i]
         t = core
-        for leaf in reversed(pending):
-            t = q(leaf, restr[leaf.var], t)
+        for det, var, _ in reversed(pending):
+            t = q(det, var, restr[var], t)
         forms.append(t)
     return forms
 
@@ -178,23 +189,27 @@ def test_forms_equal_per_order_erasure(sk):
     assert list(enumerate_orderings(sk)) == per_order_forms(sk)
 
 
-def test_each_restriction_is_erased_once(monkeypatch):
-    erase, depth, calls = baseline._erase, [0], []
+def test_a_skeleton_is_walked_once_per_orderings(monkeypatch):
+    # One _parts call per Orderings, and it visits each node once: every
+    # node but a marked leaf's det and variable, which it reads in place,
+    # so a PP chain's nested restrictions are not walked again per host.
+    parts, children, walks, visits = baseline._parts, baseline.children, [], []
 
-    def counted(t):
-        # _erase recurses through the module name: count outermost calls.
-        if not depth[0]:
-            calls.append(t)
-        depth[0] += 1
-        try:
-            return erase(t)
-        finally:
-            depth[0] -= 1
+    def counted_parts(sk):
+        walks.append(sk)
+        return parts(sk)
 
-    monkeypatch.setattr(baseline, "_erase", counted)
+    def counted_children(t):
+        visits.append(t)
+        return children(t)
+
     sk = parse_skeleton(PP_CHAIN_3[1])
-    assert len(enumerate_orderings(sk)) == 120
-    assert len(calls) == len(skeleton_leaves(sk)) + 1
+    monkeypatch.setattr(baseline, "_parts", counted_parts)
+    monkeypatch.setattr(baseline, "children", counted_children)
+    forms = enumerate_orderings(sk)
+    assert len(forms) == 120 and walks == [sk]
+    marks = len(oracle_leaves(sk))
+    assert len(visits) == sum(1 for _ in subterms(sk)) - 3 * marks
 
 
 # --- generating the closed orders -------------------------------------------
@@ -202,7 +217,7 @@ def test_each_restriction_is_erased_once(monkeypatch):
 @pytest.mark.parametrize("sk", [sk for _, sk in SKELETON_CASES + FAMILY_CASES],
                          ids=[key for key, _ in SKELETON_CASES + FAMILY_CASES])
 def test_closed_orders_equal_permute_and_filter(sk):
-    assert list(enumerate_orderings(sk).closed()) == permute_and_filter(sk)
+    assert closed_forms(enumerate_orderings(sk)) == permute_and_filter(sk)
 
 
 def random_skeleton(rng, n):
@@ -238,15 +253,35 @@ def random_skeleton(rng, n):
     return Compound("p", tuple(extra([leaf(i) for i in range(n) if host[i] is None])))
 
 
-def test_closed_orders_on_random_skeletons():
-    crowded = 0  # skeletons with a host of two or more guests
+def random_skeletons():
+    """(key, skeleton) at seeds 0-299: every 20th has 7 quantifiers
+    (5,040 forms for the oracle to build), the others 1 to 6."""
     for seed in range(300):
         rng = random.Random(seed)
-        # Every 20th has 7 quantifiers: 5,040 forms for the oracle to build.
-        sk = random_skeleton(rng, 7 if seed % 20 == 0 else rng.randint(1, 6))
-        hosts = list(baseline._hosts(skeleton_leaves(sk)).values())
+        yield f"random.s{seed}", random_skeleton(rng, 7 if seed % 20 == 0 else rng.randint(1, 6))
+
+
+def test_one_walk_equals_the_oracle():
+    # The one walk gives what the erasure, leaves and host map of the
+    # oracle give, each from its own walk.
+    for key, sk in SKELETON_CASES + FAMILY_CASES + list(random_skeletons()):
+        core, leaves, host, erased = baseline._parts(sk)
+        want = oracle_leaves(sk)
+        assert core == oracle_erase(sk), key
+        assert leaves == want, key
+        index = {var: i for i, (_, var, _) in enumerate(want)}
+        hosts = oracle_hosts(sk)
+        assert host == [index[hosts[var]] if var in hosts else -1 for _, var, _ in want], key
+        assert erased == [oracle_erase(restriction) for _, _, restriction in want], key
+        assert skeleton_leaves(sk) == leaves, key
+
+
+def test_closed_orders_on_random_skeletons():
+    crowded = 0  # skeletons with a host of two or more guests
+    for key, sk in random_skeletons():
+        hosts = list(oracle_hosts(sk).values())
         crowded += any(hosts.count(h) > 1 for h in hosts)
-        assert list(enumerate_orderings(sk).closed()) == permute_and_filter(sk), seed
+        assert closed_forms(enumerate_orderings(sk)) == permute_and_filter(sk), key
     assert crowded > 50
 
 
@@ -263,7 +298,7 @@ def test_pp_chain_survivor_count_law(depth):
     for seed in (1, 2, 3):
         forms = enumerate_orderings(parse_skeleton(pp_chain(depth, seed)[1]))
         assert len(forms) == math.factorial(depth + 2)
-        assert len(list(forms.closed())) == law
+        assert len(closed_forms(forms)) == law
 
 
 @pytest.mark.parametrize("depth", range(1, 4))
@@ -271,12 +306,12 @@ def test_every_embedding_order_is_closed(depth):
     # No quantifier of an embedding sits in another's restriction.
     for seed in (1, 2, 3):
         forms = enumerate_orderings(parse_skeleton(embedding(depth, seed)[1]))
-        assert len(list(forms.closed())) == len(forms) == math.factorial(depth + 2)
+        assert len(closed_forms(forms)) == len(forms) == math.factorial(depth + 2)
 
 
 def test_embeddings_take_the_closed_orders_without_the_search(monkeypatch):
     # No leaf of an embedding has a host, and each leaf's variable is free
-    # in the core alone, so _closed_orders returns permutations(range(n))
+    # in the core alone, so closed_orders returns permutations(range(n))
     # at once; the search itself never calls permutations.  A PP chain
     # takes the search.
     calls = []
@@ -288,10 +323,10 @@ def test_embeddings_take_the_closed_orders_without_the_search(monkeypatch):
     monkeypatch.setattr(baseline, "permutations", counted)
     for depth, seed in itertools.product((1, 2, 3), (1, 2, 3)):
         n = depth + 2
-        orders = baseline.Orderings(parse_skeleton(embedding(depth, seed)[1]))._closed_orders()
+        orders = baseline.Orderings(parse_skeleton(embedding(depth, seed)[1])).closed_orders()
         assert calls == [n] and orders == list(permutations(range(n)))
         calls.clear()
-    baseline.Orderings(parse_skeleton(pp_chain(2, 1)[1]))._closed_orders()
+    baseline.Orderings(parse_skeleton(pp_chain(2, 1)[1])).closed_orders()
     assert calls == []
 
 
@@ -326,22 +361,20 @@ def test_depth_seven_pp_chain_compares(lex):
 def walked_profiles(forms):
     """Each closed order's profile as compare took it before profiles were
     read off the runs: the order's form, walked for its occurrences."""
-    return [profile_of(occurrences(f)) for f in forms.closed()]
+    return [profile_of(occurrences(f)) for f in closed_forms(forms)]
 
 
 def run_profiles(forms):
-    return [forms.profile(order) for order in forms._closed_orders()]
+    return [forms.profile(order) for order in forms.closed_orders()]
 
 
 def test_run_profiles_equal_walked_profiles_on_random_skeletons():
     # Leaf determiners are distinct here, so each label is its det.
     closed = 0
-    for seed in range(300):
-        rng = random.Random(seed)
-        sk = random_skeleton(rng, 7 if seed % 20 == 0 else rng.randint(1, 6))
+    for key, sk in random_skeletons():
         forms = enumerate_orderings(sk)
-        assert run_profiles(forms) == walked_profiles(forms), seed
-        closed += len(forms._closed_orders())
+        assert run_profiles(forms) == walked_profiles(forms), key
+        closed += len(forms.closed_orders())
     assert closed == 8531
 
 
@@ -369,11 +402,11 @@ def test_a_folded_host_is_labelled_from_its_own_restriction():
     forms = enumerate_orderings(parse_skeleton(HOST_NAMED_IN_GUEST))
     assert forms.labels == ("a-man", "a-woman")
     # The guest must fold into the host to bind X: one closed order.
-    assert forms._closed_orders() == [(0, 1)]
+    assert forms.closed_orders() == [(0, 1)]
     assert forms.profile((0, 1)) == frozenset({("a-man", "a-woman")})
     # Walked in preorder, the host's folded restriction reaches the
     # guest's saw(X, Y) before its own man(X): the label the form gives.
-    (form,) = forms.closed()
+    (form,) = closed_forms(forms)
     assert scope_profile(form) == frozenset({("a-saw", "a-woman")})
 
 
@@ -428,6 +461,39 @@ def test_unmarked_scope_material_rejected(text, message):
     with pytest.raises(BaselineError) as err:
         parse_skeleton(text)
     assert str(err.value) == message
+
+
+LEAF_IN_RESTRICTION = ("saw(q?(two, R, and(rep(R), of(R, q?(three, C, comp(C))))),"
+                       " q?(most, S, samp(S)))")
+
+
+@pytest.mark.parametrize("inner, message", [
+    ("q?(three, comp, C)",
+     "bad marked leaf q?(three, comp, C): a marked leaf must be q?(det, Var, restriction)"),
+    ("q?(three, comp, s-three(comp))",
+     "bad marked leaf q?(three, comp, s-three(comp)): a marked leaf"
+     " must be q?(det, Var, restriction)"),
+    ("q-three(C, comp(C), C)",
+     "unmarked quantifier q-three(C, comp(C), C) in a skeleton:"
+     " mark each quantifier q?(det, Var, restriction)"),
+    ("q?(three, C, s-three(comp))",
+     "unmarked set form s-three(comp) in a skeleton:"
+     " mark each quantifier q?(det, Var, restriction)"),
+])
+def test_offender_inside_a_restriction_rejected(inner, message):
+    # The walk into a host's restriction refuses what the walk of the core
+    # refuses, a marked leaf before what it holds.
+    text = LEAF_IN_RESTRICTION.replace("q?(three, C, comp(C))", inner)
+    with pytest.raises(BaselineError) as err:
+        parse_skeleton(text)
+    assert str(err.value) == message
+
+
+def test_first_offender_in_preorder_rejected():
+    # The unmarked quantifier comes before the bad leaf q?(most, s, ...).
+    with pytest.raises(BaselineError) as err:
+        parse_skeleton("saw(q-two(R, rep(R), R), q?(most, s, samp(S)))")
+    assert str(err.value).startswith("unmarked quantifier q-two(R, rep(R), R) ")
 
 
 # --- comparison against derived readings ---------------------------------------

@@ -19,11 +19,9 @@ from ccgscope.categories import (
     subst_cat,
 )
 from ccgscope.chart import (
-    ChartError,
     ResourceError,
     bwd_apply,
     bwd_compose,
-    check_backpointers,
     count_derivations,
     derivations,
     fwd_apply,
@@ -31,7 +29,6 @@ from ccgscope.chart import (
     parse,
     passes_through,
     pretty,
-    replay,
 )
 from ccgscope.cli import _corpus_entry, _data_text, read_data, tokenize
 from ccgscope.lexicon import (
@@ -56,10 +53,13 @@ from ccgscope.terms import (
     subterms,
 )
 
+import helpers
 from helpers import (
     CHART_FORM_VARIANTS,
+    ChartError,
     all_pairs_parse,
     cat_vars,
+    check_backpointers,
     cluster,
     embedding,
     item_sequence,
@@ -68,6 +68,7 @@ from helpers import (
     oracle_live_edges,
     oracle_live_shapes,
     pp_chain,
+    replay,
     tagged_cat,
     unrecorded,
     well_formed,
@@ -286,7 +287,7 @@ def test_backpointer_check_keys_each_item_once(lex, monkeypatch):
         calls.append(cat)
         return cat_key(cat)
 
-    monkeypatch.setattr(chart_module, "cat_key", counted)
+    monkeypatch.setattr(helpers, "cat_key", counted)
     check_backpointers(chart)
     assert len(calls) == sum(map(len, rules)) + sum(1 for backs in rules if backs)
 

@@ -6,9 +6,11 @@ whose every line the CLI benchmark parses.
 
 import pytest
 
-from ccgscope.chart import check_backpointers, count_derivations, derivations
+from ccgscope.chart import count_derivations, derivations
 from ccgscope.readings import readings_from_chart, scope_profile
 from ccgscope.terms import Compound, is_and, is_quant, subterms
+
+from helpers import check_backpointers
 
 SUBJECT = "every dealer shows most customers three cars"
 CONJUNCTS = [" but two mechanics five cars", " and all boys one car",

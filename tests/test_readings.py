@@ -404,7 +404,7 @@ def test_the_readings_layer_agrees_with_its_node_by_node_oracles(chart_of, readi
         for item in forms:
             t = item.cat.sem
             violates = oracle_intensional_violation(t)
-            assert _intensional_violation(t) == violates, format_term(t)
+            assert _intensional_violation(t, _summarize(t, {})) == violates, format_term(t)
             if not violates:
                 canon = oracle_normalize(t)
                 groups[canon] = groups.get(canon, 0) + counts[item.id]
