@@ -62,6 +62,7 @@ from .terms import (
     TermError,
     Up,
     Var,
+    _NAME,
     _Tokens,
     apply_reduced,
     format_pieces,
@@ -190,13 +191,13 @@ def canonical_cat(cat: Category) -> Category:
 # --- textual syntax ---------------------------------------------------------
 
 def parse_cat(text: str) -> Category:
-    """The category text spells, read token by token (terms._Tokens).  An
+    """The category text spells, read by token index (terms._Tokens).  An
     atomic written without a term gets the next of V'1, V'2, ..., left to
     right: names no text spells (module docstring)."""
     toks = _Tokens(text)
     try:
         cat = _cat(toks, (Var(f"V'{n}") for n in itertools.count(1)))
-        if toks.peek():
+        if toks.toks[toks.i]:
             raise toks.error("trailing input")
     except TermError as e:
         raise CatError(str(e)) from None
@@ -205,25 +206,33 @@ def parse_cat(text: str) -> Category:
 
 def _cat(toks: _Tokens, fresh: Iterator[Var]) -> Category:
     left = _part(toks, fresh)
-    while toks.peek() in ("/", "\\"):
-        left = Slash(toks.take(), left, _part(toks, fresh))
+    seq = toks.toks
+    slash = seq[toks.i]
+    while slash in ("/", "\\"):
+        toks.i += 1
+        left = Slash(slash, left, _part(toks, fresh))
+        slash = seq[toks.i]
     return left
 
 
 def _part(toks: _Tokens, fresh: Iterator[Var]) -> Category:
-    if toks.peek() == "(":
-        toks.take()
+    seq, i = toks.toks, toks.i
+    sort = seq[i]
+    if sort == "(":
+        toks.i = i + 1
         inner = _cat(toks, fresh)
         toks.expect(")")
-        if toks.peek() == ":":
+        if seq[toks.i] == ":":
             raise toks.error("':' may only annotate an atomic category,")
         return inner
-    sort = toks.name()
     if sort not in SORTS:
-        raise toks.error(f"unknown sort {sort!r}", toks.starts[toks.i - 1])
-    if toks.peek() == ":":
-        toks.take()
+        if _NAME.match(sort) is None:
+            raise toks.error("expected a name")
+        raise toks.error(f"unknown sort {sort!r}")
+    if seq[i + 1] == ":":
+        toks.i = i + 2
         return Atomic(sort, parse_term_at(toks))
+    toks.i = i + 1
     return Atomic(sort, next(fresh))
 
 

@@ -63,8 +63,12 @@ own, so two chart forms of one family differ in one of these ways:
 
 So duplicates need keys only across declarations, and only between
 entries of the same lexeme and the same shape (cat_shape), which is
-compared first.  Loading the bundled lexicon computes one key per type
-and none per entry.
+compared first.  A family's entries are born with their shapes: the type
+set works out, once per type, the shape of each raised entry kind over
+it (TypeSet.types), so no family is walked for a shape.  A load reads
+each distinct category text once, so ``::`` entries and types with
+equal text share one category, which nothing changes.  Loading the
+bundled lexicon computes one key per type and none per entry.
 
 Chart copies.  A chart takes an entry in its chart form, renamed apart
 from every other category the lexicon has renamed, and files it under
@@ -130,7 +134,8 @@ class _LexEntryFields(NamedTuple):
 class LexEntry(_LexEntryFields):
     """A lexical entry, told apart by chart_key.  Its chart form, key and
     shape are computed once, on first use, and stored on the entry: the
-    class has no __slots__, so they live in the instance's __dict__."""
+    class has no __slots__, so they live in the instance's __dict__.  A
+    raised entry is born with its shape stored (instantiate_raised)."""
 
     @cached_property
     def chart_cat(self) -> Category:
@@ -154,6 +159,8 @@ class LexEntry(_LexEntryFields):
 # docstring): no text spells a primed name, so no type holds them.
 _NOUN = Var("N'")
 _QVAR = Var("V'")
+# The shape of every family's plain entry, np/n.
+_PLAIN_SHAPE = Slash("/", "np", "n")
 
 
 class TypeSet:
@@ -164,11 +171,14 @@ class TypeSet:
         self.cats = tuple(cats)
 
     @cached_property
-    def types(self) -> Tuple[Tuple[Category, Optional[Var]], ...]:
-        """(T, R) per type T, deduplicated by its chart form's key, first
-        occurrence kept, in declaration order: R is T's result semantics
-        when T's result sort is s, else None.  LexiconError for a type of
-        result sort s whose result semantics is not a variable."""
+    def types(self) -> Tuple[Tuple[Category, Optional[Var], Slash, Slash], ...]:
+        """(T, R, forward, backward) per type T, deduplicated by its chart
+        form's key, first occurrence kept, in declaration order: R is T's
+        result semantics when T's result sort is s, else None; forward and
+        backward are the shapes (T/(T\\np))/n and (T\\(T/np))/n of the
+        forward and the backward raised entries over T, narrow and wide
+        alike.  LexiconError for a type of result sort s whose result
+        semantics is not a variable."""
         out, keys = [], set()
         for t in self.cats:
             key = cat_key(subst_cat({}, t))
@@ -176,13 +186,13 @@ class TypeSet:
                 continue
             keys.add(key)
             core = result_atomic(t)
-            if core.sort != "s":
-                out.append((t, None))
-            elif isinstance(core.sem, Var):
-                out.append((t, core.sem))
-            else:
+            if core.sort == "s" and not isinstance(core.sem, Var):
                 raise LexiconError(
                     f"type set entry {cat_text(t)} has a non-variable result")
+            shape = cat_shape(t)
+            out.append((t, core.sem if core.sort == "s" else None,
+                        Slash("/", Slash("/", shape, Slash("\\", shape, "np")), "n"),
+                        Slash("/", Slash("\\", shape, Slash("/", shape, "np")), "n")))
         return tuple(out)
 
 
@@ -208,8 +218,12 @@ def instantiate_raised(lexeme: Tuple[str, ...], num: str, qsym: str, ssym: str,
     tag = " ".join(lexeme)
     number = Atom(num)
 
-    def entry(cat: Category) -> LexEntry:
-        return LexEntry(lexeme, cat, tag)
+    def entry(cat: Category, shape: Slash) -> LexEntry:
+        # Born with its shape, so neither the duplicate check nor a chart
+        # walks it for one (LexEntry.shape).
+        made = LexEntry(lexeme, cat, tag)
+        made.shape = shape
+        return made
 
     def np_of(sem) -> Atomic:
         return Atomic("np", Compound("num", (sem, number)))
@@ -218,18 +232,18 @@ def instantiate_raised(lexeme: Tuple[str, ...], num: str, qsym: str, ssym: str,
     n_narrow = Atomic("n", _NOUN)
     np_wide = np_of(_QVAR)
     n_wide = Atomic("n", Lam(_QVAR, _NOUN))
-    out = [entry(Slash("/", np_narrow, n_narrow))]
-    for t, core in tset.types:
+    out = [entry(Slash("/", np_narrow, n_narrow), _PLAIN_SHAPE)]
+    for t, core, forward, backward in tset.types:
         # One shared copy of T: the argument's inner T and the result T
         # carry the same variables, so applying the entry threads the
         # embedded functor's semantics straight through.
-        out.append(entry(Slash("/", Slash("/", t, Slash("\\", t, np_narrow)), n_narrow)))
-        out.append(entry(Slash("/", Slash("\\", t, Slash("/", t, np_narrow)), n_narrow)))
+        out.append(entry(Slash("/", Slash("/", t, Slash("\\", t, np_narrow)), n_narrow), forward))
+        out.append(entry(Slash("/", Slash("\\", t, Slash("/", t, np_narrow)), n_narrow), backward))
         if core is None:
             continue
         t_out = replace_result_sem(t, Compound(qsym, (_QVAR, _NOUN, core)))
-        out.append(entry(Slash("/", Slash("/", t_out, Slash("\\", t, np_wide)), n_wide)))
-        out.append(entry(Slash("/", Slash("\\", t_out, Slash("/", t, np_wide)), n_wide)))
+        out.append(entry(Slash("/", Slash("/", t_out, Slash("\\", t, np_wide)), n_wide), forward))
+        out.append(entry(Slash("/", Slash("\\", t_out, Slash("/", t, np_wide)), n_wide), backward))
     return out
 
 
@@ -305,11 +319,15 @@ class Lexicon:
         return UnknownTokenError(f"unknown token {word!r} at position {i}{hint}")
 
 
-def _checked(text: str) -> Category:
+def _checked(text: str, read: dict) -> Category:
     """The category text spells, unless it holds a quantifier over a
     non-variable.  A quantifier's functor is a name read verbatim from
     the text, so a text that does not spell QUANT_PREFIX holds none, and
-    its category is not walked."""
+    its category is not walked.  read maps each text already read to its
+    category, which is returned again: a text is read once."""
+    cat = read.get(text)
+    if cat is not None:
+        return cat
     cat = parse_cat(text)
     if QUANT_PREFIX in text:
         for at in atomics(cat):
@@ -317,12 +335,16 @@ def _checked(text: str) -> Category:
             if q is not None:
                 raise LexiconError(f"quantifier {q.functor} binds the non-variable"
                                    f" {format_term(q.args[0])}")
+    read[text] = cat
     return cat
 
 
 def load_lexicon(text: str) -> Lexicon:
     lex = Lexicon()
     tset = TypeSet(())
+    # Category text -> category, for this load: entries and types with
+    # equal text share one category, which nothing changes.
+    read: dict = {}
     raises: List[Tuple[int, Tuple[str, ...], str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -331,7 +353,7 @@ def load_lexicon(text: str) -> Lexicon:
         try:
             if line.startswith("@tset"):
                 body = line[len("@tset"):].strip()
-                tset = TypeSet(_checked(part.strip()) for part in _split_top(body))
+                tset = TypeSet(_checked(part.strip(), read) for part in _split_top(body))
             elif line.startswith("@raise"):
                 fields = line.split()
                 if len(fields) < 5:
@@ -343,7 +365,7 @@ def load_lexicon(text: str) -> Lexicon:
                 lexeme = tuple(lhs.split())
                 if not lexeme:
                     raise LexiconError("empty lexeme")
-                cat = _checked(rhs.strip())
+                cat = _checked(rhs.strip(), read)
                 lex._add([LexEntry(lexeme, cat, " ".join(lexeme))], lineno)
             else:
                 raise LexiconError("expected 'lexeme :: category', @tset or @raise")

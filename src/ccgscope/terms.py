@@ -590,74 +590,70 @@ def _is_var_name(name: str) -> bool:
 
 
 class _Tokens:
-    """The tokens of a text, read one at a time.  A token is blanks, then
-    a name or any one other character; peek() is the next token, "" at
-    the end.  Every error names the position of the next token, after
-    its blanks (the text's length at the end)."""
+    """The tokens of a text, from one regex call.  A token is blanks, then
+    a name or any one other character; toks holds them without their
+    blanks, then "", and i is the index of the next.  The readers read
+    toks by index.  Every error names the position of a token (the next
+    by default), after its blanks (the text's length at the end); the
+    positions are worked out only then."""
 
     def __init__(self, text: str):
         self.text = text
-        matches = list(_TOKEN.finditer(text))
-        self.toks = [m[1] for m in matches] + [""]
-        self.starts = [m.start(1) for m in matches] + [len(text)]
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")
         self.i = 0
+
+    def start(self, i: int) -> int:
+        """The position of token i."""
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text)]
+        starts.append(len(self.text))
+        return starts[i]
 
     def error(self, msg: str, pos: Optional[int] = None) -> TermError:
         if pos is None:
-            pos = self.starts[self.i]
+            pos = self.start(self.i)
         return TermError(f"{msg} at position {pos}: {self.text!r}")
-
-    def peek(self) -> str:
-        return self.toks[self.i]
-
-    def take(self) -> str:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
 
     def expect(self, tok: str) -> None:
         if self.toks[self.i] != tok:
             raise self.error(f"expected {tok!r}")
         self.i += 1
 
-    def name(self) -> str:
-        tok = self.toks[self.i]
-        if _NAME.match(tok) is None:
-            raise self.error("expected a name")
-        self.i += 1
-        return tok
-
 
 def parse_term_at(toks: _Tokens) -> Term:
     """The term that starts at the next token; toks is left after it."""
     t = _primary(toks)
-    if toks.peek() == "^":
+    if toks.toks[toks.i] == "^":
         if not isinstance(t, Var):
             raise toks.error("lambda parameter must be a variable")
-        toks.take()
+        toks.i += 1
         return Lam(t, parse_term_at(toks))
     return t
 
 
 def _primary(toks: _Tokens) -> Term:
-    if toks.peek() == "(":
-        toks.take()
+    seq, i = toks.toks, toks.i
+    name = seq[i]
+    if name == "(":
+        toks.i = i + 1
         t = parse_term_at(toks)
         toks.expect(")")
         return t
-    name = toks.name()
-    if toks.peek() != "(":
+    if _NAME.match(name) is None:
+        raise toks.error("expected a name")
+    if seq[i + 1] != "(":
+        toks.i = i + 1
         return Var(name) if _is_var_name(name) else Atom(name)
-    toks.take()
+    toks.i = i + 2
     args = [parse_term_at(toks)]
-    while toks.peek() == ",":
-        toks.take()
+    while seq[toks.i] == ",":
+        toks.i += 1
         args.append(parse_term_at(toks))
     toks.expect(")")
     if name == "up":
         if len(args) != 1:
             # The position just past the closing parenthesis.
-            raise toks.error("up takes exactly one argument", toks.starts[toks.i - 1] + 1)
+            raise toks.error("up takes exactly one argument", toks.start(toks.i - 1) + 1)
         return Up(args[0])
     return Compound(name, tuple(args))
 
@@ -665,7 +661,7 @@ def _primary(toks: _Tokens) -> Term:
 def parse_term(text: str) -> Term:
     toks = _Tokens(text)
     t = parse_term_at(toks)
-    if toks.peek():
+    if toks.toks[toks.i]:
         raise toks.error("trailing input")
     return t
 

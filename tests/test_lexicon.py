@@ -5,7 +5,8 @@ import pytest
 
 from ccgscope import lexicon as lexicon_module
 from ccgscope.categories import cat_key, cat_shape, cat_text, parse_cat, subst_cat
-from ccgscope.cli import _data_text
+from ccgscope.chart import parse
+from ccgscope.cli import _corpus_entry, _data_text, read_data, tokenize
 from ccgscope.lexicon import (
     LexiconError,
     TypeSet,
@@ -280,8 +281,45 @@ def test_default_lexicon_keys_only_its_types(monkeypatch):
     assert len(calls) == 7
 
 
+def test_default_lexicon_reads_each_text_once_and_walks_no_family(monkeypatch):
+    # Structural gate on the load's cost.  parse_cat runs once per
+    # distinct category text of the :: and @tset lines, counted here from
+    # the file (its @tset line holds no comma inside parentheses): lines
+    # with equal text, such as girl and girls, share one category.  And no
+    # @raise entry is walked for its shape, at load or in a parse of a
+    # corpus sentence: each family is born with its shapes.
+    texts, raised = set(), set()
+    for raw in _data_text("fragment.lex").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("@tset"):
+            texts.update(part.strip() for part in line[len("@tset"):].split(","))
+        elif line.startswith("@raise"):
+            raised.add(tuple(line.split()[1:-3]))
+        elif "::" in line:
+            texts.add(line.split("::", 1)[1].strip())
+    read, walked = [], []
+
+    def counted_parse(text):
+        read.append(text)
+        return parse_cat(text)
+
+    def counted_shape(cat):
+        walked.append(cat)
+        return cat_shape(cat)
+    monkeypatch.setattr(lexicon_module, "parse_cat", counted_parse)
+    monkeypatch.setattr(lexicon_module, "cat_shape", counted_shape)
+    lex = default_lexicon()
+    assert len(read) == len(texts) == 66
+    assert set(read) == texts
+    for _, sentence, _, _ in read_data("corpus.txt", None, _corpus_entry):
+        parse(tokenize(sentence), lex)
+    family_cats = {id(e.cat) for e in lex.entries if e.lexeme in raised}
+    assert len(family_cats) == 13 * 27  # 13 @raise lines, 27 entries each
+    assert walked and not any(id(cat) in family_cats for cat in walked)
+
+
 def entry_rows(entries):
-    return [(e.lexeme, e.chart_key, e.tag, e.cat, e.chart_cat) for e in entries]
+    return [(e.lexeme, e.chart_key, e.tag, e.cat, e.chart_cat, e.shape) for e in entries]
 
 
 def test_load_agrees_with_entry_by_entry_oracle_on_the_bundled_lexicon():
@@ -291,12 +329,15 @@ def test_load_agrees_with_entry_by_entry_oracle_on_the_bundled_lexicon():
         lex = default_lexicon()
     assert warned == []
     assert entry_rows(lex.entries) == entry_rows(entries)
+    # The shapes a family is born with are the ones its categories spell.
+    assert all(e.shape == cat_shape(e.cat) for e in lex.entries + entries)
 
 
 # Pools for generated lexicons: variant and duplicate types (s:A\np:B is
 # s\np, n:N\n:M is n\n), types and written entries whose chart forms
 # alone are variants, determiners of one and two words, and written
-# entries that equal raised ones or share a lexeme and a shape.
+# entries that equal raised ones, share a lexeme and a shape, or share
+# their text with another lexeme's.
 GEN_TYPES = [r"s", r"s\np", r"s:A\np:B", r"s/np", r"(s\np)/np", r"(s:S\np:X)/np:Y",
              r"s/(s\np)", r"n\n", r"n:N\n:M", r"s:P\np:num(X,sg)",
              r"n:and(a,and(b,c))\n", r"n:and(and(a,b),c)\n"]
@@ -308,7 +349,8 @@ GEN_WRITTEN = ["every :: np:num(s-every(N),sg)/n:N",
                "a few :: n:X^few(X)", "x :: np:a", "x :: np:b", "x :: np:A",
                "x :: np:B", "x :: s:ok/np:N", "x :: s:ok/np:M",
                "x :: np:and(a,and(b,c))", "x :: np:and(and(a,b),c)",
-               "x :: np:s-a(X^p(X))", "x :: np:s-a(p)"]
+               "x :: np:s-a(X^p(X))", "x :: np:s-a(p)", "y :: np:a",
+               "few :: n:X^few(X)"]
 
 
 def generated_lexicon(seed):
@@ -329,6 +371,7 @@ def covered_cases(text, entries, warned):
     written = {cat_text(parse_cat(line.split("::")[1])) for line in lines if "::" in line}
     x_shapes = [e.shape for e in entries if e.lexeme == ("x",)]
     x_written = {parse_cat(line.split("::")[1]) for line in lines if line.startswith("x ::")}
+    declared = [tuple(part.strip() for part in line.split("::")) for line in lines if "::" in line]
 
     def chart_form_variants(cats):
         return len({cat_key(subst_cat({}, c)) for c in cats}) \
@@ -343,7 +386,9 @@ def covered_cases(text, entries, warned):
         ("written equals raised", any(
             lines[int(w.split(":")[0][len("line "):]) - 1].startswith("@raise")
             and w.split("dropped: ")[1] in written for w in warned)),
-        ("equal shapes", len(set(x_shapes)) < len(x_shapes))] if hit}
+        ("equal shapes", len(set(x_shapes)) < len(x_shapes)),
+        ("shared text", len({text for _, text in declared}) < len(set(declared))),
+        ("repeated text", len(set(declared)) < len(declared))] if hit}
 
 
 def test_load_agrees_with_entry_by_entry_oracle_on_generated_lexicons():
@@ -355,11 +400,13 @@ def test_load_agrees_with_entry_by_entry_oracle_on_generated_lexicons():
             warnings.simplefilter("always")
             lex = load_lexicon(text)
         assert entry_rows(lex.entries) == entry_rows(entries), text
+        assert all(e.shape == cat_shape(e.cat) for e in lex.entries + entries), text
         assert [str(w.message) for w in caught] == warned, text
         covered |= covered_cases(text, entries, warned)
     assert covered == {"variant types", "chart form variant types",
                        "chart form variant entries", "repeated raise",
-                       "written equals raised", "equal shapes"}
+                       "written equals raised", "equal shapes", "shared text",
+                       "repeated text"}
 
 
 def test_error_reports_line_number():
