@@ -5,12 +5,12 @@ can compose into a ditransitive verb; backward composition is degree 1.
 Unconsumed argument slots ride through composition only under
 `passes_through`.  Raising is entirely lexical, so no unary rules appear
 here.  Cells deduplicate by canonicalized category, merging backpointers
-into a packed forest.  Every category in the chart is in canonical form:
+into a packed forest.  Every category in the chart is in canonical form and recorded (terms):
 lexical entries enter in their chart form (LexEntry.chart_cat, computed
 once per entry), the n-th occurrence of an entry in a sentence as its
-n-th copy renamed apart, made once per lexicon (Lexicon.chart_copy), and
-the rules build their results with subst_cat, which follows the unifier
-and canonicalizes in one walk.  So cells deduplicate
+n-th copy renamed apart and recorded, made once per lexicon
+(Lexicon.chart_copy), and the rules build their results with subst_cat,
+which follows the unifier and canonicalizes in one walk.  So cells deduplicate
 modulo the associativity of and/2: the bracketings of a coordination
 share one item, and an n-conjunct cluster keeps its scopings instead of
 Catalan-many copies.  The walk returns at once every subterm whose
@@ -18,41 +18,40 @@ recorded variables the unifier leaves unbound (terms.apply_reduced), so
 a rule result costs the part of its operands that the unifier reaches,
 not the whole of them.
 
-Keys.  Two rule results are one item iff their categories are variants,
+Keys.  Two items of a span are one iff their categories are variants,
 that is iff their cat_keys, tuples that encode the canonical copy node
 by node with each node's type, are equal.  Chart.cells maps a span to
-its items in id order.  Keying is a walk over the whole category, and
-most rule results duplicate an item, nearly all of them equal as terms
-to a category the cell already holds.  So add first looks a result up
-by the category itself, in a dict local to parse that holds, per span,
-every category filed there (terms hash and compare in C).  Equal
-categories are variants, so a hit is the item a key would give, and
-ids and backpointers do not change.  A miss, a new item or a variant
-duplicate, is filed there too, and gets a signature (_signature) read
-without walking its terms: its shape id and, per atomic, its
-semantics' functor and the size of its variable record.  Every rule
-result's semantics carries a record or is a variable or an atom,
-because subst_cat builds it with apply_reduced, which records every
-compound, lambda and up(.) term it returns (terms).  A one-to-one
-renaming keeps all three, so variants share a signature, and a miss
-whose signature no item of its cell has is a new item, made without a
-key.  cat_key runs only for a miss whose cell holds an item of its
-signature, or a lexical item (a multi-word lexeme), and then once too
-for the first item of that signature, which until then was filed
-unkeyed; the keyed items of a span are looked up by key.  A lexical item
-is not keyed at all: it enters with its entry's chart_key, the key of
-every renamed copy of the entry's chart form, worked out once per
-entry.  Over the corpus and the test families (test_chart's
-KEYING_CASES) that is 5,009 keys for 8,749 items, 960 of them lexical:
-4,137 misses shared a signature and 872 items were keyed when one
-first did.  Keying every miss took 8,030, and keying every entry and
-result 16,825: 7,835 results were equal duplicates and 241 variants.
-On the coord_cluster benchmark a seed-1 pass makes 386 misses and
-36 keys.  The key builds no text: cat_text prints a category for
-pretty, the CLI and error messages, and nothing compares printed text.
-add appends a backpointer without a search, as each is new: parse tries
-a rule's (label, left id, right id) once, and a span's lexical items are
-entries of one lexeme, no two with one chart_key (lexicon).
+its items in id order.  add files a lexical item and a rule result
+alike.  Keying is a walk over the whole category, and most rule results
+duplicate an item, nearly all of them equal as terms to a category the
+cell already holds.  So add first looks a category up by itself, in a
+dict local to parse that holds, per span, every category filed there
+(terms hash and compare in C).  Equal categories are variants, so a hit
+is the item a key would give, and ids and backpointers do not change.
+A miss, a new item or a variant duplicate, is filed there too, and gets
+a signature (_signature) read without walking its terms: its shape id
+and, per atomic, its semantics' functor and the size of its variable
+record.  Every chart category's semantics carries a record or is a
+variable or an atom: subst_cat builds a rule result with apply_reduced,
+which records every compound, lambda and up(.) term it returns (terms),
+and a lexical copy is recorded as it is made.  A one-to-one renaming
+keeps all three, so variants share a signature, and a miss whose
+signature no item of its cell has is a new item, made without a key.
+cat_key runs only for a miss whose cell holds an item of its signature,
+and then once too for the first item of that signature, which until
+then was filed unkeyed; the keyed items of a span are looked up by key.
+Over the corpus and the test families (test_chart's KEYING_CASES) that
+is 5,009 keys for 8,749 items, 960 of them lexical, no two of which
+share a cell and a signature: 4,137 misses shared a signature and 872
+items were keyed when one first did.  Keying every miss would take
+8,990, and keying every lexical item and result 16,825: 7,835 results
+were equal duplicates and 241 variants.  On the coord_cluster benchmark
+a seed-1 pass makes 596 misses, 210 of them lexical items, and 36 keys.
+The key builds no text: cat_text prints a category for pretty, the CLI
+and error messages, and nothing compares printed text.  add appends a
+backpointer without a search, as each is new: parse tries a rule's
+(label, left id, right id) once, and a span's lexical items are entries
+of one lexeme, no two of them variants (lexicon).
 
 parse runs in two passes over one statement of the rules: the rows of
 ROWS, which read the Slash tuple that categories and their shapes share.
@@ -415,7 +414,7 @@ def _live_edges(n: int, lexical: Dict[Tuple[int, int], list]) -> Tuple[dict, dic
 
 
 def _signature(cat: Category) -> tuple:
-    """A rule result's signature but its shape id ("Keys" above), read
+    """A chart category's signature but its shape id ("Keys" above), read
     without walking its terms: per atomic in preorder, its semantics'
     functor (an atom's name, or the node type of a variable, lambda or
     up(.)) and the size of its variable record, a variable counting 1."""
@@ -455,14 +454,12 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     entry's, a rule result its edge's result shape.
 
     The n-th occurrence of a live entry in the sentence enters as the
-    entry's n-th chart copy (Lexicon.chart_copy), made on first need in
-    any parse on this lexicon and kept, so it is renamed once per
-    lexicon, not once per parse, and the records the rules write on its
-    terms serve later parses too.  No two lexical items of the chart
-    share a variable, and each is filed under its entry's chart_key,
-    without a cat_key walk.  A rule result is keyed only when its cell
-    holds a lexical item or an item of its signature ("Keys" above).  No
-    backpointer repeats."""
+    entry's n-th chart copy (Lexicon.chart_copy), made and recorded on
+    first need in any parse on this lexicon and kept, so it is renamed
+    once per lexicon, not once per parse.  No two lexical items of the
+    chart share a variable.  A lexical item is filed as a rule result
+    is, and either is keyed only when its cell holds an item of its
+    signature ("Keys" above).  No backpointer repeats."""
     tokens = tuple(tokens)
     if len(tokens) > MAX_TOKENS:
         raise ResourceError(
@@ -475,17 +472,16 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
     chart = Chart(tokens, {}, {})
     # Per span, each category filed there so far, mapped to its item.
     known: Dict[Tuple[int, int], Dict[Category, Item]] = {}
-    # Per span, the items filed under their cat_key: the lexical items,
-    # and each rule item that shares its signature with another result.
+    # Per span, the items filed under their cat_key: each that shares its
+    # signature with another item of the span.
     keyed: Dict[Tuple[int, int], Dict[tuple, Item]] = {}
-    # Per span, each rule item's signature, mapped to the item while it is
-    # not keyed, and to None once the span's items of it are all keyed.
+    # Per span, each item's signature, mapped to the item while it is not
+    # keyed, and to None once the span's items of it are all keyed.
     signed: Dict[Tuple[int, int], dict] = {}
     # Per item id, the shape table id of its shape.
     shape_ids: List[Optional[int]] = [None]
-    held = set()  # the spans that hold a lexical item
 
-    def add(span, cat, shape, back, key=None):
+    def add(span, cat, shape, back):
         seen = known.get(span)
         if seen is None:
             seen = known[span] = {}
@@ -493,19 +489,15 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
         item = seen.get(cat)
         if item is None:
             by_sig = signed[span]
-            sig = None
-            if key is None:
-                sig = (shape, _signature(cat))
-                if sig in by_sig:
-                    first = by_sig[sig]
-                    if first is not None:
-                        keyed.setdefault(span, {})[cat_key(first.cat)] = first
-                        by_sig[sig] = None
-                    key = cat_key(cat)
-                elif span in held:
-                    key = cat_key(cat)
-            if key is not None:
+            sig = (shape, _signature(cat))
+            key = None
+            if sig in by_sig:
                 by_key = keyed.setdefault(span, {})
+                first = by_sig[sig]
+                if first is not None:
+                    by_key[cat_key(first.cat)] = first
+                    by_sig[sig] = None
+                key = cat_key(cat)
                 item = by_key.get(key)
             if item is None:
                 if len(chart.items) >= MAX_ITEMS:
@@ -515,10 +507,10 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
                 chart.cells.setdefault(span, []).append(item)
                 chart.items[item.id] = item
                 shape_ids.append(shape)
-                if key is not None:
+                if key is None:
+                    by_sig[sig] = item
+                else:
                     by_key[key] = item
-                if sig is not None:
-                    by_sig[sig] = None if key is not None else item
             seen[cat] = item
         item.backs.append(back)
 
@@ -541,9 +533,7 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
         if shape in live.get(span, ()):
             nth = uses.get(id(entry), 0)
             uses[id(entry)] = nth + 1
-            add(span, lexicon.chart_copy(entry, nth), shape, ("lex", entry.tag),
-                entry.chart_key)
-            held.add(span)
+            add(span, lexicon.chart_copy(entry, nth), shape, ("lex", entry.tag))
 
     cells = chart.cells
     for (i, j), edges in splits.items():
@@ -572,15 +562,18 @@ def parse(tokens, lexicon: Lexicon) -> Chart:
 
 def count_derivations(chart: Chart) -> Dict[int, int]:
     """Derivation count per item id over the packed forest.  A rule
-    backpointer names two items of smaller widths, which closure built
-    before the item, so their ids are smaller: one pass in id order finds
-    both counts ready."""
+    backpointer names two items whose spans are strictly narrower than
+    its item's, so one pass over the cells by span width finds both
+    counts ready.  Ids give no such order: a lexical item of a
+    multi-word lexeme is built before closure, and a rule result of
+    its span may merge into it."""
     counts: Dict[int, int] = {}
-    for i in sorted(chart.items):
-        total = 0
-        for back in chart.items[i].backs:
-            total += 1 if back[0] == "lex" else counts[back[1]] * counts[back[2]]
-        counts[i] = total
+    for span in sorted(chart.cells, key=lambda span: span[1] - span[0]):
+        for item in chart.cells[span]:
+            total = 0
+            for back in item.backs:
+                total += 1 if back[0] == "lex" else counts[back[1]] * counts[back[2]]
+            counts[item.id] = total
     return counts
 
 

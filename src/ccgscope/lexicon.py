@@ -71,13 +71,15 @@ equal text share one category, which nothing changes.  Loading the
 bundled lexicon computes one key per type and none per entry.
 
 Chart copies.  A chart takes an entry in its chart form, renamed apart
-from every other category the lexicon has renamed, and files it under
-its key.  Each depends on the entry alone and is made once: the chart
-form and key at load only for an entry the duplicate check compares,
-else on first need in a parse, and the copies in a parse.  A lexicon
-keeps its copies per entry; the n-th occurrence of an entry in a
-sentence enters as its n-th copy (chart_copy).  A one-to-one renaming
-keeps the key (categories), so every copy is filed under chart_key.
+from every other category the lexicon has renamed, and recorded as it
+is made: subst_cat with no bindings writes the variable record of each
+compound, lambda and up(.) term of the copy and returns it as is
+(terms).  The chart form depends on the entry alone and is made once:
+at load only for an entry the duplicate check compares, else on first
+need in a parse.  A lexicon keeps its copies per entry; the n-th
+occurrence of an entry in a sentence enters as its n-th copy
+(chart_copy), and a chart files it as it files a rule result (chart,
+"Keys").  Only the duplicate check reads chart_key.
 """
 
 from __future__ import annotations
@@ -146,7 +148,8 @@ class LexEntry(_LexEntryFields):
     @cached_property
     def chart_key(self) -> tuple:
         """cat_key(chart_cat): the key of every renamed copy of chart_cat,
-        as a one-to-one renaming never changes a key (categories)."""
+        as a one-to-one renaming never changes a key (categories).  The
+        duplicate check compares it; a chart does not read it."""
         return cat_key(self.chart_cat)
 
     @cached_property
@@ -300,13 +303,15 @@ class Lexicon:
     def chart_copy(self, entry: LexEntry, n: int) -> Category:
         """entry's n-th chart copy, counting from 0: entry.chart_cat with
         every variable renamed apart from all this lexicon has renamed,
-        made on first need and returned as is from then on.  No two copies
-        share a variable, so a chart takes an entry's n-th occurrence as
-        its n-th copy.  The variable records that rule walks write on a
-        copy's terms (see terms) serve every later chart."""
+        and recorded as it is made (subst_cat with no bindings, which
+        returns the renamed copy as is and writes the variable record of
+        each of its compound, lambda and up(.) terms; see terms).  Made on
+        first need and returned as is from then on.  No two copies share a
+        variable, so a chart takes an entry's n-th occurrence as its n-th
+        copy, and files it as it files a rule result (chart, "Keys")."""
         copies = self._copies.setdefault(id(entry), (entry, []))[1]
         while len(copies) <= n:
-            copies.append(standardize_apart(entry.chart_cat, self._fresh))
+            copies.append(subst_cat({}, standardize_apart(entry.chart_cat, self._fresh)))
         return copies[n]
 
     def unknown_token(self, tokens: Tuple[str, ...], i: int) -> UnknownTokenError:

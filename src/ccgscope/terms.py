@@ -45,8 +45,11 @@ variable.  Records live in the instance's __dict__, outside the tuple,
 so equality, hashing and repr ignore them, and building a term costs
 nothing extra.  Two walks skip by them: apply_reduced returns a recorded
 term that its unifier does not reach, and occurs reads a recorded term's
-variables instead of its nodes.  Unrecorded terms (parser output, renamed
-copies, the normalizer's forms) are walked node by node.
+variables instead of its nodes.  Every compound, lambda and up(.) term
+a chart holds is recorded: a rule result's by the walk that builds it,
+and a lexical chart copy's as the lexicon makes it (apply_reduced with
+no bindings; lexicon, "Chart copies").  Unrecorded terms (parser output,
+the normalizer's forms) are walked node by node.
 """
 from __future__ import annotations
 

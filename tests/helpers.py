@@ -366,22 +366,22 @@ def oracle_live_edges(n, lexical):
 
 def keyed_parse(tokens, lexicon):
     """Oracle for chart.parse's keying and split walk: the same closure
-    over oracle_live_edges, whose add looks a result up by its category
-    and keys every one it misses, filing each item under its cat_key, and
-    which tries every k from i + 1 to j - 1 of a marked span."""
+    over oracle_live_edges, whose add looks a lexical item or rule result
+    up by its category and keys every one it misses, filing each item
+    under its cat_key, and which tries every k from i + 1 to j - 1 of a
+    marked span."""
     table = chart_module._TABLE
     tokens = tuple(tokens)
     n = len(tokens)
     chart = Chart(tokens, {}, {})
     known, keyed, shape_ids = {}, {}, [None]
 
-    def add(span, cat, shape, back, key=None):
+    def add(span, cat, shape, back):
         seen = known.setdefault(span, {})
         item = seen.get(cat)
         if item is None:
             cell = keyed.setdefault(span, {})
-            if key is None:
-                key = cat_key(cat)
+            key = cat_key(cat)
             item = cell.get(key)
             if item is None:
                 item = cell[key] = Item(len(chart.items) + 1, span, cat,
@@ -403,8 +403,7 @@ def keyed_parse(tokens, lexicon):
         if shape in live.get(span, ()):
             nth = uses.get(id(entry), 0)
             uses[id(entry)] = nth + 1
-            add(span, lexicon.chart_copy(entry, nth), shape, ("lex", entry.tag),
-                entry.chart_key)
+            add(span, lexicon.chart_copy(entry, nth), shape, ("lex", entry.tag))
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
@@ -520,6 +519,18 @@ CHART_FORM_VARIANTS = {
         "@raise every sg q-every s-every\n",
         ", np:and(and(a, b), c)", "w every girl v", None),
 }
+
+
+# User lexicons with multi-word lexemes, each with the sentences it is
+# parsed on: a span that holds a lexical item holds rule items too.  In
+# "x x e" the rule results x + (x e) and (x x) + e merge into the lexical
+# item np:x(x(e(D))), whose id is smaller than that of (x e); in "x y"
+# two lexical items of one signature share a span with a rule result.
+MULTI_WORD_LEXICONS = [
+    ("x :: np:x(A)/np:A\ne :: np:e(B)\nx x e :: np:x(x(e(D)))\ngo :: s:go(Y)/np:Y\n",
+     ["x x e", "go x x e"]),
+    ("x :: np:f(a, A)/np:A\ny :: np:Y\nx y :: np:f(a, B)\nx y :: np:f(B, a)\n", ["x y"]),
+]
 
 
 # Noun phrases for seeded PP chains and clause embeddings: (words, number,

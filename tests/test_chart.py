@@ -56,6 +56,7 @@ from ccgscope.terms import (
 import helpers
 from helpers import (
     CHART_FORM_VARIANTS,
+    MULTI_WORD_LEXICONS,
     ChartError,
     all_pairs_parse,
     cat_vars,
@@ -270,6 +271,25 @@ def test_counts_match_enumeration_and_replay(lex):
             replay(tree)
 
 
+def test_every_items_count_is_its_number_of_derivations(chart_of):
+    # Each item's count is the number of trees derivations enumerates, on
+    # the corpus, the keying cases and the multi-word lexicons, where a
+    # lexical item is older than the rule results merged into it.  The
+    # depth-5 PP chains are left out for time: over 2 million trees each.
+    deep = {pp_chain(5, seed)[0] for seed in (1, 2, 3)}
+    charts = [(sentence, chart_of(sentence)) for sentence in KEYING_CASES
+              if sentence not in deep]
+    trees = 0
+    for sentence, chart in charts + multi_word_charts():
+        counts = count_derivations(chart)
+        assert counts.keys() == chart.items.keys(), sentence
+        for item in chart.items.values():
+            found = sum(1 for _ in derivations(chart, item))
+            assert found == counts[item.id] > 0, (sentence, item.id)
+            trees += found
+    assert trees > 500_000, trees
+
+
 def test_backpointer_check_passes_on_every_corpus_chart(lex):
     for _, sent, _, _ in read_data("corpus.txt", None, _corpus_entry):
         check_backpointers(parse(tokenize(sent), lex))
@@ -365,8 +385,12 @@ PP_CHAIN_4 = ("one saxophonist in every boy of one girl of a woman of three"
 
 @pytest.mark.parametrize("sentence", CLOSURE_CASES)
 def test_rule_backpointers_name_items_built_earlier(chart_of, sentence):
-    # count_derivations counts in one pass in id order, which needs every
-    # child of a rule backpointer to have a smaller id than its parent.
+    # With the bundled lexicon every child of a rule backpointer has a
+    # smaller id than its parent: no lexeme spans two tokens, so each item
+    # of a span is built after the narrower items it is built from.
+    # count_derivations does not rely on it; it counts by span width,
+    # since a lexical item of a multi-word lexeme is older than the rule
+    # results that merge into it (MULTI_WORD_LEXICONS).
     chart = chart_of(sentence)
     assert all(child < item.id for item in chart.items.values()
                for back in item.backs if back[0] != "lex" for child in back[1:])
@@ -579,23 +603,33 @@ def rewritable(node):
             and node.args[0].body.args == (node.args[0].param,))
 
 
-def test_every_recorded_chart_term_holds_the_record_invariant(chart_of):
-    # A record names exactly the variables among the term's subterms; a
-    # recorded term's children are recorded, variables or atoms; and no
-    # recorded term can be rewritten, so each is canonical.
-    for sentence in RECORD_CASES:
-        chart, memo, recorded = chart_of(sentence), {}, 0
+def multi_word_charts():
+    """(sentence, chart) of each sentence of MULTI_WORD_LEXICONS, parsed
+    on its lexicon."""
+    return [(sentence, parse(tokenize(sentence), lexicon))
+            for text, sentences in MULTI_WORD_LEXICONS
+            for lexicon in [load_lexicon(text)] for sentence in sentences]
+
+
+def test_every_chart_term_is_recorded_and_holds_the_record_invariant(chart_of):
+    # Every compound, lambda and up(.) term of every item, lexical items
+    # included, is recorded: lexical copies at birth (Lexicon.chart_copy),
+    # rule results by subst_cat.  A record names exactly the variables
+    # among the term's subterms, and no recorded term can be rewritten, so
+    # each is canonical.
+    charts = [(sentence, chart_of(sentence)) for sentence in KEYING_CASES]
+    checked = 0
+    for sentence, chart in charts + multi_word_charts():
+        memo = {}
         for item in chart.items.values():
             for at in atomics(item.cat):
                 for node in subterms(at.sem):
-                    if isinstance(node, (Var, Atom)) or node.varset is None:
+                    if isinstance(node, (Var, Atom)):
                         continue
-                    recorded += 1
                     assert node.varset == record_free_vars(node, memo), sentence
-                    assert all(isinstance(k, Var) or k.varset is not None
-                               for k in children(node)), sentence
                     assert not rewritable(node), sentence
-        assert recorded > 0, sentence
+                    checked += 1
+    assert checked > 3000, checked
 
 
 def test_rule_results_do_not_depend_on_records(lex, monkeypatch):
@@ -679,15 +713,16 @@ def sentence_tallies(parses, monkeypatch):
     wrapped, check the keying law on its chart, and return the chart and
     its tally per pair.
 
-    The law: a lexical item enters with its entry's chart_key, without a
-    cat_key call.  A rule result equal to a category filed in its cell
-    goes to that category's item without a call.  Every other result is
-    filed for later lookups, whether it makes an item or is a variant
-    duplicate, and is keyed only when its cell holds a lexical item or a
-    rule item of its signature (signature, above); that item is keyed
-    too, once, when the first such result arrives.  So cat_key runs
-    exactly on those categories, in that order, and a result lands on
-    the item of its own key, cat_key of the item's category.  Equality
+    The law: the lexical items arrive first, each an item of its own,
+    and then the rule results, and each arrival is filed alike.  One
+    equal to a category filed in its cell goes to that category's item
+    without a call.  Every other arrival is filed for later lookups,
+    whether it makes an item or is a variant duplicate, and is keyed only
+    when its cell holds an item of its signature (signature, above); that
+    item is keyed too, once, when the first such arrival comes.  So
+    cat_key runs exactly on those categories, in that order, and an
+    arrival lands on the item of its own key, cat_key of the item's
+    category.  Equality
     is judged by the type-tagged oracle, not by the terms' own.  Rule
     results share most of their subterms, so each node object is tagged
     once per sentence, and each tagged form keyed once: equal forms are
@@ -730,23 +765,24 @@ def sentence_tallies(parses, monkeypatch):
         assert all(len({key_of[it.id] for it in cell}) == len(cell)
                    for cell in spans.values()), sentence
         by_back = {back: it for it in items for back in it.backs}
-        filed = {}     # span -> tagged forms of the categories filed there
-        keys = {}      # span -> the keys of its items
-        variants = {}  # span -> tagged forms of its variant duplicates
-        signed = {}    # span -> {signature: its first rule item, None once keyed}
-        held = {it.span for it in lexical}
-        keyed = []     # the categories parse keys, in order
-        tagged_nodes, key_of_form = {}, {}
-        for it in lexical:
-            filed.setdefault(it.span, set()).add(tagged_cat(it.cat, tagged_nodes))
-            keys.setdefault(it.span, set()).add(key_of[it.id])
-        tally = Counter()
+        # (item, category) per arrival, in order: each lexical item with
+        # its own category, then each rule result with the item it joins.
+        arrivals = [(it, it.cat) for it in lexical]
         for label, left, right, out in results:
             li, ri = by_cat[id(left)], by_cat[id(right)]
             assert li.cat is left and ri.cat is right
-            span, back = (li.span[0], ri.span[1]), (label, li.id, ri.id)
-            item = by_back[back]
-            assert item.span == span
+            item = by_back[(label, li.id, ri.id)]
+            assert item.span == (li.span[0], ri.span[1])
+            arrivals.append((item, out))
+        filed = {}     # span -> tagged forms of the categories filed there
+        keys = {}      # span -> the keys of its items
+        variants = {}  # span -> tagged forms of its variant duplicates
+        signed = {}    # span -> {signature: its first item, None once keyed}
+        keyed = []     # the categories parse keys, in order
+        tagged_nodes, key_of_form = {}, {}
+        tally = Counter()
+        for item, out in arrivals:
+            span = item.span
             form = tagged_cat(out, tagged_nodes)
             key = key_of_form.get(form)
             if key is None:
@@ -765,9 +801,6 @@ def sentence_tallies(parses, monkeypatch):
                     keyed.append(firsts[sig].cat)
                     firsts[sig] = None
                 keyed.append(out)
-            elif span in held:
-                tally["beside a lexical item"] += 1
-                keyed.append(out)
             if key in keys.setdefault(span, set()):
                 assert keyed and keyed[-1] is out, sentence
                 tally["variant"] += 1
@@ -777,9 +810,8 @@ def sentence_tallies(parses, monkeypatch):
                 tally["new"] += 1
                 keys[span].add(key)
                 firsts[sig] = None if keyed and keyed[-1] is out else item
-        assert tally["new"] == len(chart.items) - len(lexical), sentence
-        # cat_key ran on exactly these categories, in this order, and so
-        # on no lexical item's.
+        assert tally["new"] == len(chart.items), sentence
+        # cat_key ran on exactly these categories, in this order.
         assert len(made) == len(keyed) and all(map(operator.is_, made, keyed)), sentence
         tally.update({"items": len(chart.items), "lexical items": len(lexical),
                       "cat_key calls": len(made)})
@@ -803,11 +835,11 @@ def test_parse_keys_only_new_items_and_variant_duplicates(keying_forward):
     # and the rule results that duplicate an item, split into those equal
     # to a category already filed in their cell and the variants of one.
     # None of these sentences gives a result equal to a variant duplicate;
-    # the next test does.  Lexical items come keyed (LexEntry.chart_key),
-    # and no live lexical item here spans two tokens, so cat_key runs for
-    # the results whose signature an item of their cell shares, and once
-    # for each such item: 5,009 keys, where keying every new item and
-    # variant took 8,749 - 960 + 241 = 8,030.
+    # the next test does.  Lexical items are filed as rule results are,
+    # and no two items of one lexical cell here share a signature, so
+    # cat_key runs for the results whose signature an item of their cell
+    # shares, and once for each such item: 5,009 keys, where keying every
+    # item and variant would take 8,749 + 241 = 8,990.
     totals = Counter()
     for _, tally in keying_forward[1]:
         totals.update(tally)
@@ -819,14 +851,26 @@ def test_parse_keys_only_new_items_and_variant_duplicates(keying_forward):
 
 def test_a_result_equal_to_a_variant_duplicate_is_looked_up(monkeypatch):
     # In the cell of "x x e", the lexical item np:x(x(e(D))) comes first.
-    # x + (x e) then gives a variant of it, with e's variable, keyed as
-    # its cell holds a lexical item, and (x x) + e a result equal to that
-    # variant, found without a key.  The rule items (x x) and (x e) are
-    # alone in their cells, so they are not keyed.
-    lex = load_lexicon("x :: np:x(A)/np:A\ne :: np:e(B)\nx x e :: np:x(x(e(D)))\n")
+    # x + (x e) then gives a variant of it, with e's variable, of its
+    # signature, so both are keyed, the lexical item first; (x x) + e
+    # gives a result equal to that variant, found without a key.  The rule
+    # items (x x) and (x e) are alone in their cells, so they are not
+    # keyed.
+    lex = load_lexicon(MULTI_WORD_LEXICONS[0][0])
     assert keying_tallies(["x x e"], lex, monkeypatch) == {
         "items": 6, "lexical items": 4, "equal": 1, "equal to a variant": 1,
-        "variant": 1, "beside a lexical item": 1, "cat_key calls": 1}
+        "variant": 1, "shared signature": 1, "keyed earlier": 1, "cat_key calls": 2}
+
+
+def test_two_lexical_items_of_one_signature_are_both_keyed(monkeypatch):
+    # The lexical items np:f(a, B) and np:f(B, a) of "x y" share a
+    # signature, so the second is keyed on arrival and the first with it.
+    # x + y then gives a variant of np:f(a, B), of the same signature,
+    # keyed and found by its key.
+    lex = load_lexicon(MULTI_WORD_LEXICONS[1][0])
+    assert keying_tallies(["x y"], lex, monkeypatch) == {
+        "items": 4, "lexical items": 4, "variant": 1, "shared signature": 2,
+        "keyed earlier": 1, "cat_key calls": 3}
 
 
 # The sentences parse and keyed_parse are compared on: the closure and
@@ -837,10 +881,9 @@ ORACLE_CASES = list(dict.fromkeys(
 
 
 def test_parse_builds_the_chart_that_keying_every_result_builds(lex):
-    # keyed_parse keys every result its cell has not filed and walks
-    # every split; parse keys a result only when its signature or a
-    # lexical item is in its cell, and walks only the splits that hold
-    # an edge.  The charts are the same item for item, and the cells
+    # keyed_parse keys every arrival its cell has not filed and walks
+    # every split; parse keys one only when its signature is in its
+    # cell, and walks only the splits that hold an edge.  The charts are the same item for item, and the cells
     # list the same items in the same order.
     assert len(ORACLE_CASES) > 50
     for sentence in ORACLE_CASES:
@@ -856,8 +899,8 @@ def test_parse_builds_the_keyed_chart_on_user_lexicons():
         warnings.simplefilter("ignore")
         parses = [(load_lexicon(text), sentence)
                   for text, _, sentence, _ in CHART_FORM_VARIANTS.values()]
-    parses.append((load_lexicon("x :: np:x(A)/np:A\ne :: np:e(B)\nx x e :: np:x(x(e(D)))\n"),
-                   "x x e"))
+    parses += [(load_lexicon(text), sentence) for text, sentences in MULTI_WORD_LEXICONS
+               for sentence in sentences]
     for lexicon, sentence in parses:
         tokens = tokenize(sentence)
         assert filed_record(parse(tokens, lexicon)) \

@@ -15,7 +15,7 @@ from ccgscope.lexicon import default_lexicon, load_lexicon
 from ccgscope.readings import readings
 from ccgscope.terms import canonicalize, parse_term
 
-from helpers import CHART_FORM_VARIANTS
+from helpers import CHART_FORM_VARIANTS, MULTI_WORD_LEXICONS
 
 
 def run(capsys, *argv):
@@ -468,6 +468,41 @@ def test_parse_lists_full_span_items_in_printed_order(capsys):
     doc = {"sentence": sentence, "tokens": ["that", "every", "girl"],
            "items": [{"cat": cat, "derivations": n} for cat, n in items]}
     assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
+
+
+@pytest.mark.parametrize("lexicon, argv, expected", [
+    (0, ["parse", "x x e"], "x x e\n  np:x(x(e(v1)))  [3 derivations]\n"),
+    (0, ["readings", "go x x e"], "1 readings of: go x x e\n  x6  go(x(x(e(v1))))\n"),
+    (1, ["parse", "x y"],
+     "x y\n  np:f(a, v1)  [2 derivations]\n  np:f(v1, a)  [1 derivations]\n")],
+    ids=["x x e", "go x x e", "x y"])
+def test_a_multi_word_lexeme_counts_with_the_rule_results_merged_into_it(
+        tmp_path, capsys, lexicon, argv, expected):
+    # A lexical item of a multi-word lexeme is a derivation of its own, and
+    # the rule results of its span that are variants of it merge into it.
+    # "x x e": the lexical item, x + (x e) and (x x) + e.  "go x x e": the
+    # 5 bracketings of the four words, and go over the lexical "x x e".
+    # "x y": x + y is a variant of the first lexical item only.
+    path = tmp_path / "user.lex"
+    path.write_text(MULTI_WORD_LEXICONS[lexicon][0])
+    assert run(capsys, "--lexicon", str(path), *argv) == (0, expected, "")
+
+
+def test_every_command_runs_on_a_multi_word_lexeme(tmp_path, capsys):
+    # Each command that counts derivations, on the lexicon of "go x x e".
+    path, corpus, skeletons = (tmp_path / name for name in ("user.lex", "c.txt", "s.skel"))
+    path.write_text(MULTI_WORD_LEXICONS[0][0])
+    corpus.write_text("1\tgo x x e\n")
+    skeletons.write_text("go x x e\tgo(x(x(e(a))))\n")
+    lexicon = ["--lexicon", str(path)]
+    code, out, err = run(capsys, *lexicon, "--json", "parse", "go x x e")
+    assert (code, json.loads(out)["items"], err) == (
+        0, [{"cat": "s:go(x(x(e(v1))))", "derivations": 6}], "")
+    code, out, err = run(capsys, *lexicon, "corpus", str(corpus))
+    assert (code, out.splitlines()[-1], err) == (0, "1/1 corpus entries pass", "")
+    code, out, err = run(capsys, *lexicon, "--json", "compare", "--skeletons", str(skeletons),
+                         "go x x e")
+    assert (code, json.loads(out)["ccg"], err) == (0, 1, "")
 
 
 ATOM_LIKE_A_VARIABLE_LEXICON = ("a :: s:p(s-e(Y))/n:Y\n"
